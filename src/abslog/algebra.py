@@ -16,12 +16,19 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .errors import (
     ArityCapExceeded,
     ArityMismatch,
+    BadTableKey,
     DuplicateName,
+    EmptyCarrier,
     IllFormedTemplate,
     IllFormedTerm,
+    MissingInterpretation,
+    MissingRow,
+    ModelError,
     NotLogicAlgebra,
     NotLogicSignature,
+    SpecKindMismatch,
     TermError,
+    UnknownValue,
 )
 from .logics import (
     ALL,
@@ -524,16 +531,84 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
     return models
 
 
-# --- model description files -------------------------------------------------
+# --- model descriptions -------------------------------------------------------
 
-def _key_to_str(key: tuple, names: tuple[str, ...]) -> str:
-    parts = []
-    for k in key:
-        if isinstance(k, tuple):
-            parts.append(",".join(names[e] for e in k))
-        else:
-            parts.append(names[k])
-    return ";".join(parts)
+def model_from_spec(model: str, carrier: Sequence[str],
+                    interp: Mapping[str, object], sig: Signature,
+                    aliases: Mapping[str, str] | None = None) -> AbstractionAlgebra:
+    """Build the algebra that a named model description defines.
+
+    carrier lists the value names.  interp maps each abstraction (or an
+    alias of it) to a value name if its shape is a value, else to a table
+    from argument keys to value names.  A key has one part per argument
+    position: a value name, or, where the position binds variables, the
+    row-major entry list of the argument operation (a lone value name is a
+    one-entry list).  Every defect raises a ModelError that names the model
+    and the abstraction.
+    """
+    if not carrier:
+        raise EmptyCarrier(f"model {model}: the carrier has no values")
+    if len(set(carrier)) != len(carrier):
+        raise DuplicateName(f"model {model}: carrier values repeat")
+    size = len(carrier)
+    idx = {v: i for i, v in enumerate(carrier)}
+    aliases = aliases or {}
+    raw = {aliases.get(k, k): v for k, v in interp.items()}
+
+    def value(name: str, v) -> int:
+        if isinstance(v, str) and v in idx:
+            return idx[v]
+        raise UnknownValue(f"model {model}: {name}: {v!r} is not a carrier value")
+
+    def part(name: str, p: tuple[int, ...], i: int, v) -> int | tuple[int, ...]:
+        if not p:
+            if isinstance(v, tuple):
+                raise BadTableKey(f"model {model}: {name}: argument {i + 1} "
+                                  f"takes a value, not an entry list")
+            return value(name, v)
+        entries = v if isinstance(v, tuple) else (v,)
+        if len(entries) != size ** len(p):
+            raise BadTableKey(
+                f"model {model}: {name}: argument {i + 1} binds variables, so "
+                f"it takes the entry list of a {len(p)}-ary operation "
+                f"({size ** len(p)} values), not {v!r}")
+        return tuple(value(name, e) for e in entries)
+
+    ops = {}
+    for d in sig.decls:
+        if d.name not in raw:
+            raise MissingInterpretation(
+                f"model {model} interprets no abstraction {d.name!r}")
+        spec = raw[d.name]
+        if d.shape.arity == 0:
+            if isinstance(spec, Mapping):
+                raise SpecKindMismatch(
+                    f"model {model}: {d.name} is a value, not a table")
+            ops[d.name] = OperatorImpl(d.shape, {(): value(d.name, spec)})
+            continue
+        if not isinstance(spec, Mapping):
+            raise SpecKindMismatch(
+                f"model {model}: {d.name} needs a table, not a value")
+        sets = d.shape.binder_sets
+        rule = {}
+        for key, out in spec.items():
+            if len(key) != len(sets):
+                raise BadTableKey(f"model {model}: {d.name}: row key {key!r} "
+                                  f"needs {len(sets)} argument(s)")
+            rule[tuple(part(d.name, p, i, v)
+                       for i, (p, v) in enumerate(zip(sets, key)))] = value(d.name, out)
+        for key in argument_keys(size, d.shape):
+            if key not in rule:
+                raise MissingRow(f"model {model}: table for {d.name} has no row "
+                                 f"for {_show_key(key, carrier)}")
+        ops[d.name] = OperatorImpl(d.shape, rule)
+    return AbstractionAlgebra(Universe(tuple(carrier)), sig, ops)
+
+
+def _show_key(key: tuple, names: Sequence[str]) -> str:
+    return "(%s)" % ", ".join(
+        "[%s]" % ", ".join(names[e] for e in k) if isinstance(k, tuple)
+        else names[k] for k in key)
 
 
 def load_model(path: str, sig: Signature,
@@ -545,31 +620,37 @@ def load_model(path: str, sig: Signature,
     operations, or an object keyed by ";"-separated argument keys (table
     arguments are ","-joined entry lists) for general operators.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    universe = Universe(tuple(doc["carrier"]))
-    names = universe.value_names
-    idx = {n: i for i, n in enumerate(names)}
-    aliases = aliases or {}
-    raw = {aliases.get(k, k): v for k, v in doc["interp"].items()}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ModelError(f"model {path}: not a UTF-8 JSON document: {e}") from e
+    if not (isinstance(doc, dict) and isinstance(doc.get("carrier"), list)
+            and all(isinstance(v, str) for v in doc["carrier"])
+            and isinstance(doc.get("interp"), dict)):
+        raise ModelError(f'model {path}: expected an object with a "carrier" '
+                         f'list of value names and an "interp" object')
+    carrier = doc["carrier"]
     interp = {}
-    for d in sig.decls:
-        if d.name not in raw:
-            raise IllFormedTerm(f"model file interprets no abstraction {d.name!r}")
-        spec = raw[d.name]
-        rule = {}
-        if d.shape.arity == 0:
-            rule[()] = idx[spec]
-        elif isinstance(spec, list):
-            # nested array for operations: spec[a0][a1]... = value name
-            for key in argument_keys(universe.size, d.shape):
-                cell = spec
-                for a in key:
-                    cell = cell[a]
-                rule[key] = idx[cell]
-        else:
-            table = {k: idx[v] for k, v in spec.items()}
-            for key in argument_keys(universe.size, d.shape):
-                rule[key] = table[_key_to_str(key, names)]
-        interp[d.name] = OperatorImpl(d.shape, rule)
-    return AbstractionAlgebra(universe, sig, interp)
+    for name, spec in doc["interp"].items():
+        if isinstance(spec, list):
+            spec = dict(_array_rows(spec, carrier, f"model {path}: {name}"))
+        elif isinstance(spec, dict):
+            spec = {tuple(tuple(p.split(",")) if "," in p else p
+                          for p in key.split(";")): out
+                    for key, out in spec.items()}
+        interp[name] = spec
+    return model_from_spec(path, carrier, interp, sig, aliases)
+
+
+def _array_rows(cell, carrier: list[str], where: str,
+                key: tuple = ()) -> Iterator[tuple]:
+    """Rows of a nested array: cell[a0][a1]... is the value at (a0, a1, ...)."""
+    if not isinstance(cell, list):
+        yield key, cell
+        return
+    if len(cell) != len(carrier):
+        raise BadTableKey(f"{where}: a nested array has {len(cell)} entries "
+                          f"for {len(carrier)} carrier values")
+    for name, sub in zip(carrier, cell):
+        yield from _array_rows(sub, carrier, where, key + (name,))

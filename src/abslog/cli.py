@@ -4,7 +4,8 @@
     abslog model-check FILE --model boolean|degenerate|PATH [--arity-cap N] [--json]
     abslog eval FILE --term TERM --model SPEC [--assign x=v,...] [--unicode]
 
-Exit codes: 0 everything passed, 1 a check failed, 2 usage or parse error.
+Exit codes: 0 everything passed, 1 a check failed, 2 usage, parse, I/O or
+decoding error, or a malformed model.
 """
 from __future__ import annotations
 
@@ -149,8 +150,11 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"{args.file}:{e.diagnostic()}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"error: {args.file} is not UTF-8 text: {e}", file=sys.stderr)
         return 2
     except AbslogError as e:
         print(f"error: [{e.code}] {e.message}", file=sys.stderr)

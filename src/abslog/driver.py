@@ -12,13 +12,11 @@ from dataclasses import dataclass
 from .algebra import (
     AbstractionAlgebra,
     ModelReport,
-    OperatorImpl,
-    Universe,
-    argument_keys,
     boolean_model,
     check_model,
     degenerate_model,
     load_model,
+    model_from_spec,
 )
 from .errors import AbslogError, ProofError
 from .kernel import All, Ax, Lemma, Mp, Proof, Subst, TheoremDB, check_proof
@@ -157,49 +155,11 @@ def check_theory(tf: TheoryFile, db: TheoremDB | None = None,
 
 # --- model checking for theory files ------------------------------------------
 
-_MODEL_ALIASES = dict(ALIAS)
-
-
 def build_model(block: ModelBlock, sig: Signature) -> AbstractionAlgebra:
     """Turn a parsed in-file model block into an abstraction algebra."""
-    universe = Universe(block.carrier)
-    idx = {n: i for i, n in enumerate(block.carrier)}
-
-    def value(name: str) -> int:
-        if name not in idx:
-            raise AbslogError(
-                f"model {block.name}: {name!r} is not a carrier value")
-        return idx[name]
-
-    raw = {_MODEL_ALIASES.get(k, k): v for k, v in block.interp}
-    interp = {}
-    for d in sig.decls:
-        if d.name not in raw:
-            raise AbslogError(
-                f"model {block.name} interprets no abstraction {d.name!r}")
-        spec = raw[d.name]
-        rule = {}
-        if isinstance(spec, str):
-            if d.shape.arity != 0:
-                raise AbslogError(
-                    f"model {block.name}: {d.name} needs a table, not a value")
-            rule[()] = value(spec)
-        else:
-            table = {}
-            for key, out in spec:
-                enc = tuple(
-                    tuple(value(e) for e in part) if isinstance(part, tuple)
-                    else value(part)
-                    for part in key)
-                table[enc] = value(out)
-            for key in argument_keys(universe.size, d.shape):
-                if key not in table:
-                    raise AbslogError(
-                        f"model {block.name}: table for {d.name} misses an "
-                        f"argument tuple")
-                rule[key] = table[key]
-        interp[d.name] = OperatorImpl(d.shape, rule)
-    return AbstractionAlgebra(universe, sig, interp)
+    interp = {name: spec if isinstance(spec, str) else dict(spec)
+              for name, spec in block.interp}
+    return model_from_spec(block.name, block.carrier, interp, sig, ALIAS)
 
 
 def model_for(tf: TheoryFile, spec: str) -> AbstractionAlgebra:
@@ -217,7 +177,7 @@ def model_for(tf: TheoryFile, spec: str) -> AbstractionAlgebra:
             raise AbslogError(
                 "the boolean model only interprets the classical connectives")
         return AbstractionAlgebra(base.universe, sig, base.interp)
-    return load_model(spec, sig, _MODEL_ALIASES)
+    return load_model(spec, sig, ALIAS)
 
 
 def model_check_theory(tf: TheoryFile, spec: str,

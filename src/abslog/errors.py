@@ -83,6 +83,38 @@ class ArityCapExceeded(AlgebraError):
     code = "ArityCapExceeded"
 
 
+class ModelError(AlgebraError):
+    """A model description (a model block or a JSON file) that defines no
+    algebra over the signature."""
+    code = "ModelError"
+
+
+class EmptyCarrier(ModelError):
+    code = "EmptyCarrier"
+
+
+class UnknownValue(ModelError):
+    code = "UnknownValue"
+
+
+class MissingInterpretation(ModelError):
+    code = "MissingInterpretation"
+
+
+class SpecKindMismatch(ModelError):
+    """A table given for a value-shaped abstraction, or a single value for
+    an operator."""
+    code = "SpecKindMismatch"
+
+
+class BadTableKey(ModelError):
+    code = "BadTableKey"
+
+
+class MissingRow(ModelError):
+    code = "MissingRow"
+
+
 # --- logics ---
 
 class UnknownLogic(AbslogError):

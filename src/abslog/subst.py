@@ -1,10 +1,11 @@
 """Templates, substitutions and capture-avoiding application.
 
-Substitution is implemented on a nameless (de Bruijn) form: free variables
-stay named there, so inserting a template body under a binder can never
-capture anything.  The result is converted back to named syntax with a
-deterministic renaming scheme, so byte-equal inputs give byte-equal
-outputs.
+Substitution is implemented on the nameless form described in term.py,
+with binder names kept as hints and template parameters as slots.  Free
+variables stay named there, so inserting a template body under a binder
+can never capture anything.  The result is converted back to named syntax
+with a deterministic renaming scheme that keeps a hint unless it would
+clash, so byte-equal inputs give byte-equal outputs.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, DuplicateBinder
-from .term import Abs, Term, Var
+from .term import Abs, Term, Var, encode
 
 
 def fresh_var(avoid: Iterable[str], base: str) -> str:
@@ -69,45 +70,6 @@ class Substitution:
 
     def __repr__(self):
         return f"Substitution({self.mapping!r})"
-
-
-# --- hinted de Bruijn form -------------------------------------------------
-#
-# Like term.to_debruijn but binder name hints are kept for the trip back to
-# named syntax, and template parameters are encoded as ("s", i) slots:
-#   ("b", k) bound index / ("s", i) slot / ("v", name, args)
-#   ("A", absname, shape, hints, args)
-
-def _lookup(name, frames):
-    idx = 0
-    for fr in reversed(frames):
-        for b in reversed(fr):
-            if b == name:
-                return idx
-            idx += 1
-    return None
-
-
-def _encode(t: Term, frames: list, slots: tuple[str, ...]) -> tuple:
-    if isinstance(t, Var):
-        if t.arity == 0:
-            k = _lookup(t.name, frames)
-            if k is not None:
-                return ("b", k)
-            if t.name in slots:
-                return ("s", slots.index(t.name))
-            return ("v", t.name, ())
-        return ("v", t.name, tuple(_encode(a, frames, slots) for a in t.args))
-    args = []
-    for i, a in enumerate(t.args):
-        fr = t.frame(i)
-        if fr:
-            frames.append(fr)
-            args.append(_encode(a, frames, slots))
-            frames.pop()
-        else:
-            args.append(_encode(a, frames, slots))
-    return ("A", t.name, t.shape, t.binders, tuple(args))
 
 
 def _lift(node: tuple, k: int, depth: int = 0) -> tuple:
@@ -209,7 +171,7 @@ def _decode(node: tuple, frames: list, path: frozenset) -> Term:
 
 def _encode_sigma(sigma: Substitution) -> dict:
     return {
-        key: _encode(tmpl.body, [], tmpl.binders)
+        key: encode(tmpl.body, [], tmpl.binders)
         for key, tmpl in sigma.items()
     }
 
@@ -219,7 +181,7 @@ def apply_subst(sigma: Substitution | Mapping, t: Term) -> Term:
     of the α-class of the substituted term."""
     if not isinstance(sigma, Substitution):
         sigma = Substitution(sigma)
-    node = _subst_node(_encode(t, [], ()), _encode_sigma(sigma))
+    node = _subst_node(encode(t, [], ()), _encode_sigma(sigma))
     return _decode(node, [], frozenset())
 
 
@@ -229,12 +191,12 @@ def resolve_template(tmpl: Template, args: list[Term] | tuple[Term, ...]) -> Ter
         raise ArityMismatch(
             f"template of arity {tmpl.arity} applied to {len(args)} arguments")
     node = _instantiate(
-        _encode(tmpl.body, [], tmpl.binders),
-        tuple(_encode(a, [], ()) for a in args))
+        encode(tmpl.body, [], tmpl.binders),
+        tuple(encode(a, [], ()) for a in args))
     return _decode(node, [], frozenset())
 
 
 def canonical(t: Term) -> Term:
     """Deterministic representative of t's α-class (binder hints kept when
     no renaming is forced)."""
-    return _decode(_encode(t, [], ()), [], frozenset())
+    return _decode(encode(t, [], ()), [], frozenset())

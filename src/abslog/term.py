@@ -116,22 +116,27 @@ def _free(t: Term, frames: list[tuple[str, ...]], out: set) -> None:
                 _free(a, frames, out)
 
 
-# --- de Bruijn form -------------------------------------------------------
+# --- nameless form ----------------------------------------------------------
 #
-# Canonical nameless encoding as nested tuples:
-#   ("b", k)                      bound arity-0 occurrence, k counted from the
-#                                 innermost binder (within a frame, later
-#                                 binder indices are closer)
-#   ("v", name, arity, args)      free occurrence, args encoded recursively
-#   ("a", name, shape_key, args)  abstraction application, binder names erased
+# The one nameless (de Bruijn) encoding, as nested tuples:
+#   ("b", k)                         bound arity-0 occurrence, k counted from
+#                                    the innermost binder (within a frame,
+#                                    later binder indices are closer)
+#   ("s", i)                         template parameter i (used by subst.py)
+#   ("v", name, args)                free occurrence, args encoded
+#                                    recursively; its arity is len(args)
+#   ("A", name, shape, hints, args)  abstraction application; hints are the
+#                                    binder names, or () when left out
 #
-# Two terms are α-equivalent iff their encodings are equal.
+# With the hints left out, two terms are α-equivalent iff their encodings
+# are equal.  Substitution keeps them, so that decoding back to named syntax
+# can reuse the original binder names wherever no renaming is forced.
 
 DeBruijnTerm = tuple
 
 
 def to_debruijn(t: Term) -> DeBruijnTerm:
-    return _encode(t, [])
+    return encode(t, [], (), False)
 
 
 def _lookup(name: str, frames: list[tuple[str, ...]]) -> int | None:
@@ -144,25 +149,30 @@ def _lookup(name: str, frames: list[tuple[str, ...]]) -> int | None:
     return None
 
 
-def _encode(t: Term, frames: list[tuple[str, ...]]) -> DeBruijnTerm:
+def encode(t: Term, frames: list[tuple[str, ...]], slots: tuple[str, ...] = (),
+           hints: bool = True) -> DeBruijnTerm:
+    """Nameless form of t under the binder frames in scope (outermost
+    first).  Unbound arity-0 variables named in slots become ("s", i);
+    hints=False leaves the binder names out."""
     if isinstance(t, Var):
         if t.arity == 0:
             k = _lookup(t.name, frames)
             if k is not None:
                 return ("b", k)
-            return ("v", t.name, 0, ())
-        return ("v", t.name, t.arity, tuple(_encode(a, frames) for a in t.args))
-    key = (t.shape.valence, t.shape.binder_sets)
+            if t.name in slots:
+                return ("s", slots.index(t.name))
+            return ("v", t.name, ())
+        return ("v", t.name, tuple(encode(a, frames, slots, hints) for a in t.args))
     args = []
     for i, a in enumerate(t.args):
         fr = t.frame(i)
         if fr:
             frames.append(fr)
-            args.append(_encode(a, frames))
+            args.append(encode(a, frames, slots, hints))
             frames.pop()
         else:
-            args.append(_encode(a, frames))
-    return ("a", t.name, key, tuple(args))
+            args.append(encode(a, frames, slots, hints))
+    return ("A", t.name, t.shape, t.binders if hints else (), tuple(args))
 
 
 def alpha_eq(s: Term, t: Term) -> bool:

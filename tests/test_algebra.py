@@ -201,18 +201,21 @@ def test_all_tables():
 
 
 def test_load_model_json(tmp_path):
-    doc = {
-        "carrier": ["T", "F"],
-        "interp": {
-            "true": "T",
-            "imp": [["T", "F"], ["T", "T"]],
-            "all": {"T,T": "T", "T,F": "F", "F,T": "F", "F,F": "F"},
-        },
-    }
-    path = tmp_path / "bool_d.json"
-    path.write_text(json.dumps(doc))
     from abslog.syntax import ALIAS
-    alg = load_model(str(path), SIG_D, ALIAS)
-    assert is_logic_algebra(alg)
-    report = check_model(alg, builtin_logic("D").axiom_terms, arity_cap=1)
-    assert report.passed
+    # imp as a nested array, then as an object keyed by ";"-joined arguments
+    for imp in ([["T", "F"], ["T", "T"]],
+                {"T;T": "T", "T;F": "F", "F;T": "T", "F;F": "T"}):
+        doc = {
+            "carrier": ["T", "F"],
+            "interp": {
+                "true": "T",
+                "imp": imp,
+                "all": {"T,T": "T", "T,F": "F", "F,T": "F", "F,F": "F"},
+            },
+        }
+        path = tmp_path / "bool_d.json"
+        path.write_text(json.dumps(doc))
+        alg = load_model(str(path), SIG_D, ALIAS)
+        assert is_logic_algebra(alg)
+        report = check_model(alg, builtin_logic("D").axiom_terms, arity_cap=1)
+        assert report.passed

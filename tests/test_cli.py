@@ -6,7 +6,15 @@ import pytest
 from abslog import check_theory, parse_theory
 from abslog.cli import main
 from abslog.driver import build_model, model_for
-from abslog.errors import AbslogError
+from abslog.errors import (
+    AbslogError,
+    BadTableKey,
+    EmptyCarrier,
+    MissingInterpretation,
+    MissingRow,
+    ModelError,
+    UnknownValue,
+)
 from abslog.logics import SIG_D
 
 CORPUS = Path(__file__).parent.parent / "src" / "abslog" / "corpus"
@@ -202,3 +210,97 @@ def test_model_for_resolution(tmp_path):
         model_for(parse_theory("logic D\nabstraction box (0; {})\n"), "boolean")
     with pytest.raises(FileNotFoundError):
         model_for(tf, str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{dir}"],
+    ["check", "{latin1}"],
+    ["model-check", "{ok}", "--model", "{dir}"],
+    ["model-check", "{ok}", "--model", "{broken}"],
+    ["model-check", "{ok}", "--model", "{latin1}"],
+    ["eval", "{ok}", "--term", "true", "--model", "{broken}"],
+], ids=["check-dir", "check-not-utf8", "model-dir", "model-not-json",
+        "model-not-utf8", "eval-model-not-json"])
+def test_io_errors_exit_two(tmp_path, capsys, argv):
+    files = {"dir": tmp_path / "a_dir", "latin1": tmp_path / "latin1.al",
+             "ok": tmp_path / "ok.al", "broken": tmp_path / "broken.json"}
+    files["dir"].mkdir()
+    files["latin1"].write_bytes(b"logic D\naxiom caf\xe9: true\n")
+    files["ok"].write_text("logic D\n")
+    files["broken"].write_text('{"carrier": ["T", "F"], ')
+    assert main([a.format(**files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+_GOOD_INTERP = """
+  true := T
+  imp := { (T, T) -> T, (T, F) -> F, (F, T) -> T, (F, F) -> T }
+  all := { ([T, T]) -> T, ([T, F]) -> F, ([F, T]) -> F, ([F, F]) -> F }
+"""
+_GOOD_JSON = {
+    "carrier": ["T", "F"],
+    "interp": {
+        "true": "T",
+        "imp": {"T;T": "T", "T;F": "F", "F;T": "T", "F;F": "T"},
+        "all": {"T,T": "T", "T,F": "F", "F,T": "F", "F,F": "F"},
+    },
+}
+
+
+def _json_with(**interp):
+    doc = json.loads(json.dumps(_GOOD_JSON))
+    for name, spec in interp.items():
+        if spec is None:
+            del doc["interp"][name]
+        else:
+            doc["interp"][name] = spec
+    return doc
+
+
+# (JSON document, model block body or None where blocks cannot say it, error)
+MALFORMED = {
+    "value-outside-carrier": (
+        _json_with(true="X"),
+        _GOOD_INTERP.replace("true := T", "true := X"),
+        UnknownValue),
+    "missing-row": (
+        _json_with(imp={"T;T": "T", "T;F": "F", "F;T": "T"}),
+        _GOOD_INTERP.replace(", (F, F) -> T", ""),
+        MissingRow),
+    "missing-abstraction": (
+        _json_with(all=None),
+        _GOOD_INTERP.split("  all :=")[0],
+        MissingInterpretation),
+    "empty-carrier": (
+        dict(_GOOD_JSON, carrier=[]), None, EmptyCarrier),
+    "top-level-array": (
+        [_GOOD_JSON], None, ModelError),
+    "nested-array-for-all": (
+        _json_with(all=["T", "F"]),
+        _GOOD_INTERP.replace(
+            "all := { ([T, T]) -> T, ([T, F]) -> F, ([F, T]) -> F, ([F, F]) -> F }",
+            "all := { (T) -> T, (F) -> F }"),
+        BadTableKey),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_model_is_a_named_error(tmp_path, capsys, case):
+    doc, block, error = MALFORMED[case]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    source = "logic D\n"
+    if block is not None:
+        source += "model bad {\n  carrier T, F\n" + block + "}\n"
+    theory = tmp_path / "theory.al"
+    theory.write_text(source)
+    tf = parse_theory(source)
+    specs = [str(path)] + (["bad"] if block is not None else [])
+    for spec in specs:
+        with pytest.raises(error):
+            model_for(tf, spec)
+        assert main(["model-check", str(theory), "--model", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"[{error.code}]" in err and "Traceback" not in err

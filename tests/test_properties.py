@@ -1,4 +1,6 @@
 """Hypothesis-driven properties complementing the seeded random tests."""
+from itertools import count
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,6 +8,7 @@ from abslog import (
     Abs,
     Var,
     alpha_eq,
+    apply_subst,
     canonical,
     free_vars,
     make_shape,
@@ -54,6 +57,36 @@ def test_alpha_eq_invariant_under_uniform_rename(t, old, new):
     if renamed is not None:
         assert alpha_eq(t, renamed)
         assert to_debruijn(t) == to_debruijn(renamed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms())
+def test_binder_names_survive_when_no_rename_is_forced(t):
+    u = _fresh_binders(t)
+    assert alpha_eq(t, u)
+    assert canonical(u) == u
+    assert apply_subst({}, u) == u
+
+
+def _fresh_binders(t):
+    """α-rename t so that every binder has its own name, b1, b2, ...,
+    which is free nowhere in the term."""
+    names = (f"b{i}" for i in count(1))
+
+    def walk(s, env):
+        if isinstance(s, Var):
+            if not s.args and s.name in env:
+                return Var(env[s.name])
+            return Var(s.name, tuple(walk(a, env) for a in s.args))
+        binders = tuple(next(names) for _ in s.binders)
+        args = []
+        for i, a in enumerate(s.args):
+            inner = dict(env)
+            inner.update((s.binders[j], binders[j]) for j in s.shape.binder_sets[i])
+            args.append(walk(a, inner))
+        return Abs(s.name, s.shape, binders, tuple(args))
+
+    return walk(t, {})
 
 
 def _rename_binder(t, old, new):
