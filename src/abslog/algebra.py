@@ -44,9 +44,9 @@ from .logics import (
     SIG_K,
     TRUE,
 )
-from .shape import BINOP_SHAPE, Shape, Signature, is_logic_signature, make_shape
+from .shape import Shape, Signature, is_logic_signature
 from .subst import Substitution, apply_subst
-from .term import Abs, Term, Var, check_wellformed, free_vars
+from .term import Term, Var, check_wellformed, free_vars
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,17 @@ def _eval(lookup: Callable[[str, tuple], int], size: int, nu: Valuation,
     key = []
     for i, a in enumerate(t.args):
         frame = t.frame(i)
-        if not frame:
-            key.append(_eval(lookup, size, nu, a))
-        else:
-            entries = []
-            for us in product(range(size), repeat=len(frame)):
-                nu2 = update_valuation(nu, list(zip(frame, us)))
-                entries.append(_eval(lookup, size, nu2, a))
-            key.append(tuple(entries))
+        key.append(_tabulate(lookup, size, nu, frame, a) if frame
+                   else _eval(lookup, size, nu, a))
     return lookup(t.name, tuple(key))
+
+
+def _tabulate(lookup: Callable[[str, tuple], int], size: int, nu: Valuation,
+              binders: Sequence[str], body: Term) -> tuple[int, ...]:
+    """Entries of body as an operation of its binders, row-major over the
+    binder values (one entry when there are no binders)."""
+    return tuple(_eval(lookup, size, update_valuation(nu, list(zip(binders, us))), body)
+                 for us in product(range(size), repeat=len(binders)))
 
 
 def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
@@ -216,31 +218,31 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
             check_wellformed(tmpl.body, alg.signature)
         except TermError as e:
             raise IllFormedTemplate(str(e)) from e
-        if arity == 0:
-            u = _eval(alg.lookup, alg.size, nu, tmpl.body)
-            overrides[(name, 0)] = constant_table(alg.size, 0, u)
-        else:
-            entries = []
-            for us in product(range(alg.size), repeat=arity):
-                nu2 = update_valuation(nu, list(zip(tmpl.binders, us)))
-                entries.append(_eval(alg.lookup, alg.size, nu2, tmpl.body))
-            overrides[(name, arity)] = OperationTable(alg.size, arity, tuple(entries))
+        overrides[(name, arity)] = OperationTable(
+            alg.size, arity,
+            _tabulate(alg.lookup, alg.size, nu, tmpl.binders, tmpl.body))
     return Valuation(alg.size, overrides)
 
 
 # --- logic algebras and model checking -------------------------------------
 
+def _logic_conditions(lookup: Callable[[str, tuple], int], size: int,
+                      top: int) -> list[Callable[[], bool]]:
+    """The two minimum requirements on ⇒ and ∀, one check per table entry
+    read: ⊤ ⇒ u is ⊤ only for u = ⊤, and ∀ of the constant-⊤ operation is
+    ⊤."""
+    conditions = [lambda u=u: not (lookup(IMP, (top, u)) == top and u != top)
+                  for u in range(size)]
+    conditions.append(lambda: lookup(ALL, ((top,) * size,)) == top)
+    return conditions
+
+
 def is_logic_algebra(alg: AbstractionAlgebra) -> bool:
     """Check the two minimum requirements on ⇒ and ∀ by enumeration."""
     if not is_logic_signature(alg.signature):
         raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
-    top = alg.value_of(TRUE)
-    imp = alg.interp[IMP]
-    for u in range(alg.size):
-        if imp.rule[(top, u)] == top and u != top:
-            return False
-    const_top = (top,) * alg.size
-    return alg.interp[ALL].rule[(const_top,)] == top
+    return all(c() for c in _logic_conditions(alg.lookup, alg.size,
+                                              alg.value_of(TRUE)))
 
 
 @dataclass(frozen=True)
@@ -268,6 +270,13 @@ def all_tables(size: int, arity: int) -> Iterator[OperationTable]:
         yield OperationTable(size, arity, entries)
 
 
+def _valuations(size: int, fvs: Sequence[tuple[str, int]]) -> Iterator[Valuation]:
+    """Every assignment of operations to the free variables fvs: checking
+    an axiom under these is checking it under every valuation."""
+    for tables in product(*(all_tables(size, n) for _, n in fvs)):
+        yield Valuation(size, dict(zip(fvs, tables)))
+
+
 def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
                 arity_cap: int = 2,
                 labels: Sequence[str] | None = None) -> ModelReport:
@@ -289,13 +298,12 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
                     f"axiom {label}: free variable {name} has arity {arity} > "
                     f"cap {arity_cap}")
         verdict = AxiomVerdict(label, axiom, True)
-        for tables in product(*(all_tables(size, n) for _, n in fvs)):
-            nu = Valuation(size, dict(zip(fvs, tables)))
+        for nu in _valuations(size, fvs):
             value = _eval(alg.lookup, size, nu, axiom)
             if value != top:
                 verdict = AxiomVerdict(
                     label, axiom, False,
-                    tuple((fv, tb.entries) for fv, tb in zip(fvs, tables)),
+                    tuple((fv, tb.entries) for fv, tb in nu.overrides.items()),
                     value)
                 break
         verdicts.append(verdict)
@@ -304,20 +312,10 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
 
 # --- builtin models ---------------------------------------------------------
 
-def _value_impl(u: int) -> OperatorImpl:
-    return OperatorImpl(make_shape(0, []), {(): u})
-
-
-def _table_impl(size: int, arity: int, fn) -> OperatorImpl:
-    shape = make_shape(0, [()] * arity)
-    rule = {key: fn(*key) for key in argument_keys(size, shape)}
-    return OperatorImpl(shape, rule)
-
-
-def _binder_impl(size: int, fn) -> OperatorImpl:
-    shape = make_shape(1, [(0,)])
-    rule = {key: fn(key[0]) for key in argument_keys(size, shape)}
-    return OperatorImpl(shape, rule)
+def _operator(size: int, shape: Shape, fn: Callable[..., int]) -> OperatorImpl:
+    """The operator that maps each argument key (one part per position) to
+    fn(*key)."""
+    return OperatorImpl(shape, {key: fn(*key) for key in argument_keys(size, shape)})
 
 
 def boolean_model() -> AbstractionAlgebra:
@@ -326,29 +324,27 @@ def boolean_model() -> AbstractionAlgebra:
     is true."""
     T, F = 0, 1
     b = lambda cond: T if cond else F
-    interp = {
-        TRUE: _value_impl(T),
-        FALSE: _value_impl(F),
-        IMP: _table_impl(2, 2, lambda a, c: b(a == F or c == T)),
-        NOT: _table_impl(2, 1, lambda a: b(a == F)),
-        AND: _table_impl(2, 2, lambda a, c: b(a == T and c == T)),
-        OR: _table_impl(2, 2, lambda a, c: b(a == T or c == T)),
-        IFF: _table_impl(2, 2, lambda a, c: b(a == c)),
-        EQ: _table_impl(2, 2, lambda a, c: b(a == c)),
-        NEQ: _table_impl(2, 2, lambda a, c: b(a != c)),
-        ALL: _binder_impl(2, lambda f: b(all(u == T for u in f))),
-        EX: _binder_impl(2, lambda f: b(any(u == T for u in f))),
+    fns = {
+        TRUE: lambda: T,
+        FALSE: lambda: F,
+        IMP: lambda a, c: b(a == F or c == T),
+        NOT: lambda a: b(a == F),
+        AND: lambda a, c: b(a == T and c == T),
+        OR: lambda a, c: b(a == T or c == T),
+        IFF: lambda a, c: b(a == c),
+        EQ: lambda a, c: b(a == c),
+        NEQ: lambda a, c: b(a != c),
+        ALL: lambda f: b(all(u == T for u in f)),
+        EX: lambda f: b(any(u == T for u in f)),
     }
+    interp = {d.name: _operator(2, d.shape, fns[d.name]) for d in SIG_K.decls}
     return AbstractionAlgebra(Universe(("T", "F")), SIG_K, interp)
 
 
 def degenerate_model(sig: Signature) -> AbstractionAlgebra:
     """One-value universe; each abstraction gets the unique compatible
     operator."""
-    interp = {}
-    for d in sig.decls:
-        rule = {key: 0 for key in argument_keys(1, d.shape)}
-        interp[d.name] = OperatorImpl(d.shape, rule)
+    interp = {d.name: _operator(1, d.shape, lambda *key: 0) for d in sig.decls}
     return AbstractionAlgebra(Universe(("*",)), sig, interp)
 
 
@@ -385,6 +381,8 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
     """Search for logic algebras of the given carrier size in which every
     axiom holds under every valuation.
 
+    The constraints are the logic-algebra conditions and one per axiom
+    instance, the same checks is_logic_algebra and check_model make.
     Interpretation entries are chosen lazily: a constraint that needs an
     undetermined table entry branches on its value, so the search never
     materialises the full (often astronomically large) space of operator
@@ -404,49 +402,21 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
             raise _Need(k)
         return entries[k]
 
-    # logic-algebra conditions, then axiom instances over all assignments of
-    # operations to their free variables (equivalent to all valuations);
-    # smaller instances first so unit propagation fires early
-    conditions: list[Callable[[], bool]] = []
-    for u in range(size):
-        conditions.append(
-            lambda u=u: not (query(IMP, (top, u)) == top and u != top))
-    conditions.append(
-        lambda: query(ALL, ((top,) * size,)) == top)
-
+    # the logic-algebra conditions, then one constraint per axiom instance
+    # (an assignment of operations to the axiom's free variables; together
+    # they stand for every valuation), smaller instances first so that unit
+    # propagation fires early
     def _term_size(t: Term) -> int:
         return 1 + sum(_term_size(a) for a in t.args)
 
     instances = []
     for axiom in axioms:
         check_wellformed(axiom, sig)
-        fvs = sorted(free_vars(axiom))
         weight = _term_size(axiom)
-        for tables in product(*(tuple(all_tables(size, n)) for _, n in fvs)):
-            nu = Valuation(size, dict(zip(fvs, tables)))
+        for nu in _valuations(size, sorted(free_vars(axiom))):
             instances.append((weight, axiom, nu))
     instances.sort(key=lambda inst: inst[0])
-
-    constraints: list[Callable[[], bool]] = []
-    for _, axiom, nu in instances:
-        # redundant modus-ponens consequence of the instance: when every
-        # antecedent on the implication spine is ⊤, the conclusion must be ⊤
-        # (follows from the instance constraint plus the ⇒ condition); stated
-        # separately it propagates without touching the ⇒ table entries
-        spine: list[Term] = []
-        core = axiom
-        while (isinstance(core, Abs) and core.name == IMP
-               and core.shape == BINOP_SHAPE):
-            spine.append(core.args[0])
-            core = core.args[1]
-        if spine:
-            def mp_consequence(spine=tuple(spine), core=core, nu=nu):
-                for antecedent in spine:
-                    if _eval(query, size, nu, antecedent) != top:
-                        return True
-                return _eval(query, size, nu, core) == top
-            constraints.append(mp_consequence)
-    constraints.extend(conditions)
+    constraints = _logic_conditions(query, size, top)
     for _, axiom, nu in instances:
         constraints.append(
             lambda axiom=axiom, nu=nu: _eval(query, size, nu, axiom) == top)
@@ -519,16 +489,13 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
 
     solve(constraints)
 
-    models = []
+    # entries no constraint read are free; they take value 0
     names = tuple(str(i) for i in range(size))
-    for partial in found:
-        interp = {}
-        for d in sig.decls:
-            rule = {key: partial.get((d.name, key), 0)
-                    for key in argument_keys(size, d.shape)}
-            interp[d.name] = OperatorImpl(d.shape, rule)
-        models.append(AbstractionAlgebra(Universe(names), sig, interp))
-    return models
+    return [AbstractionAlgebra(Universe(names), sig, {
+                d.name: _operator(size, d.shape,
+                                  lambda *key, n=d.name: partial.get((n, key), 0))
+                for d in sig.decls})
+            for partial in found]
 
 
 # --- model descriptions -------------------------------------------------------

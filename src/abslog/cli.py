@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 
-from .algebra import Valuation, constant_table, eval_term
-from .driver import check_theory, model_check_theory, model_for
+from .algebra import Valuation, check_model, constant_table, eval_term
+from .driver import check_theory, model_for
 from .errors import AbslogError
 from .syntax import ParseError, parse_term, parse_theory, print_term
 from .term import free_vars
@@ -42,14 +42,17 @@ def _cmd_check(args) -> int:
 
 def _cmd_model_check(args) -> int:
     tf = _read_theory(args.file)
-    report = model_check_theory(tf, args.model, args.arity_cap)
+    logic = tf.logic()
+    alg = model_for(tf, args.model)
+    report = check_model(alg, logic.axiom_terms, args.arity_cap, logic.labels)
+    names = alg.universe.value_names
     if args.json:
         blocks = []
         for v in report.verdicts:
             diags = []
             if not v.passed:
                 diags.append({"severity": "error", "line": 0, "col": 0,
-                              "message": _fail_message(v), "code": "AxiomFails"})
+                              "message": _fail_message(v, names), "code": "AxiomFails"})
             blocks.append({"name": v.label, "kind": "axiom",
                            "verdict": "holds" if v.passed else "fails",
                            "diagnostics": diags})
@@ -59,14 +62,15 @@ def _cmd_model_check(args) -> int:
         for v in report.verdicts:
             print(f"{v.label}: {'holds' if v.passed else 'fails'}")
             if not v.passed:
-                print(f"  {_fail_message(v)}")
+                print(f"  {_fail_message(v, names)}")
     return 0 if report.passed else 1
 
 
-def _fail_message(v) -> str:
-    parts = [f"axiom evaluates to value {v.value}"]
+def _fail_message(v, names) -> str:
+    """The failing value and valuation of an axiom, in carrier names."""
+    parts = [f"axiom evaluates to {names[v.value]}"]
     for (name, arity), entries in v.failing_valuation or ():
-        parts.append(f"{name}/{arity} := {list(entries)}")
+        parts.append(f"{name}/{arity} := [{', '.join(names[e] for e in entries)}]")
     return "; ".join(parts)
 
 
@@ -155,6 +159,10 @@ def main(argv=None) -> int:
         return 2
     except UnicodeDecodeError as e:
         print(f"error: {args.file} is not UTF-8 text: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: {args.file}: terms nest too deeply to process",
+              file=sys.stderr)
         return 2
     except AbslogError as e:
         print(f"error: [{e.code}] {e.message}", file=sys.stderr)

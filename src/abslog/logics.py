@@ -6,6 +6,7 @@ accepts ASCII aliases (see the syntax module).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import UnknownLogic
 from .shape import (
@@ -222,11 +223,12 @@ def _axioms_u_prime():
     )
 
 
+@cache
 def builtin_logic(name: str, peano_base: str = "K") -> Logic:
     """Return a builtin logic by name: D, E, F, I, K, P, U or U'.
 
     P is based on K by default; pass peano_base="I" for the intuitionistic
-    variant.
+    variant.  Logics are immutable, so each is built once and shared.
     """
     if name == "D":
         return Logic("D", SIG_D, _axioms_d())

@@ -442,6 +442,7 @@ class TheoryParser:
     def __init__(self, text: str):
         self.s = _Stream(tokenize(text))
         self.base: str | None = None
+        self.base_sig = Signature(())
         self.decls: list[AbstractionDecl] = []
         self.axioms: list[tuple[str, Term]] = []
         self.theorems: list[TheoremBlock] = []
@@ -449,8 +450,7 @@ class TheoryParser:
         self.labels: set[str] = set()
 
     def _sig(self) -> Signature:
-        base = builtin_logic(self.base).signature if self.base else Signature(())
-        return base.extend(self.decls)
+        return self.base_sig.extend(self.decls)
 
     def _terms(self) -> TermParser:
         return TermParser(self.s, self._sig())
@@ -462,7 +462,9 @@ class TheoryParser:
                 self.s.next()
                 name = self._ident("logic name")
                 self.base = name
-                self.labels.update(builtin_logic(name).labels)
+                base = builtin_logic(name)
+                self.base_sig = base.signature
+                self.labels.update(base.labels)
             elif tok.value == "abstraction":
                 self.s.next()
                 name = self._ident("abstraction name")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,8 @@ from abslog import (
     constant_table,
     degenerate_model,
     eval_term,
+    find_models,
+    free_vars,
     is_logic_algebra,
     load_model,
     make_shape,
@@ -40,6 +43,7 @@ from abslog.logics import (
     builtin_logic,
     const,
     eq,
+    imp,
     v,
 )
 
@@ -219,3 +223,31 @@ def test_load_model_json(tmp_path):
         assert is_logic_algebra(alg)
         report = check_model(alg, builtin_logic("D").axiom_terms, arity_cap=1)
         assert report.passed
+
+
+def test_find_models_agrees_with_exhaustive_enumeration():
+    # every logic algebra over SIG_D at size 2 is the oracle: a search for a
+    # model of an axiom set succeeds iff one of them passes check_model
+    oracle = [alg for alg in enumerate_algebras(SIG_D, 2) if is_logic_algebra(alg)]
+    assert len(oracle) == 128
+    rnd = random.Random(5)
+    axiom_sets = []
+    for _ in range(60):
+        axioms, count = [], rnd.randint(1, 3)
+        while len(axioms) < count:
+            t = random_term(rnd, SIG_D, depth=3)
+            if all(arity <= 1 for _, arity in free_vars(t)):
+                axioms.append(t)
+        axiom_sets.append(axioms)
+    # random sets seldom hinge on one logic-algebra condition; each of these
+    # has a model only if the search drops that condition
+    axiom_sets += [[imp(const(TRUE), v("B"))],
+                   [imp(all_("x", const(TRUE)), v("B"))]]
+    with_model = 0
+    for axioms in axiom_sets:
+        found = find_models(SIG_D, axioms, 2, limit=1)
+        exists = any(check_model(alg, axioms, arity_cap=1).passed for alg in oracle)
+        assert bool(found) == exists, axioms
+        assert all(check_model(m, axioms, arity_cap=1).passed for m in found)
+        with_model += exists
+    assert 0 < with_model < len(axiom_sets) - 2

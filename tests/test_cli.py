@@ -80,6 +80,18 @@ def test_model_check_failure_reported(tmp_path, capsys):
     assert "BAD: fails" in out
 
 
+def test_model_check_failure_in_carrier_names(tmp_path, capsys):
+    bad = tmp_path / "z.al"
+    bad.write_text("logic D\naxiom Z: A\n")
+    message = "axiom evaluates to F; A/0 := [F]"
+    assert main(["model-check", str(bad), "--model", "boolean"]) == 1
+    assert f"Z: fails\n  {message}\n" in capsys.readouterr().out
+    assert main(["model-check", str(bad), "--model", "boolean", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    z = [b for b in doc["blocks"] if b["name"] == "Z"][0]
+    assert [d["message"] for d in z["diagnostics"]] == [message]
+
+
 def test_eval_cli(capsys):
     assert main(["eval", str(CORPUS / "prelude_k.al"),
                  "--term", "(all x. x)", "--model", "boolean"]) == 0
@@ -219,18 +231,25 @@ def test_model_for_resolution(tmp_path):
     ["model-check", "{ok}", "--model", "{broken}"],
     ["model-check", "{ok}", "--model", "{latin1}"],
     ["eval", "{ok}", "--term", "true", "--model", "{broken}"],
+    ["check", "{deep}"],
+    ["model-check", "{deep}", "--model", "boolean"],
 ], ids=["check-dir", "check-not-utf8", "model-dir", "model-not-json",
-        "model-not-utf8", "eval-model-not-json"])
+        "model-not-utf8", "eval-model-not-json", "check-too-deep",
+        "model-too-deep"])
 def test_io_errors_exit_two(tmp_path, capsys, argv):
     files = {"dir": tmp_path / "a_dir", "latin1": tmp_path / "latin1.al",
-             "ok": tmp_path / "ok.al", "broken": tmp_path / "broken.json"}
+             "ok": tmp_path / "ok.al", "broken": tmp_path / "broken.json",
+             "deep": tmp_path / "deep.al"}
     files["dir"].mkdir()
     files["latin1"].write_bytes(b"logic D\naxiom caf\xe9: true\n")
     files["ok"].write_text("logic D\n")
     files["broken"].write_text('{"carrier": ["T", "F"], ')
+    files["deep"].write_text("logic D\naxiom Z: " + " -> ".join(["A"] * 1501) + "\n")
     assert main([a.format(**files) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    if "deep" in argv[1]:
+        assert err.count("\n") == 1 and str(files["deep"]) in err
     assert "Traceback" not in err
 
 

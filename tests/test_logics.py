@@ -135,6 +135,11 @@ def test_peano_has_no_small_models():
     assert find_models(sig, axioms, 3) == []
 
 
+def test_builtin_logics_are_built_once():
+    assert builtin_logic("K") is builtin_logic("K")
+    assert builtin_logic("P", peano_base="I") is builtin_logic("P", peano_base="I")
+
+
 def test_label_lookup():
     assert K.axiom("nope") is None
     assert K.axiom("D1") == D.axiom("D1")
