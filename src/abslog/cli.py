@@ -51,7 +51,8 @@ def _cmd_model_check(args) -> int:
         for v in report.verdicts:
             diags = []
             if not v.passed:
-                diags.append({"severity": "error", "line": 0, "col": 0,
+                line, col = tf.axiom_positions.get(v.label, (0, 0))
+                diags.append({"severity": "error", "line": line, "col": col,
                               "message": _fail_message(v, names), "code": "AxiomFails"})
             blocks.append({"name": v.label, "kind": "axiom",
                            "verdict": "holds" if v.passed else "fails",

@@ -1,9 +1,11 @@
 """Untrusted glue between parsed theory files and the trusted kernel.
 
-The elaborator computes a target term for every proof step, builds the
-corresponding kernel proof node and asks the kernel to certify it.  The
-kernel re-derives everything, so a bug here can only produce a spurious
-failure, never a bogus theorem.
+The elaborator turns every proof step into a kernel proof node whose
+premises are the nodes of the steps it cites, with the step's `==>`
+annotation, if any, as the target; the kernel derives the conclusion of an
+unannotated step itself.  Each step's tree is submitted whole, and the
+kernel certifies each node once per theorem store, so a bug here can only
+produce a spurious failure, never a bogus theorem.
 """
 from __future__ import annotations
 
@@ -20,9 +22,8 @@ from .algebra import (
 )
 from .errors import AbslogError, ProofError
 from .kernel import All, Ax, Lemma, Mp, Proof, Subst, TheoremDB, check_proof
-from .logics import IMP, Logic, all_
-from .shape import BINOP_SHAPE, Signature, extends_signature
-from .subst import apply_subst
+from .logics import Logic
+from .shape import Signature, extends_signature
 from .syntax import (
     ALIAS,
     Diagnostic,
@@ -31,7 +32,7 @@ from .syntax import (
     TheoremBlock,
     TheoryFile,
 )
-from .term import Abs, Term, alpha_eq
+from .term import Term, alpha_eq
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _err(step: ProofStep, message: str, code: str) -> Diagnostic:
     return Diagnostic("error", step.line, step.col, message, code)
 
 
-def _elaborate(step: ProofStep, trees: dict, stmts: dict) -> Proof:
+def _elaborate(step: ProofStep, trees: dict) -> Proof:
     def ref(name: str) -> Proof:
         if name not in trees:
             e = AbslogError(
@@ -78,34 +79,17 @@ def _elaborate(step: ProofStep, trees: dict, stmts: dict) -> Proof:
     if step.rule == "lemma":
         return Lemma(step.label)
     if step.rule == "subst":
-        sub = ref(step.refs[0])
-        target = step.claimed
-        if target is None:
-            target = apply_subst(step.sigma, stmts[step.refs[0]])
-        return Subst(target, step.sigma, sub)
+        return Subst(step.claimed, step.sigma, ref(step.refs[0]))
     if step.rule == "mp":
-        sub_h, sub_g = ref(step.refs[0]), ref(step.refs[1])
-        target = step.claimed
-        if target is None:
-            g = stmts[step.refs[1]]
-            if isinstance(g, Abs) and g.name == IMP and g.shape == BINOP_SHAPE:
-                target = g.args[1]
-            else:
-                target = g  # kernel will reject with NotAnImplication
-        return Mp(target, sub_h, sub_g)
+        return Mp(step.claimed, ref(step.refs[0]), ref(step.refs[1]))
     if step.rule == "all":
-        sub = ref(step.refs[0])
-        target = step.claimed
-        if target is None:
-            target = all_(step.binder, stmts[step.refs[0]])
-        return All(target, step.binder, sub)
+        return All(step.claimed, step.binder, ref(step.refs[0]))
     raise AbslogError(f"unknown proof rule {step.rule!r}")
 
 
 def check_theorem(logic: Logic, block: TheoremBlock,
                   db: TheoremDB) -> BlockResult:
     trees: dict[str, Proof] = {}
-    stmts: dict[str, Term] = {}
     last = None
     for step in block.steps:
         if step.name in trees:
@@ -113,7 +97,7 @@ def check_theorem(logic: Logic, block: TheoremBlock,
                                (_err(step, f"step {step.name!r} defined twice",
                                      "DuplicateStep"),))
         try:
-            node = _elaborate(step, trees, stmts)
+            node = _elaborate(step, trees)
             thm = check_proof(logic, node, db)
         except ProofError as e:
             return BlockResult(block.name, "theorem", "failed", None,
@@ -126,7 +110,6 @@ def check_theorem(logic: Logic, block: TheoremBlock,
                                (_err(step, "step proves a different statement "
                                            "than annotated", "ClaimMismatch"),))
         trees[step.name] = node
-        stmts[step.name] = thm.statement
         last = (node, thm)
     if last is None:
         d = Diagnostic("error", block.line, block.col, "empty proof",

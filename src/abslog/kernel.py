@@ -1,6 +1,12 @@
 """The trusted proof checker: four rules (AX, SUBST, MP, ALL), theorem
 objects that only the checker can mint, a theorem store, and the
 inconsistency-expansion recipe.
+
+Checking is a memoised fold: a proof node whose own check succeeded is not
+checked again under the same logic while its theorem store lives.  Nodes and
+terms are immutable and the store is append-only, so a certified node stays
+certified.  A node of SUBST, MP or ALL with target None concludes the
+statement its rule derives.
 """
 from __future__ import annotations
 
@@ -37,21 +43,21 @@ class Ax:
 
 @dataclass(frozen=True)
 class Subst:
-    target: Term
+    target: Term | None
     sigma: Substitution
     sub: Proof
 
 
 @dataclass(frozen=True)
 class Mp:
-    target: Term
+    target: Term | None
     sub_h: Proof
     sub_g: Proof
 
 
 @dataclass(frozen=True)
 class All:
-    target: Term
+    target: Term | None
     binder: str
     sub: Proof
 
@@ -90,6 +96,7 @@ class TheoremDB:
     def __init__(self):
         self._by_name: dict[str, Theorem] = {}
         self._by_form: dict[tuple, str] = {}
+        self._memo: dict[int, tuple] = {}  # id(node) -> (node, logic, statement)
 
     def add(self, name: str, thm: Theorem) -> None:
         if not isinstance(thm, Theorem):
@@ -117,7 +124,30 @@ def _wf(t: Term, logic: Logic, path) -> None:
         raise IllFormed(str(e), path) from e
 
 
-def _check(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple) -> Term:
+def _conclude(logic: Logic, target: Term | None, derived: Term,
+              mismatch: type, message: str, path) -> Term:
+    """A node's statement: its target, which must match what the rule
+    derived, or with no target the derived statement itself."""
+    if target is None:
+        _wf(derived, logic, path)
+        return derived
+    if not alpha_eq(target, derived):
+        raise mismatch(message, path)
+    return target
+
+
+def _check(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
+           memo: dict) -> Term:
+    hit = memo.get(id(p))
+    if hit is not None and hit[0] is p and hit[1] is logic:
+        return hit[2]
+    statement = _rule(logic, p, db, path, memo)
+    memo[id(p)] = (p, logic, statement)
+    return statement
+
+
+def _rule(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
+          memo: dict) -> Term:
     if isinstance(p, Ax):
         if isinstance(p.axiom, str):
             t = logic.axiom(p.axiom)
@@ -130,35 +160,32 @@ def _check(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple) -> Term:
                 return p.axiom
         raise NotAnAxiom("term is not an axiom of this logic", path)
 
-    if isinstance(p, Subst):
+    if isinstance(p, (Subst, Mp, All)) and p.target is not None:
         _wf(p.target, logic, path)
+
+    if isinstance(p, Subst):
         for (_, _), tmpl in p.sigma.items():
             _wf(tmpl.body, logic, path)
-        s = _check(logic, p.sub, db, path + (0,))
-        if not alpha_eq(p.target, apply_subst(p.sigma, s)):
-            raise SubstMismatch(
-                "target is not α-equivalent to the substituted premise", path)
-        return p.target
+        s = _check(logic, p.sub, db, path + (0,), memo)
+        return _conclude(logic, p.target, apply_subst(p.sigma, s), SubstMismatch,
+                         "target is not α-equivalent to the substituted premise",
+                         path)
 
     if isinstance(p, Mp):
-        _wf(p.target, logic, path)
-        h = _check(logic, p.sub_h, db, path + (0,))
-        g = _check(logic, p.sub_g, db, path + (1,))
+        h = _check(logic, p.sub_h, db, path + (0,), memo)
+        g = _check(logic, p.sub_g, db, path + (1,), memo)
         if not (isinstance(g, Abs) and g.name == IMP and g.shape == BINOP_SHAPE):
             raise NotAnImplication("second premise is not an implication", path)
         h2, t2 = g.args
         if not alpha_eq(h2, h):
             raise MpMismatch("antecedent does not match the first premise", path)
-        if not alpha_eq(t2, p.target):
-            raise MpMismatch("consequent does not match the target", path)
-        return p.target
+        return _conclude(logic, p.target, t2, MpMismatch,
+                         "consequent does not match the target", path)
 
     if isinstance(p, All):
-        _wf(p.target, logic, path)
-        s = _check(logic, p.sub, db, path + (0,))
-        if not alpha_eq(p.target, all_(p.binder, s)):
-            raise AllMismatch("target is not (∀ x. premise)", path)
-        return p.target
+        s = _check(logic, p.sub, db, path + (0,), memo)
+        return _conclude(logic, p.target, all_(p.binder, s), AllMismatch,
+                         "target is not (∀ x. premise)", path)
 
     if isinstance(p, Lemma):
         if db is None:
@@ -178,7 +205,7 @@ def _check(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple) -> Term:
 def check_proof(logic: Logic, p: Proof, db: TheoremDB | None = None) -> Theorem:
     """Certify a proof tree against a logic; returns the theorem it proves
     or raises a ProofError locating the offending node."""
-    statement = _check(logic, p, db, ())
+    statement = _check(logic, p, db, (), db._memo if db is not None else {})
     return Theorem(statement, logic, _token=_KERNEL_TOKEN)
 
 

@@ -421,6 +421,10 @@ class TheoryFile:
     axioms: tuple[tuple[str, Term], ...] = ()
     theorems: tuple[TheoremBlock, ...] = ()
     models: tuple[ModelBlock, ...] = ()
+    # axiom label -> (line, col) of its `axiom` keyword, or of the `logic`
+    # line for an axiom of the base logic
+    axiom_positions: dict[str, tuple[int, int]] = field(
+        default_factory=dict, compare=False)
 
     def model_block(self, name: str) -> ModelBlock | None:
         for m in self.models:
@@ -448,6 +452,7 @@ class TheoryParser:
         self.theorems: list[TheoremBlock] = []
         self.models: list[ModelBlock] = []
         self.labels: set[str] = set()
+        self.positions: dict[str, tuple[int, int]] = {}
 
     def _sig(self) -> Signature:
         return self.base_sig.extend(self.decls)
@@ -465,6 +470,8 @@ class TheoryParser:
                 base = builtin_logic(name)
                 self.base_sig = base.signature
                 self.labels.update(base.labels)
+                self.positions.update(
+                    (label, (tok.line, tok.col)) for label in base.labels)
             elif tok.value == "abstraction":
                 self.s.next()
                 name = self._ident("abstraction name")
@@ -476,6 +483,7 @@ class TheoryParser:
                     raise ParseError(f"axiom label {label!r} already used",
                                      tok.line, tok.col)
                 self.labels.add(label)
+                self.positions[label] = (tok.line, tok.col)
                 self.s.expect(":")
                 self.axioms.append((label, self._terms().term()))
             elif tok.value == "theorem":
@@ -486,7 +494,8 @@ class TheoryParser:
                 raise self.s.error(
                     f"expected a declaration, found {tok.value!r}")
         return TheoryFile(self.base, tuple(self.decls), tuple(self.axioms),
-                          tuple(self.theorems), tuple(self.models))
+                          tuple(self.theorems), tuple(self.models),
+                          self.positions)
 
     def _ident(self, what: str) -> str:
         tok = self.s.peek()

@@ -82,7 +82,7 @@ def test_model_check_failure_reported(tmp_path, capsys):
 
 def test_model_check_failure_in_carrier_names(tmp_path, capsys):
     bad = tmp_path / "z.al"
-    bad.write_text("logic D\naxiom Z: A\n")
+    bad.write_text("logic D\n\n  axiom Z: A\n")
     message = "axiom evaluates to F; A/0 := [F]"
     assert main(["model-check", str(bad), "--model", "boolean"]) == 1
     assert f"Z: fails\n  {message}\n" in capsys.readouterr().out
@@ -90,6 +90,9 @@ def test_model_check_failure_in_carrier_names(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     z = [b for b in doc["blocks"] if b["name"] == "Z"][0]
     assert [d["message"] for d in z["diagnostics"]] == [message]
+    assert [(d["line"], d["col"]) for d in z["diagnostics"]] == [(3, 3)]
+    # an axiom of the base logic is located at the `logic` line
+    assert parse_theory(bad.read_text()).axiom_positions["D4"] == (1, 1)
 
 
 def test_eval_cli(capsys):

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abslog import (
     All,
@@ -10,12 +14,20 @@ from abslog import (
     Template,
     Theorem,
     TheoremDB,
+    Var,
     alpha_eq,
+    apply_subst,
+    boolean_model,
     builtin_logic,
+    check_model,
     check_proof,
+    check_theory,
     conclusion_of,
+    free_vars,
     inconsistency_expand,
+    parse_theory,
 )
+from abslog import kernel
 from abslog.errors import (
     AllMismatch,
     KernelPrivilege,
@@ -23,13 +35,15 @@ from abslog.errors import (
     NotAnAxiom,
     NotAnImplication,
     PreconditionFailed,
+    ProofError,
     SubstMismatch,
     UnknownLemma,
 )
-from abslog.logics import TRUE, all_, const, imp, v
+from abslog.logics import IMP, TRUE, all_, const, eq, imp, neg, v
 
 D = builtin_logic("D")
 K = builtin_logic("K")
+P = builtin_logic("P")
 TOP = const(TRUE)
 
 
@@ -141,3 +155,184 @@ def test_inconsistency_expand_preconditions():
         inconsistency_expand(bad, Ax("D1"), v("y"))  # premise proves the top
     with pytest.raises(PreconditionFailed):
         inconsistency_expand(bad, Ax("BAD"), const("nope"))  # ill-formed target
+
+
+# --- the memoised fold -----------------------------------------------------------
+
+def test_memo_hit_respects_the_lemma_logic_guard():
+    db = TheoremDB()
+    db.add("em", check_proof(K, Ax("K")))
+    node = Lemma("em")
+    assert alpha_eq(check_proof(P, node, db).statement, K.axiom("K"))  # P extends K
+    with pytest.raises(UnknownLemma):
+        check_proof(D, node, db)  # same node, same store, D does not extend K
+
+
+def test_memo_hit_respects_the_logic_of_an_axiom():
+    db = TheoremDB()
+    node = Ax("K")
+    check_proof(K, node, db)
+    with pytest.raises(NotAnAxiom):
+        check_proof(D, node, db)
+
+
+def test_failing_node_fails_the_same_way_every_time():
+    db = TheoremDB()
+    good = Subst(None, Substitution({("A", 0): TOP}), Ax("D2"))
+    bad = Mp(None, Ax("D1"), Subst(None, Substitution({}), Ax("E1")))
+    tree = Mp(None, Mp(None, Ax("D1"), good), bad)
+    for _ in range(2):
+        with pytest.raises(NotAnAxiom) as e:
+            check_proof(D, tree, db)
+        assert e.value.code == "NotAnAxiom" and e.value.path == (1, 1, 0)
+
+
+def test_rules_derive_an_absent_target():
+    d2_top = Subst(None, Substitution({("A", 0): TOP}), Ax("D2"))
+    assert alpha_eq(conclusion_of(D, d2_top), imp(TOP, imp(v("B"), TOP)))
+    assert alpha_eq(conclusion_of(D, Mp(None, Ax("D1"), d2_top)),
+                    imp(v("B"), TOP))
+    assert alpha_eq(conclusion_of(D, All(None, "y", d2_top)),
+                    all_("y", imp(TOP, imp(v("B"), TOP))))
+
+
+def test_absent_target_still_needs_an_implication():
+    with pytest.raises(NotAnImplication):
+        check_proof(D, Mp(None, Ax("D1"), Ax("D1")))
+
+
+def _chain(levels: int) -> str:
+    """Each level cites the step before it twice, so the proof tree of the
+    last step doubles in size per level."""
+    lines = ["logic D", "", "theorem chain: true", "proof",
+             "  x0: ax D1", "  d: ax D2"]
+    for k in range(1, levels + 1):
+        lines += [f"  i{k}: subst d {{ A := true, B := true }}",
+                  f"  j{k}: mp x{k - 1} i{k}",
+                  f"  x{k}: mp x{k - 1} j{k}"]
+    lines[-1] += " ==> true"
+    return "\n".join(lines + ["qed", ""])
+
+
+@pytest.mark.parametrize("levels", [8, 67])
+def test_shared_premise_chain_checks_in_linear_time(levels, monkeypatch):
+    calls = []
+
+    def counting(sigma, t):
+        calls.append(t)
+        assert len(calls) <= levels, "a certified node was derived again"
+        return apply_subst(sigma, t)
+
+    monkeypatch.setattr(kernel, "apply_subst", counting)
+    tf = parse_theory(_chain(levels))
+    assert len(tf.theorems[0].steps) == 3 * levels + 2
+    assert check_theory(tf).passed
+    assert len(calls) == levels
+
+
+# --- soundness fuzz: random proof DAGs over K ---------------------------------------
+
+BOOLEAN = boolean_model()
+
+
+def _term(rnd, depth=2, bound=()):
+    """A term over K whose free variables have arity at most 1."""
+    kind = rnd.randrange(7 if depth > 0 else 2)
+    sub = lambda: _term(rnd, depth - 1, bound)
+    if kind == 0:
+        return Var(rnd.choice(("A", "B", "x") + bound))
+    if kind == 1:
+        return TOP
+    if kind == 2:
+        return v("A", sub())
+    if kind == 3:
+        return imp(sub(), sub())
+    if kind == 4:
+        return eq(sub(), sub())
+    if kind == 5:
+        return neg(sub())
+    return all_("y", _term(rnd, depth - 1, bound + ("y",)))
+
+
+def _outcome(p, db=None):
+    """The statement a node proves, or the code and path of its error."""
+    try:
+        return check_proof(K, p, db).statement
+    except ProofError as e:
+        return (e.code, e.path)
+
+
+def _proved(outcome) -> bool:
+    return not isinstance(outcome, tuple)
+
+
+def _is_imp(outcome) -> bool:
+    return _proved(outcome) and getattr(outcome, "name", None) == IMP
+
+
+def _random_step(rnd, nodes, seen):
+    """A new node over the earlier ones, as a function of its target, and
+    the conclusion its rule derives (None where there is none)."""
+    i = rnd.randrange(len(nodes))
+    rule = rnd.choice(("ax", "subst", "subst", "mp", "mp", "all"))
+    if rule == "ax":
+        return Ax(rnd.choice(K.labels) if rnd.random() < 0.8 else _term(rnd)), None
+    if rule == "subst":
+        proved = [t for t in seen if _proved(t)]
+        mapping = {}
+        for name, arity in sorted(free_vars(seen[i])) if _proved(seen[i]) else ():
+            params = ("p",) * arity
+            if rnd.random() < 0.2:
+                continue
+            if not arity and rnd.random() < 0.7:
+                body = rnd.choice(proved)  # so that MP premises come to match
+            else:
+                body = _term(rnd, 2, params)
+            mapping[(name, arity)] = Template(params, body)
+        sigma = Substitution(mapping)
+        derived = apply_subst(sigma, seen[i]) if _proved(seen[i]) else None
+        return lambda t: Subst(t, sigma, nodes[i]), derived
+    if rule == "mp":
+        # mostly an implication whose antecedent is proved, sometimes any node
+        usable = [j for j, t in enumerate(seen) if _is_imp(t) and any(
+            _proved(h) and alpha_eq(h, t.args[0]) for h in seen)]
+        g = rnd.choice(usable) if usable and rnd.random() < 0.8 else i
+        derived = seen[g].args[1] if _is_imp(seen[g]) else None
+        matches = [j for j, t in enumerate(seen) if derived is not None
+                   and _proved(t) and alpha_eq(t, seen[g].args[0])]
+        h = rnd.choice(matches) if matches and rnd.random() < 0.8 else i
+        return lambda t: Mp(t, nodes[h], nodes[g]), derived
+    derived = all_("x", seen[i]) if _proved(seen[i]) else None
+    return lambda t: All(t, "x", nodes[i]), derived
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_kernel_mints_only_valid_statements(seed):
+    """Random proof DAGs over K with shared sub-proofs: whatever the kernel
+    certifies holds in the boolean model, and one shared theorem store
+    gives every node the outcome it has when checked alone."""
+    rnd = random.Random(seed)
+    nodes = [Ax(label) for label in ("D1", "D2", "D3")]
+    nodes.append(Subst(None, Substitution({("A", 0): TOP}), nodes[1]))
+    seen = [_outcome(p) for p in nodes]
+    for _ in range(rnd.randint(6, 14)):
+        node, derived = _random_step(rnd, nodes, seen)
+        if not isinstance(node, Ax):
+            kind = rnd.choice(("absent", "absent", "derived", "wrong"))
+            node = node(_term(rnd) if kind == "wrong"
+                        else derived if kind == "derived" else None)
+        nodes.append(node)
+        seen.append(_outcome(node))
+
+    for t in seen:
+        if _proved(t):
+            assert check_model(BOOLEAN, [t], arity_cap=1).passed, t
+    db = TheoremDB()
+    for order in (range(len(nodes)), reversed(range(len(nodes)))):
+        for k in order:
+            shared = _outcome(nodes[k], db)
+            if _proved(seen[k]):
+                assert _proved(shared) and alpha_eq(shared, seen[k])
+            else:
+                assert shared == seen[k]
