@@ -28,7 +28,6 @@ from .driver import (
     build_model,
     check_theorem,
     check_theory,
-    model_check_theory,
     model_for,
 )
 from .errors import AbslogError, ProofError
@@ -41,7 +40,6 @@ from .kernel import (
     Theorem,
     TheoremDB,
     check_proof,
-    conclusion_of,
     inconsistency_expand,
 )
 from .logics import (

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     AbstractionAlgebra,
-    ModelReport,
     boolean_model,
-    check_model,
     degenerate_model,
     load_model,
     model_from_spec,
@@ -125,11 +123,10 @@ def check_theorem(logic: Logic, block: TheoremBlock,
     return BlockResult(block.name, "theorem", "proved", thm.statement, ())
 
 
-def check_theory(tf: TheoryFile, db: TheoremDB | None = None,
-                 logic_name: str = "file") -> CheckReport:
+def check_theory(tf: TheoryFile, db: TheoremDB | None = None) -> CheckReport:
     """Check every theorem block in order, accumulating proved theorems so
     later blocks can cite earlier ones as lemmas."""
-    logic = tf.logic(logic_name)
+    logic = tf.logic()
     if db is None:
         db = TheoremDB()
     results = [check_theorem(logic, block, db) for block in tf.theorems]
@@ -161,11 +158,3 @@ def model_for(tf: TheoryFile, spec: str) -> AbstractionAlgebra:
                 "the boolean model only interprets the classical connectives")
         return AbstractionAlgebra(base.universe, sig, base.interp)
     return load_model(spec, sig, ALIAS)
-
-
-def model_check_theory(tf: TheoryFile, spec: str,
-                       arity_cap: int = 2,
-                       logic_name: str = "file") -> ModelReport:
-    logic = tf.logic(logic_name)
-    alg = model_for(tf, spec)
-    return check_model(alg, logic.axiom_terms, arity_cap, logic.labels)

@@ -11,7 +11,7 @@ statement its rule derives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import (
     AllMismatch,
@@ -26,11 +26,10 @@ from .errors import (
     TermError,
     UnknownLemma,
 )
-from .logics import ALL as ALL_NAME
 from .logics import IMP, Logic, all_, builtin_logic, imp, is_extension, v
-from .shape import BINDER_SHAPE, BINOP_SHAPE
-from .subst import Substitution, Template, apply_subst, canonical
-from .term import Abs, Term, Var, alpha_eq, check_wellformed, to_debruijn
+from .shape import BINOP_SHAPE
+from .subst import Substitution, Template, apply_subst
+from .term import Abs, Term, alpha_eq, check_wellformed, to_debruijn
 
 Proof = Union["Ax", "Subst", "Mp", "All", "Lemma"]
 
@@ -72,14 +71,15 @@ _KERNEL_TOKEN = object()
 
 
 class Theorem:
-    """Certified statement; constructible only through check_proof."""
+    """Certified statement, as the kernel derived or matched it (so compare
+    it modulo α); constructible only through check_proof."""
 
     __slots__ = ("statement", "logic")
 
     def __init__(self, statement: Term, logic: Logic, *, _token=None):
         if _token is not _KERNEL_TOKEN:
             raise KernelPrivilege("theorems can only be minted by check_proof")
-        object.__setattr__(self, "statement", canonical(statement))
+        object.__setattr__(self, "statement", statement)
         object.__setattr__(self, "logic", logic)
 
     def __setattr__(self, *_):
@@ -207,11 +207,6 @@ def check_proof(logic: Logic, p: Proof, db: TheoremDB | None = None) -> Theorem:
     or raises a ProofError locating the offending node."""
     statement = _check(logic, p, db, (), db._memo if db is not None else {})
     return Theorem(statement, logic, _token=_KERNEL_TOKEN)
-
-
-def conclusion_of(logic: Logic, p: Proof, db: TheoremDB | None = None) -> Term:
-    """Statement a proof would certify (checks the proof as a side effect)."""
-    return check_proof(logic, p, db).statement
 
 
 _FORALL_X = all_("x", v("x"))

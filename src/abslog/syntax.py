@@ -1,8 +1,8 @@
 """Concrete syntax for terms and `.al` theory files, plus the printer.
 
-Precedence, loosest to tightest: <->, ->, \\/, /\\, not, = and !=.
-`->` is right-associative, `<->` and the lattice connectives associate to
-the left, `=`/`!=` do not associate.  Binder sugar (`all x. t`) extends
+`INFIX` below is the one statement of the infix operators: their ASCII
+tokens, abstractions, precedence levels and associativity.  The prefix
+`not` binds between `/\\` and `=`.  Binder sugar (`all x. t`) extends
 maximally to the right and is only available at the start of a term;
 elsewhere use the parenthesized form `(all x. t)`.
 
@@ -14,13 +14,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import AbslogError, ArityMismatch
+from .errors import AbslogError
 from .logics import Logic, builtin_logic
 from .shape import (
     AbstractionDecl,
     BINDER_SHAPE,
+    BINOP_SHAPE,
     Shape,
     Signature,
+    UNOP_SHAPE,
     make_shape,
 )
 from .subst import Substitution, Template
@@ -33,17 +35,31 @@ ALIAS = {
 }
 ASCII_NAME = {glyph: ascii_ for ascii_, glyph in ALIAS.items()}
 
-# infix/prefix operator tokens and the abstractions they stand for
-OP_GLYPHS = {"⇒": "->", "∧": "/\\", "∨": "\\/", "⇔": "<->", "≠": "!="}
-INFIX = {"<->": "⇔", "->": "⇒", "\\/": "∨", "/\\": "∧", "=": "=", "!=": "≠"}
+# ASCII token -> (abstraction, level, associativity) of each infix operator;
+# the abstraction's name is the glyph spelling.  Levels run from loosest to
+# tightest: the prefix `not` binds at _NOT, and _ATOM is tighter than all.
+INFIX = {
+    "<->": ("⇔", 1, "left"),
+    "->": ("⇒", 2, "right"),
+    "\\/": ("∨", 3, "left"),
+    "/\\": ("∧", 4, "left"),
+    "=": ("=", 6, "none"),
+    "!=": ("≠", 6, "none"),
+}
+_LOOSEST, _NOT, _ATOM = 1, 5, 7
+OP_GLYPHS = {name: token for token, (name, _, _) in INFIX.items() if name != token}
+_OPERATOR = {name: (token, level, assoc)
+             for token, (name, level, assoc) in INFIX.items()}
 
 KEYWORDS = {"logic", "abstraction", "axiom", "theorem", "proof", "qed", "model"}
 
+# multi-character and glyph operators, longest first
+_OP_TOKENS = sorted(["==>", ":=", *INFIX, *OP_GLYPHS], key=len, reverse=True)
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r]+)
   | (?P<comment>\#[^\n]*)
   | (?P<nl>\n)
-  | (?P<op>==>|<->|->|/\\|\\/|!=|:=|≠|⇒|∧|∨|⇔|[()\[\]{},.;:=/¬])
+  | (?P<op>""" + "|".join(map(re.escape, _OP_TOKENS)) + r"""|[()\[\]{},.;:=/¬])
   | (?P<num>\d+)
   | (?P<ident>∃₁|[⊤⊥⅄∀∃]|[A-Za-z_][A-Za-z0-9_′]*)
 """, re.VERBOSE)
@@ -85,10 +101,6 @@ class ParseError(AbslogError):
 
     def diagnostic(self) -> Diagnostic:
         return Diagnostic("error", self.line, self.col, self.message, self.code)
-
-
-class UnknownName(ParseError):
-    code = "UnknownName"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -151,7 +163,7 @@ class _Stream:
 
 
 class TermParser:
-    """Precedence-climbing term parser over a signature."""
+    """Operator-precedence term parser over a signature, driven by INFIX."""
 
     def __init__(self, stream: _Stream, sig: Signature):
         self.s = stream
@@ -163,8 +175,7 @@ class TermParser:
             d = self.sig.get(ALIAS[name])
         return d
 
-    def _op_decl(self, token: str) -> AbstractionDecl:
-        name = INFIX.get(token, "¬" if token == "not" else token)
+    def _op_decl(self, token: str, name: str) -> AbstractionDecl:
         d = self.sig.get(name)
         if d is None:
             raise self.s.error(f"operator {token!r} ({name}) is not declared",
@@ -182,48 +193,28 @@ class TermParser:
                 binder = self.s.next().value
                 self.s.expect(".")
                 return Abs(d.name, d.shape, (binder,), (self.term(),))
-        return self.iff()
+        return self._level(_LOOSEST)
 
-    def iff(self) -> Term:
-        left = self.imp()
-        while self.s.at("<->"):
-            d = self._op_decl(self.s.next().value)
-            left = Abs(d.name, d.shape, (), (left, self.imp()))
-        return left
-
-    def imp(self) -> Term:
-        left = self.or_()
-        if self.s.at("->"):
-            d = self._op_decl(self.s.next().value)
-            return Abs(d.name, d.shape, (), (left, self.imp()))
-        return left
-
-    def or_(self) -> Term:
-        left = self.and_()
-        while self.s.at("\\/"):
-            d = self._op_decl(self.s.next().value)
-            left = Abs(d.name, d.shape, (), (left, self.and_()))
-        return left
-
-    def and_(self) -> Term:
-        left = self.not_()
-        while self.s.at("/\\"):
-            d = self._op_decl(self.s.next().value)
-            left = Abs(d.name, d.shape, (), (left, self.not_()))
-        return left
-
-    def not_(self) -> Term:
-        if self.s.at("not") or self.s.at("¬"):
-            self.s.next()
-            d = self._op_decl("not")
-            return Abs(d.name, d.shape, (), (self.not_(),))
-        return self.eq()
-
-    def eq(self) -> Term:
-        left = self.atom()
-        if self.s.at("=") or self.s.at("!="):
-            d = self._op_decl(self.s.next().value)
-            return Abs(d.name, d.shape, (), (left, self.atom()))
+    def _level(self, level: int) -> Term:
+        """A term whose operators bind at `level` or tighter.  Operands of a
+        left-associative operator loop, `->` recurses at its own level, and
+        a non-associative one takes one operand each side."""
+        if level == _ATOM:
+            return self.atom()
+        if level == _NOT:
+            if self.s.peek().value in ("not", "¬"):
+                self.s.next()
+                d = self._op_decl("not", "¬")
+                return Abs(d.name, d.shape, (), (self._level(_NOT),))
+            level += 1  # no prefix: parse the next level in this frame
+        left = self._level(level + 1)
+        while (op := INFIX.get(self.s.peek().value)) and op[1] == level:
+            name, _, assoc = op
+            d = self._op_decl(self.s.next().value, name)
+            right = self._level(level + (assoc != "right"))
+            left = Abs(d.name, d.shape, (), (left, right))
+            if assoc != "left":
+                break
         return left
 
     def atom(self) -> Term:
@@ -271,7 +262,7 @@ class TermParser:
             f"{tok.value} expects arguments", tok.line, tok.col, "ArityMismatch")
 
     def _parens(self) -> Term:
-        open_tok = self.s.expect("(")
+        self.s.expect("(")
         # abstraction application `(name binders. args)`: an ident sequence
         # followed by a dot; otherwise a parenthesized term
         mark = self.s.i
@@ -320,15 +311,8 @@ def parse_term(text: str, sig: Signature) -> Term:
 
 # --- printing ---------------------------------------------------------------
 
-_LVL_IFF, _LVL_IMP, _LVL_OR, _LVL_AND, _LVL_NOT, _LVL_EQ, _LVL_ATOM = range(1, 8)
-_INFIX_OUT = {"⇔": ("<->", _LVL_IFF), "⇒": ("->", _LVL_IMP),
-              "∨": ("\\/", _LVL_OR), "∧": ("/\\", _LVL_AND),
-              "=": ("=", _LVL_EQ), "≠": ("!=", _LVL_EQ)}
-_GLYPH_OUT = {"<->": "⇔", "->": "⇒", "\\/": "∨", "/\\": "∧", "!=": "≠"}
-
-
 def print_term(t: Term, unicode: bool = False) -> str:
-    return _print(t, _LVL_IFF, unicode)
+    return _print(t, _LOOSEST, unicode)
 
 
 def _name_out(name: str, unicode: bool) -> str:
@@ -341,38 +325,28 @@ def _print(t: Term, level: int, uni: bool) -> str:
     if isinstance(t, Var):
         if not t.args:
             return t.name
-        inner = ", ".join(_print(a, _LVL_IFF, uni) for a in t.args)
+        inner = ", ".join(_print(a, _LOOSEST, uni) for a in t.args)
         return f"{t.name}[{inner}]"
     name, shape = t.name, t.shape
-    if name in _INFIX_OUT and shape.arity == 2 and shape.valence == 0:
-        op, prec = _INFIX_OUT[name]
-        if op == "->":  # right-assoc
-            s = f"{_print(t.args[0], prec + 1, uni)} {_op_out(op, uni)} " \
-                f"{_print(t.args[1], prec, uni)}"
-        elif prec == _LVL_EQ:  # non-assoc, atom operands
-            s = f"{_print(t.args[0], _LVL_ATOM, uni)} {_op_out(op, uni)} " \
-                f"{_print(t.args[1], _LVL_ATOM, uni)}"
-        else:
-            s = f"{_print(t.args[0], prec, uni)} {_op_out(op, uni)} " \
-                f"{_print(t.args[1], prec + 1, uni)}"
+    if name in _OPERATOR and shape == BINOP_SHAPE:
+        token, prec, assoc = _OPERATOR[name]
+        s = (f"{_print(t.args[0], prec + (assoc != 'left'), uni)} "
+             f"{name if uni else token} "
+             f"{_print(t.args[1], prec + (assoc != 'right'), uni)}")
         return f"({s})" if level > prec else s
-    if name == "¬" and shape.arity == 1 and shape.valence == 0:
-        s = ("¬" if uni else "not") + " " + _print(t.args[0], _LVL_NOT, uni)
-        return f"({s})" if level > _LVL_NOT else s
+    if name == "¬" and shape == UNOP_SHAPE:
+        s = f"{_name_out(name, uni)} {_print(t.args[0], _NOT, uni)}"
+        return f"({s})" if level > _NOT else s
     out_name = _name_out(name, uni)
     if shape.valence == 0:
         if shape.arity == 0:
             return out_name
-        inner = ", ".join(_print(a, _LVL_IFF, uni) for a in t.args)
+        inner = ", ".join(_print(a, _LOOSEST, uni) for a in t.args)
         return f"{out_name}({inner})"
     if shape == BINDER_SHAPE:
-        return f"({out_name} {t.binders[0]}. {_print(t.args[0], _LVL_IFF, uni)})"
-    args = " ".join(_print(a, _LVL_ATOM, uni) for a in t.args)
+        return f"({out_name} {t.binders[0]}. {_print(t.args[0], _LOOSEST, uni)})"
+    args = " ".join(_print(a, _ATOM, uni) for a in t.args)
     return f"({out_name} {' '.join(t.binders)}. {args})"
-
-
-def _op_out(op: str, uni: bool) -> str:
-    return _GLYPH_OUT.get(op, op) if uni else op
 
 
 # --- theory files -------------------------------------------------------------
@@ -437,16 +411,17 @@ class TheoryFile:
         base = builtin_logic(self.base).signature if self.base else Signature(())
         return base.extend(self.decls)
 
-    def logic(self, name: str = "file") -> Logic:
+    def logic(self) -> Logic:
         base_axioms = builtin_logic(self.base).axioms if self.base else ()
-        return Logic(name, self.signature, base_axioms + self.axioms)
+        return Logic("file", self.signature, base_axioms + self.axioms)
 
 
 class TheoryParser:
     def __init__(self, text: str):
         self.s = _Stream(tokenize(text))
         self.base: str | None = None
-        self.base_sig = Signature(())
+        # rebuilt on each `logic` and `abstraction` line
+        self.terms = TermParser(self.s, Signature(()))
         self.decls: list[AbstractionDecl] = []
         self.axioms: list[tuple[str, Term]] = []
         self.theorems: list[TheoremBlock] = []
@@ -454,28 +429,33 @@ class TheoryParser:
         self.labels: set[str] = set()
         self.positions: dict[str, tuple[int, int]] = {}
 
-    def _sig(self) -> Signature:
-        return self.base_sig.extend(self.decls)
-
-    def _terms(self) -> TermParser:
-        return TermParser(self.s, self._sig())
-
     def parse(self) -> TheoryFile:
         while self.s.peek().kind != "eof":
             tok = self.s.peek()
             if tok.value == "logic":
+                if self.base is not None:
+                    raise ParseError(
+                        f"a second logic line; the base logic is {self.base}",
+                        tok.line, tok.col)
                 self.s.next()
                 name = self._ident("logic name")
                 self.base = name
                 base = builtin_logic(name)
-                self.base_sig = base.signature
+                self.terms = TermParser(self.s, base.signature.extend(self.decls))
                 self.labels.update(base.labels)
                 self.positions.update(
                     (label, (tok.line, tok.col)) for label in base.labels)
             elif tok.value == "abstraction":
                 self.s.next()
+                name_tok = self.s.peek()
                 name = self._ident("abstraction name")
-                self.decls.append(AbstractionDecl(name, self._shape()))
+                if name in KEYWORDS:
+                    raise ParseError(
+                        f"keyword {name!r} cannot name an abstraction",
+                        name_tok.line, name_tok.col)
+                decl = AbstractionDecl(name, self._shape())
+                self.decls.append(decl)
+                self.terms = TermParser(self.s, self.terms.sig.extend([decl]))
             elif tok.value == "axiom":
                 self.s.next()
                 label = self._ident("axiom label")
@@ -485,7 +465,7 @@ class TheoryParser:
                 self.labels.add(label)
                 self.positions[label] = (tok.line, tok.col)
                 self.s.expect(":")
-                self.axioms.append((label, self._terms().term()))
+                self.axioms.append((label, self.terms.term()))
             elif tok.value == "theorem":
                 self.theorems.append(self._theorem())
             elif tok.value == "model":
@@ -503,39 +483,44 @@ class TheoryParser:
             raise self.s.error(f"expected {what}, found {tok.value!r}")
         return self.s.next().value
 
-    def _shape(self) -> Shape:
-        self.s.expect("(")
-        tok = self.s.peek()
-        if tok.kind != "num":
-            raise self.s.error("expected valence")
-        valence = int(self.s.next().value)
-        self.s.expect(";")
-        sets = []
-        while not self.s.at(")"):
-            sets.append(self._binder_set())
+    def _num(self, message: str) -> int:
+        if self.s.peek().kind != "num":
+            raise self.s.error(message)
+        return int(self.s.next().value)
+
+    def _list(self, close: str, item) -> list:
+        """Comma-separated items up to and including `close`; a trailing
+        comma is allowed."""
+        out = []
+        while not self.s.at(close):
+            out.append(item())
             if not self.s.accept(","):
                 break
-        self.s.expect(")")
-        return make_shape(valence, sets)
+        self.s.expect(close)
+        return out
+
+    def _values(self) -> tuple[str, ...]:
+        """One or more comma-separated carrier values."""
+        out = [self._ident("carrier value")]
+        while self.s.accept(","):
+            out.append(self._ident("carrier value"))
+        return tuple(out)
+
+    def _shape(self) -> Shape:
+        self.s.expect("(")
+        valence = self._num("expected valence")
+        self.s.expect(";")
+        return make_shape(valence, self._list(")", self._binder_set))
 
     def _binder_set(self) -> list[int]:
         self.s.expect("{")
-        out = []
-        while not self.s.at("}"):
-            tok = self.s.peek()
-            if tok.kind != "num":
-                raise self.s.error("expected binder index")
-            out.append(int(self.s.next().value))
-            if not self.s.accept(","):
-                break
-        self.s.expect("}")
-        return out
+        return self._list("}", lambda: self._num("expected binder index"))
 
     def _theorem(self) -> TheoremBlock:
         head = self.s.expect("theorem")
         name = self._ident("theorem name")
         self.s.expect(":")
-        statement = self._terms().term()
+        statement = self.terms.term()
         self.s.expect("proof")
         steps = []
         while not self.s.at("qed"):
@@ -555,10 +540,11 @@ class TheoryParser:
             if nxt.kind == "ident" and nxt.value in self.labels:
                 label = self.s.next().value
             else:
-                term = self._terms().term()
+                term = self.terms.term()
         elif rule == "subst":
             refs = (self._ident("premise step"),)
-            sigma = self._subst_literal()
+            self.s.expect("{")
+            sigma = Substitution(dict(self._list("}", self._binding)))
         elif rule == "mp":
             refs = (self._ident("premise step"), self._ident("premise step"))
         elif rule == "all":
@@ -569,7 +555,7 @@ class TheoryParser:
         else:
             raise ParseError(f"unknown proof rule {rule!r}", tok.line, tok.col)
         if self.s.accept("==>"):
-            claimed = self._terms().term()
+            claimed = self.terms.term()
         return ProofStep(name, rule, tok.line, tok.col, label, term, sigma,
                          refs, binder, claimed)
 
@@ -578,78 +564,53 @@ class TheoryParser:
         name = self._ident("model name")
         self.s.expect("{")
         self.s.expect("carrier")
-        carrier = [self._ident("carrier value")]
-        while self.s.accept(","):
-            carrier.append(self._ident("carrier value"))
+        carrier = self._values()
         interp = []
         while not self.s.at("}"):
             abs_name = self._ident("abstraction name")
             self.s.expect(":=")
-            if self.s.at("{"):
-                interp.append((abs_name, self._table()))
+            if self.s.accept("{"):
+                interp.append((abs_name, tuple(self._list("}", self._row))))
             else:
                 interp.append((abs_name, self._ident("carrier value")))
         self.s.expect("}")
-        return ModelBlock(name, tuple(carrier), tuple(interp),
-                          head.line, head.col)
+        return ModelBlock(name, carrier, tuple(interp), head.line, head.col)
 
-    def _table(self) -> tuple:
-        self.s.expect("{")
-        rows = []
-        while not self.s.at("}"):
-            self.s.expect("(")
-            key = []
-            while not self.s.at(")"):
-                if self.s.accept("["):
-                    entries = [self._ident("carrier value")]
-                    while self.s.accept(","):
-                        entries.append(self._ident("carrier value"))
-                    self.s.expect("]")
-                    key.append(tuple(entries))
-                else:
-                    key.append(self._ident("carrier value"))
-                if not self.s.accept(","):
-                    break
-            self.s.expect(")")
-            self.s.expect("->")
-            rows.append((tuple(key), self._ident("carrier value")))
-            if not self.s.accept(","):
-                break
-        self.s.expect("}")
-        return tuple(rows)
+    def _row(self) -> tuple[TableKey, str]:
+        self.s.expect("(")
+        key = tuple(self._list(")", self._key_part))
+        self.s.expect("->")
+        return key, self._ident("carrier value")
 
-    def _subst_literal(self) -> Substitution:
-        self.s.expect("{")
-        mapping: dict[tuple[str, int], Template] = {}
-        while not self.s.at("}"):
-            name = self._ident("variable name")
-            declared = None
-            if self.s.accept("/"):
-                tok = self.s.peek()
-                if tok.kind != "num":
-                    raise self.s.error("expected an arity after /")
-                declared = int(self.s.next().value)
-            self.s.expect(":=")
-            if self.s.at("["):
-                self.s.next()
-                binders = []
-                while not self.s.at("."):
-                    binders.append(self._ident("template binder"))
-                self.s.expect(".")
-                body = self._terms().term()
-                self.s.expect("]")
-                tmpl = Template(tuple(binders), body)
-            else:
-                tmpl = Template((), self._terms().term())
-            if declared is not None and declared != tmpl.arity:
-                raise self.s.error(
-                    f"{name}/{declared} bound to a template of arity {tmpl.arity}",
-                    "ArityMismatch")
-            mapping[(name, tmpl.arity)] = tmpl
-            if not self.s.accept(","):
-                break
-        self.s.expect("}")
-        return Substitution(mapping)
+    def _key_part(self) -> str | tuple[str, ...]:
+        if not self.s.accept("["):
+            return self._ident("carrier value")
+        entries = self._values()
+        self.s.expect("]")
+        return entries
+
+    def _binding(self) -> tuple[tuple[str, int], Template]:
+        """One `name[/arity] := template` entry of a substitution literal."""
+        name = self._ident("variable name")
+        declared = None
+        if self.s.accept("/"):
+            declared = self._num("expected an arity after /")
+        self.s.expect(":=")
+        if self.s.accept("["):
+            binders = []
+            while not self.s.at("."):
+                binders.append(self._ident("template binder"))
+            self.s.expect(".")
+            body = self.terms.term()
+            self.s.expect("]")
+            tmpl = Template(tuple(binders), body)
+        else:
+            tmpl = Template((), self.terms.term())
+        if declared is not None and declared != tmpl.arity:
+            raise self.s.error(
+                f"{name}/{declared} bound to a template of arity {tmpl.arity}",
+                "ArityMismatch")
+        return (name, tmpl.arity), tmpl
 
 
 def parse_theory(text: str) -> TheoryFile:

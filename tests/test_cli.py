@@ -46,6 +46,20 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     assert "broken.al:2:" in err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("logic D\naxiom Z: A\nlogic K\ntheorem t: true\nproof\n  s1: ax D1\nqed\n",
+     "3:1"),
+    ("logic D\nabstraction model (0; {})\n", "2:13"),
+], ids=["second-logic", "keyword-abstraction"])
+def test_bad_declaration_exit_two(tmp_path, capsys, text, where):
+    path = tmp_path / "decl.al"
+    path.write_text(text)
+    for argv in (["check", str(path)],
+                 ["model-check", str(path), "--model", "degenerate"]):
+        assert main(argv) == 2
+        assert f"decl.al:{where}: error:" in capsys.readouterr().err
+
+
 def test_check_json_schema(capsys):
     assert main(["check", str(CORPUS / "prelude_k.al"), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -22,7 +22,6 @@ from abslog import (
     check_model,
     check_proof,
     check_theory,
-    conclusion_of,
     free_vars,
     inconsistency_expand,
     parse_theory,
@@ -48,31 +47,30 @@ TOP = const(TRUE)
 
 
 def test_ax_by_label_and_by_term():
-    assert conclusion_of(D, Ax("D1")) == TOP
-    assert conclusion_of(D, Ax(TOP)) == TOP
+    assert check_proof(D, Ax("D1")).statement == TOP
+    assert check_proof(D, Ax(TOP)).statement == TOP
     # literal terms are matched modulo alpha
-    assert alpha_eq(conclusion_of(D, Ax(imp(all_("y", v("A", v("y"))),
-                                            v("A", v("x"))))),
-                    D.axiom("D4"))
+    d4 = imp(all_("y", v("A", v("y"))), v("A", v("x")))
+    assert alpha_eq(check_proof(D, Ax(d4)).statement, D.axiom("D4"))
 
 
 def test_subst_rule():
     target = imp(all_("x", v("x")), v("x"))
     p = Subst(target, Substitution({("A", 1): Template(("x",), v("x"))}),
               Ax("D4"))
-    assert alpha_eq(conclusion_of(D, p), target)
+    assert alpha_eq(check_proof(D, p).statement, target)
 
 
 def test_mp_rule():
     d2_inst = Subst(imp(TOP, imp(v("B"), TOP)),
                     Substitution({("A", 0): TOP}), Ax("D2"))
     p = Mp(imp(v("B"), TOP), Ax("D1"), d2_inst)
-    assert alpha_eq(conclusion_of(D, p), imp(v("B"), TOP))
+    assert alpha_eq(check_proof(D, p).statement, imp(v("B"), TOP))
 
 
 def test_all_rule():
     p = All(all_("x", TOP), "x", Ax("D1"))
-    assert alpha_eq(conclusion_of(D, p), all_("x", TOP))
+    assert alpha_eq(check_proof(D, p).statement, all_("x", TOP))
 
 
 def test_error_codes_and_paths():
@@ -119,7 +117,7 @@ def test_theorem_db():
 def test_lemma_rule_and_logic_guard():
     db = TheoremDB()
     db.add("top", check_proof(D, Ax("D1")))
-    assert conclusion_of(K, Lemma("top"), db) == TOP  # K extends D
+    assert check_proof(K, Lemma("top"), db).statement == TOP  # K extends D
     db.add("em", check_proof(K, Ax("K")))
     with pytest.raises(UnknownLemma):
         check_proof(D, Lemma("em"), db)  # D does not extend K
@@ -189,10 +187,11 @@ def test_failing_node_fails_the_same_way_every_time():
 
 def test_rules_derive_an_absent_target():
     d2_top = Subst(None, Substitution({("A", 0): TOP}), Ax("D2"))
-    assert alpha_eq(conclusion_of(D, d2_top), imp(TOP, imp(v("B"), TOP)))
-    assert alpha_eq(conclusion_of(D, Mp(None, Ax("D1"), d2_top)),
+    assert alpha_eq(check_proof(D, d2_top).statement,
+                    imp(TOP, imp(v("B"), TOP)))
+    assert alpha_eq(check_proof(D, Mp(None, Ax("D1"), d2_top)).statement,
                     imp(v("B"), TOP))
-    assert alpha_eq(conclusion_of(D, All(None, "y", d2_top)),
+    assert alpha_eq(check_proof(D, All(None, "y", d2_top)).statement,
                     all_("y", imp(TOP, imp(v("B"), TOP))))
 
 

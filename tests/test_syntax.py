@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from abslog import (
     Abs,
+    BINOP_SHAPE,
     Var,
     make_shape,
     parse_term,
@@ -10,7 +13,7 @@ from abslog import (
     print_theory,
     signature,
 )
-from abslog.logics import SIG_D, SIG_K, all_, imp, v
+from abslog.logics import AND, SIG_D, SIG_K, all_, imp, neg, op2, v
 from abslog.syntax import ParseError
 
 from conftest import random_signature, random_term
@@ -41,11 +44,52 @@ def test_precedence():
     assert parse_term("not A = B", sig) == parse_term("not (A = B)", sig)
     assert parse_term("not A -> B", sig) == parse_term("(not A) -> B", sig)
     assert parse_term("x = y /\\ u", sig) == parse_term("(x = y) /\\ u", sig)
+    assert parse_term("A <-> B <-> C", sig) == parse_term("(A <-> B) <-> C", sig)
+    assert parse_term("A \\/ B \\/ C", sig) == parse_term("(A \\/ B) \\/ C", sig)
+    assert parse_term("A /\\ B /\\ C", sig) == parse_term("(A /\\ B) /\\ C", sig)
+    assert parse_term("not not A", sig) == neg(neg(v("A")))
+    a, b, c = v("A"), v("B"), v("C")
+    assert print_term(op2(AND, op2(AND, a, b), c)) == "A /\\ B /\\ C"
+    assert print_term(op2(AND, a, op2(AND, b, c))) == "A /\\ (B /\\ C)"
+    assert print_term(imp(imp(a, b), c)) == "(A -> B) -> C"
 
 
 def test_eq_does_not_associate():
-    with pytest.raises(ParseError):
-        parse_term("x = y = z", SIG_K)
+    for text in ("x = y = z", "x != y = z", "A = not B"):
+        with pytest.raises(ParseError):
+            parse_term(text, SIG_K)
+
+
+def test_trailing_commas():
+    text = """
+logic D
+abstraction box (0; {},)
+abstraction q (1; {0,})
+theorem t: true
+proof
+  s1: ax D1
+  s2: subst s1 { A := true, }
+qed
+model two {
+  carrier T, F
+  true := T
+  imp := { (T, T,) -> T, (T, F) -> F, (F, T) -> T, (F, F) -> T, }
+  all := { ([T, T],) -> T, ([T, F]) -> F, ([F, T]) -> F, ([F, F]) -> F, }
+}
+"""
+    tf = parse_theory(text)
+    assert [d.shape for d in tf.decls] == [make_shape(0, [()]),
+                                           make_shape(1, [(0,)])]
+    assert len(tf.theorems[0].steps[1].sigma) == 1
+    _, imp_rows = tf.model_block("two").interp[1]
+    _, all_rows = tf.model_block("two").interp[2]
+    assert imp_rows[0] == (("T", "T"), "T") and len(imp_rows) == 4
+    assert all_rows[0] == ((("T", "T"),), "T") and len(all_rows) == 4
+    assert tf == parse_theory(re.sub(r",(\s*[)}])", r"\1", text))
+    f = signature([("f", BINOP_SHAPE)])
+    for bad in ("f(A, B,)", "x[A,]"):
+        with pytest.raises(ParseError):
+            parse_term(bad, f)
 
 
 def test_undeclared_operator_rejected():
@@ -111,6 +155,16 @@ def test_theory_declarations():
 def test_duplicate_axiom_label_rejected():
     with pytest.raises(ParseError):
         parse_theory("logic D\naxiom D1: true")
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("logic D\naxiom Z: A\nlogic K\n", (3, 1)),
+    ("logic D\nabstraction model (0; {})\n", (2, 13)),
+], ids=["second-logic", "keyword-abstraction"])
+def test_bad_declaration_rejected(text, pos):
+    with pytest.raises(ParseError) as e:
+        parse_theory(text)
+    assert (e.value.line, e.value.col) == pos
 
 
 def test_subst_literal_arity_check():
