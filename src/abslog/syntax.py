@@ -2,7 +2,9 @@
 
 `INFIX` below is the one statement of the infix operators: their ASCII
 tokens, abstractions, precedence levels and associativity.  The prefix
-`not` binds between `/\\` and `=`.  Binder sugar (`all x. t`) extends
+`not` binds between `/\\` and `=`.  The term parser climbs precedence
+over this table (Pratt's top-down operator precedence): one call per
+operator, not one per level.  Binder sugar (`all x. t`) extends
 maximally to the right and is only available at the start of a term;
 elsewhere use the parenthesized form `(all x. t)`.
 
@@ -12,7 +14,9 @@ unless asked for glyphs.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import AbslogError
 from .logics import Logic, builtin_logic
@@ -20,7 +24,6 @@ from .shape import (
     AbstractionDecl,
     BINDER_SHAPE,
     BINOP_SHAPE,
-    Shape,
     Signature,
     UNOP_SHAPE,
     make_shape,
@@ -53,24 +56,24 @@ _OPERATOR = {name: (token, level, assoc)
 
 KEYWORDS = {"logic", "abstraction", "axiom", "theorem", "proof", "qed", "model"}
 
-# multi-character and glyph operators, longest first
+# multi-character and glyph operators, longest first.  Each match takes the
+# blanks before one token; `bad` takes any other character, `\Z` end blanks.
 _OP_TOKENS = sorted(["==>", ":=", *INFIX, *OP_GLYPHS], key=len, reverse=True)
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
+_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
+    (?P<comment>\#[^\n]*)
   | (?P<nl>\n)
   | (?P<op>""" + "|".join(map(re.escape, _OP_TOKENS)) + r"""|[()\[\]{},.;:=/¬])
   | (?P<num>\d+)
   | (?P<ident>∃₁|[⊤⊥⅄∀∃]|[A-Za-z_][A-Za-z0-9_′]*)
-""", re.VERBOSE)
+  | (?P<bad>.)
+  | \Z)""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "op", "num", "ident", "eof"
     value: str
     line: int
-    col: int
+    col: int  # in code points, from 1
 
 
 @dataclass(frozen=True)
@@ -105,25 +108,21 @@ class ParseError(AbslogError):
 
 def tokenize(text: str) -> list[Token]:
     out = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
+            line_start = m.end()
+        elif kind is not None and kind != "comment":
+            value = m.group(kind)
+            col = m.start(kind) - line_start + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", line, col)
             if kind == "op" and value in OP_GLYPHS:
                 value = OP_GLYPHS[value]
             out.append(Token(kind, value, line, col))
-            col += len(m.group())
-        pos = m.end()
-    out.append(Token("eof", "", line, col))
+    out.append(Token("eof", "", line, len(text) - line_start + 1))
     return out
 
 
@@ -133,7 +132,9 @@ class _Stream:
         self.i = 0
 
     def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        # `next` never moves past the eof token, and `term` looks two ahead
+        # only past an ident, so the index stays in range
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -196,25 +197,25 @@ class TermParser:
         return self._level(_LOOSEST)
 
     def _level(self, level: int) -> Term:
-        """A term whose operators bind at `level` or tighter.  Operands of a
-        left-associative operator loop, `->` recurses at its own level, and
-        a non-associative one takes one operand each side."""
-        if level == _ATOM:
-            return self.atom()
-        if level == _NOT:
-            if self.s.peek().value in ("not", "¬"):
-                self.s.next()
-                d = self._op_decl("not", "¬")
-                return Abs(d.name, d.shape, (), (self._level(_NOT),))
-            level += 1  # no prefix: parse the next level in this frame
-        left = self._level(level + 1)
-        while (op := INFIX.get(self.s.peek().value)) and op[1] == level:
-            name, _, assoc = op
-            d = self._op_decl(self.s.next().value, name)
-            right = self._level(level + (assoc != "right"))
+        """A term whose operators bind at `level` or tighter: a prefix `not`
+        or an atom, then each operator below `ceiling`.  A left-associative
+        operator lowers the ceiling past its own level, `->` and `=` to it,
+        so `x = y = z` stops after `x = y`."""
+        s = self.s
+        if level <= _NOT and s.peek().value in ("not", "¬"):
+            s.next()
+            d = self._op_decl("not", "¬")
+            left = Abs(d.name, d.shape, (), (self._level(_NOT),))
+            ceiling = _NOT
+        else:
+            left = self.atom()
+            ceiling = _ATOM
+        while (op := INFIX.get(s.peek().value)) and level <= op[1] < ceiling:
+            name, op_level, assoc = op
+            d = self._op_decl(s.next().value, name)
+            right = self._level(op_level + (assoc != "right"))
             left = Abs(d.name, d.shape, (), (left, right))
-            if assoc != "left":
-                break
+            ceiling = op_level + (assoc == "left")
         return left
 
     def atom(self) -> Term:
@@ -300,9 +301,15 @@ class TermParser:
         return inner
 
 
+_TOO_DEEP = "terms nest too deeply to parse"
+
+
 def parse_term(text: str, sig: Signature) -> Term:
     stream = _Stream(tokenize(text))
-    t = TermParser(stream, sig).term()
+    try:
+        t = TermParser(stream, sig).term()
+    except RecursionError:
+        raise stream.error(_TOO_DEEP, "TooDeep") from None
     tok = stream.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
@@ -416,6 +423,16 @@ class TheoryFile:
         return Logic("file", self.signature, base_axioms + self.axioms)
 
 
+@contextmanager
+def _placed(tok: Token):
+    """Re-raise an error of the declaration named by `tok` (an unknown
+    logic, a bad shape, a duplicate abstraction) as a ParseError there."""
+    try:
+        yield
+    except AbslogError as e:
+        raise ParseError(e.message, tok.line, tok.col, e.code) from e
+
+
 class TheoryParser:
     def __init__(self, text: str):
         self.s = _Stream(tokenize(text))
@@ -438,10 +455,13 @@ class TheoryParser:
                         f"a second logic line; the base logic is {self.base}",
                         tok.line, tok.col)
                 self.s.next()
+                name_tok = self.s.peek()
                 name = self._ident("logic name")
                 self.base = name
-                base = builtin_logic(name)
-                self.terms = TermParser(self.s, base.signature.extend(self.decls))
+                with _placed(name_tok):
+                    base = builtin_logic(name)
+                    self.terms = TermParser(
+                        self.s, base.signature.extend(self.decls))
                 self.labels.update(base.labels)
                 self.positions.update(
                     (label, (tok.line, tok.col)) for label in base.labels)
@@ -453,9 +473,12 @@ class TheoryParser:
                     raise ParseError(
                         f"keyword {name!r} cannot name an abstraction",
                         name_tok.line, name_tok.col)
-                decl = AbstractionDecl(name, self._shape())
+                valence, binder_sets = self._shape()
+                with _placed(name_tok):
+                    decl = AbstractionDecl(name, make_shape(valence, binder_sets))
+                    self.terms = TermParser(
+                        self.s, self.terms.sig.extend([decl]))
                 self.decls.append(decl)
-                self.terms = TermParser(self.s, self.terms.sig.extend([decl]))
             elif tok.value == "axiom":
                 self.s.next()
                 label = self._ident("axiom label")
@@ -506,11 +529,12 @@ class TheoryParser:
             out.append(self._ident("carrier value"))
         return tuple(out)
 
-    def _shape(self) -> Shape:
+    def _shape(self) -> tuple[int, list[list[int]]]:
+        """The valence and binder sets of `(valence; {i, ...}, ...)`."""
         self.s.expect("(")
         valence = self._num("expected valence")
         self.s.expect(";")
-        return make_shape(valence, self._list(")", self._binder_set))
+        return valence, self._list(")", self._binder_set)
 
     def _binder_set(self) -> list[int]:
         self.s.expect("{")
@@ -614,7 +638,11 @@ class TheoryParser:
 
 
 def parse_theory(text: str) -> TheoryFile:
-    return TheoryParser(text).parse()
+    parser = TheoryParser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.s.error(_TOO_DEEP, "TooDeep") from None
 
 
 # theory printing (round-trip support)

@@ -176,4 +176,4 @@ def encode(t: Term, frames: list[tuple[str, ...]], slots: tuple[str, ...] = (),
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
-    return to_debruijn(s) == to_debruijn(t)
+    return s is t or to_debruijn(s) == to_debruijn(t)

@@ -2,14 +2,28 @@
 
 Deliberately written with different algorithms than the package: alpha
 comparison walks both terms with explicit rename environments (no nameless
-encoding), and substitution freshens every binder globally before doing
-plain textual replacement (no index shifting).
+encoding), substitution freshens every binder globally before doing plain
+textual replacement (no index shifting), the tokenizer matches each blank
+run on its own and counts columns as it goes, and the term parser spends
+one call per precedence level instead of climbing.
 """
 from __future__ import annotations
 
 import itertools
+import re
 
 from abslog import Abs, Term, Var
+from abslog.syntax import (
+    _ATOM,
+    _NOT,
+    _OP_TOKENS,
+    INFIX,
+    OP_GLYPHS,
+    ParseError,
+    TermParser,
+    Token,
+    _Stream,
+)
 
 _fresh = itertools.count()
 
@@ -102,3 +116,71 @@ def _plug(t, env):
         return Var(t.name, tuple(_plug(a, env) for a in t.args))
     return Abs(t.name, t.shape, t.binders,
                tuple(_plug(a, env) for a in t.args))
+
+
+# --- tokens and terms, one precedence level per call --------------------------
+
+_BLANK_RUN_RE = re.compile(r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<nl>\n)
+  | (?P<op>""" + "|".join(map(re.escape, _OP_TOKENS)) + r"""|[()\[\]{},.;:=/¬])
+  | (?P<num>\d+)
+  | (?P<ident>∃₁|[⊤⊥⅄∀∃]|[A-Za-z_][A-Za-z0-9_′]*)
+""", re.VERBOSE)
+
+
+def tokenize_oracle(text: str) -> list[Token]:
+    out = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _BLANK_RUN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(value)
+        else:
+            if kind == "op" and value in OP_GLYPHS:
+                value = OP_GLYPHS[value]
+            out.append(Token(kind, value, line, col))
+            col += len(m.group())
+        pos = m.end()
+    out.append(Token("eof", "", line, col))
+    return out
+
+
+class LevelParser(TermParser):
+    """`TermParser` with one `_level` call per precedence level."""
+
+    def _level(self, level: int) -> Term:
+        if level == _ATOM:
+            return self.atom()
+        if level == _NOT:
+            if self.s.peek().value in ("not", "¬"):
+                self.s.next()
+                d = self._op_decl("not", "¬")
+                return Abs(d.name, d.shape, (), (self._level(_NOT),))
+            level += 1  # no prefix: parse the next level in this frame
+        left = self._level(level + 1)
+        while (op := INFIX.get(self.s.peek().value)) and op[1] == level:
+            name, _, assoc = op
+            d = self._op_decl(self.s.next().value, name)
+            right = self._level(level + (assoc != "right"))
+            left = Abs(d.name, d.shape, (), (left, right))
+            if assoc != "left":
+                break
+        return left
+
+
+def parse_term_oracle(text: str, sig) -> Term:
+    stream = _Stream(tokenize_oracle(text))
+    t = LevelParser(stream, sig).term()
+    tok = stream.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+    return t

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -48,16 +49,22 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, where", [
     ("logic D\naxiom Z: A\nlogic K\ntheorem t: true\nproof\n  s1: ax D1\nqed\n",
-     "3:1"),
-    ("logic D\nabstraction model (0; {})\n", "2:13"),
-], ids=["second-logic", "keyword-abstraction"])
+     "3:1: error: [SyntaxError]"),
+    ("logic D\nabstraction model (0; {})\n", "2:13: error: [SyntaxError]"),
+    ("logic D\nabstraction box (0; {})\nabstraction box (0; {})\n",
+     "3:13: error: [DuplicateAbstraction]"),
+    ("logic Q\n", "1:7: error: [UnknownLogic]"),
+    ("logic D\nabstraction q (2; {0})\n", "2:13: error: [DegenerateShape]"),
+    ("logic D\nabstraction q (1; {1})\n", "2:13: error: [IndexOutOfRange]"),
+], ids=["second-logic", "keyword-abstraction", "duplicate-abstraction",
+        "unknown-logic", "degenerate-shape", "index-out-of-range"])
 def test_bad_declaration_exit_two(tmp_path, capsys, text, where):
     path = tmp_path / "decl.al"
     path.write_text(text)
     for argv in (["check", str(path)],
                  ["model-check", str(path), "--model", "degenerate"]):
         assert main(argv) == 2
-        assert f"decl.al:{where}: error:" in capsys.readouterr().err
+        assert f"decl.al:{where}" in capsys.readouterr().err
 
 
 def test_check_json_schema(capsys):
@@ -264,9 +271,12 @@ def test_io_errors_exit_two(tmp_path, capsys, argv):
     files["deep"].write_text("logic D\naxiom Z: " + " -> ".join(["A"] * 1501) + "\n")
     assert main([a.format(**files) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
     if "deep" in argv[1]:
-        assert err.count("\n") == 1 and str(files["deep"]) in err
+        # the parser names the token it was reading when the nesting ran out
+        where = re.escape(str(files["deep"]))
+        assert re.fullmatch(where + r":2:\d+: error: \[TooDeep\] [^\n]*\n", err)
+    else:
+        assert err.startswith("error:")
     assert "Traceback" not in err
 
 

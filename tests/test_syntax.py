@@ -14,9 +14,12 @@ from abslog import (
     signature,
 )
 from abslog.logics import AND, SIG_D, SIG_K, all_, imp, neg, op2, v
-from abslog.syntax import ParseError
+from abslog import syntax
+from abslog.errors import AbslogError
+from abslog.syntax import ParseError, tokenize
 
 from conftest import random_signature, random_term
+from oracles import LevelParser, parse_term_oracle, tokenize_oracle
 
 
 def test_binder_extends_right():
@@ -157,14 +160,26 @@ def test_duplicate_axiom_label_rejected():
         parse_theory("logic D\naxiom D1: true")
 
 
-@pytest.mark.parametrize("text, pos", [
-    ("logic D\naxiom Z: A\nlogic K\n", (3, 1)),
-    ("logic D\nabstraction model (0; {})\n", (2, 13)),
-], ids=["second-logic", "keyword-abstraction"])
-def test_bad_declaration_rejected(text, pos):
+_DEEP_PARENS = "(" * 400 + "A" + ")" * 400
+
+
+@pytest.mark.parametrize("text, code, line, cols", [
+    ("logic D\naxiom Z: A\nlogic K\n", "SyntaxError", 3, [1]),
+    ("logic D\nabstraction model (0; {})\n", "SyntaxError", 2, [13]),
+    ("logic D\nabstraction box (0; {})\nabstraction box (0; {})\n",
+     "DuplicateAbstraction", 3, [13]),
+    ("logic Q\n", "UnknownLogic", 1, [7]),
+    ("logic D\nabstraction q (2; {0})\n", "DegenerateShape", 2, [13]),
+    ("logic D\nabstraction q (1; {1})\n", "IndexOutOfRange", 2, [13]),
+    # where the nesting runs out depends on the caller's stack depth
+    ("logic D\naxiom Z: " + _DEEP_PARENS + "\n", "TooDeep", 2, range(10, 410)),
+], ids=["second-logic", "keyword-abstraction", "duplicate-abstraction",
+        "unknown-logic", "degenerate-shape", "index-out-of-range", "too-deep"])
+def test_bad_declaration_rejected(text, code, line, cols):
     with pytest.raises(ParseError) as e:
         parse_theory(text)
-    assert (e.value.line, e.value.col) == pos
+    assert e.value.code == code
+    assert e.value.line == line and e.value.col in cols
 
 
 def test_subst_literal_arity_check():
@@ -206,3 +221,77 @@ def test_parse_error_has_span():
         parse_theory("logic D\naxiom Q: (all x. x")
     assert e.value.line == 2
     assert e.value.col > 0
+
+
+# pieces of random token strings: every operator spelling, binders, names
+# of K and P, numbers, blanks, comments and characters no token starts with
+_PIECES = ("->", "<->", "\\/", "/\\", "=", "!=", "not", "¬", "⇒", "⇔", "∧",
+           "∨", "≠", "(", ")", "[", "]", "{", "}", ",", ".", ";", ":", ":=",
+           "==>", "/", "all", "∀", "ex1", "∃₁", "⊤", "⊥", "true", "false",
+           "A", "B", "x", "y′", "suc", "zero", "add", "0", "12", " ", "  ",
+           "\t", "\n", "\r\n", "# note\n", "#", "!", "$", "é", "<")
+# operands and operators that alternate in mostly well-formed strings
+_OPERANDS = ("A", "B", "x", "true", "not A", "not not B", "¬x", "(A", "B)",
+             "(not x", "(all x. x)", "all x. x")
+_OPERATORS = ("->", "<->", "\\/", "/\\", "=", "!=", "⇒", "∧", "≠")
+
+
+def _outcome(parse, *args):
+    """The result of a parse, or the code, message and place of its error."""
+    try:
+        return parse(*args)
+    except AbslogError as e:
+        return (type(e).__name__, e.code, e.message,
+                getattr(e, "line", None), getattr(e, "col", None))
+
+
+def _theory_outcome(text):
+    tf = _outcome(parse_theory, text)
+    if isinstance(tf, tuple):
+        return tf
+    return (tf, tf.axiom_positions,
+            [(b.line, b.col, [(st.line, st.col) for st in b.steps])
+             for b in tf.theorems],
+            [(m.line, m.col) for m in tf.models])
+
+
+def _mangle(rnd, text):
+    """`text` with a short slice deleted or a random piece inserted."""
+    pos = rnd.randrange(len(text) + 1)
+    if rnd.random() < 0.5:
+        return text[:pos] + text[pos + rnd.randint(1, 6):]
+    return text[:pos] + rnd.choice(_PIECES) + text[pos:]
+
+
+def test_front_end_matches_oracle(rnd, monkeypatch):
+    """Tokens, terms and errors equal those of the tokenizer that matches
+    blank runs on their own and the parser with one call per level."""
+    from abslog import builtin_logic
+    sigs = (SIG_K, builtin_logic("P").signature)
+    for _ in range(400):
+        if rnd.random() < 0.5:
+            text = "".join(rnd.choice(_PIECES)
+                           for _ in range(rnd.randint(0, 12)))
+        else:
+            text = " ".join(rnd.choice(_OPERATORS if i % 2 else _OPERANDS)
+                            for i in range(rnd.randint(1, 9)))
+        assert _outcome(tokenize, text) == _outcome(tokenize_oracle, text)
+        for sig in sigs:
+            assert (_outcome(parse_term, text, sig)
+                    == _outcome(parse_term_oracle, text, sig)), text
+    for _ in range(100):
+        sig = rnd.choice((SIG_K, random_signature(rnd)))
+        t = random_term(rnd, sig, depth=4)
+        for text in (print_term(t), print_term(t, unicode=True)):
+            for edited in (text, _mangle(rnd, text)):
+                assert (_outcome(parse_term, edited, sig)
+                        == _outcome(parse_term_oracle, edited, sig)), edited
+    from pathlib import Path
+    corpus = Path(__file__).parent.parent / "src" / "abslog" / "corpus"
+    texts = [path.read_text() for path in sorted(corpus.glob("*.al"))]
+    edited = [_mangle(rnd, rnd.choice(texts)) for _ in range(40)]
+    ours = [_theory_outcome(text) for text in texts + edited]
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "tokenize", tokenize_oracle)
+        m.setattr(syntax, "TermParser", LevelParser)
+        assert [_theory_outcome(text) for text in texts + edited] == ours
