@@ -14,7 +14,6 @@ from .algebra import (
     check_model,
     constant_table,
     degenerate_model,
-    enumerate_algebras,
     eval_term,
     find_models,
     is_logic_algebra,
@@ -28,6 +27,7 @@ from .driver import (
     build_model,
     check_theorem,
     check_theory,
+    inconsistency_expand,
     model_for,
 )
 from .errors import AbslogError, ProofError
@@ -40,7 +40,6 @@ from .kernel import (
     Theorem,
     TheoremDB,
     check_proof,
-    inconsistency_expand,
 )
 from .logics import (
     BUILTIN_NAMES,

@@ -350,27 +350,6 @@ def degenerate_model(sig: Signature) -> AbstractionAlgebra:
 
 # --- enumeration and model search -------------------------------------------
 
-def enumerate_algebras(sig: Signature, size: int,
-                       limit: int = 10 ** 6) -> Iterator[AbstractionAlgebra]:
-    """All abstraction algebras over sig with the given carrier size.
-    Only feasible for tiny signatures; guarded by a count limit."""
-    names = [str(i) for i in range(size)]
-    keyspaces = [tuple(argument_keys(size, d.shape)) for d in sig.decls]
-    total = 1
-    for keys in keyspaces:
-        total *= size ** len(keys)
-    if total > limit:
-        raise ArityCapExceeded(
-            f"enumeration of {total} algebras exceeds limit {limit}")
-    for assignment in product(*(product(range(size), repeat=len(keys))
-                                for keys in keyspaces)):
-        interp = {
-            d.name: OperatorImpl(d.shape, dict(zip(keys, values)))
-            for d, keys, values in zip(sig.decls, keyspaces, assignment)
-        }
-        yield AbstractionAlgebra(Universe(tuple(names)), sig, interp)
-
-
 class _Need(Exception):
     def __init__(self, key):
         self.key = key

@@ -2,10 +2,10 @@
 
 The elaborator turns every proof step into a kernel proof node whose
 premises are the nodes of the steps it cites, with the step's `==>`
-annotation, if any, as the target; the kernel derives the conclusion of an
-unannotated step itself.  Each step's tree is submitted whole, and the
-kernel certifies each node once per theorem store, so a bug here can only
-produce a spurious failure, never a bogus theorem.
+annotation, if any, as the target; the kernel's rules derive the
+conclusion of an unannotated step.  Each step's tree goes whole to
+`check_proof`, which applies each node's rule once per theorem store.  A
+bug here can only produce a spurious failure, never a bogus theorem.
 """
 from __future__ import annotations
 
@@ -18,10 +18,11 @@ from .algebra import (
     load_model,
     model_from_spec,
 )
-from .errors import AbslogError, ProofError
+from .errors import AbslogError, PreconditionFailed, TermError
 from .kernel import All, Ax, Lemma, Mp, Proof, Subst, TheoremDB, check_proof
-from .logics import Logic
+from .logics import Logic, all_, builtin_logic, imp, is_extension, v
 from .shape import Signature, extends_signature
+from .subst import Substitution, Template
 from .syntax import (
     ALIAS,
     Diagnostic,
@@ -30,7 +31,7 @@ from .syntax import (
     TheoremBlock,
     TheoryFile,
 )
-from .term import Term, alpha_eq
+from .term import Term, alpha_eq, check_wellformed
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,10 @@ class CheckReport:
         return all(r.passed for r in self.results)
 
 
-def _err(step: ProofStep, message: str, code: str) -> Diagnostic:
-    return Diagnostic("error", step.line, step.col, message, code)
+def _failed(block: TheoremBlock, at, message: str, code: str) -> BlockResult:
+    """A failed verdict with one error at `at`, a step or the block."""
+    d = Diagnostic("error", at.line, at.col, message, code)
+    return BlockResult(block.name, "theorem", "failed", None, (d,))
 
 
 def _elaborate(step: ProofStep, trees: dict) -> Proof:
@@ -88,37 +91,25 @@ def _elaborate(step: ProofStep, trees: dict) -> Proof:
 def check_theorem(logic: Logic, block: TheoremBlock,
                   db: TheoremDB) -> BlockResult:
     trees: dict[str, Proof] = {}
-    last = None
+    thm = None
     for step in block.steps:
         if step.name in trees:
-            return BlockResult(block.name, "theorem", "failed", None,
-                               (_err(step, f"step {step.name!r} defined twice",
-                                     "DuplicateStep"),))
+            return _failed(block, step, f"step {step.name!r} defined twice",
+                           "DuplicateStep")
         try:
             node = _elaborate(step, trees)
             thm = check_proof(logic, node, db)
-        except ProofError as e:
-            return BlockResult(block.name, "theorem", "failed", None,
-                               (_err(step, e.message, e.code),))
         except AbslogError as e:
-            return BlockResult(block.name, "theorem", "failed", None,
-                               (_err(step, e.message, e.code),))
+            return _failed(block, step, e.message, e.code)
         if step.claimed is not None and not alpha_eq(thm.statement, step.claimed):
-            return BlockResult(block.name, "theorem", "failed", None,
-                               (_err(step, "step proves a different statement "
-                                           "than annotated", "ClaimMismatch"),))
+            return _failed(block, step, "step proves a different statement "
+                           "than annotated", "ClaimMismatch")
         trees[step.name] = node
-        last = (node, thm)
-    if last is None:
-        d = Diagnostic("error", block.line, block.col, "empty proof",
-                       "EmptyProof")
-        return BlockResult(block.name, "theorem", "failed", None, (d,))
-    node, thm = last
+    if thm is None:
+        return _failed(block, block, "empty proof", "EmptyProof")
     if not alpha_eq(thm.statement, block.statement):
-        d = Diagnostic("error", block.line, block.col,
-                       "final step does not prove the stated theorem",
-                       "ConclusionMismatch")
-        return BlockResult(block.name, "theorem", "failed", None, (d,))
+        return _failed(block, block, "final step does not prove the stated "
+                       "theorem", "ConclusionMismatch")
     db.add(block.name, thm)
     return BlockResult(block.name, "theorem", "proved", thm.statement, ())
 
@@ -131,6 +122,28 @@ def check_theory(tf: TheoryFile, db: TheoremDB | None = None) -> CheckReport:
         db = TheoremDB()
     results = [check_theorem(logic, block, db) for block in tf.theorems]
     return CheckReport(tuple(results))
+
+
+def inconsistency_expand(logic: Logic, p_forall: Proof, target: Term,
+                         db: TheoremDB | None = None) -> Proof:
+    """Given a proof of (∀x. x), build a proof of an arbitrary target:
+    instantiate D4 with [x. x], apply modus ponens to get the theorem x,
+    then substitute the target for x."""
+    if not is_extension(logic, builtin_logic("D")):
+        raise PreconditionFailed("logic does not extend deduction logic")
+    x = v("x")
+    forall_x = all_("x", x)
+    if not alpha_eq(check_proof(logic, p_forall, db).statement, forall_x):
+        raise PreconditionFailed("premise does not prove (∀x. x)")
+    try:
+        check_wellformed(target, logic.signature)
+    except TermError as e:
+        raise PreconditionFailed(str(e)) from e
+    d4 = imp(all_("x", v("A", x)), v("A", x))
+    d4_inst = Subst(imp(forall_x, x),
+                    Substitution({("A", 1): Template(("x",), x)}), Ax(d4))
+    theorem_x = Mp(x, p_forall, d4_inst)
+    return Subst(target, Substitution({("x", 0): Template((), target)}), theorem_x)
 
 
 # --- model checking for theory files ------------------------------------------

@@ -1,12 +1,11 @@
-"""The trusted proof checker: four rules (AX, SUBST, MP, ALL), theorem
-objects that only the checker can mint, a theorem store, and the
-inconsistency-expansion recipe.
+"""The trusted proof kernel, LCF style: only the rules below mint a
+`Theorem`, and each takes theorems.  `axiom` is AX, `inst` SUBST, `mp` MP
+and `gen` ALL; `lift` carries a theorem into a logic that extends its own.
 
-Checking is a memoised fold: a proof node whose own check succeeded is not
-checked again under the same logic while its theorem store lives.  Nodes and
-terms are immutable and the store is append-only, so a certified node stays
-certified.  A node of SUBST, MP or ALL with target None concludes the
-statement its rule derives.
+Soundness rests on the code above the untrusted line alone.  Below it,
+`check_proof` folds the rules over a proof tree, premises first, and
+memoises each node's theorem in the `TheoremDB`: a bug there can fail a
+good proof, or hand back a theorem that a rule minted, never more.
 """
 from __future__ import annotations
 
@@ -20,16 +19,123 @@ from .errors import (
     MpMismatch,
     NotAnAxiom,
     NotAnImplication,
-    PreconditionFailed,
     ProofError,
     SubstMismatch,
     TermError,
     UnknownLemma,
 )
-from .logics import IMP, Logic, all_, builtin_logic, imp, is_extension, v
+from .logics import IMP, Logic, all_, is_extension
 from .shape import BINOP_SHAPE
-from .subst import Substitution, Template, apply_subst
-from .term import Abs, Term, alpha_eq, check_wellformed, to_debruijn
+from .subst import Substitution, apply_subst
+from .term import Abs, Term, alpha_eq, check_wellformed
+
+_KERNEL_TOKEN = object()
+
+
+class Theorem:
+    """A statement proved in `logic`, as the rule that minted it derived or
+    matched it (so compare it modulo α)."""
+
+    __slots__ = ("statement", "logic")
+
+    def __init__(self, statement: Term, logic: Logic, *, _token=None):
+        if _token is not _KERNEL_TOKEN:
+            raise KernelPrivilege("theorems can only be minted by the kernel rules")
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "logic", logic)
+
+    def __setattr__(self, *_):
+        raise KernelPrivilege("theorems are immutable")
+
+    def __repr__(self):
+        return f"Theorem({self.statement!r}, logic={self.logic.name})"
+
+
+def _wf(t: Term, logic: Logic) -> None:
+    try:
+        check_wellformed(t, logic.signature)
+    except TermError as e:
+        raise IllFormed(str(e)) from e
+
+
+def _premise(thm: Theorem) -> Logic:
+    if not isinstance(thm, Theorem):
+        raise KernelPrivilege(
+            f"a rule premise must be a Theorem, not {type(thm).__name__}")
+    return thm.logic
+
+
+def _conclude(logic: Logic, target: Term | None, derived: Term,
+              mismatch: type, message: str) -> Term:
+    """A rule's conclusion, once its own checks passed: the target, which
+    must be well-formed and match what the rule derived modulo α, or with
+    no target the derived statement itself."""
+    _wf(derived if target is None else target, logic)
+    if target is not None and not alpha_eq(target, derived):
+        raise mismatch(message)
+    return derived if target is None else target
+
+
+def axiom(logic: Logic, label_or_term: Term | str) -> Theorem:
+    """AX, by label or by a term that is an axiom modulo α."""
+    if isinstance(label_or_term, str):
+        t = logic.axiom(label_or_term)
+        if t is None:
+            raise NotAnAxiom(f"no axiom labelled {label_or_term!r}")
+    else:
+        t = label_or_term
+        _wf(t, logic)
+        if not any(alpha_eq(t, a) for _, a in logic.axioms):
+            raise NotAnAxiom("term is not an axiom of this logic")
+    return Theorem(t, logic, _token=_KERNEL_TOKEN)
+
+
+def inst(thm: Theorem, sigma: Substitution, target: Term | None = None) -> Theorem:
+    """SUBST: the premise with every variable in `sigma` replaced."""
+    logic = _premise(thm)
+    for _, tmpl in sigma.items():
+        _wf(tmpl.body, logic)
+    return Theorem(_conclude(
+        logic, target, apply_subst(sigma, thm.statement), SubstMismatch,
+        "target is not α-equivalent to the substituted premise"),
+        logic, _token=_KERNEL_TOKEN)
+
+
+def mp(h: Theorem, g: Theorem, target: Term | None = None) -> Theorem:
+    """MP: from h and (h → t), t."""
+    logic = _premise(h)
+    if _premise(g) is not logic:
+        raise MpMismatch("premises come from different logics")
+    s = g.statement
+    if not (isinstance(s, Abs) and s.name == IMP and s.shape == BINOP_SHAPE):
+        raise NotAnImplication("second premise is not an implication")
+    antecedent, consequent = s.args
+    if not alpha_eq(antecedent, h.statement):
+        raise MpMismatch("antecedent does not match the first premise")
+    return Theorem(_conclude(logic, target, consequent, MpMismatch,
+                             "consequent does not match the target"),
+                   logic, _token=_KERNEL_TOKEN)
+
+
+def gen(thm: Theorem, binder: str, target: Term | None = None) -> Theorem:
+    """ALL: from t, (∀ binder. t)."""
+    logic = _premise(thm)
+    return Theorem(_conclude(logic, target, all_(binder, thm.statement),
+                             AllMismatch, "target is not (∀ x. premise)"),
+                   logic, _token=_KERNEL_TOKEN)
+
+
+def lift(thm: Theorem, logic: Logic) -> Theorem:
+    """A theorem of a logic that `logic` extends, as a theorem of `logic`."""
+    if _premise(thm) is logic:
+        return thm
+    if not is_extension(logic, thm.logic):
+        raise UnknownLemma(f"the theorem was certified in {thm.logic.name}, "
+                           f"which {logic.name} does not extend")
+    return Theorem(thm.statement, logic, _token=_KERNEL_TOKEN)
+
+
+# --- untrusted below: proof trees, the theorem store and the fold -------------
 
 Proof = Union["Ax", "Subst", "Mp", "All", "Lemma"]
 
@@ -67,36 +173,12 @@ class Lemma:
     name: str
 
 
-_KERNEL_TOKEN = object()
-
-
-class Theorem:
-    """Certified statement, as the kernel derived or matched it (so compare
-    it modulo α); constructible only through check_proof."""
-
-    __slots__ = ("statement", "logic")
-
-    def __init__(self, statement: Term, logic: Logic, *, _token=None):
-        if _token is not _KERNEL_TOKEN:
-            raise KernelPrivilege("theorems can only be minted by check_proof")
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "logic", logic)
-
-    def __setattr__(self, *_):
-        raise KernelPrivilege("theorems are immutable")
-
-    def __repr__(self):
-        return f"Theorem({self.statement!r}, logic={self.logic.name})"
-
-
 class TheoremDB:
-    """Append-only store of theorems keyed by name; lookup by statement is
-    modulo α-equivalence."""
+    """Append-only store of theorems by name, and the memo of the fold."""
 
     def __init__(self):
         self._by_name: dict[str, Theorem] = {}
-        self._by_form: dict[tuple, str] = {}
-        self._memo: dict[int, tuple] = {}  # id(node) -> (node, logic, statement)
+        self._memo: dict[int, tuple] = {}  # id(node) -> (node, logic, theorem)
 
     def add(self, name: str, thm: Theorem) -> None:
         if not isinstance(thm, Theorem):
@@ -104,132 +186,45 @@ class TheoremDB:
         if name in self._by_name:
             raise KernelPrivilege(f"theorem {name!r} already stored")
         self._by_name[name] = thm
-        self._by_form.setdefault(to_debruijn(thm.statement), name)
 
     def get(self, name: str) -> Theorem | None:
         return self._by_name.get(name)
-
-    def find(self, statement: Term) -> Theorem | None:
-        name = self._by_form.get(to_debruijn(statement))
-        return self._by_name.get(name) if name is not None else None
 
     def names(self):
         return tuple(self._by_name)
 
 
-def _wf(t: Term, logic: Logic, path) -> None:
-    try:
-        check_wellformed(t, logic.signature)
-    except TermError as e:
-        raise IllFormed(str(e), path) from e
-
-
-def _conclude(logic: Logic, target: Term | None, derived: Term,
-              mismatch: type, message: str, path) -> Term:
-    """A node's statement: its target, which must match what the rule
-    derived, or with no target the derived statement itself."""
-    if target is None:
-        _wf(derived, logic, path)
-        return derived
-    if not alpha_eq(target, derived):
-        raise mismatch(message, path)
-    return target
-
-
-def _check(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
-           memo: dict) -> Term:
+def _fold(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
+          memo: dict) -> Theorem:
+    """The theorem of node `p`: its rule applied to its premises' theorems."""
     hit = memo.get(id(p))
     if hit is not None and hit[0] is p and hit[1] is logic:
         return hit[2]
-    statement = _rule(logic, p, db, path, memo)
-    memo[id(p)] = (p, logic, statement)
-    return statement
-
-
-def _rule(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
-          memo: dict) -> Term:
-    if isinstance(p, Ax):
-        if isinstance(p.axiom, str):
-            t = logic.axiom(p.axiom)
-            if t is None:
-                raise NotAnAxiom(f"no axiom labelled {p.axiom!r}", path)
-            return t
-        _wf(p.axiom, logic, path)
-        for _, a in logic.axioms:
-            if alpha_eq(p.axiom, a):
-                return p.axiom
-        raise NotAnAxiom("term is not an axiom of this logic", path)
-
-    if isinstance(p, (Subst, Mp, All)) and p.target is not None:
-        _wf(p.target, logic, path)
-
-    if isinstance(p, Subst):
-        for (_, _), tmpl in p.sigma.items():
-            _wf(tmpl.body, logic, path)
-        s = _check(logic, p.sub, db, path + (0,), memo)
-        return _conclude(logic, p.target, apply_subst(p.sigma, s), SubstMismatch,
-                         "target is not α-equivalent to the substituted premise",
-                         path)
-
-    if isinstance(p, Mp):
-        h = _check(logic, p.sub_h, db, path + (0,), memo)
-        g = _check(logic, p.sub_g, db, path + (1,), memo)
-        if not (isinstance(g, Abs) and g.name == IMP and g.shape == BINOP_SHAPE):
-            raise NotAnImplication("second premise is not an implication", path)
-        h2, t2 = g.args
-        if not alpha_eq(h2, h):
-            raise MpMismatch("antecedent does not match the first premise", path)
-        return _conclude(logic, p.target, t2, MpMismatch,
-                         "consequent does not match the target", path)
-
-    if isinstance(p, All):
-        s = _check(logic, p.sub, db, path + (0,), memo)
-        return _conclude(logic, p.target, all_(p.binder, s), AllMismatch,
-                         "target is not (∀ x. premise)", path)
-
-    if isinstance(p, Lemma):
-        if db is None:
-            raise UnknownLemma(f"no theorem store to resolve {p.name!r}", path)
-        thm = db.get(p.name)
-        if thm is None:
-            raise UnknownLemma(f"no stored theorem named {p.name!r}", path)
-        if thm.logic is not logic and not is_extension(logic, thm.logic):
-            raise UnknownLemma(
-                f"theorem {p.name!r} was certified in {thm.logic.name}, which "
-                f"the current logic does not extend", path)
-        return thm.statement
-
-    raise ProofError(f"unknown proof node {type(p).__name__}", path)
+    sub = lambda i, q: _fold(logic, q, db, path + (i,), memo)
+    try:
+        if isinstance(p, Ax):
+            thm = axiom(logic, p.axiom)
+        elif isinstance(p, Subst):
+            thm = inst(sub(0, p.sub), p.sigma, p.target)
+        elif isinstance(p, Mp):
+            thm = mp(sub(0, p.sub_h), sub(1, p.sub_g), p.target)
+        elif isinstance(p, All):
+            thm = gen(sub(0, p.sub), p.binder, p.target)
+        elif isinstance(p, Lemma):
+            stored = db.get(p.name) if db is not None else None
+            if stored is None:
+                raise UnknownLemma(f"no stored theorem named {p.name!r}")
+            thm = lift(stored, logic)
+        else:
+            raise ProofError(f"unknown proof node {type(p).__name__}")
+    except ProofError as e:
+        e.path = e.path or path  # a premise's error already has its path
+        raise
+    memo[id(p)] = (p, logic, thm)
+    return thm
 
 
 def check_proof(logic: Logic, p: Proof, db: TheoremDB | None = None) -> Theorem:
-    """Certify a proof tree against a logic; returns the theorem it proves
-    or raises a ProofError locating the offending node."""
-    statement = _check(logic, p, db, (), db._memo if db is not None else {})
-    return Theorem(statement, logic, _token=_KERNEL_TOKEN)
-
-
-_FORALL_X = all_("x", v("x"))
-
-
-def inconsistency_expand(logic: Logic, p_forall: Proof, target: Term,
-                         db: TheoremDB | None = None) -> Proof:
-    """Given a proof of (∀x. x), build a proof of an arbitrary target:
-    instantiate D4 with [x. x], apply modus ponens to get the theorem x,
-    then substitute the target for x."""
-    if not is_extension(logic, builtin_logic("D")):
-        raise PreconditionFailed("logic does not extend deduction logic")
-    thm = check_proof(logic, p_forall, db)
-    if not alpha_eq(thm.statement, _FORALL_X):
-        raise PreconditionFailed("premise does not prove (∀x. x)")
-    try:
-        check_wellformed(target, logic.signature)
-    except TermError as e:
-        raise PreconditionFailed(str(e)) from e
-    x = v("x")
-    d4 = imp(all_("x", v("A", v("x"))), v("A", x))
-    d4_inst = Subst(imp(_FORALL_X, x),
-                    Substitution({("A", 1): Template(("x",), v("x"))}),
-                    Ax(d4))
-    theorem_x = Mp(x, p_forall, d4_inst)
-    return Subst(target, Substitution({("x", 0): Template((), target)}), theorem_x)
+    """The theorem a proof tree proves in `logic`, or a ProofError whose
+    path locates the offending node; a store checks each node once."""
+    return _fold(logic, p, db, (), db._memo if db is not None else {})

@@ -294,7 +294,8 @@ class TermParser:
                 raise ParseError(
                     f"{head.value} expects {d.shape.arity} arguments, got "
                     f"{len(args)}", head.line, head.col, "ArityMismatch")
-            return Abs(d.name, d.shape, binders, args)
+            with _placed(head):
+                return Abs(d.name, d.shape, binders, args)
         self.s.i = mark
         inner = self.term()
         self.s.expect(")")
@@ -352,8 +353,11 @@ def _print(t: Term, level: int, uni: bool) -> str:
         return f"{out_name}({inner})"
     if shape == BINDER_SHAPE:
         return f"({out_name} {t.binders[0]}. {_print(t.args[0], _LOOSEST, uni)})"
-    args = " ".join(_print(a, _ATOM, uni) for a in t.args)
-    return f"({out_name} {' '.join(t.binders)}. {args})"
+    args = [_print(a, _ATOM, uni) for a in t.args]
+    for i, a in enumerate(t.args[:-1]):
+        if isinstance(a, Abs) and not a.args:  # `c (` would read as a call
+            args[i] = f"({args[i]})"
+    return f"({out_name} {' '.join(t.binders)}. {' '.join(args)})"
 
 
 # --- theory files -------------------------------------------------------------
@@ -425,8 +429,9 @@ class TheoryFile:
 
 @contextmanager
 def _placed(tok: Token):
-    """Re-raise an error of the declaration named by `tok` (an unknown
-    logic, a bad shape, a duplicate abstraction) as a ParseError there."""
+    """Re-raise an error of the declaration or binding named by `tok` (an
+    unknown logic, a bad shape, a duplicate abstraction or binder) as a
+    ParseError there."""
     try:
         yield
     except AbslogError as e:
@@ -615,6 +620,7 @@ class TheoryParser:
 
     def _binding(self) -> tuple[tuple[str, int], Template]:
         """One `name[/arity] := template` entry of a substitution literal."""
+        name_tok = self.s.peek()
         name = self._ident("variable name")
         declared = None
         if self.s.accept("/"):
@@ -627,7 +633,8 @@ class TheoryParser:
             self.s.expect(".")
             body = self.terms.term()
             self.s.expect("]")
-            tmpl = Template(tuple(binders), body)
+            with _placed(name_tok):
+                tmpl = Template(tuple(binders), body)
         else:
             tmpl = Template((), self.terms.term())
         if declared is not None and declared != tmpl.arity:

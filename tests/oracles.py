@@ -4,15 +4,49 @@ Deliberately written with different algorithms than the package: alpha
 comparison walks both terms with explicit rename environments (no nameless
 encoding), substitution freshens every binder globally before doing plain
 textual replacement (no index shifting), the tokenizer matches each blank
-run on its own and counts columns as it goes, and the term parser spends
-one call per precedence level instead of climbing.
+run on its own and counts columns as it goes, the term parser spends one
+call per precedence level instead of climbing, the proof checker walks the
+tree with every rule written out inline instead of folding the kernel's
+rules, and model enumeration tries every table instead of searching.
 """
 from __future__ import annotations
 
 import itertools
 import re
+from itertools import product
 
-from abslog import Abs, Term, Var
+from abslog import (
+    AbstractionAlgebra,
+    Abs,
+    All,
+    Ax,
+    Lemma,
+    Mp,
+    OperatorImpl,
+    Subst,
+    Term,
+    Universe,
+    Var,
+    alpha_eq,
+    apply_subst,
+    check_wellformed,
+    is_extension,
+)
+from abslog.algebra import argument_keys
+from abslog.errors import (
+    AllMismatch,
+    ArityCapExceeded,
+    IllFormed,
+    MpMismatch,
+    NotAnAxiom,
+    NotAnImplication,
+    ProofError,
+    SubstMismatch,
+    TermError,
+    UnknownLemma,
+)
+from abslog.logics import IMP, all_
+from abslog.shape import BINOP_SHAPE
 from abslog.syntax import (
     _ATOM,
     _NOT,
@@ -184,3 +218,115 @@ def parse_term_oracle(text: str, sig) -> Term:
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
     return t
+
+
+# --- proof checking by walking the tree -----------------------------------------
+
+def check_proof_oracle(logic, p, db=None, memo=None) -> Term:
+    """The statement proof tree `p` proves in `logic`, or the ProofError of
+    the offending node, memoised on node identity in `memo` if given.  As
+    in the kernel, a node's premises are checked first and its target
+    last, after the rule's own checks."""
+    return _check(logic, p, db, (), {} if memo is None else memo)
+
+
+def _wf(t, logic, path):
+    try:
+        check_wellformed(t, logic.signature)
+    except TermError as e:
+        raise IllFormed(str(e), path) from e
+
+
+def _conclude(logic, target, derived, mismatch, message, path):
+    if target is None:
+        _wf(derived, logic, path)
+        return derived
+    _wf(target, logic, path)
+    if not alpha_eq(target, derived):
+        raise mismatch(message, path)
+    return target
+
+
+def _check(logic, p, db, path, memo):
+    hit = memo.get(id(p))
+    if hit is not None and hit[0] is p and hit[1] is logic:
+        return hit[2]
+    statement = _rule(logic, p, db, path, memo)
+    memo[id(p)] = (p, logic, statement)
+    return statement
+
+
+def _rule(logic, p, db, path, memo):
+    if isinstance(p, Ax):
+        if isinstance(p.axiom, str):
+            t = logic.axiom(p.axiom)
+            if t is None:
+                raise NotAnAxiom(f"no axiom labelled {p.axiom!r}", path)
+            return t
+        _wf(p.axiom, logic, path)
+        for _, a in logic.axioms:
+            if alpha_eq(p.axiom, a):
+                return p.axiom
+        raise NotAnAxiom("term is not an axiom of this logic", path)
+
+    if isinstance(p, Subst):
+        s = _check(logic, p.sub, db, path + (0,), memo)
+    elif isinstance(p, Mp):
+        h = _check(logic, p.sub_h, db, path + (0,), memo)
+        g = _check(logic, p.sub_g, db, path + (1,), memo)
+    elif isinstance(p, All):
+        s = _check(logic, p.sub, db, path + (0,), memo)
+
+    if isinstance(p, Subst):
+        for (_, _), tmpl in p.sigma.items():
+            _wf(tmpl.body, logic, path)
+        return _conclude(logic, p.target, apply_subst(p.sigma, s), SubstMismatch,
+                         "target is not α-equivalent to the substituted premise",
+                         path)
+
+    if isinstance(p, Mp):
+        if not (isinstance(g, Abs) and g.name == IMP and g.shape == BINOP_SHAPE):
+            raise NotAnImplication("second premise is not an implication", path)
+        h2, t2 = g.args
+        if not alpha_eq(h2, h):
+            raise MpMismatch("antecedent does not match the first premise", path)
+        return _conclude(logic, p.target, t2, MpMismatch,
+                         "consequent does not match the target", path)
+
+    if isinstance(p, All):
+        return _conclude(logic, p.target, all_(p.binder, s), AllMismatch,
+                         "target is not (∀ x. premise)", path)
+
+    if isinstance(p, Lemma):
+        thm = db.get(p.name) if db is not None else None
+        if thm is None:
+            raise UnknownLemma(f"no stored theorem named {p.name!r}", path)
+        if thm.logic is not logic and not is_extension(logic, thm.logic):
+            raise UnknownLemma(
+                f"the theorem was certified in {thm.logic.name}, which "
+                f"{logic.name} does not extend", path)
+        return thm.statement
+
+    raise ProofError(f"unknown proof node {type(p).__name__}", path)
+
+
+# --- every algebra over a signature ---------------------------------------------
+
+def enumerate_algebras(sig, size: int, limit: int = 10 ** 6):
+    """All abstraction algebras over sig with the given carrier size.
+    Only feasible for tiny signatures; guarded by a count limit."""
+    names = [str(i) for i in range(size)]
+    keyspaces = [tuple(argument_keys(size, d.shape)) for d in sig.decls]
+    total = 1
+    for keys in keyspaces:
+        total *= size ** len(keys)
+    if total > limit:
+        raise ArityCapExceeded(
+            f"enumeration of {total} algebras exceeds limit {limit}")
+    for assignment in product(*(product(range(size), repeat=len(keys))
+                                for keys in keyspaces)):
+        interp = {
+            d.name: OperatorImpl(d.shape, dict(zip(keys, values)))
+            for d, keys, values in zip(sig.decls, keyspaces, assignment)
+        }
+        yield AbstractionAlgebra(Universe(tuple(names)), sig, interp)

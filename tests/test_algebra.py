@@ -25,7 +25,7 @@ from abslog import (
     update_valuation,
     valuation_from_subst,
 )
-from abslog.algebra import all_tables, argument_keys, enumerate_algebras
+from abslog.algebra import all_tables, argument_keys
 from abslog.errors import (
     ArityCapExceeded,
     DuplicateName,
@@ -49,6 +49,7 @@ from abslog.logics import (
 
 from conftest import (random_algebra, random_signature, random_term,
                       random_valuation, size_cap)
+from oracles import enumerate_algebras
 
 BOOL = boolean_model()
 T, F = 0, 1

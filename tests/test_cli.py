@@ -56,8 +56,14 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     ("logic Q\n", "1:7: error: [UnknownLogic]"),
     ("logic D\nabstraction q (2; {0})\n", "2:13: error: [DegenerateShape]"),
     ("logic D\nabstraction q (1; {1})\n", "2:13: error: [IndexOutOfRange]"),
+    ("logic D\nabstraction q (2; {0, 1})\naxiom Q: (q x x. A)\n",
+     "3:11: error: [DuplicateBinder]"),
+    ("logic D\ntheorem t: true\nproof\n  s1: ax D1\n"
+     "  s2: subst s1 { A/2 := [x x. x] }\nqed\n",
+     "5:18: error: [DuplicateBinder]"),
 ], ids=["second-logic", "keyword-abstraction", "duplicate-abstraction",
-        "unknown-logic", "degenerate-shape", "index-out-of-range"])
+        "unknown-logic", "degenerate-shape", "index-out-of-range",
+        "repeated-binder", "repeated-template-parameter"])
 def test_bad_declaration_exit_two(tmp_path, capsys, text, where):
     path = tmp_path / "decl.al"
     path.write_text(text)

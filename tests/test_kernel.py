@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from abslog import (
     All,
     Ax,
     Lemma,
+    Logic,
     Mp,
     Subst,
     Substitution,
@@ -29,6 +32,7 @@ from abslog import (
 from abslog import kernel
 from abslog.errors import (
     AllMismatch,
+    IllFormed,
     KernelPrivilege,
     MpMismatch,
     NotAnAxiom,
@@ -39,6 +43,8 @@ from abslog.errors import (
     UnknownLemma,
 )
 from abslog.logics import IMP, TRUE, all_, const, eq, imp, neg, v
+
+from oracles import check_proof_oracle
 
 D = builtin_logic("D")
 K = builtin_logic("K")
@@ -106,7 +112,6 @@ def test_theorem_db():
     thm = check_proof(D, Ax("D1"))
     db.add("top", thm)
     assert db.get("top") is thm
-    assert db.find(TOP) is thm
     assert db.names() == ("top",)
     with pytest.raises(KernelPrivilege):
         db.add("fake", TOP)
@@ -153,6 +158,70 @@ def test_inconsistency_expand_preconditions():
         inconsistency_expand(bad, Ax("D1"), v("y"))  # premise proves the top
     with pytest.raises(PreconditionFailed):
         inconsistency_expand(bad, Ax("BAD"), const("nope"))  # ill-formed target
+
+
+# --- the rules, called directly --------------------------------------------------
+
+def test_rules_take_only_theorems():
+    class Fake:
+        statement, logic = TOP, D
+
+    d1 = kernel.axiom(D, "D1")
+    d2 = kernel.axiom(D, "D2")
+    for rule in (lambda t: kernel.inst(t, Substitution({})),
+                 lambda t: kernel.mp(t, d2), lambda t: kernel.mp(d1, t),
+                 lambda t: kernel.gen(t, "x"), lambda t: kernel.lift(t, K)):
+        for fake in (Fake(), TOP, None):
+            with pytest.raises(KernelPrivilege):
+                rule(fake)
+
+
+def test_mp_premises_share_one_logic():
+    h = kernel.axiom(D, "D1")
+    g = kernel.inst(kernel.axiom(K, "D2"), Substitution({("A", 0): TOP}))
+    with pytest.raises(MpMismatch):
+        kernel.mp(h, g)
+    thm = kernel.mp(kernel.lift(h, K), g)
+    assert thm.logic is K and alpha_eq(thm.statement, imp(v("B"), TOP))
+
+
+def test_lift_needs_an_extension():
+    top, em = kernel.axiom(D, "D1"), kernel.axiom(K, "K")
+    assert kernel.lift(top, D) is top
+    assert kernel.lift(top, K).logic is K
+    with pytest.raises(UnknownLemma):
+        kernel.lift(em, D)
+    with pytest.raises(UnknownLemma):
+        kernel.lift(top, Logic("bare", D.signature, ()))  # no D axioms
+
+
+def test_inst_checks_every_template():
+    nope = Substitution({("A", 0): const("nope")})
+    # A does not occur in D1, so only the template check can see it
+    with pytest.raises(IllFormed):
+        kernel.inst(kernel.axiom(D, "D1"), nope)
+    with pytest.raises(IllFormed):
+        kernel.inst(kernel.axiom(D, "D2"), nope, imp(TOP, imp(v("B"), TOP)))
+
+
+def test_only_the_rules_mint_theorems():
+    """Only the rules construct a Theorem or use the kernel's token, and
+    nothing below the untrusted line does either."""
+    source = Path(kernel.__file__).read_text(encoding="utf-8")
+    boundary = next(i for i, line in enumerate(source.splitlines(), 1)
+                    if line.startswith("# --- untrusted below"))
+    tree = ast.parse(source)
+    minting = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "_KERNEL_TOKEN"
+                    or isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Theorem"):
+                assert node.lineno < boundary, ast.dump(node)
+                minting.add(getattr(top, "name", "<module>"))
+    assert minting == {"<module>", "Theorem", "axiom", "inst", "mp", "gen", "lift"}
+    below = {getattr(top, "name", None) for top in tree.body if top.lineno > boundary}
+    assert {"check_proof", "_fold", "TheoremDB", "Ax", "Lemma"} <= below
 
 
 # --- the memoised fold -----------------------------------------------------------
@@ -305,25 +374,37 @@ def _random_step(rnd, nodes, seen):
     return lambda t: All(t, "x", nodes[i]), derived
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_kernel_mints_only_valid_statements(seed):
-    """Random proof DAGs over K with shared sub-proofs: whatever the kernel
-    certifies holds in the boolean model, and one shared theorem store
-    gives every node the outcome it has when checked alone."""
-    rnd = random.Random(seed)
+_TARGETS = {
+    "absent": lambda rnd, derived: None,
+    "derived": lambda rnd, derived: derived,
+    "wrong": lambda rnd, derived: _term(rnd),
+    "ill-formed": lambda rnd, derived: imp(_term(rnd), const("nope")),
+}
+
+
+def _random_dag(rnd, kinds):
+    """Proof nodes over K, each new one over earlier ones with a target of
+    a kind drawn from `kinds`, and the outcome of each checked alone."""
     nodes = [Ax(label) for label in ("D1", "D2", "D3")]
     nodes.append(Subst(None, Substitution({("A", 0): TOP}), nodes[1]))
     seen = [_outcome(p) for p in nodes]
     for _ in range(rnd.randint(6, 14)):
         node, derived = _random_step(rnd, nodes, seen)
         if not isinstance(node, Ax):
-            kind = rnd.choice(("absent", "absent", "derived", "wrong"))
-            node = node(_term(rnd) if kind == "wrong"
-                        else derived if kind == "derived" else None)
+            node = node(_TARGETS[rnd.choice(kinds)](rnd, derived))
         nodes.append(node)
         seen.append(_outcome(node))
+    return nodes, seen
 
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_kernel_mints_only_valid_statements(seed):
+    """Random proof DAGs over K with shared sub-proofs: whatever the kernel
+    certifies holds in the boolean model, and one shared theorem store
+    gives every node the outcome it has when checked alone."""
+    nodes, seen = _random_dag(random.Random(seed),
+                              ("absent", "absent", "derived", "wrong"))
     for t in seen:
         if _proved(t):
             assert check_model(BOOLEAN, [t], arity_cap=1).passed, t
@@ -335,3 +416,30 @@ def test_kernel_mints_only_valid_statements(seed):
                 assert _proved(shared) and alpha_eq(shared, seen[k])
             else:
                 assert shared == seen[k]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_fold_agrees_with_the_tree_walking_checker(seed):
+    """Random proof DAGs over K, all checked against one theorem store:
+    every node has the statement, or the error code, path and message,
+    that the tree-walking checker in tests/oracles.py gives it.  Some
+    targets are ill-formed, so the order of a node's checks shows."""
+    nodes, _ = _random_dag(random.Random(seed),
+                           ("absent", "derived", "wrong", "ill-formed"))
+
+    def outcome(check):
+        try:
+            return check()
+        except ProofError as e:
+            return (e.code, e.path, e.message)
+
+    db, memo = TheoremDB(), {}
+    for order in (range(len(nodes)), reversed(range(len(nodes)))):
+        for k in order:
+            got = outcome(lambda: check_proof(K, nodes[k], db))
+            want = outcome(lambda: check_proof_oracle(K, nodes[k], memo=memo))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.statement == want and got.logic is K

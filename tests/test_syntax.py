@@ -124,6 +124,11 @@ def test_function_style_application():
 
 
 def test_print_parse_roundtrip_random(rnd):
+    # a nullary abstraction before another argument: `c (h u. u)` is a call
+    g, c, h = make_shape(2, [(), (0, 1)]), make_shape(0, []), make_shape(1, [(0,)])
+    sig = signature([("g", g), ("c", c), ("h", h)])
+    t = Abs("g", g, ("z", "y"), (Abs("c", c), Abs("h", h, ("u",), (v("u"),))))
+    assert parse_term(print_term(t), sig) == t
     for _ in range(150):
         sig = random_signature(rnd)
         t = random_term(rnd, sig, depth=4)
@@ -161,6 +166,9 @@ def test_duplicate_axiom_label_rejected():
 
 
 _DEEP_PARENS = "(" * 400 + "A" + ")" * 400
+_REPEATED_BINDER = "logic D\nabstraction q (2; {0, 1})\naxiom Q: (q x x. A)\n"
+_REPEATED_PARAMETER = ("logic D\ntheorem t: true\nproof\n  s1: ax D1\n"
+                       "  s2: subst s1 { A/2 := [x x. x] }\nqed\n")
 
 
 @pytest.mark.parametrize("text, code, line, cols", [
@@ -173,8 +181,11 @@ _DEEP_PARENS = "(" * 400 + "A" + ")" * 400
     ("logic D\nabstraction q (1; {1})\n", "IndexOutOfRange", 2, [13]),
     # where the nesting runs out depends on the caller's stack depth
     ("logic D\naxiom Z: " + _DEEP_PARENS + "\n", "TooDeep", 2, range(10, 410)),
+    (_REPEATED_BINDER, "DuplicateBinder", 3, [11]),
+    (_REPEATED_PARAMETER, "DuplicateBinder", 5, [18]),
 ], ids=["second-logic", "keyword-abstraction", "duplicate-abstraction",
-        "unknown-logic", "degenerate-shape", "index-out-of-range", "too-deep"])
+        "unknown-logic", "degenerate-shape", "index-out-of-range", "too-deep",
+        "repeated-binder", "repeated-template-parameter"])
 def test_bad_declaration_rejected(text, code, line, cols):
     with pytest.raises(ParseError) as e:
         parse_theory(text)
