@@ -18,7 +18,6 @@ from .algebra import (
     find_models,
     is_logic_algebra,
     load_model,
-    update_valuation,
     valuation_from_subst,
 )
 from .driver import (

@@ -5,11 +5,16 @@ Universes are finite and carrier values are represented as indices
 by argument tuples where a binder-covered argument position carries the
 entry tuple of the argument operation.  Everything is then checkable by
 exhaustive enumeration.
+
+Evaluation reads the nameless form of term.py: a bound occurrence is an
+index into the values of the enclosing binders, and a free one is looked
+up in the valuation, so binder scope is never worked out here.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -46,7 +51,8 @@ from .logics import (
 )
 from .shape import Shape, Signature, is_logic_signature
 from .subst import Substitution, apply_subst
-from .term import Term, Var, check_wellformed, free_vars
+from .term import (DeBruijnTerm, Term, check_wellformed, encode, free_in,
+                   to_debruijn)
 
 
 @dataclass(frozen=True)
@@ -92,28 +98,24 @@ def constant_table(size: int, arity: int, value: int) -> OperationTable:
     return OperationTable(size, arity, (value,) * size ** arity)
 
 
-def argument_keys(size: int, shape: Shape) -> Iterator[tuple]:
+@cache
+def argument_keys(size: int, shape: Shape) -> tuple[tuple, ...]:
     """Every tuple of arguments a shape-compatible operator can receive:
     a value index for p_i = ∅, the entry tuple of a |p_i|-ary operation
-    otherwise."""
+    otherwise.  Memoised, so every table of one shape shares its keys."""
     spaces = []
     for p in shape.binder_sets:
         if not p:
             spaces.append(tuple(range(size)))
         else:
             spaces.append(tuple(product(range(size), repeat=size ** len(p))))
-    return product(*spaces)
+    return tuple(product(*spaces))
 
 
 @dataclass(frozen=True)
 class OperatorImpl:
     shape: Shape
     rule: Mapping[tuple, int]
-
-    def check_total(self, size: int) -> None:
-        for key in argument_keys(size, self.shape):
-            if key not in self.rule:
-                raise ArityMismatch(f"operator rule missing entry for {key}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,11 @@ class AbstractionAlgebra:
                 raise IllFormedTerm(
                     f"interpretation of {d.name!r} has shape {impl.shape}, "
                     f"declared {d.shape}")
-            impl.check_total(self.universe.size)
+            for key in argument_keys(self.size, d.shape):
+                if key not in impl.rule:
+                    raise MissingRow(
+                        f"table for {d.name} has no row for "
+                        f"{_show_key(key, self.universe.value_names)}")
 
     @property
     def size(self) -> int:
@@ -162,38 +168,31 @@ class Valuation:
         return table
 
 
-def update_valuation(nu: Valuation, bindings: Sequence[tuple[str, int]]) -> Valuation:
-    """nu[x0 := u0, ..., xk-1 := uk-1]: updated at arity 0 only."""
-    names = [x for x, _ in bindings]
-    if len(set(names)) != len(names):
-        raise DuplicateName(f"update binds {names} with repeats")
-    if not bindings:
-        return nu
-    overrides = dict(nu.overrides)
-    for x, u in bindings:
-        overrides[(x, 0)] = constant_table(nu.size, 0, u)
-    return Valuation(nu.size, overrides)
-
-
 def _eval(lookup: Callable[[str, tuple], int], size: int, nu: Valuation,
-          t: Term) -> int:
-    if isinstance(t, Var):
-        f = nu.get(t.name, t.arity)
-        return f.apply([_eval(lookup, size, nu, a) for a in t.args])
+          node: DeBruijnTerm, env: tuple[int, ...]) -> int:
+    """Value of a nameless term; env holds the values of the enclosing
+    binders, innermost last."""
+    tag = node[0]
+    if tag == "b":
+        return env[-1 - node[1]]
+    if tag == "v":
+        _, name, args = node
+        return nu.get(name, len(args)).apply(
+            [_eval(lookup, size, nu, a, env) for a in args])
+    _, name, shape, _, args = node
     key = []
-    for i, a in enumerate(t.args):
-        frame = t.frame(i)
-        key.append(_tabulate(lookup, size, nu, frame, a) if frame
-                   else _eval(lookup, size, nu, a))
-    return lookup(t.name, tuple(key))
+    for p, a in zip(shape.binder_sets, args):
+        key.append(_tabulate(lookup, size, nu, len(p), a, env) if p
+                   else _eval(lookup, size, nu, a, env))
+    return lookup(name, tuple(key))
 
 
 def _tabulate(lookup: Callable[[str, tuple], int], size: int, nu: Valuation,
-              binders: Sequence[str], body: Term) -> tuple[int, ...]:
-    """Entries of body as an operation of its binders, row-major over the
-    binder values (one entry when there are no binders)."""
-    return tuple(_eval(lookup, size, update_valuation(nu, list(zip(binders, us))), body)
-                 for us in product(range(size), repeat=len(binders)))
+              n: int, body: DeBruijnTerm, env: tuple[int, ...]) -> tuple[int, ...]:
+    """Entries of body as an operation of n more binders, row-major over
+    their values (one entry when n is 0)."""
+    return tuple(_eval(lookup, size, nu, body, env + us)
+                 for us in product(range(size), repeat=n))
 
 
 def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
@@ -203,7 +202,7 @@ def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
         check_wellformed(t, alg.signature)
     except TermError as e:
         raise IllFormedTerm(str(e)) from e
-    return _eval(alg.lookup, alg.size, nu, t)
+    return _eval(alg.lookup, alg.size, nu, to_debruijn(t), ())
 
 
 def valuation_from_subst(nu: Valuation, sigma: Substitution,
@@ -218,9 +217,9 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
             check_wellformed(tmpl.body, alg.signature)
         except TermError as e:
             raise IllFormedTemplate(str(e)) from e
+        body = encode(tmpl.body, [tmpl.binders])
         overrides[(name, arity)] = OperationTable(
-            alg.size, arity,
-            _tabulate(alg.lookup, alg.size, nu, tmpl.binders, tmpl.body))
+            alg.size, arity, _tabulate(alg.lookup, alg.size, nu, arity, body, ()))
     return Valuation(alg.size, overrides)
 
 
@@ -291,7 +290,8 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
     verdicts = []
     for label, axiom in zip(labels, axioms):
         check_wellformed(axiom, alg.signature)
-        fvs = sorted(free_vars(axiom))
+        node = to_debruijn(axiom)
+        fvs = sorted(free_in(node))
         for name, arity in fvs:
             if arity > arity_cap:
                 raise ArityCapExceeded(
@@ -299,7 +299,7 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
                     f"cap {arity_cap}")
         verdict = AxiomVerdict(label, axiom, True)
         for nu in _valuations(size, fvs):
-            value = _eval(alg.lookup, size, nu, axiom)
+            value = _eval(alg.lookup, size, nu, node, ())
             if value != top:
                 verdict = AxiomVerdict(
                     label, axiom, False,
@@ -392,13 +392,14 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
     for axiom in axioms:
         check_wellformed(axiom, sig)
         weight = _term_size(axiom)
-        for nu in _valuations(size, sorted(free_vars(axiom))):
-            instances.append((weight, axiom, nu))
+        node = to_debruijn(axiom)
+        for nu in _valuations(size, sorted(free_in(node))):
+            instances.append((weight, node, nu))
     instances.sort(key=lambda inst: inst[0])
     constraints = _logic_conditions(query, size, top)
-    for _, axiom, nu in instances:
+    for _, node, nu in instances:
         constraints.append(
-            lambda axiom=axiom, nu=nu: _eval(query, size, nu, axiom) == top)
+            lambda node=node, nu=nu: _eval(query, size, nu, node, ()) == top)
 
     found: list[dict] = []
 
@@ -543,12 +544,11 @@ def model_from_spec(model: str, carrier: Sequence[str],
                                   f"needs {len(sets)} argument(s)")
             rule[tuple(part(d.name, p, i, v)
                        for i, (p, v) in enumerate(zip(sets, key)))] = value(d.name, out)
-        for key in argument_keys(size, d.shape):
-            if key not in rule:
-                raise MissingRow(f"model {model}: table for {d.name} has no row "
-                                 f"for {_show_key(key, carrier)}")
         ops[d.name] = OperatorImpl(d.shape, rule)
-    return AbstractionAlgebra(Universe(tuple(carrier)), sig, ops)
+    try:
+        return AbstractionAlgebra(Universe(tuple(carrier)), sig, ops)
+    except MissingRow as e:
+        raise MissingRow(f"model {model}: {e}") from None
 
 
 def _show_key(key: tuple, names: Sequence[str]) -> str:

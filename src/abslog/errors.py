@@ -162,6 +162,12 @@ class UnknownLemma(ProofError):
     code = "UnknownLemma"
 
 
+class ProofTooDeep(ProofError):
+    """A proof tree deeper than the checker's bound, or terms too deep for
+    the recursion limit."""
+    code = "TooDeep"
+
+
 class KernelPrivilege(AbslogError):
     code = "KernelPrivilege"
 

@@ -20,6 +20,7 @@ from .errors import (
     NotAnAxiom,
     NotAnImplication,
     ProofError,
+    ProofTooDeep,
     SubstMismatch,
     TermError,
     UnknownLemma,
@@ -93,6 +94,10 @@ def axiom(logic: Logic, label_or_term: Term | str) -> Theorem:
 def inst(thm: Theorem, sigma: Substitution, target: Term | None = None) -> Theorem:
     """SUBST: the premise with every variable in `sigma` replaced."""
     logic = _premise(thm)
+    try:  # a copy, checked again: the caller's mapping may have changed
+        sigma = Substitution(sigma)
+    except TermError as e:
+        raise IllFormed(str(e)) from e
     for _, tmpl in sigma.items():
         _wf(tmpl.body, logic)
     return Theorem(_conclude(
@@ -194,22 +199,29 @@ class TheoremDB:
         return tuple(self._by_name)
 
 
+MAX_DEPTH = 500  # deepest proof-tree level _fold checks; a memo hit ends a branch
+
+
 def _fold(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
           memo: dict) -> Theorem:
     """The theorem of node `p`: its rule applied to its premises' theorems."""
     hit = memo.get(id(p))
     if hit is not None and hit[0] is p and hit[1] is logic:
         return hit[2]
-    sub = lambda i, q: _fold(logic, q, db, path + (i,), memo)
     try:
+        if len(path) >= MAX_DEPTH:
+            raise ProofTooDeep(f"the proof nests more than {MAX_DEPTH} levels deep")
         if isinstance(p, Ax):
             thm = axiom(logic, p.axiom)
         elif isinstance(p, Subst):
-            thm = inst(sub(0, p.sub), p.sigma, p.target)
+            thm = inst(_fold(logic, p.sub, db, path + (0,), memo),
+                       p.sigma, p.target)
         elif isinstance(p, Mp):
-            thm = mp(sub(0, p.sub_h), sub(1, p.sub_g), p.target)
+            thm = mp(_fold(logic, p.sub_h, db, path + (0,), memo),
+                     _fold(logic, p.sub_g, db, path + (1,), memo), p.target)
         elif isinstance(p, All):
-            thm = gen(sub(0, p.sub), p.binder, p.target)
+            thm = gen(_fold(logic, p.sub, db, path + (0,), memo),
+                      p.binder, p.target)
         elif isinstance(p, Lemma):
             stored = db.get(p.name) if db is not None else None
             if stored is None:
@@ -226,5 +238,9 @@ def _fold(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
 
 def check_proof(logic: Logic, p: Proof, db: TheoremDB | None = None) -> Theorem:
     """The theorem a proof tree proves in `logic`, or a ProofError whose
-    path locates the offending node; a store checks each node once."""
-    return _fold(logic, p, db, (), db._memo if db is not None else {})
+    path locates the offending node; a store checks each node once.  A
+    tree or term too deep to check is the ProofError `TooDeep`."""
+    try:
+        return _fold(logic, p, db, (), db._memo if db is not None else {})
+    except RecursionError:
+        raise ProofTooDeep("the proof or its terms nest too deeply to check") from None

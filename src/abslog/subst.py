@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, DuplicateBinder
-from .term import Abs, Term, Var, encode
+from .term import Abs, Term, Var, encode, free_in
 
 
 def fresh_var(avoid: Iterable[str], base: str) -> str:
@@ -120,19 +120,6 @@ def _subst_node(node: tuple, enc_sigma: dict) -> tuple:
     return ("A", name, shape, hints, tuple(_subst_node(a, enc_sigma) for a in args))
 
 
-def _free_names(node: tuple, out: set) -> None:
-    tag = node[0]
-    if tag in ("b", "s"):
-        return
-    if tag == "v":
-        out.add(node[1])
-        for a in node[2]:
-            _free_names(a, out)
-        return
-    for a in node[4]:
-        _free_names(a, out)
-
-
 def _decode(node: tuple, frames: list, path: frozenset) -> Term:
     tag = node[0]
     if tag == "b":
@@ -148,9 +135,7 @@ def _decode(node: tuple, frames: list, path: frozenset) -> Term:
     if tag == "v":
         return Var(node[1], tuple(_decode(a, frames, path) for a in node[2]))
     _, name, shape, hints, args = node
-    avoid = set()
-    _free_names(node, avoid)
-    avoid |= path
+    avoid = {x for x, _ in free_in(node)} | path
     chosen = []
     for j in range(shape.valence):
         nm = fresh_var(avoid, hints[j] if j < len(hints) else "x")

@@ -85,40 +85,12 @@ def check_wellformed(t: Term, sig: Signature) -> None:
         check_wellformed(a, sig)
 
 
-def free_vars(t: Term) -> frozenset[tuple[str, int]]:
-    """All (name, arity) pairs occurring free in t.
-
-    Only arity-0 occurrences can be bound, and only in argument positions
-    whose binder set covers them.
-    """
-    out: set[tuple[str, int]] = set()
-    _free(t, [], out)
-    return frozenset(out)
-
-
-def _free(t: Term, frames: list[tuple[str, ...]], out: set) -> None:
-    if isinstance(t, Var):
-        if t.arity == 0:
-            if not any(t.name in fr for fr in frames):
-                out.add((t.name, 0))
-        else:
-            out.add((t.name, t.arity))
-            for a in t.args:
-                _free(a, frames, out)
-    else:
-        for i, a in enumerate(t.args):
-            fr = t.frame(i)
-            if fr:
-                frames.append(fr)
-                _free(a, frames, out)
-                frames.pop()
-            else:
-                _free(a, frames, out)
-
-
 # --- nameless form ----------------------------------------------------------
 #
-# The one nameless (de Bruijn) encoding, as nested tuples:
+# The one nameless (de Bruijn) encoding, and `encode` the only code that
+# works out which binder an occurrence refers to.  α-equality, substitution
+# (subst.py), free variables and evaluation (algebra.py) all read this form.
+# As nested tuples:
 #   ("b", k)                         bound arity-0 occurrence, k counted from
 #                                    the innermost binder (within a frame,
 #                                    later binder indices are closer)
@@ -177,3 +149,19 @@ def encode(t: Term, frames: list[tuple[str, ...]], slots: tuple[str, ...] = (),
 
 def alpha_eq(s: Term, t: Term) -> bool:
     return s is t or to_debruijn(s) == to_debruijn(t)
+
+
+def free_vars(t: Term) -> frozenset[tuple[str, int]]:
+    """All (name, arity) pairs occurring free in t."""
+    return frozenset(free_in(encode(t, [])))
+
+
+def free_in(node: DeBruijnTerm, out: set | None = None) -> set[tuple[str, int]]:
+    """The (name, arity) of every ("v", name, args) node of a nameless term."""
+    out = set() if out is None else out
+    if node[0] == "v":
+        out.add((node[1], len(node[2])))
+    if node[0] in ("v", "A"):  # args come last in both
+        for a in node[-1]:
+            free_in(a, out)
+    return out

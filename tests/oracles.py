@@ -7,7 +7,10 @@ textual replacement (no index shifting), the tokenizer matches each blank
 run on its own and counts columns as it goes, the term parser spends one
 call per precedence level instead of climbing, the proof checker walks the
 tree with every rule written out inline instead of folding the kernel's
-rules, and model enumeration tries every table instead of searching.
+rules, evaluation and free variables follow binder names through the
+named term (a valuation updated for each binder value) instead of reading
+the nameless form, and model enumeration tries every table instead of
+searching.
 """
 from __future__ import annotations
 
@@ -25,7 +28,9 @@ from abslog import (
     OperatorImpl,
     Subst,
     Term,
+    OperationTable,
     Universe,
+    Valuation,
     Var,
     alpha_eq,
     apply_subst,
@@ -45,7 +50,7 @@ from abslog.errors import (
     TermError,
     UnknownLemma,
 )
-from abslog.logics import IMP, all_
+from abslog.logics import IMP, TRUE, all_
 from abslog.shape import BINOP_SHAPE
 from abslog.syntax import (
     _ATOM,
@@ -308,6 +313,76 @@ def _rule(logic, p, db, path, memo):
         return thm.statement
 
     raise ProofError(f"unknown proof node {type(p).__name__}", path)
+
+
+# --- free variables and evaluation by named scope ---------------------------------
+
+def _frame(t: Abs, i: int) -> tuple[str, ...]:
+    return tuple(t.binders[j] for j in t.shape.binder_sets[i])
+
+
+def free_vars_oracle(t: Term) -> frozenset:
+    out: set = set()
+    _free(t, [], out)
+    return frozenset(out)
+
+
+def _free(t, frames, out) -> None:
+    if isinstance(t, Var):
+        if t.arity == 0:
+            if not any(t.name in fr for fr in frames):
+                out.add((t.name, 0))
+        else:
+            out.add((t.name, t.arity))
+            for a in t.args:
+                _free(a, frames, out)
+        return
+    for i, a in enumerate(t.args):
+        _free(a, frames + [_frame(t, i)], out)
+
+
+def eval_oracle(alg, nu, t: Term) -> int:
+    """Value of t: a variable reads the valuation, and a binder-covered
+    argument is tabulated by updating the valuation at each binder."""
+    if isinstance(t, Var):
+        return nu.get(t.name, t.arity).apply([eval_oracle(alg, nu, a) for a in t.args])
+    key = []
+    for i, a in enumerate(t.args):
+        frame = _frame(t, i)
+        key.append(tabulate_oracle(alg, nu, frame, a) if frame
+                   else eval_oracle(alg, nu, a))
+    return alg.lookup(t.name, tuple(key))
+
+
+def tabulate_oracle(alg, nu, binders, body: Term) -> tuple:
+    """Entries of body as an operation of its binders, row-major."""
+    entries = []
+    for us in product(range(alg.size), repeat=len(binders)):
+        overrides = dict(nu.overrides)
+        for x, u in zip(binders, us):
+            overrides[(x, 0)] = OperationTable(alg.size, 0, (u,))
+        entries.append(eval_oracle(alg, Valuation(alg.size, overrides), body))
+    return tuple(entries)
+
+
+def check_model_oracle(alg, axioms) -> list[tuple]:
+    """(passed, failing valuation, value) per axiom, trying the tables of
+    the sorted free variables in row-major order."""
+    top = alg.value_of(TRUE)
+    out = []
+    for axiom in axioms:
+        fvs = sorted(free_vars_oracle(axiom))
+        verdict = (True, None, None)
+        spaces = [list(product(range(alg.size), repeat=alg.size ** n)) for _, n in fvs]
+        for choice in product(*spaces):
+            nu = Valuation(alg.size, {fv: OperationTable(alg.size, fv[1], e)
+                                      for fv, e in zip(fvs, choice)})
+            value = eval_oracle(alg, nu, axiom)
+            if value != top:
+                verdict = (False, tuple(zip(fvs, choice)), value)
+                break
+        out.append(verdict)
+    return out
 
 
 # --- every algebra over a signature ---------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from math import prod
 
 import pytest
 
@@ -22,13 +24,12 @@ from abslog import (
     is_logic_algebra,
     load_model,
     make_shape,
-    update_valuation,
     valuation_from_subst,
 )
 from abslog.algebra import all_tables, argument_keys
 from abslog.errors import (
     ArityCapExceeded,
-    DuplicateName,
+    MissingRow,
     IllFormedTerm,
     NotLogicSignature,
 )
@@ -47,9 +48,10 @@ from abslog.logics import (
     v,
 )
 
-from conftest import (random_algebra, random_signature, random_term,
-                      random_valuation, size_cap)
-from oracles import enumerate_algebras
+from conftest import (BINDER_POOL, random_algebra, random_signature,
+                      random_term, random_valuation, size_cap)
+from oracles import (check_model_oracle, enumerate_algebras, eval_oracle,
+                     free_vars_oracle, tabulate_oracle)
 
 BOOL = boolean_model()
 T, F = 0, 1
@@ -90,16 +92,6 @@ def test_eval_boolean_examples():
 def test_eval_requires_wellformed():
     with pytest.raises(IllFormedTerm):
         eval_term(BOOL, Valuation(2), const("nope"))
-
-
-def test_update_valuation():
-    nu = Valuation(2, {("x", 1): OperationTable(2, 1, (1, 1))})
-    nu2 = update_valuation(nu, [("x", 1)])
-    assert nu2.get("x", 0).apply(()) == 1
-    assert nu2.get("x", 1) is nu.get("x", 1)  # arity 1 untouched
-    assert update_valuation(nu, []) is nu
-    with pytest.raises(DuplicateName):
-        update_valuation(nu, [("x", 0), ("x", 1)])
 
 
 def test_valuation_from_subst():
@@ -252,3 +244,60 @@ def test_find_models_agrees_with_exhaustive_enumeration():
         assert all(check_model(m, axioms, arity_cap=1).passed for m in found)
         with_model += exists
     assert 0 < with_model < len(axiom_sets) - 2
+
+
+def _random_logic_algebra(rnd, sig, size):
+    """A random algebra over sig plus ⊤/⇒/∀ that is a logic algebra: ⊤ is
+    0, ⊤ ⇒ u is u, ∀ of the constant-⊤ operation is ⊤, the rest random."""
+    alg = random_algebra(rnd, SIG_D.extend(sig.decls), size)
+    interp = dict(alg.interp)
+    interp[TRUE] = OperatorImpl(interp[TRUE].shape, {(): 0})
+    interp[IMP] = OperatorImpl(interp[IMP].shape, {
+        (a, c): c if a == 0 else rnd.randrange(size) for a, c in interp[IMP].rule})
+    interp[ALL] = OperatorImpl(interp[ALL].shape, {
+        (f,): 0 if not any(f) else rnd.randrange(1, size) for (f,) in interp[ALL].rule})
+    return AbstractionAlgebra(alg.universe, alg.signature, interp)
+
+
+def test_evaluation_agrees_with_named_oracle():
+    # random terms over valence-2 shapes with overlapping binder sets, whose
+    # binders shadow one another and share names with free variables,
+    # against the named evaluator that updates a valuation per binder value
+    rnd = random.Random(8)
+    sizes, wide, shadowed = set(), 0, 0
+    for _ in range(120):
+        sig = random_signature(rnd)
+        size = size_cap(sig)
+        sizes.add(size)
+        wide += any(len(p) == 2 for d in sig.decls for p in d.shape.binder_sets)
+        alg = _random_logic_algebra(rnd, sig, size)
+        t = random_term(rnd, alg.signature, depth=4)
+        fvs = free_vars(t)
+        assert fvs == free_vars_oracle(t)
+        shadowed += any(x in BINDER_POOL for x, _ in fvs)
+        nu = random_valuation(rnd, size, fvs | {(x, 0) for x in BINDER_POOL})
+        assert eval_term(alg, nu, t) == eval_oracle(alg, nu, t), t
+        mapping = {}
+        for name, arity in sorted(fvs):
+            binders = tuple(rnd.sample(BINDER_POOL, arity))
+            mapping[(name, arity)] = Template(
+                binders, random_term(rnd, alg.signature, 3, binders))
+        nu_sigma = valuation_from_subst(nu, Substitution(mapping), alg)
+        for (name, arity), tmpl in mapping.items():
+            assert nu_sigma.get(name, arity).entries == tabulate_oracle(
+                alg, nu, tmpl.binders, tmpl.body), tmpl
+        axioms = [a for a in (t, *(tm.body for tm in mapping.values()))
+                  if prod(size ** size ** n for _, n in free_vars(a)) <= 3000]
+        report = check_model(alg, axioms)
+        assert [(v.passed, v.failing_valuation, v.value) for v in report.verdicts] \
+            == check_model_oracle(alg, axioms)
+    assert sizes == {2, 3} and wide > 10 and shadowed > 10
+
+
+def test_partial_operator_is_a_missing_row():
+    partial = dict(BOOL.interp)
+    rule = dict(BOOL.interp[IMP].rule)
+    del rule[(F, T)]
+    partial[IMP] = OperatorImpl(BOOL.interp[IMP].shape, rule)
+    with pytest.raises(MissingRow, match=re.escape(f"table for {IMP} has no row for (F, T)")):
+        AbstractionAlgebra(BOOL.universe, SIG_K, partial)

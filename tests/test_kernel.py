@@ -204,6 +204,32 @@ def test_inst_checks_every_template():
         kernel.inst(kernel.axiom(D, "D2"), nope, imp(TOP, imp(v("B"), TOP)))
 
 
+def test_inst_checks_its_substitution_again():
+    d4 = kernel.axiom(D, "D4")
+    # a Substitution whose public mapping was changed after it was built
+    sigma = Substitution({})
+    sigma.mapping[("A", 1)] = Template(("p", "q"), v("q"))
+    with pytest.raises(IllFormed, match="2 binders"):
+        kernel.inst(d4, sigma)
+    # a plain dict holding a bare term is normalised as apply_subst does
+    plain = kernel.inst(kernel.axiom(D, "D2"), {("A", 0): TOP})
+    assert plain.statement == kernel.inst(
+        kernel.axiom(D, "D2"), Substitution({("A", 0): TOP})).statement
+
+
+@pytest.mark.parametrize("levels, proves", [(450, True), (600, False)])
+def test_deep_proof_tree_is_a_named_error(levels, proves):
+    p = Ax("D1")
+    for _ in range(levels):
+        p = Subst(None, Substitution({("B", 0): TOP}), p)
+    if proves:
+        assert check_proof(D, p).statement == TOP
+        return
+    with pytest.raises(ProofError) as err:
+        check_proof(D, p)
+    assert err.value.code == "TooDeep" and len(err.value.path) == kernel.MAX_DEPTH
+
+
 def test_only_the_rules_mint_theorems():
     """Only the rules construct a Theorem or use the kernel's token, and
     nothing below the untrusted line does either."""
