@@ -163,8 +163,7 @@ class UnknownLemma(ProofError):
 
 
 class ProofTooDeep(ProofError):
-    """A proof tree deeper than the checker's bound, or terms too deep for
-    the recursion limit."""
+    """A proof tree too deep for the recursion limit."""
     code = "TooDeep"
 
 

@@ -94,10 +94,8 @@ def axiom(logic: Logic, label_or_term: Term | str) -> Theorem:
 def inst(thm: Theorem, sigma: Substitution, target: Term | None = None) -> Theorem:
     """SUBST: the premise with every variable in `sigma` replaced."""
     logic = _premise(thm)
-    try:  # a copy, checked again: the caller's mapping may have changed
+    if not isinstance(sigma, Substitution):
         sigma = Substitution(sigma)
-    except TermError as e:
-        raise IllFormed(str(e)) from e
     for _, tmpl in sigma.items():
         _wf(tmpl.body, logic)
     return Theorem(_conclude(
@@ -199,9 +197,6 @@ class TheoremDB:
         return tuple(self._by_name)
 
 
-MAX_DEPTH = 500  # deepest proof-tree level _fold checks; a memo hit ends a branch
-
-
 def _fold(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
           memo: dict) -> Theorem:
     """The theorem of node `p`: its rule applied to its premises' theorems."""
@@ -209,8 +204,6 @@ def _fold(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
     if hit is not None and hit[0] is p and hit[1] is logic:
         return hit[2]
     try:
-        if len(path) >= MAX_DEPTH:
-            raise ProofTooDeep(f"the proof nests more than {MAX_DEPTH} levels deep")
         if isinstance(p, Ax):
             thm = axiom(logic, p.axiom)
         elif isinstance(p, Subst):
@@ -239,8 +232,14 @@ def _fold(logic: Logic, p: Proof, db: TheoremDB | None, path: tuple,
 def check_proof(logic: Logic, p: Proof, db: TheoremDB | None = None) -> Theorem:
     """The theorem a proof tree proves in `logic`, or a ProofError whose
     path locates the offending node; a store checks each node once.  A
-    tree or term too deep to check is the ProofError `TooDeep`."""
+    tree too deep for the recursion limit is the ProofError `TooDeep`; a
+    term too deep for a rule still raises the rule's `RecursionError`."""
     try:
         return _fold(logic, p, db, (), db._memo if db is not None else {})
-    except RecursionError:
-        raise ProofTooDeep("the proof or its terms nest too deeply to check") from None
+    except RecursionError as e:
+        tb = e.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        if tb.tb_frame.f_code is not _fold.__code__:
+            raise  # raised inside a rule, by a term walker
+        raise ProofTooDeep("the proof nests too deeply to check") from None

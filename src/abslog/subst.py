@@ -10,6 +10,7 @@ clash, so byte-equal inputs give byte-equal outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, DuplicateBinder
@@ -40,7 +41,8 @@ class Template:
 
 
 class Substitution:
-    """Finite map from (name, arity) to a template of that arity."""
+    """Finite map from (name, arity) to a template of that arity, read-only
+    once built."""
 
     def __init__(self, mapping: Mapping[tuple[str, int], Template | Term]):
         out: dict[tuple[str, int], Template] = {}
@@ -51,7 +53,7 @@ class Substitution:
                 raise ArityMismatch(
                     f"template for ({name}, {arity}) has {tmpl.arity} binders")
             out[(name, arity)] = tmpl
-        self.mapping = out
+        self.mapping = MappingProxyType(out)
 
     def __contains__(self, key):
         return key in self.mapping
@@ -69,7 +71,7 @@ class Substitution:
         return isinstance(other, Substitution) and self.mapping == other.mapping
 
     def __repr__(self):
-        return f"Substitution({self.mapping!r})"
+        return f"Substitution({dict(self.mapping)!r})"
 
 
 def _lift(node: tuple, k: int, depth: int = 0) -> tuple:

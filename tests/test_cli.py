@@ -263,18 +263,23 @@ def test_model_for_resolution(tmp_path):
     ["eval", "{ok}", "--term", "true", "--model", "{broken}"],
     ["check", "{deep}"],
     ["model-check", "{deep}", "--model", "boolean"],
+    ["check", "{tall}"],
 ], ids=["check-dir", "check-not-utf8", "model-dir", "model-not-json",
         "model-not-utf8", "eval-model-not-json", "check-too-deep",
-        "model-too-deep"])
+        "model-too-deep", "check-too-deep-for-the-kernel"])
 def test_io_errors_exit_two(tmp_path, capsys, argv):
     files = {"dir": tmp_path / "a_dir", "latin1": tmp_path / "latin1.al",
              "ok": tmp_path / "ok.al", "broken": tmp_path / "broken.json",
-             "deep": tmp_path / "deep.al"}
+             "deep": tmp_path / "deep.al", "tall": tmp_path / "tall.al"}
     files["dir"].mkdir()
     files["latin1"].write_bytes(b"logic D\naxiom caf\xe9: true\n")
     files["ok"].write_text("logic D\n")
     files["broken"].write_text('{"carrier": ["T", "F"], ')
     files["deep"].write_text("logic D\naxiom Z: " + " -> ".join(["A"] * 1501) + "\n")
+    # parses, but its instance is too deep for the kernel's term walkers
+    files["tall"].write_text("logic D\naxiom Z: " + " -> ".join(["A"] * 700) + "\n"
+                             "theorem t: true\nproof\n  s1: ax Z\n"
+                             "  s2: subst s1 { A := true }\n  s3: ax D1\nqed\n")
     assert main([a.format(**files) for a in argv]) == 2
     err = capsys.readouterr().err
     if "deep" in argv[1]:
