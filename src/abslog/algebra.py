@@ -50,9 +50,8 @@ from .logics import (
     TRUE,
 )
 from .shape import Shape, Signature, is_logic_signature
-from .subst import Substitution, apply_subst
-from .term import (DeBruijnTerm, Term, check_wellformed, encode, free_in,
-                   to_debruijn)
+from .subst import Substitution, apply_subst, encode_template
+from .term import DeBruijnTerm, Term, check_wellformed, free_in, to_debruijn
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,23 @@ def constant_table(size: int, arity: int, value: int) -> OperationTable:
     return OperationTable(size, arity, (value,) * size ** arity)
 
 
+def _keys(size: int, binder_sets: tuple) -> Iterator[tuple]:
+    """The keys of argument_keys one at a time, in its order."""
+    if not binder_sets:
+        yield ()
+        return
+    p = binder_sets[0]
+    for part in product(range(size), repeat=size ** len(p)) if p else range(size):
+        for rest in _keys(size, binder_sets[1:]):
+            yield (part,) + rest
+
+
 @cache
 def argument_keys(size: int, shape: Shape) -> tuple[tuple, ...]:
     """Every tuple of arguments a shape-compatible operator can receive:
     a value index for p_i = ∅, the entry tuple of a |p_i|-ary operation
     otherwise.  Memoised, so every table of one shape shares its keys."""
-    spaces = []
-    for p in shape.binder_sets:
-        if not p:
-            spaces.append(tuple(range(size)))
-        else:
-            spaces.append(tuple(product(range(size), repeat=size ** len(p))))
-    return tuple(product(*spaces))
+    return tuple(_keys(size, shape.binder_sets))
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,9 @@ class AbstractionAlgebra:
                 raise IllFormedTerm(
                     f"interpretation of {d.name!r} has shape {impl.shape}, "
                     f"declared {d.shape}")
-            for key in argument_keys(self.size, d.shape):
+            # lazily: a table with a missing row may be far smaller than
+            # the key space
+            for key in _keys(self.size, d.shape.binder_sets):
                 if key not in impl.rule:
                     raise MissingRow(
                         f"table for {d.name} has no row for "
@@ -217,7 +223,7 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
             check_wellformed(tmpl.body, alg.signature)
         except TermError as e:
             raise IllFormedTemplate(str(e)) from e
-        body = encode(tmpl.body, [tmpl.binders])
+        body = encode_template(tmpl)
         overrides[(name, arity)] = OperationTable(
             alg.size, arity, _tabulate(alg.lookup, alg.size, nu, arity, body, ()))
     return Valuation(alg.size, overrides)

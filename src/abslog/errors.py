@@ -53,6 +53,12 @@ class DuplicateBinder(TermError):
     code = "DuplicateBinder"
 
 
+class BadSubstitution(TermError):
+    """A substitution key that is not a (name, arity) pair, or a template
+    body that is not a term."""
+    code = "BadSubstitution"
+
+
 # --- algebras ---
 
 class AlgebraError(AbslogError):

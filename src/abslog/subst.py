@@ -1,20 +1,22 @@
 """Templates, substitutions and capture-avoiding application.
 
 Substitution is implemented on the nameless form described in term.py,
-with binder names kept as hints and template parameters as slots.  Free
-variables stay named there, so inserting a template body under a binder
-can never capture anything.  The result is converted back to named syntax
-with a deterministic renaming scheme that keeps a hint unless it would
-clash, so byte-equal inputs give byte-equal outputs.
+with binder names kept as hints.  A template is encoded as its body under
+one outer frame of its parameters, so applying it is de Bruijn
+instantiation of that frame.  Free variables stay named there, so
+inserting a template body under a binder can never capture anything.  The
+result is converted back to named syntax with a deterministic renaming
+scheme that keeps a hint unless it would clash, so byte-equal inputs give
+byte-equal outputs.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
-from .errors import ArityMismatch, DuplicateBinder
-from .term import Abs, Term, Var, encode, free_in
+from .errors import ArityMismatch, BadSubstitution, DuplicateBinder
+from .term import Abs, DeBruijnTerm, Term, Var, encode, free_in
 
 
 def fresh_var(avoid: Iterable[str], base: str) -> str:
@@ -34,92 +36,87 @@ class Template:
     def __post_init__(self):
         if len(set(self.binders)) != len(self.binders):
             raise DuplicateBinder(f"template binders {self.binders} are not distinct")
+        if not isinstance(self.body, (Var, Abs)):
+            raise BadSubstitution(f"template body {self.body!r} is not a term")
 
     @property
     def arity(self) -> int:
         return len(self.binders)
 
 
-class Substitution:
+class Substitution(Mapping):
     """Finite map from (name, arity) to a template of that arity, read-only
     once built."""
 
     def __init__(self, mapping: Mapping[tuple[str, int], Template | Term]):
         out: dict[tuple[str, int], Template] = {}
-        for (name, arity), tmpl in mapping.items():
-            if not isinstance(tmpl, Template):
+        for key, tmpl in mapping.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and isinstance(key[0], str)
+                    and isinstance(key[1], int) and key[1] >= 0):
+                raise BadSubstitution(f"key {key!r} is not a (name, arity) pair")
+            if isinstance(tmpl, (Var, Abs)):
                 tmpl = Template((), tmpl)
-            if tmpl.arity != arity:
+            elif not isinstance(tmpl, Template):
+                raise BadSubstitution(f"{key!r} is mapped to {tmpl!r}, not a term")
+            if tmpl.arity != key[1]:
                 raise ArityMismatch(
-                    f"template for ({name}, {arity}) has {tmpl.arity} binders")
-            out[(name, arity)] = tmpl
+                    f"template for {key!r} has {tmpl.arity} binders")
+            out[key] = tmpl
         self.mapping = MappingProxyType(out)
-
-    def __contains__(self, key):
-        return key in self.mapping
 
     def __getitem__(self, key):
         return self.mapping[key]
 
-    def items(self):
-        return self.mapping.items()
+    def __iter__(self):
+        return iter(self.mapping)
 
     def __len__(self):
         return len(self.mapping)
-
-    def __eq__(self, other):
-        return isinstance(other, Substitution) and self.mapping == other.mapping
 
     def __repr__(self):
         return f"Substitution({dict(self.mapping)!r})"
 
 
-def _lift(node: tuple, k: int, depth: int = 0) -> tuple:
-    """Add k to every bound index that escapes `depth` enclosing binders."""
+def _rebuild(node: tuple, leaf: Callable[[tuple, int], tuple],
+             depth: int = 0) -> tuple:
+    """node with each "b" node, and each "v" node once its arguments are
+    rebuilt, replaced by leaf(node, depth), depth being the number of
+    binders between it and the root."""
     tag = node[0]
     if tag == "b":
-        j = node[1]
-        return ("b", j + k) if j >= depth else node
-    if tag == "s":
-        return node
+        return leaf(node, depth)
     if tag == "v":
-        return ("v", node[1], tuple(_lift(a, k, depth) for a in node[2]))
+        return leaf(("v", node[1], tuple(_rebuild(a, leaf, depth) for a in node[2])),
+                    depth)
     _, name, shape, hints, args = node
-    new_args = []
-    for i, a in enumerate(args):
-        new_args.append(_lift(a, k, depth + len(shape.binder_sets[i])))
-    return ("A", name, shape, hints, tuple(new_args))
+    return ("A", name, shape, hints, tuple(
+        _rebuild(a, leaf, depth + len(p)) for p, a in zip(shape.binder_sets, args)))
 
 
-def _instantiate(body: tuple, args: tuple, under: int = 0) -> tuple:
-    """Plug args into the slots of an encoded template body."""
-    tag = body[0]
-    if tag == "b":
-        return body
-    if tag == "s":
-        return _lift(args[body[1]], under)
-    if tag == "v":
-        return ("v", body[1], tuple(_instantiate(a, args, under) for a in body[2]))
-    _, name, shape, hints, sub = body
-    new_args = []
-    for i, a in enumerate(sub):
-        new_args.append(_instantiate(a, args, under + len(shape.binder_sets[i])))
-    return ("A", name, shape, hints, tuple(new_args))
+def _lift(node: tuple, k: int) -> tuple:
+    """Add k to every bound index that escapes node."""
+    return node if not k else _rebuild(node, lambda n, depth: (
+        ("b", n[1] + k) if n[0] == "b" and n[1] >= depth else n))
+
+
+def _instantiate(body: tuple, args: tuple) -> tuple:
+    """Plug args into the outer frame of an encoded template body: under
+    `depth` binders of the body, index k >= depth is parameter
+    n-1-(k-depth)."""
+    n = len(args)
+    return _rebuild(body, lambda node, depth: (
+        _lift(args[n - 1 - (node[1] - depth)], depth)
+        if node[0] == "b" and node[1] >= depth else node))
 
 
 def _subst_node(node: tuple, enc_sigma: dict) -> tuple:
-    tag = node[0]
-    if tag in ("b", "s"):
-        return node
-    if tag == "v":
-        _, name, args = node
-        new_args = tuple(_subst_node(a, enc_sigma) for a in args)
-        key = (name, len(args))
-        if key in enc_sigma:
-            return _instantiate(enc_sigma[key], new_args)
-        return ("v", name, new_args)
-    _, name, shape, hints, args = node
-    return ("A", name, shape, hints, tuple(_subst_node(a, enc_sigma) for a in args))
+    """node with each variable in enc_sigma's domain replaced by its
+    encoded template, instantiated at the occurrence's arguments."""
+    def leaf(node: tuple, depth: int) -> tuple:
+        body = enc_sigma.get((node[1], len(node[2]))) if node[0] == "v" else None
+        return node if body is None else _instantiate(body, node[2])
+    return _rebuild(node, leaf)
 
 
 def _decode(node: tuple, frames: list, path: frozenset) -> Term:
@@ -132,35 +129,32 @@ def _decode(node: tuple, frames: list, path: frozenset) -> Term:
                     return Var(b)
                 idx -= 1
         raise AssertionError("dangling de Bruijn index")
-    if tag == "s":
-        raise AssertionError("unresolved template slot")
     if tag == "v":
         return Var(node[1], tuple(_decode(a, frames, path) for a in node[2]))
     _, name, shape, hints, args = node
-    avoid = {x for x, _ in free_in(node)} | path
     chosen = []
-    for j in range(shape.valence):
-        nm = fresh_var(avoid, hints[j] if j < len(hints) else "x")
-        avoid.add(nm)
-        chosen.append(nm)
-    inner_path = path | set(chosen)
+    if shape.valence:
+        avoid = {x for x, _ in free_in(node)} | path
+        for j in range(shape.valence):
+            nm = fresh_var(avoid, hints[j] if j < len(hints) else "x")
+            avoid.add(nm)
+            chosen.append(nm)
+        path = path | set(chosen)
     new_args = []
     for i, a in enumerate(args):
         fr = tuple(chosen[j] for j in shape.binder_sets[i])
         if fr:
             frames.append(fr)
-            new_args.append(_decode(a, frames, inner_path))
+            new_args.append(_decode(a, frames, path))
             frames.pop()
         else:
-            new_args.append(_decode(a, frames, inner_path))
+            new_args.append(_decode(a, frames, path))
     return Abs(name, shape, tuple(chosen), tuple(new_args))
 
 
-def _encode_sigma(sigma: Substitution) -> dict:
-    return {
-        key: encode(tmpl.body, [], tmpl.binders)
-        for key, tmpl in sigma.items()
-    }
+def encode_template(tmpl: Template) -> DeBruijnTerm:
+    """Nameless form of tmpl: its body under one frame of its parameters."""
+    return encode(tmpl.body, [tmpl.binders])
 
 
 def apply_subst(sigma: Substitution | Mapping, t: Term) -> Term:
@@ -168,7 +162,8 @@ def apply_subst(sigma: Substitution | Mapping, t: Term) -> Term:
     of the α-class of the substituted term."""
     if not isinstance(sigma, Substitution):
         sigma = Substitution(sigma)
-    node = _subst_node(encode(t, [], ()), _encode_sigma(sigma))
+    node = _subst_node(encode(t, []),
+                       {key: encode_template(tmpl) for key, tmpl in sigma.items()})
     return _decode(node, [], frozenset())
 
 
@@ -177,13 +172,11 @@ def resolve_template(tmpl: Template, args: list[Term] | tuple[Term, ...]) -> Ter
     if len(args) != tmpl.arity:
         raise ArityMismatch(
             f"template of arity {tmpl.arity} applied to {len(args)} arguments")
-    node = _instantiate(
-        encode(tmpl.body, [], tmpl.binders),
-        tuple(encode(a, [], ()) for a in args))
+    node = _instantiate(encode_template(tmpl), tuple(encode(a, []) for a in args))
     return _decode(node, [], frozenset())
 
 
 def canonical(t: Term) -> Term:
     """Deterministic representative of t's α-class (binder hints kept when
     no renaming is forced)."""
-    return _decode(encode(t, [], ()), [], frozenset())
+    return _decode(encode(t, []), [], frozenset())

@@ -90,15 +90,18 @@ def check_wellformed(t: Term, sig: Signature) -> None:
 # The one nameless (de Bruijn) encoding, and `encode` the only code that
 # works out which binder an occurrence refers to.  α-equality, substitution
 # (subst.py), free variables and evaluation (algebra.py) all read this form.
-# As nested tuples:
+# As nested tuples, of three kinds:
 #   ("b", k)                         bound arity-0 occurrence, k counted from
 #                                    the innermost binder (within a frame,
 #                                    later binder indices are closer)
-#   ("s", i)                         template parameter i (used by subst.py)
 #   ("v", name, args)                free occurrence, args encoded
 #                                    recursively; its arity is len(args)
 #   ("A", name, shape, hints, args)  abstraction application; hints are the
 #                                    binder names, or () when left out
+#
+# A template [x0 ... xn-1. t] is its body encoded under one outer frame of
+# its parameters, so parameter i is the bound index n-1-i wherever no
+# binder of t encloses it.
 #
 # With the hints left out, two terms are α-equivalent iff their encodings
 # are equal.  Substitution keeps them, so that decoding back to named syntax
@@ -108,7 +111,7 @@ DeBruijnTerm = tuple
 
 
 def to_debruijn(t: Term) -> DeBruijnTerm:
-    return encode(t, [], (), False)
+    return encode(t, [], False)
 
 
 def _lookup(name: str, frames: list[tuple[str, ...]]) -> int | None:
@@ -121,29 +124,26 @@ def _lookup(name: str, frames: list[tuple[str, ...]]) -> int | None:
     return None
 
 
-def encode(t: Term, frames: list[tuple[str, ...]], slots: tuple[str, ...] = (),
+def encode(t: Term, frames: list[tuple[str, ...]],
            hints: bool = True) -> DeBruijnTerm:
     """Nameless form of t under the binder frames in scope (outermost
-    first).  Unbound arity-0 variables named in slots become ("s", i);
-    hints=False leaves the binder names out."""
+    first); hints=False leaves the binder names out."""
     if isinstance(t, Var):
         if t.arity == 0:
             k = _lookup(t.name, frames)
             if k is not None:
                 return ("b", k)
-            if t.name in slots:
-                return ("s", slots.index(t.name))
             return ("v", t.name, ())
-        return ("v", t.name, tuple(encode(a, frames, slots, hints) for a in t.args))
+        return ("v", t.name, tuple(encode(a, frames, hints) for a in t.args))
     args = []
     for i, a in enumerate(t.args):
         fr = t.frame(i)
         if fr:
             frames.append(fr)
-            args.append(encode(a, frames, slots, hints))
+            args.append(encode(a, frames, hints))
             frames.pop()
         else:
-            args.append(encode(a, frames, slots, hints))
+            args.append(encode(a, frames, hints))
     return ("A", t.name, t.shape, t.binders if hints else (), tuple(args))
 
 
@@ -161,7 +161,7 @@ def free_in(node: DeBruijnTerm, out: set | None = None) -> set[tuple[str, int]]:
     out = set() if out is None else out
     if node[0] == "v":
         out.add((node[1], len(node[2])))
-    if node[0] in ("v", "A"):  # args come last in both
+    if node[0] != "b":  # args come last in "v" and "A" nodes
         for a in node[-1]:
             free_in(a, out)
     return out

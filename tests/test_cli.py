@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -361,3 +362,21 @@ def test_malformed_model_is_a_named_error(tmp_path, capsys, case):
         assert main(["model-check", str(theory), "--model", spec]) == 2
         err = capsys.readouterr().err
         assert f"[{error.code}]" in err and "Traceback" not in err
+
+
+def test_missing_row_in_a_wide_table_is_found_at_once(tmp_path, capsys):
+    # ∀ over 9 values has 9^9 argument keys; the totality check must stop
+    # at the first missing row instead of listing them all
+    carrier = [f"v{i}" for i in range(9)]
+    imp = [["v1" if a == "v0" and b != "v0" else "v0" for b in carrier]
+           for a in carrier]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"carrier": carrier, "interp": {"true": "v0", "imp": imp, "all": {}}}))
+    theory = tmp_path / "theory.al"
+    theory.write_text("logic D\n")
+    start = time.perf_counter()
+    assert main(["model-check", str(theory), "--model", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "[MissingRow]" in err and "table for ∀" in err

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from abslog import kernel
 from abslog import (
     Abs,
     Substitution,
@@ -14,8 +17,8 @@ from abslog import (
     resolve_template,
     signature,
 )
-from abslog.errors import ArityMismatch, DuplicateBinder
-from abslog.logics import SIG_K, all_, eq, imp, v
+from abslog.errors import ArityMismatch, BadSubstitution, DuplicateBinder
+from abslog.logics import SIG_K, all_, builtin_logic, eq, imp, v
 
 from conftest import random_signature, random_substitution, random_term
 from oracles import alpha_oracle, rename_binders, subst_oracle
@@ -39,6 +42,27 @@ def test_template_invariants():
         Template(("u", "u"), v("u"))
     with pytest.raises(ArityMismatch):
         Substitution({("A", 2): Template(("u",), v("u"))})
+
+
+@pytest.mark.parametrize("mapping", [
+    {("A", 0): 5},
+    {"A": None},
+    {("A", 0): "x"},
+    {(1, 0): v("x")},
+    {("A", -1): v("x")},
+    {("A", 0, 0): v("x")},
+], ids=["int-body", "bare-name-key", "str-body", "int-name", "negative-arity",
+        "triple-key"])
+def test_malformed_substitution_is_a_named_error(mapping):
+    (key,) = mapping
+    d2 = kernel.axiom(builtin_logic("D"), "D2")
+    for use in (Substitution,
+                lambda m: apply_subst(m, v("A")),
+                lambda m: kernel.inst(d2, m)):
+        with pytest.raises(BadSubstitution, match=re.escape(repr(key))):
+            use(mapping)
+    with pytest.raises(BadSubstitution):
+        Template(("x",), 5)
 
 
 def test_capture_avoidance_renames_binder():
