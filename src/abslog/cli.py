@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .algebra import Valuation, check_model, constant_table, eval_term
 from .driver import check_theory, model_for
@@ -147,9 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:

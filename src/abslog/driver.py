@@ -31,7 +31,7 @@ from .syntax import (
     TheoremBlock,
     TheoryFile,
 )
-from .term import Term, alpha_eq, check_wellformed
+from .term import Term, alpha_eq, check_wellformed, encode, same_class
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def check_theorem(logic: Logic, block: TheoremBlock,
         trees[step.name] = node
     if thm is None:
         return _failed(block, block, "empty proof", "EmptyProof")
-    if not alpha_eq(thm.statement, block.statement):
+    if not same_class(thm.node, encode(block.statement, [])):
         return _failed(block, block, "final step does not prove the stated "
                        "theorem", "ConclusionMismatch")
     db.add(block.name, thm)

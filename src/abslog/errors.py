@@ -53,6 +53,12 @@ class DuplicateBinder(TermError):
     code = "DuplicateBinder"
 
 
+class MalformedTerm(TermError):
+    """A variable name or binder that is not a non-empty string, or an
+    argument that is not a term."""
+    code = "MalformedTerm"
+
+
 class BadSubstitution(TermError):
     """A substitution key that is not a (name, arity) pair, or a template
     body that is not a term."""

@@ -2,6 +2,14 @@
 `Theorem`, and each takes theorems.  `axiom` is AX, `inst` SUBST, `mp` MP
 and `gen` ALL; `lift` carries a theorem into a logic that extends its own.
 
+A theorem carries `node`, the nameless form of its statement with binder
+names as hints (term.py), and the rules work on that form: SUBST
+substitutes into it, MP takes it apart and ALL binds it, and a premise or
+a target matches modulo α when the forms agree with their hints left out.
+The named statement is built only when someone reads it: a target as
+given, an axiom as written, a part or a ∀ of the premise's statement, or
+for SUBST the node decoded, its binders renamed only where they clash.
+
 Soundness rests on the code above the untrusted line alone.  Below it,
 `check_proof` folds the rules over a proof tree, premises first, and
 memoises each node's theorem in the `TheoremDB`: a bug there can fail a
@@ -10,7 +18,7 @@ good proof, or hand back a theorem that a rule minted, never more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import (
     AllMismatch,
@@ -25,25 +33,37 @@ from .errors import (
     TermError,
     UnknownLemma,
 )
-from .logics import IMP, Logic, all_, is_extension
-from .shape import BINOP_SHAPE
-from .subst import Substitution, apply_subst
-from .term import Abs, Term, alpha_eq, check_wellformed
+from .logics import ALL, IMP, Logic, all_, is_extension
+from .shape import BINDER_SHAPE, BINOP_SHAPE
+from .subst import Substitution, _bind, _named, _settle, _subst_node, encode_template
+from .term import DeBruijnTerm, Term, alpha_eq, check_wellformed, encode, same_class
 
 _KERNEL_TOKEN = object()
 
 
 class Theorem:
     """A statement proved in `logic`, as the rule that minted it derived or
-    matched it (so compare it modulo α)."""
+    matched it (so compare it modulo α), and `node`, exactly
+    `encode(statement, [])`.  A rule that has the node but not the
+    statement passes a function that builds it on first read."""
 
-    __slots__ = ("statement", "logic")
+    __slots__ = ("_statement", "logic", "node")
 
-    def __init__(self, statement: Term, logic: Logic, *, _token=None):
+    def __init__(self, statement: Term | Callable[[], Term], logic: Logic,
+                 node: DeBruijnTerm | None = None, *, _token=None):
         if _token is not _KERNEL_TOKEN:
             raise KernelPrivilege("theorems can only be minted by the kernel rules")
-        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "_statement", statement)
         object.__setattr__(self, "logic", logic)
+        object.__setattr__(self, "node", encode(statement, []) if node is None else node)
+
+    @property
+    def statement(self) -> Term:
+        s = self._statement
+        if callable(s):  # built on first read
+            s = s()
+            object.__setattr__(self, "_statement", s)
+        return s
 
     def __setattr__(self, *_):
         raise KernelPrivilege("theorems are immutable")
@@ -66,15 +86,19 @@ def _premise(thm: Theorem) -> Logic:
     return thm.logic
 
 
-def _conclude(logic: Logic, target: Term | None, derived: Term,
-              mismatch: type, message: str) -> Term:
-    """A rule's conclusion, once its own checks passed: the target, which
-    must be well-formed and match what the rule derived modulo α, or with
-    no target the derived statement itself."""
-    _wf(derived if target is None else target, logic)
-    if target is not None and not alpha_eq(target, derived):
+def _match(logic: Logic, target: Term, derived: DeBruijnTerm,
+           mismatch: type, message: str) -> DeBruijnTerm:
+    """The nameless form of a target that matches what a rule derived
+    modulo α.  A derived statement is well-formed, so only a target that
+    does not match is checked, to tell an ill-formed one from a wrong one."""
+    try:
+        node = encode(target, [])
+    except TermError:  # an argument that is not a term
+        node = None
+    if node is None or not same_class(node, derived):
+        _wf(target, logic)
         raise mismatch(message)
-    return derived if target is None else target
+    return node
 
 
 def axiom(logic: Logic, label_or_term: Term | str) -> Theorem:
@@ -96,12 +120,18 @@ def inst(thm: Theorem, sigma: Substitution, target: Term | None = None) -> Theor
     logic = _premise(thm)
     if not isinstance(sigma, Substitution):
         sigma = Substitution(sigma)
-    for _, tmpl in sigma.items():
+    bodies = {}
+    for key, tmpl in sigma.items():
         _wf(tmpl.body, logic)
-    return Theorem(_conclude(
-        logic, target, apply_subst(sigma, thm.statement), SubstMismatch,
-        "target is not α-equivalent to the substituted premise"),
-        logic, _token=_KERNEL_TOKEN)
+        bodies[key] = encode_template(tmpl)
+    node = _subst_node(thm.node, bodies)
+    if target is not None:
+        return Theorem(target, logic, _match(
+            logic, target, node, SubstMismatch,
+            "target is not α-equivalent to the substituted premise"),
+            _token=_KERNEL_TOKEN)
+    node = _settle(node)
+    return Theorem(lambda: _named(node, []), logic, node, _token=_KERNEL_TOKEN)
 
 
 def mp(h: Theorem, g: Theorem, target: Term | None = None) -> Theorem:
@@ -109,23 +139,32 @@ def mp(h: Theorem, g: Theorem, target: Term | None = None) -> Theorem:
     logic = _premise(h)
     if _premise(g) is not logic:
         raise MpMismatch("premises come from different logics")
-    s = g.statement
-    if not (isinstance(s, Abs) and s.name == IMP and s.shape == BINOP_SHAPE):
+    s = g.node
+    if not (s[0] == "A" and s[1] == IMP and s[2] == BINOP_SHAPE):
         raise NotAnImplication("second premise is not an implication")
-    antecedent, consequent = s.args
-    if not alpha_eq(antecedent, h.statement):
+    antecedent, consequent = s[4]
+    if not same_class(antecedent, h.node):
         raise MpMismatch("antecedent does not match the first premise")
-    return Theorem(_conclude(logic, target, consequent, MpMismatch,
-                             "consequent does not match the target"),
-                   logic, _token=_KERNEL_TOKEN)
+    if target is not None:
+        return Theorem(target, logic, _match(
+            logic, target, consequent, MpMismatch,
+            "consequent does not match the target"), _token=_KERNEL_TOKEN)
+    return Theorem(lambda: g.statement.args[1], logic, consequent,
+                   _token=_KERNEL_TOKEN)
 
 
 def gen(thm: Theorem, binder: str, target: Term | None = None) -> Theorem:
     """ALL: from t, (∀ binder. t)."""
     logic = _premise(thm)
-    return Theorem(_conclude(logic, target, all_(binder, thm.statement),
-                             AllMismatch, "target is not (∀ x. premise)"),
-                   logic, _token=_KERNEL_TOKEN)
+    if not (isinstance(binder, str) and binder):
+        raise IllFormed(f"binder {binder!r} is not a name")
+    node = ("A", ALL, BINDER_SHAPE, (binder,), (_bind(thm.node, binder),))
+    if target is not None:
+        return Theorem(target, logic, _match(
+            logic, target, node, AllMismatch, "target is not (∀ x. premise)"),
+            _token=_KERNEL_TOKEN)
+    return Theorem(lambda: all_(binder, thm.statement), logic, node,
+                   _token=_KERNEL_TOKEN)
 
 
 def lift(thm: Theorem, logic: Logic) -> Theorem:
@@ -135,7 +174,7 @@ def lift(thm: Theorem, logic: Logic) -> Theorem:
     if not is_extension(logic, thm.logic):
         raise UnknownLemma(f"the theorem was certified in {thm.logic.name}, "
                            f"which {logic.name} does not extend")
-    return Theorem(thm.statement, logic, _token=_KERNEL_TOKEN)
+    return Theorem(lambda: thm.statement, logic, thm.node, _token=_KERNEL_TOKEN)
 
 
 # --- untrusted below: proof trees, the theorem store and the fold -------------

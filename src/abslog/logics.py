@@ -5,10 +5,10 @@ accepts ASCII aliases (see the syntax module).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import UnknownLogic
+from .errors import NotLogicSignature, UnknownLogic
 from .shape import (
     BINDER_SHAPE,
     BINOP_SHAPE,
@@ -86,9 +86,16 @@ class Logic:
     name: str
     signature: Signature
     axioms: tuple[tuple[str, Term], ...]  # (label, term), order fixed
+    # is_extension's verdicts with self as the child: id(parent) -> (parent,
+    # verdict), the entry keeping parent, and so its id, alive
+    _extends: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        assert is_logic_signature(self.signature)
+        if not is_logic_signature(self.signature):
+            # the kernel's ALL builds ∀ nodes on this
+            raise NotLogicSignature(
+                f"logic {self.name!r}: signature lacks ⊤/⇒/∀ with their required shapes")
         for _, a in self.axioms:
             check_wellformed(a, self.signature)
 
@@ -262,8 +269,13 @@ BUILTIN_NAMES = ("D", "E", "F", "I", "K", "P", "U", "U'")
 
 def is_extension(child: Logic, parent: Logic) -> bool:
     """True iff child's signature extends parent's and every parent axiom
-    appears among child's axioms modulo α-equivalence."""
-    if not extends_signature(child.signature, parent.signature):
-        return False
+    appears among child's axioms modulo α-equivalence.  The verdict is kept
+    on child for as long as both logics live."""
+    hit = child._extends.get(id(parent))
+    if hit is not None:
+        return hit[1]
     child_terms = child.axiom_terms
-    return all(any(alpha_eq(a, c) for c in child_terms) for a in parent.axiom_terms)
+    verdict = extends_signature(child.signature, parent.signature) and all(
+        any(alpha_eq(a, c) for c in child_terms) for a in parent.axiom_terms)
+    child._extends[id(parent)] = (parent, verdict)
+    return verdict

@@ -5,9 +5,10 @@ with binder names kept as hints.  A template is encoded as its body under
 one outer frame of its parameters, so applying it is de Bruijn
 instantiation of that frame.  Free variables stay named there, so
 inserting a template body under a binder can never capture anything.  The
-result is converted back to named syntax with a deterministic renaming
-scheme that keeps a hint unless it would clash, so byte-equal inputs give
-byte-equal outputs.
+result is converted back to named syntax in two steps: `_settle` gives
+each binder its name, the hint unless it would clash, so byte-equal
+inputs give byte-equal outputs, and `_named` builds the term.  The kernel
+keeps settled nodes and builds a term only when a statement is read.
 """
 from __future__ import annotations
 
@@ -119,7 +120,38 @@ def _subst_node(node: tuple, enc_sigma: dict) -> tuple:
     return _rebuild(node, leaf)
 
 
-def _decode(node: tuple, frames: list, path: frozenset) -> Term:
+def _bind(node: tuple, name: str) -> tuple:
+    """A closed node under one new outer binder that binds each free
+    occurrence of the arity-0 variable `name`."""
+    return _rebuild(node, lambda n, depth: (
+        ("b", depth) if n[0] == "v" and n[1] == name and not n[2] else n))
+
+
+def _settle(node: tuple, path: frozenset = frozenset()) -> tuple:
+    """node with each binder's hint replaced by its name in named syntax:
+    the hint, or x, primed until it clashes with no free variable of its
+    subterm and no name in `path`, the names of the enclosing binders.
+    Byte-equal inputs give byte-equal outputs."""
+    tag = node[0]
+    if tag == "b" or tag == "v" and not node[2]:
+        return node
+    if tag == "v":
+        return ("v", node[1], tuple(_settle(a, path) for a in node[2]))
+    _, name, shape, hints, args = node
+    if shape.valence:
+        avoid = {x for x, _ in free_in(node)} | path
+        chosen = []
+        for j in range(shape.valence):
+            nm = fresh_var(avoid, hints[j] if j < len(hints) else "x")
+            avoid.add(nm)
+            chosen.append(nm)
+        hints = tuple(chosen)
+        path = path | set(chosen)
+    return ("A", name, shape, hints, tuple(_settle(a, path) for a in args))
+
+
+def _named(node: tuple, frames: list) -> Term:
+    """The term of a settled node, its hints as binder names."""
     tag = node[0]
     if tag == "b":
         idx = node[1]
@@ -130,26 +162,23 @@ def _decode(node: tuple, frames: list, path: frozenset) -> Term:
                 idx -= 1
         raise AssertionError("dangling de Bruijn index")
     if tag == "v":
-        return Var(node[1], tuple(_decode(a, frames, path) for a in node[2]))
+        return Var(node[1], tuple(_named(a, frames) for a in node[2]))
     _, name, shape, hints, args = node
-    chosen = []
-    if shape.valence:
-        avoid = {x for x, _ in free_in(node)} | path
-        for j in range(shape.valence):
-            nm = fresh_var(avoid, hints[j] if j < len(hints) else "x")
-            avoid.add(nm)
-            chosen.append(nm)
-        path = path | set(chosen)
     new_args = []
-    for i, a in enumerate(args):
-        fr = tuple(chosen[j] for j in shape.binder_sets[i])
-        if fr:
-            frames.append(fr)
-            new_args.append(_decode(a, frames, path))
+    for p, a in zip(shape.binder_sets, args):
+        if p:
+            frames.append(tuple(hints[j] for j in p))
+            new_args.append(_named(a, frames))
             frames.pop()
         else:
-            new_args.append(_decode(a, frames, path))
-    return Abs(name, shape, tuple(chosen), tuple(new_args))
+            new_args.append(_named(a, frames))
+    return Abs(name, shape, hints, tuple(new_args))
+
+
+def _decode(node: tuple) -> Term:
+    """Named syntax for a closed nameless term, hints kept unless they
+    clash."""
+    return _named(_settle(node), [])
 
 
 def encode_template(tmpl: Template) -> DeBruijnTerm:
@@ -164,7 +193,7 @@ def apply_subst(sigma: Substitution | Mapping, t: Term) -> Term:
         sigma = Substitution(sigma)
     node = _subst_node(encode(t, []),
                        {key: encode_template(tmpl) for key, tmpl in sigma.items()})
-    return _decode(node, [], frozenset())
+    return _decode(node)
 
 
 def resolve_template(tmpl: Template, args: list[Term] | tuple[Term, ...]) -> Term:
@@ -173,10 +202,10 @@ def resolve_template(tmpl: Template, args: list[Term] | tuple[Term, ...]) -> Ter
         raise ArityMismatch(
             f"template of arity {tmpl.arity} applied to {len(args)} arguments")
     node = _instantiate(encode_template(tmpl), tuple(encode(a, []) for a in args))
-    return _decode(node, [], frozenset())
+    return _decode(node)
 
 
 def canonical(t: Term) -> Term:
     """Deterministic representative of t's α-class (binder hints kept when
     no renaming is forced)."""
-    return _decode(encode(t, []), [], frozenset())
+    return _decode(encode(t, []))

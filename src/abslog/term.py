@@ -18,6 +18,7 @@ from typing import Union
 from .errors import (
     ArityMismatch,
     DuplicateBinder,
+    MalformedTerm,
     UnknownAbstraction,
     ValenceMismatch,
 )
@@ -48,6 +49,9 @@ class Abs:
     args: tuple[Term, ...] = ()
 
     def __post_init__(self):
+        for b in self.binders:
+            if not (isinstance(b, str) and b):
+                raise MalformedTerm(f"{self.name}: binder {b!r} is not a name")
         if len(set(self.binders)) != len(self.binders):
             raise DuplicateBinder(f"binders {self.binders} are not distinct")
         if len(self.binders) != self.shape.valence:
@@ -63,11 +67,16 @@ class Abs:
 
 
 def check_wellformed(t: Term, sig: Signature) -> None:
-    """Raise unless every abstraction application matches its declaration."""
+    """Raise unless t is a term whose variables have names and whose
+    abstraction applications match their declarations."""
     if isinstance(t, Var):
+        if not (isinstance(t.name, str) and t.name):
+            raise MalformedTerm(f"variable name {t.name!r} is not a name")
         for a in t.args:
             check_wellformed(a, sig)
         return
+    if not isinstance(t, Abs):
+        raise MalformedTerm(f"{t!r} is not a term")
     decl = sig.get(t.name)
     if decl is None:
         raise UnknownAbstraction(f"abstraction {t.name!r} is not declared")
@@ -135,6 +144,8 @@ def encode(t: Term, frames: list[tuple[str, ...]],
                 return ("b", k)
             return ("v", t.name, ())
         return ("v", t.name, tuple(encode(a, frames, hints) for a in t.args))
+    if not isinstance(t, Abs):
+        raise MalformedTerm(f"{t!r} is not a term")
     args = []
     for i, a in enumerate(t.args):
         fr = t.frame(i)
@@ -149,6 +160,23 @@ def encode(t: Term, frames: list[tuple[str, ...]],
 
 def alpha_eq(s: Term, t: Term) -> bool:
     return s is t or to_debruijn(s) == to_debruijn(t)
+
+
+def strip_hints(node: DeBruijnTerm) -> DeBruijnTerm:
+    """node with every binder hint left out: to_debruijn of its term."""
+    tag = node[0]
+    if tag == "b":
+        return node
+    if tag == "v":
+        return node if not node[2] else (
+            "v", node[1], tuple(strip_hints(a) for a in node[2]))
+    return ("A", node[1], node[2], (), tuple(strip_hints(a) for a in node[4]))
+
+
+def same_class(m: DeBruijnTerm, n: DeBruijnTerm) -> bool:
+    """Whether two nameless forms are of α-equivalent terms: equal once
+    their binder hints are left out."""
+    return m == n or strip_hints(m) == strip_hints(n)
 
 
 def free_vars(t: Term) -> frozenset[tuple[str, int]]:

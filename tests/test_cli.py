@@ -74,6 +74,15 @@ def test_bad_declaration_exit_two(tmp_path, capsys, text, where):
         assert f"decl.al:{where}" in capsys.readouterr().err
 
 
+def test_theory_without_a_logic_exits_two(tmp_path, capsys):
+    path = tmp_path / "bare.al"
+    path.write_text("theorem t: A\nproof\n  s: ax D1\nqed\n")
+    for argv in (["check", str(path)],
+                 ["model-check", str(path), "--model", "degenerate"]):
+        assert main(argv) == 2
+        assert "[NotLogicSignature]" in capsys.readouterr().err
+
+
 def test_check_json_schema(capsys):
     assert main(["check", str(CORPUS / "prelude_k.al"), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -137,6 +146,32 @@ def test_eval_bad_assignment(capsys):
     assert main(["eval", str(CORPUS / "prelude_k.al"),
                  "--term", "A", "--model", "boolean",
                  "--assign", "A=Maybe"]) == 2
+
+
+def test_one_process_answers_alike_every_time(capsys):
+    """The parser is built once per process, so no call, a usage error
+    included, may leave behind anything that changes the next."""
+    prelude = str(CORPUS / "prelude_k.al")
+    calls = [["check", prelude],
+             ["model-check", prelude, "--model", "boolean", "--arity-cap", "1"],
+             ["eval", prelude, "--term", "not A", "--model", "boolean",
+              "--assign", "A=F"],
+             ["check", prelude, "--model", "boolean"],  # usage error
+             ["eval", prelude, "--term", "A", "--model", "boolean"]]
+
+    def run_all():
+        answers = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            answers.append((code, capsys.readouterr().out))
+        return answers
+
+    first = run_all()
+    assert [code for code, _ in first] == [0, 0, 0, 2, 0]
+    assert run_all() == first
 
 
 # driver-level behavior

@@ -34,6 +34,7 @@ from abslog.errors import (
     AllMismatch,
     IllFormed,
     KernelPrivilege,
+    MalformedTerm,
     MpMismatch,
     NotAnAxiom,
     NotAnImplication,
@@ -43,6 +44,7 @@ from abslog.errors import (
     UnknownLemma,
 )
 from abslog.logics import IMP, TRUE, all_, const, eq, imp, neg, v
+from abslog.term import Abs, encode
 
 from oracles import check_proof_oracle
 
@@ -215,6 +217,70 @@ def test_inst_checks_its_substitution_again():
         kernel.axiom(D, "D2"), Substitution({("A", 0): TOP})).statement
 
 
+@pytest.mark.parametrize("body", [Var("x", (5,)), Var(5), Var(""), Var("x", ("y",))])
+def test_malformed_template_is_ill_formed(body):
+    """A variable without a name, or an argument that is not a term, is
+    an ill-formed template body, whether it occurs in the premise or not."""
+    for label in ("D1", "D2"):
+        with pytest.raises(IllFormed) as err:
+            kernel.inst(kernel.axiom(D, label), {("A", 0): body})
+        assert isinstance(err.value.__cause__, MalformedTerm)
+    with pytest.raises(IllFormed) as err:
+        check_proof(D, Subst(None, Substitution({("A", 0): body}), Ax("D2")))
+    assert err.value.path == ()
+
+
+def test_malformed_target_and_binder_are_ill_formed():
+    d1 = kernel.axiom(D, "D1")
+    for target in (imp(TOP, Var(5)), imp(Var("x", (5,)), TOP), all_("x", Var(""))):
+        with pytest.raises(IllFormed):
+            kernel.gen(d1, "x", target)
+    for binder in (5, "", None):
+        with pytest.raises(IllFormed):
+            kernel.gen(d1, binder)
+        with pytest.raises(IllFormed):
+            check_proof(D, All(None, binder, Ax("D1")))
+    with pytest.raises(MalformedTerm):
+        Abs("∀", all_("x", TOP).shape, (5,), (TOP,))  # so no target hides one
+
+
+def test_targets_match_modulo_alpha():
+    """Each rule takes a target and a premise that differ from what it
+    derived in their binder names only, and keeps a target as given."""
+    d4 = kernel.axiom(D, "D4")  # (∀x. A[x]) ⇒ A[x]
+    target = imp(all_("z", v("z")), v("x"))
+    thm = kernel.inst(d4, {("A", 1): Template(("y",), v("y"))}, target)
+    assert thm.statement is target and thm.node == encode(target, [])
+    h = kernel.gen(kernel.axiom(D, "D1"), "y", all_("z", TOP))
+    assert h.statement == all_("z", TOP)
+    g = kernel.inst(kernel.axiom(D, "D2"), {("A", 0): all_("w", TOP)})
+    assert kernel.mp(h, g).statement == imp(v("B"), all_("w", TOP))
+    target = imp(v("B"), all_("u", TOP))
+    assert kernel.mp(h, g, target).statement is target
+    with pytest.raises(MpMismatch):
+        kernel.mp(kernel.axiom(D, "D1"), g)
+
+
+def test_statement_is_built_when_read(monkeypatch):
+    """The rules work on the nameless form: a statement that no target
+    gave is decoded once, when it is first read, with the binder names a
+    substitution into named syntax would choose."""
+    built = []
+    named = kernel._named
+    monkeypatch.setattr(kernel, "_named",
+                        lambda *args: built.append(args) or named(*args))
+    # ∀x. A ⇒ B ⇒ A, then A := x renames the binder
+    sub = Subst(None, Substitution({("A", 0): v("x")}), All(None, "x", Ax("D2")))
+    thm = check_proof(D, All(None, "x", sub))
+    assert built == []
+    renamed = all_("x′", imp(v("x"), imp(v("B"), v("x"))))
+    assert thm.statement == all_("x", renamed) and len(built) == 1
+    assert thm.statement is thm.statement and len(built) == 1
+    assert thm.node == encode(thm.statement, [])
+    assert check_proof(D, sub).statement == apply_subst(
+        {("A", 0): v("x")}, all_("x", D.axiom("D2")))
+
+
 @pytest.mark.parametrize("levels, proves", [(450, True), (600, True), (2000, False)])
 def test_deep_proof_tree_is_a_named_error(levels, proves):
     p = Ax("D1")
@@ -318,13 +384,14 @@ def _chain(levels: int) -> str:
 @pytest.mark.parametrize("levels", [8, 67])
 def test_shared_premise_chain_checks_in_linear_time(levels, monkeypatch):
     calls = []
+    rule = kernel.inst
 
-    def counting(sigma, t):
-        calls.append(t)
+    def counting(thm, sigma, target=None):
+        calls.append(thm)
         assert len(calls) <= levels, "a certified node was derived again"
-        return apply_subst(sigma, t)
+        return rule(thm, sigma, target)
 
-    monkeypatch.setattr(kernel, "apply_subst", counting)
+    monkeypatch.setattr(kernel, "inst", counting)
     tf = parse_theory(_chain(levels))
     assert len(tf.theorems[0].steps) == 3 * levels + 2
     assert check_theory(tf).passed
@@ -476,3 +543,21 @@ def test_fold_agrees_with_the_tree_walking_checker(seed):
                 assert got == want
             else:
                 assert got.statement == want and got.logic is K
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_every_theorem_carries_the_nameless_form_of_its_statement(seed):
+    """Random proof DAGs over K, checked against one theorem store and
+    lifted into P: every theorem's node is exactly the hinted nameless
+    form of its statement, renamed binders included."""
+    nodes, _ = _random_dag(random.Random(seed),
+                           ("absent", "absent", "derived", "wrong"))
+    db = TheoremDB()
+    for p in nodes:
+        try:
+            thm = check_proof(K, p, db)
+        except ProofError:
+            continue
+        for t in (thm, kernel.lift(thm, P), kernel.gen(thm, "x")):
+            assert t.node == encode(t.statement, [])

@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
+from abslog import logics
 from abslog import builtin_logic, check_wellformed, is_extension, parse_term
-from abslog.errors import UnknownLogic
-from abslog.logics import BUILTIN_NAMES, SIG_P
+from abslog.errors import NotLogicSignature, UnknownLogic
+from abslog.logics import BUILTIN_NAMES, SIG_D, SIG_P, Logic
+from abslog.shape import Signature
 from abslog.term import alpha_eq
 
 D = builtin_logic("D")
@@ -85,6 +90,34 @@ def test_extension_modulo_alpha():
         "(all y. A[y]) -> A[x]", D.signature))])
     # the alpha-variant D4 does not add strength; D2 still extends D
     assert is_extension(renamed, D)
+
+
+def test_extension_verdict_is_kept_while_the_logics_live(monkeypatch):
+    compared = []
+    alpha = logics.alpha_eq
+    monkeypatch.setattr(logics, "alpha_eq",
+                        lambda s, t: compared.append(1) or alpha(s, t))
+    parent = D.extend("D+", axioms=[("X", parse_term("A -> A", D.signature))])
+    child = K.extend("K+", axioms=parent.axioms[-1:])
+    assert is_extension(child, parent) and not is_extension(parent, child)
+    first = len(compared)
+    assert first > 0
+    for _ in range(3):
+        assert is_extension(child, parent) and not is_extension(parent, child)
+    assert len(compared) == first
+    # the verdicts live on the child, so they free both logics with it
+    refs = weakref.ref(child), weakref.ref(parent)
+    del child, parent
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_a_logic_declares_the_core_abstractions():
+    # the kernel's ALL builds ∀ nodes without checking them
+    no_all = Signature(tuple(d for d in SIG_D.decls if d.name != "∀"))
+    for sig in (Signature(()), no_all):
+        with pytest.raises(NotLogicSignature):
+            Logic("bare", sig, ())
 
 
 def test_peano_base_flag():
