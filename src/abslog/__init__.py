@@ -7,7 +7,6 @@ from .algebra import (
     AxiomVerdict,
     ModelReport,
     OperationTable,
-    OperatorImpl,
     Universe,
     Valuation,
     boolean_model,
@@ -18,6 +17,7 @@ from .algebra import (
     find_models,
     is_logic_algebra,
     load_model,
+    table_from_rows,
     valuation_from_subst,
 )
 from .driver import (
@@ -57,6 +57,7 @@ from .shape import (
     extends_signature,
     is_logic_signature,
     make_shape,
+    pure_shape,
     signature,
 )
 from .subst import (

@@ -1,14 +1,15 @@
 """Finite abstraction algebras, valuations, evaluation and model checking.
 
-Universes are finite and carrier values are represented as indices
-0..size-1.  Operations are extensional tables; operators are tables keyed
-by argument tuples where a binder-covered argument position carries the
-entry tuple of the argument operation.  Everything is then checkable by
-exhaustive enumeration.
+Carrier values are indices 0..size-1.  Every operation, binding or not, is
+one OperationTable: an entry per argument key, row-major over
+argument_keys(size, shape).  A key's row is its digits in base size: a
+value per position that binds nothing, the argument operation's entries
+per position that binds variables.  A valuation's n-ary table has the pure
+shape (0; ∅ⁿ).  Everything is checkable by exhaustive enumeration.
 
-Evaluation reads the nameless form of term.py: a bound occurrence is an
-index into the values of the enclosing binders, and a free one is looked
-up in the valuation, so binder scope is never worked out here.
+Evaluation reads the nameless form of term.py (binder scope is never
+worked out here) and builds each row digit by digit as it evaluates the
+arguments.
 """
 from __future__ import annotations
 
@@ -16,13 +17,14 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityCapExceeded,
     ArityMismatch,
     BadTableKey,
     DuplicateName,
+    DuplicateRow,
     EmptyCarrier,
     IllFormedTemplate,
     IllFormedTerm,
@@ -49,7 +51,7 @@ from .logics import (
     SIG_K,
     TRUE,
 )
-from .shape import Shape, Signature, is_logic_signature
+from .shape import Shape, Signature, is_logic_signature, pure_shape
 from .subst import Substitution, apply_subst, encode_template
 from .term import DeBruijnTerm, Term, check_wellformed, free_in, to_debruijn
 
@@ -68,33 +70,45 @@ class Universe:
     def size(self) -> int:
         return len(self.value_names)
 
-    def index(self, name: str) -> int:
-        return self.value_names.index(name)
+
+def _row_count(size: int, shape: Shape) -> int:
+    return size ** sum(size ** len(p) for p in shape.binder_sets)  # size^digits
 
 
-@dataclass(frozen=True)
+def _row(size: int, key: Sequence) -> int:
+    """Position of an argument key in argument_keys order."""
+    row = 0
+    for part in key:
+        for e in part if isinstance(part, tuple) else (part,):
+            row = row * size + e
+    return row
+
+
+@dataclass(frozen=True, slots=True)
 class OperationTable:
-    """Total n-ary operation over a carrier of the given size; entries are
-    listed row-major over argument tuples."""
+    """Total operation of a shape over a carrier of the given size; entries
+    are listed row-major over argument_keys(size, shape)."""
     size: int
-    arity: int
+    shape: Shape
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.size ** self.arity:
+        rows = _row_count(self.size, self.shape)
+        if len(self.entries) != rows:
             raise ArityMismatch(
-                f"table of arity {self.arity} over {self.size} values needs "
-                f"{self.size ** self.arity} entries, got {len(self.entries)}")
+                f"table of shape {self.shape} over {self.size} values needs "
+                f"{rows} entries, got {len(self.entries)}")
 
-    def apply(self, args: Sequence[int]) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * self.size + a
-        return self.entries[idx]
+    def apply(self, key: Sequence) -> int:
+        return self.entries[_row(self.size, key)]
+
+    @property
+    def rule(self) -> dict[tuple, int]:  # a fresh dict: key -> entry
+        return dict(zip(argument_keys(self.size, self.shape), self.entries))
 
 
 def constant_table(size: int, arity: int, value: int) -> OperationTable:
-    return OperationTable(size, arity, (value,) * size ** arity)
+    return OperationTable(size, pure_shape(arity), (value,) * size ** arity)
 
 
 def _keys(size: int, binder_sets: tuple) -> Iterator[tuple]:
@@ -110,40 +124,43 @@ def _keys(size: int, binder_sets: tuple) -> Iterator[tuple]:
 
 @cache
 def argument_keys(size: int, shape: Shape) -> tuple[tuple, ...]:
-    """Every tuple of arguments a shape-compatible operator can receive:
-    a value index for p_i = ∅, the entry tuple of a |p_i|-ary operation
-    otherwise.  Memoised, so every table of one shape shares its keys."""
+    """Every argument key, in row order: a value for p_i = ∅, the entry
+    tuple of a |p_i|-ary operation otherwise.  Memoised per shape."""
     return tuple(_keys(size, shape.binder_sets))
 
 
-@dataclass(frozen=True)
-class OperatorImpl:
-    shape: Shape
-    rule: Mapping[tuple, int]
+def table_from_rows(name: str, universe: Universe, shape: Shape,
+                    rows: Iterable[tuple[tuple, int]]) -> OperationTable:
+    """The table of abstraction `name` from (key, value) rows.  A key listed
+    twice is a DuplicateRow; the first key, in row order, that no row lists
+    is a MissingRow, found lazily so that a huge key space costs nothing."""
+    given: dict[tuple, int] = {}
+    for key, value in rows:
+        if key in given:
+            raise DuplicateRow(f"table for {name} lists the row "
+                               f"{_show_key(key, universe.value_names)} twice")
+        given[key] = value
+    entries = []
+    for key in _keys(universe.size, shape.binder_sets):
+        if key not in given:
+            raise MissingRow(f"table for {name} has no row for "
+                             f"{_show_key(key, universe.value_names)}")
+        entries.append(given[key])
+    return OperationTable(universe.size, shape, tuple(entries))
 
 
 @dataclass(frozen=True)
 class AbstractionAlgebra:
     universe: Universe
     signature: Signature
-    interp: Mapping[str, OperatorImpl]
+    interp: Mapping[str, OperationTable]
 
     def __post_init__(self):
         for d in self.signature.decls:
-            impl = self.interp.get(d.name)
-            if impl is None:
-                raise IllFormedTerm(f"abstraction {d.name!r} is uninterpreted")
-            if impl.shape != d.shape:
-                raise IllFormedTerm(
-                    f"interpretation of {d.name!r} has shape {impl.shape}, "
-                    f"declared {d.shape}")
-            # lazily: a table with a missing row may be far smaller than
-            # the key space
-            for key in _keys(self.size, d.shape.binder_sets):
-                if key not in impl.rule:
-                    raise MissingRow(
-                        f"table for {d.name} has no row for "
-                        f"{_show_key(key, self.universe.value_names)}")
+            table = self.interp.get(d.name)
+            if table is None or (table.size, table.shape) != (self.size, d.shape):
+                raise IllFormedTerm(f"abstraction {d.name!r} needs a table of "
+                                    f"shape {d.shape} over {self.size} values")
 
     @property
     def size(self) -> int:
@@ -151,13 +168,13 @@ class AbstractionAlgebra:
 
     def value_of(self, name: str) -> int:
         """Interpretation of a value-shaped abstraction."""
-        return self.interp[name].rule[()]
+        return self.interp[name].entries[0]
 
     def lookup(self, name: str, key: tuple) -> int:
-        impl = self.interp.get(name)
-        if impl is None:
-            raise IllFormedTerm(f"abstraction {name!r} is uninterpreted")
-        return impl.rule[key]
+        return self.interp[name].apply(key)
+
+    def entry(self, name: str, row: int) -> int:
+        return self.interp[name].entries[row]
 
 
 @dataclass(frozen=True)
@@ -168,37 +185,32 @@ class Valuation:
     overrides: Mapping[tuple[str, int], OperationTable] = field(default_factory=dict)
 
     def get(self, name: str, arity: int) -> OperationTable:
-        table = self.overrides.get((name, arity))
-        if table is None:
-            return constant_table(self.size, arity, 0)
-        return table
+        return (self.overrides.get((name, arity))
+                or constant_table(self.size, arity, 0))
 
 
-def _eval(lookup: Callable[[str, tuple], int], size: int, nu: Valuation,
+def _eval(entry: Callable[[str, int], int], size: int, nu: Valuation,
           node: DeBruijnTerm, env: tuple[int, ...]) -> int:
     """Value of a nameless term; env holds the values of the enclosing
-    binders, innermost last."""
+    binders, innermost last, and entry(name, row) reads an abstraction's
+    table."""
     tag = node[0]
     if tag == "b":
         return env[-1 - node[1]]
+    row = 0
     if tag == "v":
         _, name, args = node
-        return nu.get(name, len(args)).apply(
-            [_eval(lookup, size, nu, a, env) for a in args])
+        for a in args:
+            row = row * size + _eval(entry, size, nu, a, env)
+        return nu.get(name, len(args)).entries[row]
     _, name, shape, _, args = node
-    key = []
     for p, a in zip(shape.binder_sets, args):
-        key.append(_tabulate(lookup, size, nu, len(p), a, env) if p
-                   else _eval(lookup, size, nu, a, env))
-    return lookup(name, tuple(key))
-
-
-def _tabulate(lookup: Callable[[str, tuple], int], size: int, nu: Valuation,
-              n: int, body: DeBruijnTerm, env: tuple[int, ...]) -> tuple[int, ...]:
-    """Entries of body as an operation of n more binders, row-major over
-    their values (one entry when n is 0)."""
-    return tuple(_eval(lookup, size, nu, body, env + us)
-                 for us in product(range(size), repeat=n))
+        if p:
+            for us in product(range(size), repeat=len(p)):
+                row = row * size + _eval(entry, size, nu, a, env + us)
+        else:
+            row = row * size + _eval(entry, size, nu, a, env)
+    return entry(name, row)
 
 
 def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
@@ -208,7 +220,7 @@ def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
         check_wellformed(t, alg.signature)
     except TermError as e:
         raise IllFormedTerm(str(e)) from e
-    return _eval(alg.lookup, alg.size, nu, to_debruijn(t), ())
+    return _eval(alg.entry, alg.size, nu, to_debruijn(t), ())
 
 
 def valuation_from_subst(nu: Valuation, sigma: Substitution,
@@ -224,29 +236,29 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
         except TermError as e:
             raise IllFormedTemplate(str(e)) from e
         body = encode_template(tmpl)
-        overrides[(name, arity)] = OperationTable(
-            alg.size, arity, _tabulate(alg.lookup, alg.size, nu, arity, body, ()))
+        overrides[(name, arity)] = OperationTable(alg.size, pure_shape(arity), tuple(
+            _eval(alg.entry, alg.size, nu, body, us)
+            for us in product(range(alg.size), repeat=arity)))
     return Valuation(alg.size, overrides)
 
 
 # --- logic algebras and model checking -------------------------------------
 
-def _logic_conditions(lookup: Callable[[str, tuple], int], size: int,
+def _logic_conditions(entry: Callable[[str, int], int], size: int,
                       top: int) -> list[Callable[[], bool]]:
     """The two minimum requirements on ⇒ and ∀, one check per table entry
     read: ⊤ ⇒ u is ⊤ only for u = ⊤, and ∀ of the constant-⊤ operation is
     ⊤."""
-    conditions = [lambda u=u: not (lookup(IMP, (top, u)) == top and u != top)
-                  for u in range(size)]
-    conditions.append(lambda: lookup(ALL, ((top,) * size,)) == top)
-    return conditions
+    all_top = _row(size, ((top,) * size,))
+    return [lambda u=u: not (entry(IMP, top * size + u) == top and u != top)
+            for u in range(size)] + [lambda: entry(ALL, all_top) == top]
 
 
 def is_logic_algebra(alg: AbstractionAlgebra) -> bool:
     """Check the two minimum requirements on ⇒ and ∀ by enumeration."""
     if not is_logic_signature(alg.signature):
         raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
-    return all(c() for c in _logic_conditions(alg.lookup, alg.size,
+    return all(c() for c in _logic_conditions(alg.entry, alg.size,
                                               alg.value_of(TRUE)))
 
 
@@ -271,8 +283,9 @@ class ModelReport:
 
 
 def all_tables(size: int, arity: int) -> Iterator[OperationTable]:
+    shape = pure_shape(arity)
     for entries in product(range(size), repeat=size ** arity):
-        yield OperationTable(size, arity, entries)
+        yield OperationTable(size, shape, entries)
 
 
 def _valuations(size: int, fvs: Sequence[tuple[str, int]]) -> Iterator[Valuation]:
@@ -305,7 +318,7 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
                     f"cap {arity_cap}")
         verdict = AxiomVerdict(label, axiom, True)
         for nu in _valuations(size, fvs):
-            value = _eval(alg.lookup, size, nu, node, ())
+            value = _eval(alg.entry, size, nu, node, ())
             if value != top:
                 verdict = AxiomVerdict(
                     label, axiom, False,
@@ -317,12 +330,6 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
 
 
 # --- builtin models ---------------------------------------------------------
-
-def _operator(size: int, shape: Shape, fn: Callable[..., int]) -> OperatorImpl:
-    """The operator that maps each argument key (one part per position) to
-    fn(*key)."""
-    return OperatorImpl(shape, {key: fn(*key) for key in argument_keys(size, shape)})
-
 
 def boolean_model() -> AbstractionAlgebra:
     """Two-element boolean algebra over the classical signature, with ∀
@@ -343,14 +350,16 @@ def boolean_model() -> AbstractionAlgebra:
         ALL: lambda f: b(all(u == T for u in f)),
         EX: lambda f: b(any(u == T for u in f)),
     }
-    interp = {d.name: _operator(2, d.shape, fns[d.name]) for d in SIG_K.decls}
+    interp = {d.name: OperationTable(2, d.shape, tuple(
+                  fns[d.name](*key) for key in argument_keys(2, d.shape)))
+              for d in SIG_K.decls}
     return AbstractionAlgebra(Universe(("T", "F")), SIG_K, interp)
 
 
 def degenerate_model(sig: Signature) -> AbstractionAlgebra:
     """One-value universe; each abstraction gets the unique compatible
     operator."""
-    interp = {d.name: _operator(1, d.shape, lambda *key: 0) for d in sig.decls}
+    interp = {d.name: OperationTable(1, d.shape, (0,)) for d in sig.decls}
     return AbstractionAlgebra(Universe(("*",)), sig, interp)
 
 
@@ -378,14 +387,15 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
     # The constraint set is closed under renaming carrier values (axiom
     # instances range over all argument tables), so every model is isomorphic
     # to one interpreting ⊤ as value 0; fixing that cuts the search threefold.
-    entries: dict[tuple[str, tuple], int] = {(TRUE, ()): 0}
+    # A cell is the entry at an (abstraction, row).
+    cells: dict[tuple[str, int], int] = {(TRUE, 0): 0}
     top = 0
 
-    def query(name: str, key: tuple) -> int:
-        k = (name, key)
-        if k not in entries:
+    def query(name: str, row: int) -> int:
+        k = (name, row)
+        if k not in cells:
             raise _Need(k)
-        return entries[k]
+        return cells[k]
 
     # the logic-algebra conditions, then one constraint per axiom instance
     # (an assignment of operations to the axiom's free variables; together
@@ -411,89 +421,81 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
 
     def solve(cs: list) -> None:
         # propagate: drop satisfied constraints, intersect the viable values
-        # of every queried-but-unassigned entry, assign forced entries; then
-        # branch on an entry with the fewest viable values
+        # of every queried-but-unassigned cell, assign forced cells; then
+        # branch on a cell with the fewest viable values.  The cells this
+        # call assigns are on the trail, and are unassigned when it returns.
         if len(found) >= limit:
             return
         trail: list = []
-        viable: dict[tuple, set] = {}
-        while True:
-            remaining = []
-            viable = {}
-            progress = False
-            failed = False
-            for c in cs:
-                try:
-                    ok = c()
-                except _Need as need:
-                    k = need.key
-                    ok_vals = set()
-                    for value in viable.get(k, range(size)):
-                        entries[k] = value
-                        try:
-                            if c() is not False:
+        try:
+            while True:
+                remaining, viable, progress = [], {}, False
+                for c in cs:
+                    try:
+                        ok = c()
+                    except _Need as need:
+                        k = need.key
+                        ok_vals = set()
+                        for value in viable.get(k, range(size)):
+                            cells[k] = value
+                            try:
+                                if c() is not False:
+                                    ok_vals.add(value)
+                            except _Need:
                                 ok_vals.add(value)
-                        except _Need:
-                            ok_vals.add(value)
-                    del entries[k]
-                    if not ok_vals:
-                        failed = True
-                        break
-                    if len(ok_vals) == 1:
-                        entries[k] = next(iter(ok_vals))
-                        trail.append(k)
-                        viable.pop(k, None)
-                        progress = True
-                    else:
-                        viable[k] = ok_vals
-                    remaining.append(c)
-                    continue
-                if not ok:
-                    failed = True
+                        del cells[k]
+                        if not ok_vals:
+                            return
+                        if len(ok_vals) == 1:
+                            cells[k] = next(iter(ok_vals))
+                            trail.append(k)
+                            viable.pop(k, None)
+                            progress = True
+                        else:
+                            viable[k] = ok_vals
+                        remaining.append(c)
+                        continue
+                    if not ok:
+                        return
+                cs = remaining
+                if not cs:
+                    found.append(dict(cells))
+                    return
+                if not progress:
                     break
-            if failed:
-                for k in trail:
-                    del entries[k]
-                return
-            cs = remaining
-            if not cs:
-                found.append(dict(entries))
-                for k in trail:
-                    del entries[k]
-                return
-            if not progress:
-                break
-        k = min(viable, key=lambda k: len(viable[k]))
-        for value in sorted(viable[k]):
-            entries[k] = value
-            solve(cs)
-            if len(found) >= limit:
-                break
-        del entries[k]
-        for k in trail:
-            del entries[k]
+            k = min(viable, key=lambda k: len(viable[k]))
+            trail.append(k)
+            for value in sorted(viable[k]):
+                cells[k] = value
+                solve(cs)
+                if len(found) >= limit:
+                    break
+        finally:
+            for k in trail:
+                del cells[k]
 
     solve(constraints)
 
-    # entries no constraint read are free; they take value 0
-    names = tuple(str(i) for i in range(size))
-    return [AbstractionAlgebra(Universe(names), sig, {
-                d.name: _operator(size, d.shape,
-                                  lambda *key, n=d.name: partial.get((n, key), 0))
+    # cells no constraint read are free; they take value 0
+    universe = Universe(tuple(str(i) for i in range(size)))
+    return [AbstractionAlgebra(universe, sig, {
+                d.name: OperationTable(size, d.shape, tuple(
+                    found_cells.get((d.name, row), 0)
+                    for row in range(_row_count(size, d.shape))))
                 for d in sig.decls})
-            for partial in found]
+            for found_cells in found]
 
 
 # --- model descriptions -------------------------------------------------------
 
 def model_from_spec(model: str, carrier: Sequence[str],
-                    interp: Mapping[str, object], sig: Signature,
+                    interp: Iterable[tuple[str, object]], sig: Signature,
                     aliases: Mapping[str, str] | None = None) -> AbstractionAlgebra:
     """Build the algebra that a named model description defines.
 
-    carrier lists the value names.  interp maps each abstraction (or an
-    alias of it) to a value name if its shape is a value, else to a table
-    from argument keys to value names.  A key has one part per argument
+    carrier lists the value names.  interp pairs each abstraction (or an
+    alias of it) with a value name if its shape is a value, else with a
+    tuple of (key, value name) rows.  A key has one part per argument
     position: a value name, or, where the position binds variables, the
     row-major entry list of the argument operation (a lone value name is a
     one-entry list).  Every defect raises a ModelError that names the model
@@ -503,10 +505,10 @@ def model_from_spec(model: str, carrier: Sequence[str],
         raise EmptyCarrier(f"model {model}: the carrier has no values")
     if len(set(carrier)) != len(carrier):
         raise DuplicateName(f"model {model}: carrier values repeat")
-    size = len(carrier)
+    universe = Universe(tuple(carrier))
     idx = {v: i for i, v in enumerate(carrier)}
     aliases = aliases or {}
-    raw = {aliases.get(k, k): v for k, v in interp.items()}
+    raw = {aliases.get(k, k): v for k, v in interp}
 
     def value(name: str, v) -> int:
         if isinstance(v, str) and v in idx:
@@ -520,41 +522,35 @@ def model_from_spec(model: str, carrier: Sequence[str],
                                   f"takes a value, not an entry list")
             return value(name, v)
         entries = v if isinstance(v, tuple) else (v,)
-        if len(entries) != size ** len(p):
+        if len(entries) != universe.size ** len(p):
             raise BadTableKey(
                 f"model {model}: {name}: argument {i + 1} binds variables, so "
                 f"it takes the entry list of a {len(p)}-ary operation "
-                f"({size ** len(p)} values), not {v!r}")
+                f"({universe.size ** len(p)} values), not {v!r}")
         return tuple(value(name, e) for e in entries)
 
-    ops = {}
+    tables = {}
     for d in sig.decls:
         if d.name not in raw:
             raise MissingInterpretation(
                 f"model {model} interprets no abstraction {d.name!r}")
-        spec = raw[d.name]
-        if d.shape.arity == 0:
-            if isinstance(spec, Mapping):
-                raise SpecKindMismatch(
-                    f"model {model}: {d.name} is a value, not a table")
-            ops[d.name] = OperatorImpl(d.shape, {(): value(d.name, spec)})
-            continue
-        if not isinstance(spec, Mapping):
-            raise SpecKindMismatch(
-                f"model {model}: {d.name} needs a table, not a value")
-        sets = d.shape.binder_sets
-        rule = {}
-        for key, out in spec.items():
+        spec, sets = raw[d.name], d.shape.binder_sets
+        if isinstance(spec, tuple) != bool(sets):
+            raise SpecKindMismatch(f"model {model}: {d.name} " + (
+                "needs a table, not a value" if sets else "is a value, not a table"))
+        rows = []
+        for key, out in spec if sets else [((), spec)]:
             if len(key) != len(sets):
                 raise BadTableKey(f"model {model}: {d.name}: row key {key!r} "
                                   f"needs {len(sets)} argument(s)")
-            rule[tuple(part(d.name, p, i, v)
-                       for i, (p, v) in enumerate(zip(sets, key)))] = value(d.name, out)
-        ops[d.name] = OperatorImpl(d.shape, rule)
-    try:
-        return AbstractionAlgebra(Universe(tuple(carrier)), sig, ops)
-    except MissingRow as e:
-        raise MissingRow(f"model {model}: {e}") from None
+            rows.append((tuple(part(d.name, p, i, v)
+                               for i, (p, v) in enumerate(zip(sets, key))),
+                         value(d.name, out)))
+        try:
+            tables[d.name] = table_from_rows(d.name, universe, d.shape, rows)
+        except (MissingRow, DuplicateRow) as e:
+            raise type(e)(f"model {model}: {e}") from None
+    return AbstractionAlgebra(universe, sig, tables)
 
 
 def _show_key(key: tuple, names: Sequence[str]) -> str:
@@ -570,29 +566,30 @@ def load_model(path: str, sig: Signature,
     Schema: {"carrier": [names...], "interp": {abstraction: spec}} where a
     spec is a value name for value shapes, a nested array for pure
     operations, or an object keyed by ";"-separated argument keys (table
-    arguments are ","-joined entry lists) for general operators.
+    arguments are ","-joined entry lists) for general operators.  Objects
+    are read as their (key, value) pairs, so a repeated key is not lost.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=tuple)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelError(f"model {path}: not a UTF-8 JSON document: {e}") from e
-    if not (isinstance(doc, dict) and isinstance(doc.get("carrier"), list)
-            and all(isinstance(v, str) for v in doc["carrier"])
-            and isinstance(doc.get("interp"), dict)):
+    top = dict(doc) if isinstance(doc, tuple) else {}
+    carrier, interp = top.get("carrier"), top.get("interp")
+    if not (isinstance(carrier, list) and all(isinstance(v, str) for v in carrier)
+            and isinstance(interp, tuple)):
         raise ModelError(f'model {path}: expected an object with a "carrier" '
                          f'list of value names and an "interp" object')
-    carrier = doc["carrier"]
-    interp = {}
-    for name, spec in doc["interp"].items():
+    specs = []
+    for name, spec in interp:
         if isinstance(spec, list):
-            spec = dict(_array_rows(spec, carrier, f"model {path}: {name}"))
-        elif isinstance(spec, dict):
-            spec = {tuple(tuple(p.split(",")) if "," in p else p
-                          for p in key.split(";")): out
-                    for key, out in spec.items()}
-        interp[name] = spec
-    return model_from_spec(path, carrier, interp, sig, aliases)
+            spec = tuple(_array_rows(spec, carrier, f"model {path}: {name}"))
+        elif isinstance(spec, tuple):
+            spec = tuple((tuple(tuple(p.split(",")) if "," in p else p
+                                for p in key.split(";")), out)
+                         for key, out in spec)
+        specs.append((name, spec))
+    return model_from_spec(path, carrier, specs, sig, aliases)
 
 
 def _array_rows(cell, carrier: list[str], where: str,

@@ -17,7 +17,7 @@ from functools import cache
 from .algebra import Valuation, check_model, constant_table, eval_term
 from .driver import check_theory, model_for
 from .errors import AbslogError
-from .syntax import ParseError, parse_term, parse_theory, print_term
+from .syntax import parse_term, parse_theory, print_term
 from .term import free_vars
 
 
@@ -89,7 +89,7 @@ def _parse_assignment(spec: str, alg) -> Valuation:
                     f"{value!r} is not a value of the model "
                     f"(carrier: {', '.join(alg.universe.value_names)})")
             overrides[(name, 0)] = constant_table(
-                alg.size, 0, alg.universe.index(value))
+                alg.size, 0, alg.universe.value_names.index(value))
     return Valuation(alg.size, overrides)
 
 
@@ -99,9 +99,7 @@ def _cmd_eval(args) -> int:
     alg = model_for(tf, args.model)
     nu = _parse_assignment(args.assign, alg)
     value = eval_term(alg, nu, term)
-    unassigned = sorted(
-        fv for fv in free_vars(term)
-        if fv not in nu.overrides)
+    unassigned = sorted(fv for fv in free_vars(term) if fv not in nu.overrides)
     print(f"{print_term(term, args.unicode)} = {alg.universe.value_names[value]}")
     if unassigned:
         names = ", ".join(f"{n}/{a}" for n, a in unassigned)
@@ -159,9 +157,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"{args.file}:{e.diagnostic()}", file=sys.stderr)
-        return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -173,7 +168,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except AbslogError as e:
-        print(f"error: [{e.code}] {e.message}", file=sys.stderr)
+        at = f"{args.file}:{e.line}:{e.col}: " if e.line is not None else ""
+        print(f"{at}error: [{e.code}] {e.message}", file=sys.stderr)
         return 2
 
 

@@ -149,10 +149,13 @@ def inconsistency_expand(logic: Logic, p_forall: Proof, target: Term,
 # --- model checking for theory files ------------------------------------------
 
 def build_model(block: ModelBlock, sig: Signature) -> AbstractionAlgebra:
-    """Turn a parsed in-file model block into an abstraction algebra."""
-    interp = {name: spec if isinstance(spec, str) else dict(spec)
-              for name, spec in block.interp}
-    return model_from_spec(block.name, block.carrier, interp, sig, ALIAS)
+    """Turn a parsed in-file model block into an abstraction algebra.  An
+    error it raises carries the line and column of the block."""
+    try:
+        return model_from_spec(block.name, block.carrier, block.interp, sig, ALIAS)
+    except AbslogError as e:
+        e.line, e.col = block.line, block.col
+        raise
 
 
 def model_for(tf: TheoryFile, spec: str) -> AbstractionAlgebra:

@@ -7,6 +7,7 @@ diagnostic without string matching.
 
 class AbslogError(Exception):
     code = "Error"
+    line = col = None  # where in a theory file, when known
 
     def __init__(self, message=""):
         super().__init__(message or self.code)
@@ -125,6 +126,10 @@ class BadTableKey(ModelError):
 
 class MissingRow(ModelError):
     code = "MissingRow"
+
+
+class DuplicateRow(ModelError):
+    code = "DuplicateRow"
 
 
 # --- logics ---

@@ -7,7 +7,8 @@ does not cover ``{0..m-1}``, are rejected at construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable
 
 from .errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange
@@ -44,10 +45,16 @@ def make_shape(valence: int, binder_sets: Iterable[Iterable[int]]) -> Shape:
     return Shape(valence, sets)
 
 
+@cache
+def pure_shape(arity: int) -> Shape:
+    """The shape (0; ∅, ..., ∅) of an operation that binds nothing."""
+    return Shape(0, ((),) * arity)
+
+
 # Shapes every logic signature must assign to the three core abstractions.
-VALUE_SHAPE = make_shape(0, [])
-BINOP_SHAPE = make_shape(0, [(), ()])
-UNOP_SHAPE = make_shape(0, [()])
+VALUE_SHAPE = pure_shape(0)
+BINOP_SHAPE = pure_shape(2)
+UNOP_SHAPE = pure_shape(1)
 BINDER_SHAPE = make_shape(1, [(0,)])
 
 
@@ -60,19 +67,18 @@ class AbstractionDecl:
 @dataclass(frozen=True)
 class Signature:
     decls: tuple[AbstractionDecl, ...]
+    _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        by_name = {}
         for d in self.decls:
-            if d.name in seen:
+            if d.name in by_name:
                 raise DuplicateAbstraction(f"abstraction {d.name!r} declared twice")
-            seen.add(d.name)
+            by_name[d.name] = d
+        object.__setattr__(self, "_by_name", by_name)
 
     def get(self, name: str) -> AbstractionDecl | None:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        return None
+        return self._by_name.get(name)
 
     def __contains__(self, name: str) -> bool:
         return self.get(name) is not None

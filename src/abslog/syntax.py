@@ -97,13 +97,9 @@ class ParseError(AbslogError):
 
     def __init__(self, message, line, col, code=None):
         super().__init__(message)
-        self.line = line
-        self.col = col
+        self.line, self.col = line, col
         if code:
             self.code = code
-
-    def diagnostic(self) -> Diagnostic:
-        return Diagnostic("error", self.line, self.col, self.message, self.code)
 
 
 def tokenize(text: str) -> list[Token]:

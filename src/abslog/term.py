@@ -36,10 +36,6 @@ class Var:
     def arity(self) -> int:
         return len(self.args)
 
-    @property
-    def occ(self) -> tuple[str, int]:
-        return (self.name, self.arity)
-
 
 @dataclass(frozen=True)
 class Abs:

@@ -16,7 +16,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from abslog import (
     AbstractionAlgebra,
     OperationTable,
-    OperatorImpl,
     Signature,
     Substitution,
     Template,
@@ -26,6 +25,7 @@ from abslog import (
     Abs,
     free_vars,
     make_shape,
+    pure_shape,
     signature,
 )
 from abslog.algebra import argument_keys
@@ -104,9 +104,8 @@ def size_cap(sig):
 def random_algebra(rnd, sig, size):
     interp = {}
     for d in sig.decls:
-        rule = {key: rnd.randrange(size)
-                for key in argument_keys(size, d.shape)}
-        interp[d.name] = OperatorImpl(d.shape, rule)
+        interp[d.name] = OperationTable(size, d.shape, tuple(
+            rnd.randrange(size) for key in argument_keys(size, d.shape)))
     names = tuple(f"v{i}" for i in range(size))
     return AbstractionAlgebra(Universe(names), sig, interp)
 
@@ -115,7 +114,7 @@ def random_valuation(rnd, size, fvs):
     overrides = {}
     for name, arity in fvs:
         entries = tuple(rnd.randrange(size) for _ in range(size ** arity))
-        overrides[(name, arity)] = OperationTable(size, arity, entries)
+        overrides[(name, arity)] = OperationTable(size, pure_shape(arity), entries)
     return Valuation(size, overrides)
 
 

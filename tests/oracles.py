@@ -25,7 +25,6 @@ from abslog import (
     Ax,
     Lemma,
     Mp,
-    OperatorImpl,
     Subst,
     Term,
     OperationTable,
@@ -36,6 +35,7 @@ from abslog import (
     apply_subst,
     check_wellformed,
     is_extension,
+    pure_shape,
 )
 from abslog.algebra import argument_keys
 from abslog.errors import (
@@ -360,7 +360,7 @@ def tabulate_oracle(alg, nu, binders, body: Term) -> tuple:
     for us in product(range(alg.size), repeat=len(binders)):
         overrides = dict(nu.overrides)
         for x, u in zip(binders, us):
-            overrides[(x, 0)] = OperationTable(alg.size, 0, (u,))
+            overrides[(x, 0)] = OperationTable(alg.size, pure_shape(0), (u,))
         entries.append(eval_oracle(alg, Valuation(alg.size, overrides), body))
     return tuple(entries)
 
@@ -375,7 +375,7 @@ def check_model_oracle(alg, axioms) -> list[tuple]:
         verdict = (True, None, None)
         spaces = [list(product(range(alg.size), repeat=alg.size ** n)) for _, n in fvs]
         for choice in product(*spaces):
-            nu = Valuation(alg.size, {fv: OperationTable(alg.size, fv[1], e)
+            nu = Valuation(alg.size, {fv: OperationTable(alg.size, pure_shape(fv[1]), e)
                                       for fv, e in zip(fvs, choice)})
             value = eval_oracle(alg, nu, axiom)
             if value != top:
@@ -401,7 +401,7 @@ def enumerate_algebras(sig, size: int, limit: int = 10 ** 6):
     for assignment in product(*(product(range(size), repeat=len(keys))
                                 for keys in keyspaces)):
         interp = {
-            d.name: OperatorImpl(d.shape, dict(zip(keys, values)))
+            d.name: OperationTable(size, d.shape, values)
             for d, keys, values in zip(sig.decls, keyspaces, assignment)
         }
         yield AbstractionAlgebra(Universe(tuple(names)), sig, interp)

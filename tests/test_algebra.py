@@ -8,7 +8,6 @@ import pytest
 from abslog import (
     AbstractionAlgebra,
     OperationTable,
-    OperatorImpl,
     Substitution,
     Template,
     Universe,
@@ -24,6 +23,9 @@ from abslog import (
     is_logic_algebra,
     load_model,
     make_shape,
+    pure_shape,
+    signature,
+    table_from_rows,
     valuation_from_subst,
 )
 from abslog.algebra import all_tables, argument_keys
@@ -59,8 +61,8 @@ T, F = 0, 1
 
 def test_operation_table_shape_checked():
     with pytest.raises(Exception):
-        OperationTable(2, 2, (0, 1, 0))
-    t = OperationTable(2, 2, (0, 1, 1, 1))
+        OperationTable(2, pure_shape(2), (0, 1, 0))
+    t = OperationTable(2, pure_shape(2), (0, 1, 1, 1))
     assert t.apply((0, 0)) == 0 and t.apply((1, 0)) == 1
 
 
@@ -119,9 +121,9 @@ def test_is_logic_algebra():
     assert is_logic_algebra(BOOL)
     assert is_logic_algebra(degenerate_model(SIG_D))
     broken_interp = dict(BOOL.interp)
-    broken_interp[IMP] = OperatorImpl(
-        make_shape(0, [(), ()]),
-        {key: T for key in argument_keys(2, make_shape(0, [(), ()]))})
+    broken_interp[IMP] = OperationTable(
+        2, make_shape(0, [(), ()]),
+        tuple(T for key in argument_keys(2, make_shape(0, [(), ()]))))
     broken = AbstractionAlgebra(BOOL.universe, SIG_K, broken_interp)
     assert not is_logic_algebra(broken)
     from abslog import signature
@@ -155,7 +157,7 @@ def test_eval_depends_only_on_free_vars(rnd):
         # perturbing an irrelevant variable cannot change the value
         junk = dict(nu.overrides)
         junk[("unused_name", 2)] = OperationTable(
-            alg.size, 2, tuple(rnd.randrange(alg.size)
+            alg.size, pure_shape(2), tuple(rnd.randrange(alg.size)
                                for _ in range(alg.size ** 2)))
         assert eval_term(alg, Valuation(alg.size, junk), t) == base
 
@@ -251,11 +253,11 @@ def _random_logic_algebra(rnd, sig, size):
     0, ⊤ ⇒ u is u, ∀ of the constant-⊤ operation is ⊤, the rest random."""
     alg = random_algebra(rnd, SIG_D.extend(sig.decls), size)
     interp = dict(alg.interp)
-    interp[TRUE] = OperatorImpl(interp[TRUE].shape, {(): 0})
-    interp[IMP] = OperatorImpl(interp[IMP].shape, {
-        (a, c): c if a == 0 else rnd.randrange(size) for a, c in interp[IMP].rule})
-    interp[ALL] = OperatorImpl(interp[ALL].shape, {
-        (f,): 0 if not any(f) else rnd.randrange(1, size) for (f,) in interp[ALL].rule})
+    interp[TRUE] = OperationTable(size, interp[TRUE].shape, (0,))
+    interp[IMP] = OperationTable(size, interp[IMP].shape, tuple(
+        c if a == 0 else rnd.randrange(size) for a, c in interp[IMP].rule))
+    interp[ALL] = OperationTable(size, interp[ALL].shape, tuple(
+        0 if not any(f) else rnd.randrange(1, size) for (f,) in interp[ALL].rule))
     return AbstractionAlgebra(alg.universe, alg.signature, interp)
 
 
@@ -295,9 +297,46 @@ def test_evaluation_agrees_with_named_oracle():
 
 
 def test_partial_operator_is_a_missing_row():
-    partial = dict(BOOL.interp)
     rule = dict(BOOL.interp[IMP].rule)
     del rule[(F, T)]
-    partial[IMP] = OperatorImpl(BOOL.interp[IMP].shape, rule)
     with pytest.raises(MissingRow, match=re.escape(f"table for {IMP} has no row for (F, T)")):
-        AbstractionAlgebra(BOOL.universe, SIG_K, partial)
+        table_from_rows(IMP, BOOL.universe, BOOL.interp[IMP].shape, rule.items())
+
+
+def test_row_rule_agrees_with_argument_keys():
+    # a key's row is its digits in base size; over every builtin-signature
+    # shape and random shapes up to valence 2, at sizes 1-3, that row is
+    # the key's place in argument_keys, and a model's rule, spelt in carrier
+    # names, rebuilds the model
+    from abslog.algebra import model_from_spec
+    from abslog.logics import BUILTIN_NAMES
+    from conftest import random_shape
+    rnd = random.Random(11)
+    shapes = {d.shape for name in BUILTIN_NAMES
+              for d in builtin_logic(name).signature.decls}
+    shapes |= {random_shape(rnd) for _ in range(60)}
+    assert max(len(p) for s in shapes for p in s.binder_sets) == 2
+    checked = 0
+    for size in (1, 2, 3):
+        names = tuple(f"v{i}" for i in range(size))
+        fits = sorted((s for s in shapes if size ** sum(
+            size ** len(p) for p in s.binder_sets) <= 20000), key=str)
+        sig = signature([(f"f{i}", s) for i, s in enumerate(fits)])
+        interp, spec = {}, []
+        for d in sig.decls:
+            keys = argument_keys(size, d.shape)
+            table = OperationTable(size, d.shape, tuple(
+                rnd.randrange(size) for _ in keys))
+            rule = table.rule
+            assert list(rule) == list(keys)
+            assert all(table.apply(key) == rule[key] for key in keys)
+            interp[d.name] = table
+            named = tuple((tuple(tuple(names[e] for e in part)
+                                 if isinstance(part, tuple) else names[part]
+                                 for part in key), names[value])
+                          for key, value in rule.items())
+            spec.append((d.name, named if d.shape.arity else names[rule[()]]))
+            checked += len(keys)
+        alg = AbstractionAlgebra(Universe(names), sig, interp)
+        assert model_from_spec("m", names, spec, sig) == alg
+    assert checked > 10000

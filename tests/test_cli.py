@@ -11,6 +11,7 @@ from abslog.driver import build_model, model_for
 from abslog.errors import (
     AbslogError,
     BadTableKey,
+    DuplicateRow,
     EmptyCarrier,
     MissingInterpretation,
     MissingRow,
@@ -352,7 +353,8 @@ def _json_with(**interp):
     return doc
 
 
-# (JSON document, model block body or None where blocks cannot say it, error)
+# (JSON document, or its text where a dict cannot say it; model block body
+# or None where blocks cannot say it; error)
 MALFORMED = {
     "value-outside-carrier": (
         _json_with(true="X"),
@@ -376,6 +378,10 @@ MALFORMED = {
             "all := { ([T, T]) -> T, ([T, F]) -> F, ([F, T]) -> F, ([F, F]) -> F }",
             "all := { (T) -> T, (F) -> F }"),
         BadTableKey),
+    "duplicate-row": (
+        json.dumps(_GOOD_JSON).replace('"T;T": "T"', '"T;T": "T", "T;T": "F"'),
+        _GOOD_INTERP.replace("(T, T) -> T,", "(T, T) -> T, (T, T) -> F,"),
+        DuplicateRow),
 }
 
 
@@ -383,7 +389,7 @@ MALFORMED = {
 def test_malformed_model_is_a_named_error(tmp_path, capsys, case):
     doc, block, error = MALFORMED[case]
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     source = "logic D\n"
     if block is not None:
         source += "model bad {\n  carrier T, F\n" + block + "}\n"
@@ -397,6 +403,9 @@ def test_malformed_model_is_a_named_error(tmp_path, capsys, case):
         assert main(["model-check", str(theory), "--model", spec]) == 2
         err = capsys.readouterr().err
         assert f"[{error.code}]" in err and "Traceback" not in err
+        if spec == "bad":
+            # placed at the block's `model` keyword
+            assert err.startswith(f"{theory}:2:1: error: [{error.code}] ")
 
 
 def test_missing_row_in_a_wide_table_is_found_at_once(tmp_path, capsys):
