@@ -23,6 +23,7 @@ from .errors import (
     ArityCapExceeded,
     ArityMismatch,
     BadTableKey,
+    DuplicateInterpretation,
     DuplicateName,
     DuplicateRow,
     EmptyCarrier,
@@ -52,8 +53,8 @@ from .logics import (
     TRUE,
 )
 from .shape import Shape, Signature, is_logic_signature, pure_shape
-from .subst import Substitution, apply_subst, encode_template
-from .term import DeBruijnTerm, Term, check_wellformed, free_in, to_debruijn
+from .subst import Substitution, encode_template
+from .term import DeBruijnTerm, Term, encode, free_in
 
 
 @dataclass(frozen=True)
@@ -217,10 +218,10 @@ def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
     """Value of t in alg under nu; requires t well-formed over alg's
     signature."""
     try:
-        check_wellformed(t, alg.signature)
+        node = encode(t, [], alg.signature)
     except TermError as e:
         raise IllFormedTerm(str(e)) from e
-    return _eval(alg.entry, alg.size, nu, to_debruijn(t), ())
+    return _eval(alg.entry, alg.size, nu, node, ())
 
 
 def valuation_from_subst(nu: Valuation, sigma: Substitution,
@@ -232,10 +233,9 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
     overrides = dict(nu.overrides)
     for (name, arity), tmpl in sigma.items():
         try:
-            check_wellformed(tmpl.body, alg.signature)
+            body = encode_template(tmpl, alg.signature)
         except TermError as e:
             raise IllFormedTemplate(str(e)) from e
-        body = encode_template(tmpl)
         overrides[(name, arity)] = OperationTable(alg.size, pure_shape(arity), tuple(
             _eval(alg.entry, alg.size, nu, body, us)
             for us in product(range(alg.size), repeat=arity)))
@@ -308,8 +308,7 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
         labels = [str(i + 1) for i in range(len(axioms))]
     verdicts = []
     for label, axiom in zip(labels, axioms):
-        check_wellformed(axiom, alg.signature)
-        node = to_debruijn(axiom)
+        node = encode(axiom, [], alg.signature)
         fvs = sorted(free_in(node))
         for name, arity in fvs:
             if arity > arity_cap:
@@ -406,9 +405,8 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
 
     instances = []
     for axiom in axioms:
-        check_wellformed(axiom, sig)
+        node = encode(axiom, [], sig)
         weight = _term_size(axiom)
-        node = to_debruijn(axiom)
         for nu in _valuations(size, sorted(free_in(node))):
             instances.append((weight, node, nu))
     instances.sort(key=lambda inst: inst[0])
@@ -508,7 +506,13 @@ def model_from_spec(model: str, carrier: Sequence[str],
     universe = Universe(tuple(carrier))
     idx = {v: i for i, v in enumerate(carrier)}
     aliases = aliases or {}
-    raw = {aliases.get(k, k): v for k, v in interp}
+    raw = {}
+    for k, spec in interp:
+        name = aliases.get(k, k)
+        if name in raw:
+            raise DuplicateInterpretation(
+                f"model {model} interprets abstraction {name!r} twice")
+        raw[name] = spec
 
     def value(name: str, v) -> int:
         if isinstance(v, str) and v in idx:

@@ -132,6 +132,12 @@ class DuplicateRow(ModelError):
     code = "DuplicateRow"
 
 
+class DuplicateInterpretation(ModelError):
+    """An abstraction interpreted twice, under one name or under its glyph
+    and its alias."""
+    code = "DuplicateInterpretation"
+
+
 # --- logics ---
 
 class UnknownLogic(AbslogError):

@@ -2,23 +2,23 @@
 `Theorem`, and each takes theorems.  `axiom` is AX, `inst` SUBST, `mp` MP
 and `gen` ALL; `lift` carries a theorem into a logic that extends its own.
 
-A theorem carries `node`, the nameless form of its statement with binder
-names as hints (term.py), and the rules work on that form: SUBST
-substitutes into it, MP takes it apart and ALL binds it, and a premise or
-a target matches modulo α when the forms agree with their hints left out.
-The named statement is built only when someone reads it: a target as
-given, an axiom as written, a part or a ∀ of the premise's statement, or
-for SUBST the node decoded, its binders renamed only where they clash.
+A theorem is `node`, the nameless form of its statement (term.py), which
+SUBST substitutes into, MP takes apart and ALL binds.  A term enters
+through `encode`, checked against the logic's signature, and matches a
+premise modulo α by `same_class`.  The named `statement` is the target or
+axiom the rule was given, else the term the node names, built when read.
 
-Soundness rests on the code above the untrusted line alone.  Below it,
-`check_proof` folds the rules over a proof tree, premises first, and
-memoises each node's theorem in the `TheoremDB`: a bug there can fail a
-good proof, or hand back a theorem that a rule minted, never more.
+The rules rest on the code above the untrusted line and on the walkers it
+calls: term.encode, same_class and strip_hints, and subst.encode_template,
+_subst_node (_instantiate, _lift, _rebuild), _bind and _settle.  Below
+the line, `check_proof` folds the rules over a proof tree, premises
+first, and memoises each node's theorem in the `TheoremDB`: a bug there
+can fail a good proof, or hand back a theorem a rule minted, never more.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .errors import (
     AllMismatch,
@@ -33,37 +33,35 @@ from .errors import (
     TermError,
     UnknownLemma,
 )
-from .logics import ALL, IMP, Logic, all_, is_extension
+from .logics import ALL, IMP, Logic, is_extension
 from .shape import BINDER_SHAPE, BINOP_SHAPE
-from .subst import Substitution, _bind, _named, _settle, _subst_node, encode_template
-from .term import DeBruijnTerm, Term, alpha_eq, check_wellformed, encode, same_class
+from .subst import (Substitution, Template, _bind, _named, _settle, _subst_node,
+                    encode_template)
+from .term import DeBruijnTerm, Term, alpha_eq, encode, same_class
 
 _KERNEL_TOKEN = object()
 
 
 class Theorem:
-    """A statement proved in `logic`, as the rule that minted it derived or
-    matched it (so compare it modulo α), and `node`, exactly
-    `encode(statement, [])`.  A rule that has the node but not the
-    statement passes a function that builds it on first read."""
+    """A statement proved in `logic`, as `node`, its nameless form.  The
+    statement is the term that the minting rule was given for it, or else
+    the term `node` names, built on first read; compare it modulo α."""
 
     __slots__ = ("_statement", "logic", "node")
 
-    def __init__(self, statement: Term | Callable[[], Term], logic: Logic,
-                 node: DeBruijnTerm | None = None, *, _token=None):
+    def __init__(self, logic: Logic, node: DeBruijnTerm,
+                 statement: Term | None = None, *, _token=None):
         if _token is not _KERNEL_TOKEN:
             raise KernelPrivilege("theorems can only be minted by the kernel rules")
         object.__setattr__(self, "_statement", statement)
         object.__setattr__(self, "logic", logic)
-        object.__setattr__(self, "node", encode(statement, []) if node is None else node)
+        object.__setattr__(self, "node", node)
 
     @property
     def statement(self) -> Term:
-        s = self._statement
-        if callable(s):  # built on first read
-            s = s()
-            object.__setattr__(self, "_statement", s)
-        return s
+        if self._statement is None:
+            object.__setattr__(self, "_statement", _named(self.node, []))
+        return self._statement
 
     def __setattr__(self, *_):
         raise KernelPrivilege("theorems are immutable")
@@ -72,9 +70,12 @@ class Theorem:
         return f"Theorem({self.statement!r}, logic={self.logic.name})"
 
 
-def _wf(t: Term, logic: Logic) -> None:
+def _encode(logic: Logic, t: Term | Template) -> DeBruijnTerm:
+    """The nameless form of a term or template well-formed in logic."""
     try:
-        check_wellformed(t, logic.signature)
+        if isinstance(t, Template):
+            return encode_template(t, logic.signature)
+        return encode(t, [], logic.signature)
     except TermError as e:
         raise IllFormed(str(e)) from e
 
@@ -86,17 +87,20 @@ def _premise(thm: Theorem) -> Logic:
     return thm.logic
 
 
-def _match(logic: Logic, target: Term, derived: DeBruijnTerm,
+def _match(logic: Logic, target: Term | None, derived: DeBruijnTerm,
            mismatch: type, message: str) -> DeBruijnTerm:
-    """The nameless form of a target that matches what a rule derived
-    modulo α.  A derived statement is well-formed, so only a target that
-    does not match is checked, to tell an ill-formed one from a wrong one."""
+    """What a rule derived, or, given a target, the target's nameless form
+    if it matches that modulo α.  A derived statement is well-formed, so
+    only a target that does not match is checked, to tell an ill-formed
+    one from a wrong one."""
+    if target is None:
+        return derived
     try:
         node = encode(target, [])
     except TermError:  # an argument that is not a term
         node = None
     if node is None or not same_class(node, derived):
-        _wf(target, logic)
+        _encode(logic, target)
         raise mismatch(message)
     return node
 
@@ -107,12 +111,13 @@ def axiom(logic: Logic, label_or_term: Term | str) -> Theorem:
         t = logic.axiom(label_or_term)
         if t is None:
             raise NotAnAxiom(f"no axiom labelled {label_or_term!r}")
+        node = encode(t, [])
     else:
         t = label_or_term
-        _wf(t, logic)
+        node = _encode(logic, t)
         if not any(alpha_eq(t, a) for _, a in logic.axioms):
             raise NotAnAxiom("term is not an axiom of this logic")
-    return Theorem(t, logic, _token=_KERNEL_TOKEN)
+    return Theorem(logic, node, t, _token=_KERNEL_TOKEN)
 
 
 def inst(thm: Theorem, sigma: Substitution, target: Term | None = None) -> Theorem:
@@ -120,18 +125,14 @@ def inst(thm: Theorem, sigma: Substitution, target: Term | None = None) -> Theor
     logic = _premise(thm)
     if not isinstance(sigma, Substitution):
         sigma = Substitution(sigma)
-    bodies = {}
-    for key, tmpl in sigma.items():
-        _wf(tmpl.body, logic)
-        bodies[key] = encode_template(tmpl)
-    node = _subst_node(thm.node, bodies)
-    if target is not None:
-        return Theorem(target, logic, _match(
-            logic, target, node, SubstMismatch,
-            "target is not α-equivalent to the substituted premise"),
-            _token=_KERNEL_TOKEN)
-    node = _settle(node)
-    return Theorem(lambda: _named(node, []), logic, node, _token=_KERNEL_TOKEN)
+    node = _subst_node(thm.node, {
+        key: _encode(logic, tmpl) for key, tmpl in sigma.items()})
+    if target is None:
+        node = _settle(node)
+    return Theorem(logic, _match(
+        logic, target, node, SubstMismatch,
+        "target is not α-equivalent to the substituted premise"), target,
+        _token=_KERNEL_TOKEN)
 
 
 def mp(h: Theorem, g: Theorem, target: Term | None = None) -> Theorem:
@@ -145,12 +146,9 @@ def mp(h: Theorem, g: Theorem, target: Term | None = None) -> Theorem:
     antecedent, consequent = s[4]
     if not same_class(antecedent, h.node):
         raise MpMismatch("antecedent does not match the first premise")
-    if target is not None:
-        return Theorem(target, logic, _match(
-            logic, target, consequent, MpMismatch,
-            "consequent does not match the target"), _token=_KERNEL_TOKEN)
-    return Theorem(lambda: g.statement.args[1], logic, consequent,
-                   _token=_KERNEL_TOKEN)
+    return Theorem(logic, _match(
+        logic, target, consequent, MpMismatch,
+        "consequent does not match the target"), target, _token=_KERNEL_TOKEN)
 
 
 def gen(thm: Theorem, binder: str, target: Term | None = None) -> Theorem:
@@ -159,12 +157,9 @@ def gen(thm: Theorem, binder: str, target: Term | None = None) -> Theorem:
     if not (isinstance(binder, str) and binder):
         raise IllFormed(f"binder {binder!r} is not a name")
     node = ("A", ALL, BINDER_SHAPE, (binder,), (_bind(thm.node, binder),))
-    if target is not None:
-        return Theorem(target, logic, _match(
-            logic, target, node, AllMismatch, "target is not (∀ x. premise)"),
-            _token=_KERNEL_TOKEN)
-    return Theorem(lambda: all_(binder, thm.statement), logic, node,
-                   _token=_KERNEL_TOKEN)
+    return Theorem(logic, _match(
+        logic, target, node, AllMismatch, "target is not (∀ x. premise)"),
+        target, _token=_KERNEL_TOKEN)
 
 
 def lift(thm: Theorem, logic: Logic) -> Theorem:
@@ -174,7 +169,7 @@ def lift(thm: Theorem, logic: Logic) -> Theorem:
     if not is_extension(logic, thm.logic):
         raise UnknownLemma(f"the theorem was certified in {thm.logic.name}, "
                            f"which {logic.name} does not extend")
-    return Theorem(lambda: thm.statement, logic, thm.node, _token=_KERNEL_TOKEN)
+    return Theorem(logic, thm.node, thm._statement, _token=_KERNEL_TOKEN)
 
 
 # --- untrusted below: proof trees, the theorem store and the fold -------------

@@ -114,7 +114,12 @@ class Logic:
         return tuple(t for _, t in self.axioms)
 
     def extend(self, name, decls=(), axioms=()) -> "Logic":
-        return Logic(name, self.signature.extend(decls), self.axioms + tuple(axioms))
+        """This logic with decls and axioms added.  Only the added axioms
+        are checked: an extended signature keeps every declaration it had,
+        so this logic's axioms stay well-formed in it."""
+        child = Logic(name, self.signature.extend(decls), tuple(axioms))
+        object.__setattr__(child, "axioms", self.axioms + child.axioms)
+        return child
 
 
 def _axioms_d():

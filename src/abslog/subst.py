@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import ArityMismatch, BadSubstitution, DuplicateBinder
+from .shape import Signature
 from .term import Abs, DeBruijnTerm, Term, Var, encode, free_in
 
 
@@ -129,7 +130,7 @@ def _bind(node: tuple, name: str) -> tuple:
 
 def _settle(node: tuple, path: frozenset = frozenset()) -> tuple:
     """node with each binder's hint replaced by its name in named syntax:
-    the hint, or x, primed until it clashes with no free variable of its
+    the hint, primed until it clashes with no free variable of its
     subterm and no name in `path`, the names of the enclosing binders.
     Byte-equal inputs give byte-equal outputs."""
     tag = node[0]
@@ -142,7 +143,7 @@ def _settle(node: tuple, path: frozenset = frozenset()) -> tuple:
         avoid = {x for x, _ in free_in(node)} | path
         chosen = []
         for j in range(shape.valence):
-            nm = fresh_var(avoid, hints[j] if j < len(hints) else "x")
+            nm = fresh_var(avoid, hints[j])
             avoid.add(nm)
             chosen.append(nm)
         hints = tuple(chosen)
@@ -181,9 +182,10 @@ def _decode(node: tuple) -> Term:
     return _named(_settle(node), [])
 
 
-def encode_template(tmpl: Template) -> DeBruijnTerm:
-    """Nameless form of tmpl: its body under one frame of its parameters."""
-    return encode(tmpl.body, [tmpl.binders])
+def encode_template(tmpl: Template, sig: Signature | None = None) -> DeBruijnTerm:
+    """Nameless form of tmpl: its body under one frame of its parameters,
+    checked against sig when given (term.encode)."""
+    return encode(tmpl.body, [tmpl.binders], sig)
 
 
 def apply_subst(sigma: Substitution | Mapping, t: Term) -> Term:

@@ -419,8 +419,9 @@ class TheoryFile:
         return base.extend(self.decls)
 
     def logic(self) -> Logic:
-        base_axioms = builtin_logic(self.base).axioms if self.base else ()
-        return Logic("file", self.signature, base_axioms + self.axioms)
+        if self.base:
+            return builtin_logic(self.base).extend("file", self.decls, self.axioms)
+        return Logic("file", self.signature, self.axioms)
 
 
 @contextmanager

@@ -7,8 +7,9 @@ is the arity-0 case) or an abstraction application
 
 Abstraction nodes embed the shape they were built against, so the binding
 structure (which binder is active in which argument position) is part of
-the tree; ``check_wellformed`` verifies the embedded shapes against a
-signature.
+the tree.  ``encode`` checks the embedded shapes against a signature while
+it builds the nameless form; ``check_wellformed`` is that walk, its result
+dropped.
 """
 from __future__ import annotations
 
@@ -57,22 +58,51 @@ class Abs:
             raise ArityMismatch(
                 f"{self.name}: {len(self.args)} arguments for arity {self.shape.arity}")
 
-    def frame(self, i: int) -> tuple[str, ...]:
-        """Binder names active in argument position i, in binder-index order."""
-        return tuple(self.binders[j] for j in self.shape.binder_sets[i])
-
 
 def check_wellformed(t: Term, sig: Signature) -> None:
     """Raise unless t is a term whose variables have names and whose
     abstraction applications match their declarations."""
-    if isinstance(t, Var):
-        if not (isinstance(t.name, str) and t.name):
-            raise MalformedTerm(f"variable name {t.name!r} is not a name")
-        for a in t.args:
-            check_wellformed(a, sig)
-        return
-    if not isinstance(t, Abs):
-        raise MalformedTerm(f"{t!r} is not a term")
+    encode(t, [], sig)
+
+
+# --- nameless form ----------------------------------------------------------
+#
+# The one nameless (de Bruijn) encoding, and `encode` the one walk by which
+# a term enters the core: it is the only code that works out which binder
+# an occurrence refers to, and, given a signature, it checks the term on
+# the way.  α-equality, substitution (subst.py), the kernel's theorems,
+# free variables and evaluation (algebra.py) all read this form.  As
+# nested tuples, of three kinds:
+#   ("b", k)                         bound arity-0 occurrence, k counted from
+#                                    the innermost binder (within a frame,
+#                                    later binder indices are closer)
+#   ("v", name, args)                free occurrence, args encoded
+#                                    recursively; its arity is len(args)
+#   ("A", name, shape, hints, args)  abstraction application; hints are the
+#                                    binder names
+#
+# A template [x0 ... xn-1. t] is its body encoded under one outer frame of
+# its parameters, so parameter i is the bound index n-1-i wherever no
+# binder of t encloses it.
+#
+# The hints make the form lossless: the term named by a node (subst._named)
+# is the term it encodes.  Two terms are α-equivalent iff their forms agree
+# with the hints left out (`same_class`).
+
+DeBruijnTerm = tuple
+
+
+def _lookup(name: str, frames: list[tuple[str, ...]]) -> int | None:
+    idx = 0
+    for fr in reversed(frames):
+        for b in reversed(fr):
+            if b == name:
+                return idx
+            idx += 1
+    return None
+
+
+def _check_decl(t: Abs, sig: Signature) -> None:
     decl = sig.get(t.name)
     if decl is None:
         raise UnknownAbstraction(f"abstraction {t.name!r} is not declared")
@@ -86,80 +116,47 @@ def check_wellformed(t: Term, sig: Signature) -> None:
         # same valence/arity but different binding structure
         raise ValenceMismatch(
             f"{t.name}: binder sets {t.shape} differ from declared {decl.shape}")
-    for a in t.args:
-        check_wellformed(a, sig)
-
-
-# --- nameless form ----------------------------------------------------------
-#
-# The one nameless (de Bruijn) encoding, and `encode` the only code that
-# works out which binder an occurrence refers to.  α-equality, substitution
-# (subst.py), free variables and evaluation (algebra.py) all read this form.
-# As nested tuples, of three kinds:
-#   ("b", k)                         bound arity-0 occurrence, k counted from
-#                                    the innermost binder (within a frame,
-#                                    later binder indices are closer)
-#   ("v", name, args)                free occurrence, args encoded
-#                                    recursively; its arity is len(args)
-#   ("A", name, shape, hints, args)  abstraction application; hints are the
-#                                    binder names, or () when left out
-#
-# A template [x0 ... xn-1. t] is its body encoded under one outer frame of
-# its parameters, so parameter i is the bound index n-1-i wherever no
-# binder of t encloses it.
-#
-# With the hints left out, two terms are α-equivalent iff their encodings
-# are equal.  Substitution keeps them, so that decoding back to named syntax
-# can reuse the original binder names wherever no renaming is forced.
-
-DeBruijnTerm = tuple
-
-
-def to_debruijn(t: Term) -> DeBruijnTerm:
-    return encode(t, [], False)
-
-
-def _lookup(name: str, frames: list[tuple[str, ...]]) -> int | None:
-    idx = 0
-    for fr in reversed(frames):
-        for b in reversed(fr):
-            if b == name:
-                return idx
-            idx += 1
-    return None
 
 
 def encode(t: Term, frames: list[tuple[str, ...]],
-           hints: bool = True) -> DeBruijnTerm:
+           sig: Signature | None = None) -> DeBruijnTerm:
     """Nameless form of t under the binder frames in scope (outermost
-    first); hints=False leaves the binder names out."""
+    first).  Given a signature, first raise the TermError of the first
+    node, in pre-order, that is not a term over it."""
     if isinstance(t, Var):
-        if t.arity == 0:
+        if sig is not None and not (isinstance(t.name, str) and t.name):
+            raise MalformedTerm(f"variable name {t.name!r} is not a name")
+        if not t.args:
             k = _lookup(t.name, frames)
-            if k is not None:
-                return ("b", k)
-            return ("v", t.name, ())
-        return ("v", t.name, tuple(encode(a, frames, hints) for a in t.args))
+            return ("v", t.name, ()) if k is None else ("b", k)
+        return ("v", t.name, tuple(encode(a, frames, sig) for a in t.args))
     if not isinstance(t, Abs):
         raise MalformedTerm(f"{t!r} is not a term")
+    if sig is not None:
+        _check_decl(t, sig)
     args = []
-    for i, a in enumerate(t.args):
-        fr = t.frame(i)
-        if fr:
-            frames.append(fr)
-            args.append(encode(a, frames, hints))
+    for p, a in zip(t.shape.binder_sets, t.args):
+        if p:
+            frames.append(tuple(t.binders[j] for j in p))
+            args.append(encode(a, frames, sig))
             frames.pop()
         else:
-            args.append(encode(a, frames, hints))
-    return ("A", t.name, t.shape, t.binders if hints else (), tuple(args))
+            args.append(encode(a, frames, sig))
+    return ("A", t.name, t.shape, t.binders, tuple(args))
+
+
+def to_debruijn(t: Term) -> DeBruijnTerm:
+    """Nameless form of t with the hints left out: equal for α-equivalent
+    terms."""
+    return strip_hints(encode(t, []))
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
-    return s is t or to_debruijn(s) == to_debruijn(t)
+    return s is t or same_class(encode(s, []), encode(t, []))
 
 
 def strip_hints(node: DeBruijnTerm) -> DeBruijnTerm:
-    """node with every binder hint left out: to_debruijn of its term."""
+    """node with every binder hint left out."""
     tag = node[0]
     if tag == "b":
         return node

@@ -33,7 +33,6 @@ from abslog import (
     Var,
     alpha_eq,
     apply_subst,
-    check_wellformed,
     is_extension,
     pure_shape,
 )
@@ -41,14 +40,18 @@ from abslog.algebra import argument_keys
 from abslog.errors import (
     AllMismatch,
     ArityCapExceeded,
+    ArityMismatch,
     IllFormed,
+    MalformedTerm,
     MpMismatch,
     NotAnAxiom,
     NotAnImplication,
     ProofError,
     SubstMismatch,
     TermError,
+    UnknownAbstraction,
     UnknownLemma,
+    ValenceMismatch,
 )
 from abslog.logics import IMP, TRUE, all_
 from abslog.shape import BINOP_SHAPE
@@ -225,6 +228,36 @@ def parse_term_oracle(text: str, sig) -> Term:
     return t
 
 
+# --- well-formedness by its own walk -------------------------------------------
+
+def check_wellformed_oracle(t: Term, sig) -> None:
+    """Raise unless t is a term whose variables have names and whose
+    abstraction applications match their declarations."""
+    if isinstance(t, Var):
+        if not (isinstance(t.name, str) and t.name):
+            raise MalformedTerm(f"variable name {t.name!r} is not a name")
+        for a in t.args:
+            check_wellformed_oracle(a, sig)
+        return
+    if not isinstance(t, Abs):
+        raise MalformedTerm(f"{t!r} is not a term")
+    decl = sig.get(t.name)
+    if decl is None:
+        raise UnknownAbstraction(f"abstraction {t.name!r} is not declared")
+    if decl.shape.valence != t.shape.valence:
+        raise ValenceMismatch(
+            f"{t.name}: valence {t.shape.valence}, declared {decl.shape.valence}")
+    if decl.shape.arity != t.shape.arity:
+        raise ArityMismatch(
+            f"{t.name}: arity {t.shape.arity}, declared {decl.shape.arity}")
+    if decl.shape != t.shape:
+        # same valence/arity but different binding structure
+        raise ValenceMismatch(
+            f"{t.name}: binder sets {t.shape} differ from declared {decl.shape}")
+    for a in t.args:
+        check_wellformed_oracle(a, sig)
+
+
 # --- proof checking by walking the tree -----------------------------------------
 
 def check_proof_oracle(logic, p, db=None, memo=None) -> Term:
@@ -237,7 +270,7 @@ def check_proof_oracle(logic, p, db=None, memo=None) -> Term:
 
 def _wf(t, logic, path):
     try:
-        check_wellformed(t, logic.signature)
+        check_wellformed_oracle(t, logic.signature)
     except TermError as e:
         raise IllFormed(str(e), path) from e
 

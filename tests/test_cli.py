@@ -11,6 +11,7 @@ from abslog.driver import build_model, model_for
 from abslog.errors import (
     AbslogError,
     BadTableKey,
+    DuplicateInterpretation,
     DuplicateRow,
     EmptyCarrier,
     MissingInterpretation,
@@ -382,6 +383,14 @@ MALFORMED = {
         json.dumps(_GOOD_JSON).replace('"T;T": "T"', '"T;T": "T", "T;T": "F"'),
         _GOOD_INTERP.replace("(T, T) -> T,", "(T, T) -> T, (T, T) -> F,"),
         DuplicateRow),
+    "duplicate-interpretation": (
+        json.dumps(_GOOD_JSON).replace('"true": "T"', '"true": "T", "true": "F"'),
+        _GOOD_INTERP.replace("true := T", "true := T\n  true := F"),
+        DuplicateInterpretation),
+    "alias-and-glyph": (
+        _json_with(**{"⊤": "T"}),
+        _GOOD_INTERP.replace("true := T", "true := T\n  ⊤ := T"),
+        DuplicateInterpretation),
 }
 
 

@@ -177,3 +177,27 @@ def test_label_lookup():
     assert K.axiom("nope") is None
     assert K.axiom("D1") == D.axiom("D1")
     assert P.signature.names == SIG_P.names
+
+
+def test_a_file_logic_checks_only_its_own_axioms(monkeypatch):
+    """Extending a signature keeps every declaration it had, so building a
+    file's logic checks the file's axioms and not the base logic's."""
+    from abslog import parse_theory
+    from abslog.errors import UnknownAbstraction
+    from abslog.logics import v
+    from abslog.syntax import TheoryFile
+    from abslog.term import Abs
+
+    checked = []
+    wellformed = logics.check_wellformed
+    monkeypatch.setattr(logics, "check_wellformed",
+                        lambda t, sig: checked.append(t) or wellformed(t, sig))
+    tf = parse_theory("logic K\naxiom X: A -> A\n")
+    logic = tf.logic()
+    assert checked == [tf.axioms[0][1]]
+    assert logic.axioms == K.axioms + tf.axioms and logic.signature == K.signature
+    bad = Abs("nope", SIG_D.get("⇒").shape, (), (v("A"), v("A")))
+    with pytest.raises(UnknownAbstraction):
+        TheoryFile(base="K", axioms=(("X", bad),)).logic()
+    with pytest.raises(UnknownAbstraction):
+        D.extend("D+", axioms=[("X", bad)])

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from abslog import (
@@ -13,13 +15,15 @@ from abslog import (
 from abslog.errors import (
     ArityMismatch,
     DuplicateBinder,
+    TermError,
     UnknownAbstraction,
     ValenceMismatch,
 )
 from abslog.logics import SIG_D, SIG_K, all_, v
+from abslog.term import encode
 
 from conftest import random_signature, random_term
-from oracles import alpha_oracle, rename_binders
+from oracles import alpha_oracle, check_wellformed_oracle, rename_binders
 
 INTEGRAL = make_shape(1, [set(), {0}])
 AB_SIG = signature([("a", make_shape(1, [{0}])), ("b", make_shape(0, [(), ()]))])
@@ -122,3 +126,81 @@ def test_alpha_matches_rename_oracle(rnd):
         assert alpha_eq(s, t) == alpha_oracle(s, t)
         r = rename_binders(s)
         assert alpha_eq(s, r) and alpha_oracle(s, r)
+
+
+# --- the checked encoder against the tree-walking checker -----------------------
+
+def _nodes(t, path=()):
+    yield path, t
+    for i, a in enumerate(t.args):
+        yield from _nodes(a, path + (i,))
+
+
+def _replace_at(t, path, new):
+    if not path:
+        return new
+    i = path[0]
+    args = t.args[:i] + (_replace_at(t.args[i], path[1:], new),) + t.args[i + 1:]
+    if isinstance(t, Var):
+        return Var(t.name, args)
+    return Abs(t.name, t.shape, t.binders, args)
+
+
+def _other_shapes(shape):
+    """Shapes of the same valence and arity with other binder sets."""
+    subsets = [c for k in range(shape.valence + 1)
+               for c in combinations(range(shape.valence), k)]
+    out = []
+    for sets in product(subsets, repeat=shape.arity):
+        if set().union(*sets) == set(range(shape.valence)):
+            other = make_shape(shape.valence, sets)
+            if other != shape:
+                out.append(other)
+    return out
+
+
+def _mutate(rnd, t):
+    """t with one node made ill-formed: an undeclared abstraction, other
+    binder sets, a variable name that is not a name, or an argument that
+    is not a term."""
+    nodes = list(_nodes(t))
+    kinds = {
+        "undeclared": [(p, n) for p, n in nodes if isinstance(n, Abs)],
+        "binder-sets": [(p, n) for p, n in nodes
+                        if isinstance(n, Abs) and _other_shapes(n.shape)],
+        "variable-name": [(p, n) for p, n in nodes if isinstance(n, Var)],
+        "not-a-term": [(p, n) for p, n in nodes if p],
+    }
+    kind = rnd.choice(sorted(k for k, found in kinds.items() if found))
+    path, n = rnd.choice(kinds[kind])
+    if kind == "undeclared":
+        new = Abs("nope", n.shape, n.binders, n.args)
+    elif kind == "binder-sets":
+        new = Abs(n.name, rnd.choice(_other_shapes(n.shape)), n.binders, n.args)
+    elif kind == "variable-name":
+        new = Var(rnd.choice(["", 5]), n.args)
+    else:
+        new = rnd.choice([5, "x", None, (v("x"),)])
+    return _replace_at(t, path, new)
+
+
+def _outcome(check):
+    try:
+        return check()
+    except TermError as e:
+        return (type(e), e.code, e.message)
+
+
+def test_checked_encoder_agrees_with_the_tree_walking_checker(rnd):
+    """Random terms, each also mutated once, checked against the signature
+    they were built over and against another one (so that several nodes
+    can be ill-formed and the order of the checks shows): encoding with a
+    signature raises the checker's error, or gives the unchecked form."""
+    for _ in range(300):
+        sig, other = random_signature(rnd), random_signature(rnd)
+        t = random_term(rnd, sig)
+        for term in (t, _mutate(rnd, t)):
+            for s in (sig, other):
+                want = _outcome(lambda: check_wellformed_oracle(term, s))
+                got = _outcome(lambda: encode(term, [], s))
+                assert got == (encode(term, []) if want is None else want), term
