@@ -136,10 +136,12 @@ def table_from_rows(name: str, universe: Universe, shape: Shape,
     twice is a DuplicateRow; the first key, in row order, that no row lists
     is a MissingRow, found lazily so that a huge key space costs nothing."""
     given: dict[tuple, int] = {}
-    for key, value in rows:
+    for row, (key, value) in enumerate(rows):
         if key in given:
-            raise DuplicateRow(f"table for {name} lists the row "
-                               f"{_show_key(key, universe.value_names)} twice")
+            e = DuplicateRow(f"table for {name} lists the row "
+                             f"{_show_key(key, universe.value_names)} twice")
+            e.row = row
+            raise e
         given[key] = value
     entries = []
     for key in _keys(universe.size, shape.binder_sets):
@@ -497,7 +499,8 @@ def model_from_spec(model: str, carrier: Sequence[str],
     position: a value name, or, where the position binds variables, the
     row-major entry list of the argument operation (a lone value name is a
     one-entry list).  Every defect raises a ModelError that names the model
-    and the abstraction.
+    and the abstraction, with the index in `interp` of the entry at fault,
+    and of the row where a row is at fault, where there is one.
     """
     if not carrier:
         raise EmptyCarrier(f"model {model}: the carrier has no values")
@@ -507,12 +510,14 @@ def model_from_spec(model: str, carrier: Sequence[str],
     idx = {v: i for i, v in enumerate(carrier)}
     aliases = aliases or {}
     raw = {}
-    for k, spec in interp:
+    for entry, (k, spec) in enumerate(interp):
         name = aliases.get(k, k)
         if name in raw:
-            raise DuplicateInterpretation(
+            e = DuplicateInterpretation(
                 f"model {model} interprets abstraction {name!r} twice")
-        raw[name] = spec
+            e.entry = entry
+            raise e
+        raw[name] = entry, spec
 
     def value(name: str, v) -> int:
         if isinstance(v, str) and v in idx:
@@ -533,27 +538,40 @@ def model_from_spec(model: str, carrier: Sequence[str],
                 f"({universe.size ** len(p)} values), not {v!r}")
         return tuple(value(name, e) for e in entries)
 
+    def table_rows(name: str, sets, spec):
+        """The (key, value) rows of a table spec; an error is placed at its
+        row."""
+        for row, (key, out) in enumerate(spec):
+            try:
+                if len(key) != len(sets):
+                    raise BadTableKey(f"model {model}: {name}: row key {key!r} "
+                                      f"needs {len(sets)} argument(s)")
+                yield (tuple(part(name, p, i, v)
+                             for i, (p, v) in enumerate(zip(sets, key))),
+                       value(name, out))
+            except ModelError as e:
+                e.row = row
+                raise
+
     tables = {}
     for d in sig.decls:
         if d.name not in raw:
             raise MissingInterpretation(
                 f"model {model} interprets no abstraction {d.name!r}")
-        spec, sets = raw[d.name], d.shape.binder_sets
-        if isinstance(spec, tuple) != bool(sets):
-            raise SpecKindMismatch(f"model {model}: {d.name} " + (
-                "needs a table, not a value" if sets else "is a value, not a table"))
-        rows = []
-        for key, out in spec if sets else [((), spec)]:
-            if len(key) != len(sets):
-                raise BadTableKey(f"model {model}: {d.name}: row key {key!r} "
-                                  f"needs {len(sets)} argument(s)")
-            rows.append((tuple(part(d.name, p, i, v)
-                               for i, (p, v) in enumerate(zip(sets, key))),
-                         value(d.name, out)))
+        (entry, spec), sets = raw[d.name], d.shape.binder_sets
         try:
+            if isinstance(spec, tuple) != bool(sets):
+                raise SpecKindMismatch(f"model {model}: {d.name} " + (
+                    "needs a table, not a value" if sets else "is a value, not a table"))
+            rows = table_rows(d.name, sets, spec) if sets else [((), value(d.name, spec))]
             tables[d.name] = table_from_rows(d.name, universe, d.shape, rows)
         except (MissingRow, DuplicateRow) as e:
-            raise type(e)(f"model {model}: {e}") from None
+            placed = type(e)(f"model {model}: {e}")
+            placed.entry, placed.row = entry, e.row
+            raise placed from None
+        except ModelError as e:
+            e.entry = entry
+            raise
     return AbstractionAlgebra(universe, sig, tables)
 
 

@@ -1,6 +1,6 @@
 """Command line front end.
 
-    abslog check FILE [--json]
+    abslog check FILE [--json] [--stats]
     abslog model-check FILE --model boolean|degenerate|PATH [--arity-cap N] [--json]
     abslog eval FILE --term TERM --model SPEC [--assign x=v,...] [--unicode]
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from functools import cache
 
 from .algebra import Valuation, check_model, constant_table, eval_term
@@ -21,17 +22,43 @@ from .syntax import parse_term, parse_theory, print_term
 from .term import free_vars
 
 
-def _read_theory(path: str):
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_theory(fh.read())
+        return fh.read()
+
+
+def _read_theory(path: str):
+    return parse_theory(_read_text(path))
+
+
+def _phase(stats: dict | None, name: str, fn, arg):
+    """fn(arg), its wall time added to stats[name] unless stats is None."""
+    if stats is None:
+        return fn(arg)
+    start = time.perf_counter()
+    result = fn(arg)
+    stats[name] = time.perf_counter() - start
+    return result
 
 
 def _cmd_check(args) -> int:
-    tf = _read_theory(args.file)
-    report = check_theory(tf)
+    stats = {} if args.stats else None
+    text = _phase(stats, "read_s", _read_text, args.file)
+    tf = _phase(stats, "parse_s", parse_theory, text)
+    report = _phase(stats, "check_s", check_theory, tf)
+    if stats is not None:
+        stats["theorems"] = len(tf.theorems)
+        stats["steps"] = sum(len(block.steps) for block in tf.theorems)
+        print(f"stats: read {stats['read_s'] * 1000:.3f} ms, "
+              f"parse {stats['parse_s'] * 1000:.3f} ms, "
+              f"check {stats['check_s'] * 1000:.3f} ms, "
+              f"{stats['theorems']} theorems, {stats['steps']} proof steps",
+              file=sys.stderr)
     if args.json:
         doc = {"file": args.file,
                "blocks": [r.to_json() for r in report.results]}
+        if stats is not None:
+            doc["stats"] = stats
         print(json.dumps(doc, ensure_ascii=False, indent=2))
     else:
         for r in report.results:
@@ -119,6 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file")
     p_check.add_argument("--json", action="store_true",
                          help="machine-readable report on stdout")
+    p_check.add_argument("--stats", action="store_true",
+                         help="time reading, parsing and checking, count "
+                              "theorems and proof steps, and print them on "
+                              "one line to stderr (and under \"stats\" with "
+                              "--json)")
     p_check.set_defaults(fn=_cmd_check)
 
     p_model = sub.add_parser(

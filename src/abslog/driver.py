@@ -150,11 +150,13 @@ def inconsistency_expand(logic: Logic, p_forall: Proof, target: Term,
 
 def build_model(block: ModelBlock, sig: Signature) -> AbstractionAlgebra:
     """Turn a parsed in-file model block into an abstraction algebra.  An
-    error it raises carries the line and column of the block."""
+    error it raises carries the line and column of the row or entry at
+    fault, or else of the block."""
     try:
         return model_from_spec(block.name, block.carrier, block.interp, sig, ALIAS)
     except AbslogError as e:
-        e.line, e.col = block.line, block.col
+        e.line, e.col = block.position(getattr(e, "entry", None),
+                                       getattr(e, "row", None))
         raise
 
 

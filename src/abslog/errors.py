@@ -100,6 +100,8 @@ class ModelError(AlgebraError):
     """A model description (a model block or a JSON file) that defines no
     algebra over the signature."""
     code = "ModelError"
+    # the index of the interpretation at fault, and of its row, when known
+    entry = row = None
 
 
 class EmptyCarrier(ModelError):

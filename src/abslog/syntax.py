@@ -10,13 +10,20 @@ elsewhere use the parenthesized form `(all x. t)`.
 
 Both ASCII spellings and the glyphs are accepted; the printer emits ASCII
 unless asked for glyphs.
+
+`tokenize` returns `Tokens`: parallel arrays of kinds, values and start
+offsets, plus the offset where each line starts.  A token is an offset,
+not an object with a line: the line and column of an error, a proof
+step, a block or an axiom are worked out when it is built, by bisecting
+the line starts.  Both parsers read the arrays through one shared index.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import accumulate
 
 from .errors import AbslogError
 from .logics import Logic, builtin_logic
@@ -57,23 +64,45 @@ _OPERATOR = {name: (token, level, assoc)
 KEYWORDS = {"logic", "abstraction", "axiom", "theorem", "proof", "qed", "model"}
 
 # multi-character and glyph operators, longest first.  Each match takes the
-# blanks before one token; `bad` takes any other character, `\Z` end blanks.
+# blanks, line breaks and comments before one token; `bad` takes any other
+# character, and `\Z` the blanks at the end.  A glyph operator is its own
+# group, so that only it pays for the lookup of its ASCII spelling.
 _OP_TOKENS = sorted(["==>", ":=", *INFIX, *OP_GLYPHS], key=len, reverse=True)
-_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
-    (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<op>""" + "|".join(map(re.escape, _OP_TOKENS)) + r"""|[()\[\]{},.;:=/¬])
-  | (?P<num>\d+)
+_TOKEN_RE = re.compile(r"""(?:[ \t\r\n]|\#[^\n]*)*(?:
+    (?P<op>""" + "|".join(re.escape(t) for t in _OP_TOKENS if t not in OP_GLYPHS)
+                       + r"""|[()\[\]{},.;:=/¬])
   | (?P<ident>∃₁|[⊤⊥⅄∀∃]|[A-Za-z_][A-Za-z0-9_′]*)
+  | (?P<num>\d+)
+  | (?P<glyph>""" + "|".join(map(re.escape, OP_GLYPHS)) + r""")
   | (?P<bad>.)
   | \Z)""", re.VERBOSE)
 
 
-class Token(NamedTuple):
-    kind: str  # "op", "num", "ident", "eof"
-    value: str
-    line: int
-    col: int  # in code points, from 1
+def _line_col(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """The line and column, both from 1, of `offset` in a text whose lines
+    start at `line_starts`; the column counts code points."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
+@dataclass(frozen=True)
+class Tokens:
+    """The tokens of a text as parallel arrays, the eof token last: each
+    token's kind ("op", "num", "ident" or "eof"), its value (an operator in
+    its ASCII spelling, "" at eof) and the offset where it starts.  No token
+    knows its line: `position` works it out from `line_starts`, the offset
+    of each line's first character."""
+    kinds: list[str]
+    values: list[str]
+    starts: list[int]
+    line_starts: list[int]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column of token `i`."""
+        return _line_col(self.line_starts, self.starts[i])
 
 
 @dataclass(frozen=True)
@@ -102,69 +131,68 @@ class ParseError(AbslogError):
             self.code = code
 
 
-def tokenize(text: str) -> list[Token]:
-    out = []
-    line, line_start = 1, 0
+def tokenize(text: str) -> Tokens:
+    kinds, values, starts = [], [], []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind is not None and kind != "comment":
-            value = m.group(kind)
-            col = m.start(kind) - line_start + 1
-            if kind == "bad":
-                raise ParseError(f"unexpected character {value!r}", line, col)
-            if kind == "op" and value in OP_GLYPHS:
-                value = OP_GLYPHS[value]
-            out.append(Token(kind, value, line, col))
-    out.append(Token("eof", "", line, len(text) - line_start + 1))
-    return out
+        if kind is None:  # only blanks were left
+            break
+        value = m.group(kind)
+        start = m.end() - len(value)  # a token ends its match
+        if kind == "glyph":
+            kind, value = "op", OP_GLYPHS[value]
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}",
+                             *_line_col(_line_starts(text), start))
+        kinds.append(kind)
+        values.append(value)
+        starts.append(start)
+    kinds.append("eof")
+    values.append("")
+    starts.append(len(text))
+    return Tokens(kinds, values, starts, _line_starts(text))
 
 
-class _Stream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self, ahead=0) -> Token:
-        # `next` never moves past the eof token, and `term` looks two ahead
-        # only past an ident, so the index stays in range
-        return self.tokens[self.i + ahead]
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def at(self, value: str) -> bool:
-        return self.peek().value == value and self.peek().kind != "eof"
-
-    def accept(self, value: str) -> bool:
-        if self.at(value):
-            self.next()
-            return True
-        return False
-
-    def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.value != value or tok.kind == "eof":
-            raise ParseError(f"expected {value!r}, found {tok.value!r}",
-                             tok.line, tok.col)
-        return self.next()
-
-    def error(self, message, code=None) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col, code)
+def _line_starts(text: str) -> list[int]:
+    return [0, *accumulate(len(line) + 1 for line in text.split("\n")[:-1])]
 
 
 class TermParser:
-    """Operator-precedence term parser over a signature, driven by INFIX."""
+    """Operator-precedence term parser over a signature, driven by INFIX.
 
-    def __init__(self, stream: _Stream, sig: Signature):
-        self.s = stream
+    It reads the token arrays at index `i`, which it moves past what it
+    parses; a TheoryParser reads and moves the same index between terms.
+    `i` never passes the eof token: a token is only consumed after its
+    value or kind is checked, and eof's value "" matches no literal."""
+
+    def __init__(self, tokens: Tokens, sig: Signature):
+        self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.values = tokens.values
+        self.i = 0
         self.sig = sig
+
+    # cold paths: errors and the rare constructs
+    def peek(self) -> str:
+        return self.values[self.i]
+
+    def error_at(self, i: int, message: str, code=None) -> ParseError:
+        return ParseError(message, *self.tokens.position(i), code)
+
+    def error(self, message: str, code=None) -> ParseError:
+        return self.error_at(self.i, message, code)
+
+    def accept(self, value: str) -> bool:
+        if self.values[self.i] == value:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> None:
+        found = self.values[self.i]
+        if found != value:
+            raise self.error(f"expected {value!r}, found {found!r}")
+        self.i += 1
 
     def resolve(self, name: str) -> AbstractionDecl | None:
         d = self.sig.get(name)
@@ -175,21 +203,20 @@ class TermParser:
     def _op_decl(self, token: str, name: str) -> AbstractionDecl:
         d = self.sig.get(name)
         if d is None:
-            raise self.s.error(f"operator {token!r} ({name}) is not declared",
-                               "UnknownName")
+            raise self.error(f"operator {token!r} ({name}) is not declared",
+                             "UnknownName")
         return d
 
     def term(self) -> Term:
-        tok = self.s.peek()
-        if tok.kind == "ident" and tok.value not in KEYWORDS:
-            d = self.resolve(tok.value)
-            if (d is not None and d.shape == BINDER_SHAPE
-                    and self.s.peek(1).kind == "ident"
-                    and self.s.peek(2).value == "."):
-                self.s.next()
-                binder = self.s.next().value
-                self.s.expect(".")
-                return Abs(d.name, d.shape, (binder,), (self.term(),))
+        i, kinds, values = self.i, self.kinds, self.values
+        # binder sugar `all x. t`; an ident is never the eof token, and
+        # neither is one after it, so i + 2 is in range
+        if (kinds[i] == "ident" and kinds[i + 1] == "ident"
+                and values[i + 2] == "." and values[i] not in KEYWORDS):
+            d = self.resolve(values[i])
+            if d is not None and d.shape == BINDER_SHAPE:
+                self.i = i + 3
+                return Abs(d.name, d.shape, (values[i + 1],), (self.term(),))
         return self._level(_LOOSEST)
 
     def _level(self, level: int) -> Term:
@@ -197,119 +224,122 @@ class TermParser:
         or an atom, then each operator below `ceiling`.  A left-associative
         operator lowers the ceiling past its own level, `->` and `=` to it,
         so `x = y = z` stops after `x = y`."""
-        s = self.s
-        if level <= _NOT and s.peek().value in ("not", "¬"):
-            s.next()
+        values = self.values
+        if level <= _NOT and values[self.i] in ("not", "¬"):
+            self.i += 1
             d = self._op_decl("not", "¬")
             left = Abs(d.name, d.shape, (), (self._level(_NOT),))
             ceiling = _NOT
         else:
             left = self.atom()
             ceiling = _ATOM
-        while (op := INFIX.get(s.peek().value)) and level <= op[1] < ceiling:
+        while ((op := INFIX.get(token := values[self.i]))
+               and level <= op[1] < ceiling):
             name, op_level, assoc = op
-            d = self._op_decl(s.next().value, name)
+            self.i += 1
+            d = self._op_decl(token, name)
             right = self._level(op_level + (assoc != "right"))
             left = Abs(d.name, d.shape, (), (left, right))
             ceiling = op_level + (assoc == "left")
         return left
 
     def atom(self) -> Term:
-        tok = self.s.peek()
-        if tok.value == "(":
+        i = self.i
+        value = self.values[i]
+        if value == "(":
             return self._parens()
-        if tok.kind == "ident" and tok.value not in KEYWORDS:
-            self.s.next()
-            d = self.resolve(tok.value)
+        if self.kinds[i] == "ident" and value not in KEYWORDS:
+            self.i = i + 1
+            d = self.resolve(value)
             if d is not None:
-                return self._abs_atom(tok, d)
-            if self.s.accept("["):
-                args = []
-                if not self.s.at("]"):
-                    args.append(self.term())
-                    while self.s.accept(","):
-                        args.append(self.term())
-                self.s.expect("]")
-                return Var(tok.value, tuple(args))
-            return Var(tok.value)
-        raise self.s.error(f"expected a term, found {tok.value!r}")
+                return self._abs_atom(i, d)
+            if self.values[i + 1] == "[":
+                self.i = i + 2
+                return Var(value, self._args("]"))
+            return Var(value)
+        raise self.error(f"expected a term, found {value!r}")
 
-    def _abs_atom(self, tok: Token, d: AbstractionDecl) -> Term:
-        shape = d.shape
-        if self.s.at("("):
-            if shape.valence != 0:
-                raise ParseError(
-                    f"{tok.value} binds variables; use ({d.name} x. ...) syntax",
-                    tok.line, tok.col)
-            self.s.next()
-            args = []
-            if not self.s.at(")"):
+    def _args(self, close: str) -> tuple[Term, ...]:
+        """Comma-separated terms up to and including `close`."""
+        args = []
+        values = self.values
+        if values[self.i] != close:
+            args.append(self.term())
+            while values[self.i] == ",":
+                self.i += 1
                 args.append(self.term())
-                while self.s.accept(","):
-                    args.append(self.term())
-            self.s.expect(")")
+        self.expect(close)
+        return tuple(args)
+
+    def _abs_atom(self, at: int, d: AbstractionDecl) -> Term:
+        """The abstraction `d`, named by token `at`, with its arguments."""
+        shape, written = d.shape, self.values[at]
+        if self.values[self.i] == "(":
+            if shape.valence != 0:
+                raise self.error_at(
+                    at, f"{written} binds variables; use ({d.name} x. ...) syntax")
+            self.i += 1
+            args = self._args(")")
             if len(args) != shape.arity:
-                raise ParseError(
-                    f"{tok.value} expects {shape.arity} arguments, got {len(args)}",
-                    tok.line, tok.col, "ArityMismatch")
-            return Abs(d.name, shape, (), tuple(args))
+                raise self.error_at(
+                    at, f"{written} expects {shape.arity} arguments, got {len(args)}",
+                    "ArityMismatch")
+            return Abs(d.name, shape, (), args)
         if shape.arity == 0:
             return Abs(d.name, shape)
-        raise ParseError(
-            f"{tok.value} expects arguments", tok.line, tok.col, "ArityMismatch")
+        raise self.error_at(at, f"{written} expects arguments", "ArityMismatch")
 
     def _parens(self) -> Term:
-        self.s.expect("(")
         # abstraction application `(name binders. args)`: an ident sequence
         # followed by a dot; otherwise a parenthesized term
-        mark = self.s.i
-        idents = []
-        while self.s.peek().kind == "ident":
-            idents.append(self.s.next())
-        if idents and self.s.at("."):
-            self.s.next()
-            head = idents[0]
-            d = self.resolve(head.value)
-            if d is None:
-                raise ParseError(f"unknown abstraction {head.value!r}",
-                                 head.line, head.col, "UnknownName")
-            binders = tuple(t.value for t in idents[1:])
-            if len(binders) != d.shape.valence:
-                raise ParseError(
-                    f"{head.value} binds {d.shape.valence} variables, got "
-                    f"{len(binders)}", head.line, head.col, "ValenceMismatch")
-            if d.shape.arity == 1:
-                args = (self.term(),)
-            else:
-                args = []
-                while not self.s.at(")"):
-                    args.append(self.atom())
-                args = tuple(args)
-            self.s.expect(")")
-            if len(args) != d.shape.arity:
-                raise ParseError(
-                    f"{head.value} expects {d.shape.arity} arguments, got "
-                    f"{len(args)}", head.line, head.col, "ArityMismatch")
-            with _placed(head):
-                return Abs(d.name, d.shape, binders, args)
-        self.s.i = mark
-        inner = self.term()
-        self.s.expect(")")
-        return inner
+        kinds, values = self.kinds, self.values
+        head = j = self.i + 1
+        while kinds[j] == "ident":
+            j += 1
+        if j == head or values[j] != ".":
+            self.i = head
+            inner = self.term()
+            self.expect(")")
+            return inner
+        self.i = j + 1
+        written = values[head]
+        d = self.resolve(written)
+        if d is None:
+            raise self.error_at(head, f"unknown abstraction {written!r}",
+                                "UnknownName")
+        binders = tuple(values[head + 1:j])
+        shape = d.shape
+        if len(binders) != shape.valence:
+            raise self.error_at(
+                head, f"{written} binds {shape.valence} variables, got "
+                f"{len(binders)}", "ValenceMismatch")
+        if shape.arity == 1:
+            args = (self.term(),)
+        else:
+            args = []
+            while values[self.i] != ")":
+                args.append(self.atom())
+            args = tuple(args)
+        self.expect(")")
+        if len(args) != shape.arity:
+            raise self.error_at(
+                head, f"{written} expects {shape.arity} arguments, got "
+                f"{len(args)}", "ArityMismatch")
+        with _placed(self.tokens, head):
+            return Abs(d.name, shape, binders, args)
 
 
 _TOO_DEEP = "terms nest too deeply to parse"
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    stream = _Stream(tokenize(text))
+    parser = TermParser(tokenize(text), sig)
     try:
-        t = TermParser(stream, sig).term()
+        t = parser.term()
     except RecursionError:
-        raise stream.error(_TOO_DEEP, "TooDeep") from None
-    tok = stream.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+        raise parser.error(_TOO_DEEP, "TooDeep") from None
+    if parser.kinds[parser.i] != "eof":
+        raise parser.error(f"trailing input {parser.peek()!r}")
     return t
 
 
@@ -384,6 +414,24 @@ class ModelBlock:
     interp: tuple[tuple[str, str | tuple[tuple[TableKey, str], ...]], ...]
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
+    # the offset of each entry's abstraction name, of the `(` of each of its
+    # rows (none for a value), and of each line of the text
+    entry_starts: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    row_starts: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False)
+    line_starts: list[int] = field(default_factory=list, compare=False,
+                                   repr=False)
+
+    def position(self, entry: int | None = None,
+                 row: int | None = None) -> tuple[int, int]:
+        """The line and column of row `row` of entry `entry` of `interp`, of
+        the entry itself without a row, and of the `model` keyword without
+        an entry or without offsets."""
+        if entry is None or not self.entry_starts:
+            return self.line, self.col
+        if row is None:
+            return _line_col(self.line_starts, self.entry_starts[entry])
+        return _line_col(self.line_starts, self.row_starts[entry][row])
 
 
 @dataclass(frozen=True)
@@ -425,22 +473,24 @@ class TheoryFile:
 
 
 @contextmanager
-def _placed(tok: Token):
-    """Re-raise an error of the declaration or binding named by `tok` (an
-    unknown logic, a bad shape, a duplicate abstraction or binder) as a
+def _placed(tokens: Tokens, i: int):
+    """Re-raise an error of the declaration or binding named by token `i`
+    (an unknown logic, a bad shape, a duplicate abstraction or binder) as a
     ParseError there."""
     try:
         yield
     except AbslogError as e:
-        raise ParseError(e.message, tok.line, tok.col, e.code) from e
+        raise ParseError(e.message, *tokens.position(i), e.code) from e
 
 
 class TheoryParser:
     def __init__(self, text: str):
-        self.s = _Stream(tokenize(text))
+        self.tokens = tokenize(text)
+        self.kinds, self.values = self.tokens.kinds, self.tokens.values
         self.base: str | None = None
-        # rebuilt on each `logic` and `abstraction` line
-        self.terms = TermParser(self.s, Signature(()))
+        # holds the token index both parsers move; its signature is
+        # extended on each `logic` and `abstraction` line
+        self.terms = TermParser(self.tokens, Signature(()))
         self.decls: list[AbstractionDecl] = []
         self.axioms: list[tuple[str, Term]] = []
         self.theorems: list[TheoremBlock] = []
@@ -449,127 +499,135 @@ class TheoryParser:
         self.positions: dict[str, tuple[int, int]] = {}
 
     def parse(self) -> TheoryFile:
-        while self.s.peek().kind != "eof":
-            tok = self.s.peek()
-            if tok.value == "logic":
+        p = self.terms
+        while self.kinds[p.i] != "eof":
+            at = p.i
+            value = self.values[at]
+            if value == "logic":
                 if self.base is not None:
-                    raise ParseError(
-                        f"a second logic line; the base logic is {self.base}",
-                        tok.line, tok.col)
-                self.s.next()
-                name_tok = self.s.peek()
+                    raise p.error(
+                        f"a second logic line; the base logic is {self.base}")
+                p.i += 1
                 name = self._ident("logic name")
                 self.base = name
-                with _placed(name_tok):
+                with _placed(self.tokens, at + 1):
                     base = builtin_logic(name)
-                    self.terms = TermParser(
-                        self.s, base.signature.extend(self.decls))
+                    p.sig = base.signature.extend(self.decls)
                 self.labels.update(base.labels)
-                self.positions.update(
-                    (label, (tok.line, tok.col)) for label in base.labels)
-            elif tok.value == "abstraction":
-                self.s.next()
-                name_tok = self.s.peek()
+                position = self.tokens.position(at)
+                self.positions.update((label, position) for label in base.labels)
+            elif value == "abstraction":
+                p.i += 1
                 name = self._ident("abstraction name")
                 if name in KEYWORDS:
-                    raise ParseError(
-                        f"keyword {name!r} cannot name an abstraction",
-                        name_tok.line, name_tok.col)
+                    raise p.error_at(
+                        at + 1, f"keyword {name!r} cannot name an abstraction")
                 valence, binder_sets = self._shape()
-                with _placed(name_tok):
+                with _placed(self.tokens, at + 1):
                     decl = AbstractionDecl(name, make_shape(valence, binder_sets))
-                    self.terms = TermParser(
-                        self.s, self.terms.sig.extend([decl]))
+                    p.sig = p.sig.extend([decl])
                 self.decls.append(decl)
-            elif tok.value == "axiom":
-                self.s.next()
+            elif value == "axiom":
+                p.i += 1
                 label = self._ident("axiom label")
                 if label in self.labels:
-                    raise ParseError(f"axiom label {label!r} already used",
-                                     tok.line, tok.col)
+                    raise p.error_at(at, f"axiom label {label!r} already used")
                 self.labels.add(label)
-                self.positions[label] = (tok.line, tok.col)
-                self.s.expect(":")
-                self.axioms.append((label, self.terms.term()))
-            elif tok.value == "theorem":
+                self.positions[label] = self.tokens.position(at)
+                p.expect(":")
+                self.axioms.append((label, p.term()))
+            elif value == "theorem":
                 self.theorems.append(self._theorem())
-            elif tok.value == "model":
+            elif value == "model":
                 self.models.append(self._model())
             else:
-                raise self.s.error(
-                    f"expected a declaration, found {tok.value!r}")
+                raise p.error(f"expected a declaration, found {value!r}")
         return TheoryFile(self.base, tuple(self.decls), tuple(self.axioms),
                           tuple(self.theorems), tuple(self.models),
                           self.positions)
 
     def _ident(self, what: str) -> str:
-        tok = self.s.peek()
-        if tok.kind != "ident":
-            raise self.s.error(f"expected {what}, found {tok.value!r}")
-        return self.s.next().value
+        p = self.terms
+        i = p.i
+        if self.kinds[i] != "ident":
+            raise p.error(f"expected {what}, found {self.values[i]!r}")
+        p.i = i + 1
+        return self.values[i]
 
     def _num(self, message: str) -> int:
-        if self.s.peek().kind != "num":
-            raise self.s.error(message)
-        return int(self.s.next().value)
+        p = self.terms
+        i = p.i
+        if self.kinds[i] != "num":
+            raise p.error(message)
+        p.i = i + 1
+        return int(self.values[i])
 
     def _list(self, close: str, item) -> list:
         """Comma-separated items up to and including `close`; a trailing
         comma is allowed."""
+        p, values = self.terms, self.values
         out = []
-        while not self.s.at(close):
+        while values[p.i] != close:
             out.append(item())
-            if not self.s.accept(","):
+            if values[p.i] != ",":
                 break
-        self.s.expect(close)
+            p.i += 1
+        p.expect(close)
         return out
 
     def _values(self) -> tuple[str, ...]:
         """One or more comma-separated carrier values."""
         out = [self._ident("carrier value")]
-        while self.s.accept(","):
+        while self.terms.accept(","):
             out.append(self._ident("carrier value"))
         return tuple(out)
 
     def _shape(self) -> tuple[int, list[list[int]]]:
         """The valence and binder sets of `(valence; {i, ...}, ...)`."""
-        self.s.expect("(")
+        self.terms.expect("(")
         valence = self._num("expected valence")
-        self.s.expect(";")
+        self.terms.expect(";")
         return valence, self._list(")", self._binder_set)
 
     def _binder_set(self) -> list[int]:
-        self.s.expect("{")
+        self.terms.expect("{")
         return self._list("}", lambda: self._num("expected binder index"))
 
     def _theorem(self) -> TheoremBlock:
-        head = self.s.expect("theorem")
+        p = self.terms
+        head = p.i
+        p.i += 1  # `theorem`
         name = self._ident("theorem name")
-        self.s.expect(":")
-        statement = self.terms.term()
-        self.s.expect("proof")
+        p.expect(":")
+        statement = p.term()
+        p.expect("proof")
         steps = []
-        while not self.s.at("qed"):
+        while self.values[p.i] != "qed":
             steps.append(self._step())
-        self.s.expect("qed")
-        return TheoremBlock(name, statement, tuple(steps), head.line, head.col)
+        p.i += 1
+        return TheoremBlock(name, statement, tuple(steps),
+                            *self.tokens.position(head))
 
     def _step(self) -> ProofStep:
-        tok = self.s.peek()
-        name = self._ident("step name")
-        self.s.expect(":")
+        p, kinds, values = self.terms, self.kinds, self.values
+        at = p.i
+        if kinds[at] != "ident":
+            raise p.error(f"expected step name, found {values[at]!r}")
+        p.i = at + 1
+        p.expect(":")
         rule = self._ident("proof rule")
         label = term = sigma = binder = claimed = None
         refs: tuple[str, ...] = ()
         if rule == "ax":
-            nxt = self.s.peek()
-            if nxt.kind == "ident" and nxt.value in self.labels:
-                label = self.s.next().value
+            i = p.i
+            if kinds[i] == "ident" and values[i] in self.labels:
+                label = values[i]
+                p.i = i + 1
             else:
-                term = self.terms.term()
+                term = p.term()
         elif rule == "subst":
             refs = (self._ident("premise step"),)
-            self.s.expect("{")
+            p.expect("{")
             sigma = Substitution(dict(self._list("}", self._binding)))
         elif rule == "mp":
             refs = (self._ident("premise step"), self._ident("premise step"))
@@ -579,63 +637,77 @@ class TheoryParser:
         elif rule == "lemma":
             label = self._ident("lemma name")
         else:
-            raise ParseError(f"unknown proof rule {rule!r}", tok.line, tok.col)
-        if self.s.accept("==>"):
-            claimed = self.terms.term()
-        return ProofStep(name, rule, tok.line, tok.col, label, term, sigma,
-                         refs, binder, claimed)
+            raise p.error_at(at, f"unknown proof rule {rule!r}")
+        if values[p.i] == "==>":
+            p.i += 1
+            claimed = p.term()
+        return ProofStep(values[at], rule, *self.tokens.position(at), label,
+                         term, sigma, refs, binder, claimed)
 
     def _model(self) -> ModelBlock:
-        head = self.s.expect("model")
+        p = self.terms
+        head = p.i
+        p.i += 1  # `model`
         name = self._ident("model name")
-        self.s.expect("{")
-        self.s.expect("carrier")
+        p.expect("{")
+        p.expect("carrier")
         carrier = self._values()
-        interp = []
-        while not self.s.at("}"):
+        interp, entry_starts, row_starts = [], [], []
+        while self.values[p.i] != "}":
+            entry_starts.append(self.tokens.starts[p.i])
             abs_name = self._ident("abstraction name")
-            self.s.expect(":=")
-            if self.s.accept("{"):
-                interp.append((abs_name, tuple(self._list("}", self._row))))
+            p.expect(":=")
+            if p.accept("{"):
+                rows = self._list("}", self._row)
+                interp.append((abs_name, tuple((key, out) for _, key, out in rows)))
+                row_starts.append(tuple(start for start, _, _ in rows))
             else:
                 interp.append((abs_name, self._ident("carrier value")))
-        self.s.expect("}")
-        return ModelBlock(name, carrier, tuple(interp), head.line, head.col)
+                row_starts.append(())
+        p.expect("}")
+        return ModelBlock(name, carrier, tuple(interp),
+                          *self.tokens.position(head), tuple(entry_starts),
+                          tuple(row_starts), self.tokens.line_starts)
 
-    def _row(self) -> tuple[TableKey, str]:
-        self.s.expect("(")
+    def _row(self) -> tuple[int, TableKey, str]:
+        """The offset of a row's `(`, its key and its value."""
+        start = self.tokens.starts[self.terms.i]
+        self.terms.expect("(")
         key = tuple(self._list(")", self._key_part))
-        self.s.expect("->")
-        return key, self._ident("carrier value")
+        self.terms.expect("->")
+        return start, key, self._ident("carrier value")
 
     def _key_part(self) -> str | tuple[str, ...]:
-        if not self.s.accept("["):
+        if not self.terms.accept("["):
             return self._ident("carrier value")
         entries = self._values()
-        self.s.expect("]")
+        self.terms.expect("]")
         return entries
 
     def _binding(self) -> tuple[tuple[str, int], Template]:
         """One `name[/arity] := template` entry of a substitution literal."""
-        name_tok = self.s.peek()
+        p, values = self.terms, self.values
+        at = p.i
         name = self._ident("variable name")
         declared = None
-        if self.s.accept("/"):
+        if values[p.i] == "/":
+            p.i += 1
             declared = self._num("expected an arity after /")
-        self.s.expect(":=")
-        if self.s.accept("["):
+        p.expect(":=")
+        if values[p.i] == "[":
+            p.i += 1
             binders = []
-            while not self.s.at("."):
+            while values[p.i] != ".":
                 binders.append(self._ident("template binder"))
-            self.s.expect(".")
-            body = self.terms.term()
-            self.s.expect("]")
-            with _placed(name_tok):
+            p.i += 1
+            body = p.term()
+            p.expect("]")
+            with _placed(self.tokens, at):
                 tmpl = Template(tuple(binders), body)
         else:
-            tmpl = Template((), self.terms.term())
+            tmpl = Template((), p.term())
         if declared is not None and declared != tmpl.arity:
-            raise self.s.error(
+            raise p.error(
                 f"{name}/{declared} bound to a template of arity {tmpl.arity}",
                 "ArityMismatch")
         return (name, tmpl.arity), tmpl
@@ -646,7 +718,7 @@ def parse_theory(text: str) -> TheoryFile:
     try:
         return parser.parse()
     except RecursionError:
-        raise parser.s.error(_TOO_DEEP, "TooDeep") from None
+        raise parser.terms.error(_TOO_DEEP, "TooDeep") from None
 
 
 # theory printing (round-trip support)

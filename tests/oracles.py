@@ -63,8 +63,7 @@ from abslog.syntax import (
     OP_GLYPHS,
     ParseError,
     TermParser,
-    Token,
-    _Stream,
+    Tokens,
 )
 
 _fresh = itertools.count()
@@ -172,8 +171,10 @@ _BLANK_RUN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-def tokenize_oracle(text: str) -> list[Token]:
-    out = []
+def _scan_oracle(text: str):
+    """Each token's kind, value, start offset, line and column, eof last,
+    and the offsets where lines start."""
+    tokens, line_starts = [], [0]
     line, col, pos = 1, 1, 0
     while pos < len(text):
         m = _BLANK_RUN_RE.match(text, pos)
@@ -184,16 +185,29 @@ def tokenize_oracle(text: str) -> list[Token]:
         if kind == "nl":
             line += 1
             col = 1
+            line_starts.append(m.end())
         elif kind in ("ws", "comment"):
             col += len(value)
         else:
             if kind == "op" and value in OP_GLYPHS:
                 value = OP_GLYPHS[value]
-            out.append(Token(kind, value, line, col))
+            tokens.append((kind, value, pos, line, col))
             col += len(m.group())
         pos = m.end()
-    out.append(Token("eof", "", line, col))
-    return out
+    tokens.append(("eof", "", pos, line, col))
+    return tokens, line_starts
+
+
+def tokenize_oracle(text: str) -> Tokens:
+    tokens, line_starts = _scan_oracle(text)
+    kinds, values, starts, _, _ = (list(column) for column in zip(*tokens))
+    return Tokens(kinds, values, starts, line_starts)
+
+
+def token_positions_oracle(text: str) -> list[tuple[int, int]]:
+    """The line and column of each token, eof included, counted as the
+    blank runs are matched."""
+    return [(line, col) for _, _, _, line, col in _scan_oracle(text)[0]]
 
 
 class LevelParser(TermParser):
@@ -203,15 +217,17 @@ class LevelParser(TermParser):
         if level == _ATOM:
             return self.atom()
         if level == _NOT:
-            if self.s.peek().value in ("not", "¬"):
-                self.s.next()
+            if self.peek() in ("not", "¬"):
+                self.i += 1
                 d = self._op_decl("not", "¬")
                 return Abs(d.name, d.shape, (), (self._level(_NOT),))
             level += 1  # no prefix: parse the next level in this frame
         left = self._level(level + 1)
-        while (op := INFIX.get(self.s.peek().value)) and op[1] == level:
+        while (op := INFIX.get(self.peek())) and op[1] == level:
             name, _, assoc = op
-            d = self._op_decl(self.s.next().value, name)
+            token = self.peek()
+            self.i += 1
+            d = self._op_decl(token, name)
             right = self._level(level + (assoc != "right"))
             left = Abs(d.name, d.shape, (), (left, right))
             if assoc != "left":
@@ -220,11 +236,10 @@ class LevelParser(TermParser):
 
 
 def parse_term_oracle(text: str, sig) -> Term:
-    stream = _Stream(tokenize_oracle(text))
-    t = LevelParser(stream, sig).term()
-    tok = stream.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+    parser = LevelParser(tokenize_oracle(text), sig)
+    t = parser.term()
+    if parser.kinds[parser.i] != "eof":
+        raise parser.error(f"trailing input {parser.peek()!r}")
     return t
 
 

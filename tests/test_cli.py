@@ -17,6 +17,7 @@ from abslog.errors import (
     MissingInterpretation,
     MissingRow,
     ModelError,
+    SpecKindMismatch,
     UnknownValue,
 )
 from abslog.logics import SIG_D
@@ -94,6 +95,44 @@ def test_check_json_schema(capsys):
     for block in doc["blocks"]:
         assert set(block) == {"name", "kind", "verdict", "diagnostics"}
         assert block["verdict"] == "proved"
+
+
+_STATS_LINE = re.compile(r"stats: read \d+\.\d{3} ms, parse \d+\.\d{3} ms, "
+                         r"check \d+\.\d{3} ms, (\d+) theorems, (\d+) proof steps\n")
+
+
+def test_check_stats(capsys, monkeypatch):
+    """--stats adds one stderr line, and a "stats" object under --json, and
+    leaves the rest of the output as it is; without it nothing is timed."""
+    path = str(CORPUS / "prelude_k.al")
+    tf = parse_theory((CORPUS / "prelude_k.al").read_text())
+    counts = (len(tf.theorems), sum(len(b.steps) for b in tf.theorems))
+    assert counts == (9, 114)
+    outputs = {}
+    for flags in ([], ["--json"]):
+        assert main(["check", path, *flags]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(["check", path, *flags, "--stats"]) == 0
+        timed = capsys.readouterr()
+        m = _STATS_LINE.fullmatch(timed.err)
+        assert m and (int(m[1]), int(m[2])) == counts
+        outputs[tuple(flags)] = plain.out, timed.out
+    plain, timed = outputs[()]
+    assert timed == plain
+    plain, timed = (json.loads(out) for out in outputs[("--json",)])
+    assert "stats" not in plain
+    stats = timed.pop("stats")
+    assert timed == plain
+    assert set(stats) == {"read_s", "parse_s", "check_s", "theorems", "steps"}
+    assert (stats["theorems"], stats["steps"]) == counts
+    assert all(stats[k] >= 0 for k in ("read_s", "parse_s", "check_s"))
+
+    def no_clock():
+        raise AssertionError("timed without --stats")
+    monkeypatch.setattr(time, "perf_counter", no_clock)
+    assert main(["check", path, "--json"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_json_reports_diagnostics(capsys):
@@ -391,6 +430,27 @@ MALFORMED = {
         _json_with(**{"⊤": "T"}),
         _GOOD_INTERP.replace("true := T", "true := T\n  ⊤ := T"),
         DuplicateInterpretation),
+    "table-for-a-value": (
+        _json_with(true={"T": "T"}),
+        _GOOD_INTERP.replace("true := T", "true := { (T) -> T }"),
+        SpecKindMismatch),
+}
+
+
+# where the block form of each case is placed, as (line, col) in the file
+# `logic D`, `model bad {`, `  carrier T, F`, then the block body from line
+# 4: a bad or repeated row at its `(`, a bad value or a second
+# interpretation at the entry's name, a missing row at the table's entry,
+# and a missing interpretation at the `model` keyword
+BLOCK_PLACE = {
+    "value-outside-carrier": (5, 3),
+    "missing-row": (6, 3),
+    "missing-abstraction": (2, 1),
+    "nested-array-for-all": (7, 12),
+    "duplicate-row": (6, 25),
+    "duplicate-interpretation": (6, 3),
+    "alias-and-glyph": (6, 3),
+    "table-for-a-value": (5, 3),
 }
 
 
@@ -413,8 +473,10 @@ def test_malformed_model_is_a_named_error(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert f"[{error.code}]" in err and "Traceback" not in err
         if spec == "bad":
-            # placed at the block's `model` keyword
-            assert err.startswith(f"{theory}:2:1: error: [{error.code}] ")
+            line, col = BLOCK_PLACE[case]
+            assert err.startswith(f"{theory}:{line}:{col}: error: [{error.code}] ")
+        else:
+            assert err.startswith(f"error: [{error.code}] ")
 
 
 def test_missing_row_in_a_wide_table_is_found_at_once(tmp_path, capsys):

@@ -19,7 +19,12 @@ from abslog.errors import AbslogError
 from abslog.syntax import ParseError, tokenize
 
 from conftest import random_signature, random_term
-from oracles import LevelParser, parse_term_oracle, tokenize_oracle
+from oracles import (
+    LevelParser,
+    parse_term_oracle,
+    token_positions_oracle,
+    tokenize_oracle,
+)
 
 
 def test_binder_extends_right():
@@ -306,3 +311,27 @@ def test_front_end_matches_oracle(rnd, monkeypatch):
         m.setattr(syntax, "tokenize", tokenize_oracle)
         m.setattr(syntax, "TermParser", LevelParser)
         assert [_theory_outcome(text) for text in texts + edited] == ours
+
+
+# pieces of texts that tokenize: tokens with a glyph or a prime, every
+# blank and line break, and comments, one of them without its line break
+_LEXICAL = ("A", "x′", "y′′", "suc", "12", "⇒", "∃₁", "∀", "⊥", "->", "/\\",
+            "(", ")", ".", ":=", "==>", " ", "  ", "\t", "\n", "\r\n",
+            "# note ∃₁ ⇒\n", "# no line break")
+
+
+def test_positions_on_demand_match_eager_ones(rnd):
+    """The line and column bisected from a token's offset equal those the
+    oracle counts while it matches blank runs, for every token, eof too."""
+    from pathlib import Path
+    corpus = Path(__file__).parent.parent / "src" / "abslog" / "corpus"
+    randoms = ["".join(rnd.choice(_LEXICAL) for _ in range(rnd.randint(0, 40)))
+               for _ in range(300)]
+    for needle in ("\r\n", "\t", "#", "⇒", "∃₁", "′"):
+        assert any(needle in text for text in randoms), needle
+    assert any(text and not text.endswith("\n") for text in randoms)
+    for text in [path.read_text() for path in sorted(corpus.glob("*.al"))] + randoms:
+        tokens = tokenize(text)
+        assert len(tokens) == len(tokenize_oracle(text))
+        assert ([tokens.position(i) for i in range(len(tokens))]
+                == token_positions_oracle(text)), text
