@@ -9,15 +9,18 @@ shape (0; ∅ⁿ).  Everything is checkable by exhaustive enumeration.
 
 Evaluation reads the nameless form of term.py (binder scope is never
 worked out here) and builds each row digit by digit as it evaluates the
-arguments.
+arguments.  Model search grounds each axiom instance once: its valuation
+and binder values are filled in, so what remains is the operator cells it
+reads, and each propagation round evaluates those cell reads alone.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ArityCapExceeded,
@@ -108,6 +111,7 @@ class OperationTable:
         return dict(zip(argument_keys(self.size, self.shape), self.entries))
 
 
+@cache
 def constant_table(size: int, arity: int, value: int) -> OperationTable:
     return OperationTable(size, pure_shape(arity), (value,) * size ** arity)
 
@@ -152,7 +156,7 @@ def table_from_rows(name: str, universe: Universe, shape: Shape,
     return OperationTable(universe.size, shape, tuple(entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbstractionAlgebra:
     universe: Universe
     signature: Signature
@@ -246,22 +250,23 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
 
 # --- logic algebras and model checking -------------------------------------
 
-def _logic_conditions(entry: Callable[[str, int], int], size: int,
-                      top: int) -> list[Callable[[], bool]]:
-    """The two minimum requirements on ⇒ and ∀, one check per table entry
-    read: ⊤ ⇒ u is ⊤ only for u = ⊤, and ∀ of the constant-⊤ operation is
-    ⊤."""
-    all_top = _row(size, ((top,) * size,))
-    return [lambda u=u: not (entry(IMP, top * size + u) == top and u != top)
-            for u in range(size)] + [lambda: entry(ALL, all_top) == top]
+def _logic_conditions(size: int,
+                      top: int) -> list[tuple[tuple[str, int], frozenset[int]]]:
+    """The two minimum requirements on ⇒ and ∀ as (cell, allowed values)
+    pairs: ⊤ ⇒ u is ⊤ only for u = ⊤ (the cell ⊤ ⇒ ⊤ may hold any value),
+    and ∀ of the constant-⊤ operation is ⊤."""
+    values = frozenset(range(size))
+    return [((IMP, top * size + u), values if u == top else values - {top})
+            for u in range(size)] + [((ALL, _row(size, ((top,) * size,))),
+                                      frozenset({top}))]
 
 
 def is_logic_algebra(alg: AbstractionAlgebra) -> bool:
     """Check the two minimum requirements on ⇒ and ∀ by enumeration."""
     if not is_logic_signature(alg.signature):
         raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
-    return all(c() for c in _logic_conditions(alg.entry, alg.size,
-                                              alg.value_of(TRUE)))
+    return all(alg.entry(*cell) in allowed for cell, allowed
+               in _logic_conditions(alg.size, alg.value_of(TRUE)))
 
 
 @dataclass(frozen=True)
@@ -366,9 +371,146 @@ def degenerate_model(sig: Signature) -> AbstractionAlgebra:
 
 # --- enumeration and model search -------------------------------------------
 
-class _Need(Exception):
-    def __init__(self, key):
-        self.key = key
+# A ground term is an axiom instance's nameless form with its valuation and
+# every binder value filled in: an int where it reads no operator entry, a
+# cell (name, row) where it reads one entry at a known row, or else
+# (head, kids) where head is an abstraction name or a variable's entries and
+# kids are ground terms whose values give the row.  Evaluating it reads cells
+# in exactly the order _eval reads the entries of the term it came from.
+
+def _ground(node: DeBruijnTerm, nu: Valuation, size: int, top: int,
+            env: tuple[int, ...]):
+    """Ground term of node under nu, with the enclosing binders' values in
+    env; ⊤ reads as top, the value the search fixes for it."""
+    tag = node[0]
+    if tag == "b":
+        return env[-1 - node[1]]
+    if tag == "v":
+        _, name, args = node
+        head = nu.get(name, len(args)).entries
+        kids = [_ground(a, nu, size, top, env) for a in args]
+    else:
+        _, head, shape, _, args = node
+        kids = []
+        for p, a in zip(shape.binder_sets, args):
+            if p:
+                kids += [_ground(a, nu, size, top, env + us)
+                         for us in product(range(size), repeat=len(p))]
+            else:
+                kids.append(_ground(a, nu, size, top, env))
+    row = 0
+    for kid in kids:
+        if kid.__class__ is not int:
+            return head, tuple(kids)
+        row = row * size + kid
+    if head.__class__ is tuple:
+        return head[row]
+    return top if head == TRUE else (head, row)
+
+
+def _value(g, cells: dict[tuple[str, int], int], size: int):
+    """The value of ground term g, or the first cell it reads that cells
+    does not assign."""
+    if g.__class__ is int:
+        return g
+    head, kids = g
+    if kids.__class__ is int:  # a cell
+        value = cells.get(g)
+        return g if value is None else value
+    row = 0
+    for kid in kids:
+        if kid.__class__ is int:
+            value = kid
+        elif kid[1].__class__ is int:  # a cell, read here to save a call
+            value = cells.get(kid)
+            if value is None:
+                return kid
+        else:
+            value = _value(kid, cells, size)
+            if value.__class__ is not int:
+                return value
+        row = row * size + value
+    if head.__class__ is tuple:
+        return head[row]
+    cell = (head, row)
+    value = cells.get(cell)
+    return cell if value is None else value
+
+
+def _term_size(t: Term) -> int:
+    return 1 + sum(_term_size(a) for a in t.args)
+
+
+def _instances(nodes: Iterable[DeBruijnTerm], size: int, top: int) -> Iterator:
+    """One (ground term, {top}) constraint per instance of each axiom node,
+    ground when the search first reads it.  An instance assigns operations
+    to the axiom's free variables; together they stand for every
+    valuation."""
+    must_hold = frozenset({top})
+    for node in nodes:
+        for nu in _valuations(size, sorted(free_in(node))):
+            yield _ground(node, nu, size, top, ()), must_hold
+
+
+def _solve(cs: Iterable, cells: dict, size: int, limit: int,
+           found: list[dict]) -> None:
+    """Propagate: drop satisfied constraints, intersect the viable values
+    of every read-but-unassigned cell, assign forced cells; then branch on
+    a cell with the fewest viable values.  cs is read once per round, so
+    it may be an iterator that grounds constraints as the first round
+    reaches them.  The cells this call assigns are on the trail, and are
+    unassigned when it returns."""
+    if len(found) >= limit:
+        return
+    trail: list = []
+    try:
+        while True:
+            remaining, viable, progress = [], {}, False
+            for c in cs:
+                g, allowed = c
+                k = _value(g, cells, size)  # its value, or the cell it waits on
+                if k.__class__ is int:
+                    if k not in allowed:
+                        return
+                    continue
+                ok_vals = set()
+                for value in viable.get(k, range(size)):
+                    cells[k] = value
+                    v = _value(g, cells, size)
+                    if v.__class__ is not int or v in allowed:
+                        ok_vals.add(value)
+                del cells[k]
+                if not ok_vals:
+                    return
+                if len(ok_vals) == 1:
+                    cells[k] = next(iter(ok_vals))
+                    trail.append(k)
+                    viable.pop(k, None)
+                    progress = True
+                else:
+                    viable[k] = ok_vals
+                remaining.append(c)
+            cs = remaining
+            if not cs:
+                found.append(dict(cells))
+                return
+            if not progress:
+                break
+        k = min(viable, key=lambda k: len(viable[k]))
+        trail.append(k)
+        for value in sorted(viable[k]):
+            cells[k] = value
+            _solve(cs, cells, size, limit, found)
+            if len(found) >= limit:
+                break
+    finally:
+        for k in trail:
+            del cells[k]
+
+
+@cache
+def _universe(size: int) -> Universe:
+    return Universe(tuple(str(i) for i in range(size)))
 
 
 def find_models(sig: Signature, axioms: Sequence[Term], size: int,
@@ -377,113 +519,66 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
     axiom holds under every valuation.
 
     The constraints are the logic-algebra conditions and one per axiom
-    instance, the same checks is_logic_algebra and check_model make.
-    Interpretation entries are chosen lazily: a constraint that needs an
-    undetermined table entry branches on its value, so the search never
-    materialises the full (often astronomically large) space of operator
-    tables.  It is exhaustive: an empty result means no model exists.
+    instance, the same checks is_logic_algebra and check_model make.  Each
+    is a ground term and the values it may take: an instance is ground
+    once, the first time the search reads it, into the cells it reads and
+    the values its valuation and binders fix.  Interpretation entries are
+    chosen lazily: a constraint that reads an unassigned cell branches on
+    its value, so the search never materialises the full (often
+    astronomically large) space of operator tables.  It is exhaustive: an
+    empty result means no model exists.
     """
     if not is_logic_signature(sig):
         raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
     # The constraint set is closed under renaming carrier values (axiom
     # instances range over all argument tables), so every model is isomorphic
     # to one interpreting ⊤ as value 0; fixing that cuts the search threefold.
-    # A cell is the entry at an (abstraction, row).
-    cells: dict[tuple[str, int], int] = {(TRUE, 0): 0}
     top = 0
-
-    def query(name: str, row: int) -> int:
-        k = (name, row)
-        if k not in cells:
-            raise _Need(k)
-        return cells[k]
-
-    # the logic-algebra conditions, then one constraint per axiom instance
-    # (an assignment of operations to the axiom's free variables; together
-    # they stand for every valuation), smaller instances first so that unit
-    # propagation fires early
-    def _term_size(t: Term) -> int:
-        return 1 + sum(_term_size(a) for a in t.args)
-
-    instances = []
-    for axiom in axioms:
-        node = encode(axiom, [], sig)
-        weight = _term_size(axiom)
-        for nu in _valuations(size, sorted(free_in(node))):
-            instances.append((weight, node, nu))
-    instances.sort(key=lambda inst: inst[0])
-    constraints = _logic_conditions(query, size, top)
-    for _, node, nu in instances:
-        constraints.append(
-            lambda node=node, nu=nu: _eval(query, size, nu, node, ()) == top)
-
+    cells = {(TRUE, 0): top}
+    # smaller axioms first, so that unit propagation fires early
+    nodes = [node for _, node in sorted(
+        ((_term_size(axiom), encode(axiom, [], sig)) for axiom in axioms),
+        key=lambda weighted: weighted[0])]
     found: list[dict] = []
-
-    def solve(cs: list) -> None:
-        # propagate: drop satisfied constraints, intersect the viable values
-        # of every queried-but-unassigned cell, assign forced cells; then
-        # branch on a cell with the fewest viable values.  The cells this
-        # call assigns are on the trail, and are unassigned when it returns.
-        if len(found) >= limit:
-            return
-        trail: list = []
-        try:
-            while True:
-                remaining, viable, progress = [], {}, False
-                for c in cs:
-                    try:
-                        ok = c()
-                    except _Need as need:
-                        k = need.key
-                        ok_vals = set()
-                        for value in viable.get(k, range(size)):
-                            cells[k] = value
-                            try:
-                                if c() is not False:
-                                    ok_vals.add(value)
-                            except _Need:
-                                ok_vals.add(value)
-                        del cells[k]
-                        if not ok_vals:
-                            return
-                        if len(ok_vals) == 1:
-                            cells[k] = next(iter(ok_vals))
-                            trail.append(k)
-                            viable.pop(k, None)
-                            progress = True
-                        else:
-                            viable[k] = ok_vals
-                        remaining.append(c)
-                        continue
-                    if not ok:
-                        return
-                cs = remaining
-                if not cs:
-                    found.append(dict(cells))
-                    return
-                if not progress:
-                    break
-            k = min(viable, key=lambda k: len(viable[k]))
-            trail.append(k)
-            for value in sorted(viable[k]):
-                cells[k] = value
-                solve(cs)
-                if len(found) >= limit:
-                    break
-        finally:
-            for k in trail:
-                del cells[k]
-
-    solve(constraints)
-
+    _solve(chain(_logic_conditions(size, top), _instances(nodes, size, top)),
+           cells, size, limit, found)
     # cells no constraint read are free; they take value 0
-    universe = Universe(tuple(str(i) for i in range(size)))
-    return [AbstractionAlgebra(universe, sig, {
-                d.name: OperationTable(size, d.shape, tuple(
-                    found_cells.get((d.name, row), 0)
-                    for row in range(_row_count(size, d.shape))))
-                for d in sig.decls})
+    return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(sig, size, tuple(
+                found_cells.get((d.name, row), 0)
+                for d in sig.decls for row in range(_row_count(size, d.shape)))))
             for found_cells in found]
+
+
+class _PackedInterp(Mapping):
+    """The interpretation of a model that find_models returns: the entries
+    of every table, in signature order, in one tuple.  A table is built
+    each time it is read, so a kept model holds one tuple and no dict of
+    tables."""
+    __slots__ = ("_sig", "_size", "_entries")
+
+    def __init__(self, sig: Signature, size: int, entries: tuple[int, ...]):
+        self._sig, self._size, self._entries = sig, size, entries
+
+    def __getitem__(self, name: str) -> OperationTable:
+        start = 0
+        for d in self._sig.decls:
+            rows = _row_count(self._size, d.shape)
+            if d.name == name:
+                if not d.shape.binder_sets:
+                    return constant_table(self._size, 0, self._entries[start])
+                return OperationTable(self._size, d.shape,
+                                      self._entries[start:start + rows])
+            start += rows
+        raise KeyError(name)
+
+    def __iter__(self) -> Iterator[str]:
+        return (d.name for d in self._sig.decls)
+
+    def __len__(self) -> int:
+        return len(self._sig.decls)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 # --- model descriptions -------------------------------------------------------

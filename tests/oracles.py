@@ -10,13 +10,16 @@ tree with every rule written out inline instead of folding the kernel's
 rules, evaluation and free variables follow binder names through the
 named term (a valuation updated for each binder value) instead of reading
 the nameless form, and model enumeration tries every table instead of
-searching.
+searching.  find_models_oracle is the model search as it stood before
+axiom instances were ground: it evaluates each instance's nameless form
+again in every propagation round.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from itertools import product
+from typing import Callable, Sequence
 
 from abslog import (
     AbstractionAlgebra,
@@ -36,7 +39,8 @@ from abslog import (
     is_extension,
     pure_shape,
 )
-from abslog.algebra import argument_keys
+from abslog.algebra import (_eval, _row, _row_count, _valuations,
+                            argument_keys)
 from abslog.errors import (
     AllMismatch,
     ArityCapExceeded,
@@ -46,6 +50,7 @@ from abslog.errors import (
     MpMismatch,
     NotAnAxiom,
     NotAnImplication,
+    NotLogicSignature,
     ProofError,
     SubstMismatch,
     TermError,
@@ -53,8 +58,8 @@ from abslog.errors import (
     UnknownLemma,
     ValenceMismatch,
 )
-from abslog.logics import IMP, TRUE, all_
-from abslog.shape import BINOP_SHAPE
+from abslog.logics import ALL, IMP, TRUE, all_
+from abslog.shape import BINOP_SHAPE, Signature, is_logic_signature
 from abslog.syntax import (
     _ATOM,
     _NOT,
@@ -65,6 +70,7 @@ from abslog.syntax import (
     TermParser,
     Tokens,
 )
+from abslog.term import encode, free_in
 
 _fresh = itertools.count()
 
@@ -453,3 +459,139 @@ def enumerate_algebras(sig, size: int, limit: int = 10 ** 6):
             for d, keys, values in zip(sig.decls, keyspaces, assignment)
         }
         yield AbstractionAlgebra(Universe(tuple(names)), sig, interp)
+
+
+# --- model search as it stood before ground instances -----------------------
+#
+# The search that re-evaluated every axiom instance from its nameless form in
+# each propagation round, with _Need exceptions for the first unassigned
+# cell.  find_models must return exactly its model lists.
+
+def _logic_conditions_oracle(entry: Callable[[str, int], int], size: int,
+                             top: int) -> list[Callable[[], bool]]:
+    """The two minimum requirements on ⇒ and ∀, one check per table entry
+    read: ⊤ ⇒ u is ⊤ only for u = ⊤, and ∀ of the constant-⊤ operation is
+    ⊤."""
+    all_top = _row(size, ((top,) * size,))
+    return [lambda u=u: not (entry(IMP, top * size + u) == top and u != top)
+            for u in range(size)] + [lambda: entry(ALL, all_top) == top]
+
+
+class _Need(Exception):
+    def __init__(self, key):
+        self.key = key
+
+
+def find_models_oracle(sig: Signature, axioms: Sequence[Term], size: int,
+                       limit: int = 1) -> list[AbstractionAlgebra]:
+    """Search for logic algebras of the given carrier size in which every
+    axiom holds under every valuation.
+
+    The constraints are the logic-algebra conditions and one per axiom
+    instance, the same checks is_logic_algebra and check_model make.
+    Interpretation entries are chosen lazily: a constraint that needs an
+    undetermined table entry branches on its value, so the search never
+    materialises the full (often astronomically large) space of operator
+    tables.  It is exhaustive: an empty result means no model exists.
+    """
+    if not is_logic_signature(sig):
+        raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
+    # The constraint set is closed under renaming carrier values (axiom
+    # instances range over all argument tables), so every model is isomorphic
+    # to one interpreting ⊤ as value 0; fixing that cuts the search threefold.
+    # A cell is the entry at an (abstraction, row).
+    cells: dict[tuple[str, int], int] = {(TRUE, 0): 0}
+    top = 0
+
+    def query(name: str, row: int) -> int:
+        k = (name, row)
+        if k not in cells:
+            raise _Need(k)
+        return cells[k]
+
+    # the logic-algebra conditions, then one constraint per axiom instance
+    # (an assignment of operations to the axiom's free variables; together
+    # they stand for every valuation), smaller instances first so that unit
+    # propagation fires early
+    def _term_size(t: Term) -> int:
+        return 1 + sum(_term_size(a) for a in t.args)
+
+    instances = []
+    for axiom in axioms:
+        node = encode(axiom, [], sig)
+        weight = _term_size(axiom)
+        for nu in _valuations(size, sorted(free_in(node))):
+            instances.append((weight, node, nu))
+    instances.sort(key=lambda inst: inst[0])
+    constraints = _logic_conditions_oracle(query, size, top)
+    for _, node, nu in instances:
+        constraints.append(
+            lambda node=node, nu=nu: _eval(query, size, nu, node, ()) == top)
+
+    found: list[dict] = []
+
+    def solve(cs: list) -> None:
+        # propagate: drop satisfied constraints, intersect the viable values
+        # of every queried-but-unassigned cell, assign forced cells; then
+        # branch on a cell with the fewest viable values.  The cells this
+        # call assigns are on the trail, and are unassigned when it returns.
+        if len(found) >= limit:
+            return
+        trail: list = []
+        try:
+            while True:
+                remaining, viable, progress = [], {}, False
+                for c in cs:
+                    try:
+                        ok = c()
+                    except _Need as need:
+                        k = need.key
+                        ok_vals = set()
+                        for value in viable.get(k, range(size)):
+                            cells[k] = value
+                            try:
+                                if c() is not False:
+                                    ok_vals.add(value)
+                            except _Need:
+                                ok_vals.add(value)
+                        del cells[k]
+                        if not ok_vals:
+                            return
+                        if len(ok_vals) == 1:
+                            cells[k] = next(iter(ok_vals))
+                            trail.append(k)
+                            viable.pop(k, None)
+                            progress = True
+                        else:
+                            viable[k] = ok_vals
+                        remaining.append(c)
+                        continue
+                    if not ok:
+                        return
+                cs = remaining
+                if not cs:
+                    found.append(dict(cells))
+                    return
+                if not progress:
+                    break
+            k = min(viable, key=lambda k: len(viable[k]))
+            trail.append(k)
+            for value in sorted(viable[k]):
+                cells[k] = value
+                solve(cs)
+                if len(found) >= limit:
+                    break
+        finally:
+            for k in trail:
+                del cells[k]
+
+    solve(constraints)
+
+    # cells no constraint read are free; they take value 0
+    universe = Universe(tuple(str(i) for i in range(size)))
+    return [AbstractionAlgebra(universe, sig, {
+                d.name: OperationTable(size, d.shape, tuple(
+                    found_cells.get((d.name, row), 0)
+                    for row in range(_row_count(size, d.shape))))
+                for d in sig.decls})
+            for found_cells in found]

@@ -37,9 +37,11 @@ from abslog.errors import (
 )
 from abslog.logics import (
     ALL,
+    BUILTIN_NAMES,
     FALSE,
     IMP,
     SIG_D,
+    SIG_E,
     SIG_K,
     TRUE,
     all_,
@@ -53,7 +55,7 @@ from abslog.logics import (
 from conftest import (BINDER_POOL, random_algebra, random_signature,
                       random_term, random_valuation, size_cap)
 from oracles import (check_model_oracle, enumerate_algebras, eval_oracle,
-                     free_vars_oracle, tabulate_oracle)
+                     find_models_oracle, free_vars_oracle, tabulate_oracle)
 
 BOOL = boolean_model()
 T, F = 0, 1
@@ -221,31 +223,77 @@ def test_load_model_json(tmp_path):
 
 
 def test_find_models_agrees_with_exhaustive_enumeration():
-    # every logic algebra over SIG_D at size 2 is the oracle: a search for a
-    # model of an axiom set succeeds iff one of them passes check_model
-    oracle = [alg for alg in enumerate_algebras(SIG_D, 2) if is_logic_algebra(alg)]
-    assert len(oracle) == 128
-    rnd = random.Random(5)
-    axiom_sets = []
-    for _ in range(60):
-        axioms, count = [], rnd.randint(1, 3)
-        while len(axioms) < count:
-            t = random_term(rnd, SIG_D, depth=3)
-            if all(arity <= 1 for _, arity in free_vars(t)):
-                axioms.append(t)
-        axiom_sets.append(axioms)
-    # random sets seldom hinge on one logic-algebra condition; each of these
-    # has a model only if the search drops that condition
-    axiom_sets += [[imp(const(TRUE), v("B"))],
-                   [imp(all_("x", const(TRUE)), v("B"))]]
-    with_model = 0
-    for axioms in axiom_sets:
-        found = find_models(SIG_D, axioms, 2, limit=1)
-        exists = any(check_model(alg, axioms, arity_cap=1).passed for alg in oracle)
-        assert bool(found) == exists, axioms
-        assert all(check_model(m, axioms, arity_cap=1).passed for m in found)
-        with_model += exists
-    assert 0 < with_model < len(axiom_sets) - 2
+    # every logic algebra over D's, then E's, signature at size 2 is the
+    # oracle: a search for a model of an axiom set succeeds iff one of them
+    # passes check_model
+    for sig, algebras, sets in ((SIG_D, 128, 60), (SIG_E, 2048, 30)):
+        oracle = [alg for alg in enumerate_algebras(sig, 2) if is_logic_algebra(alg)]
+        assert len(oracle) == algebras
+        rnd = random.Random(5)
+        axiom_sets = []
+        for _ in range(sets):
+            axioms, count = [], rnd.randint(1, 3)
+            while len(axioms) < count:
+                t = random_term(rnd, sig, depth=3)
+                if all(arity <= 1 for _, arity in free_vars(t)):
+                    axioms.append(t)
+            axiom_sets.append(axioms)
+        # random sets seldom hinge on one logic-algebra condition; each of
+        # these has a model only if the search drops that condition
+        axiom_sets += [[imp(const(TRUE), v("B"))],
+                       [imp(all_("x", const(TRUE)), v("B"))]]
+        with_model = 0
+        for axioms in axiom_sets:
+            found = find_models(sig, axioms, 2, limit=1)
+            exists = any(check_model(alg, axioms, arity_cap=1).passed for alg in oracle)
+            assert bool(found) == exists, axioms
+            assert all(check_model(m, axioms, arity_cap=1).passed for m in found)
+            with_model += exists
+        assert 0 < with_model < len(axiom_sets) - 2
+
+
+def _small_axiom_set(rnd, sig, size):
+    """One to three random axioms whose free variables are at most unary
+    and whose instances at `size` number at most 200 together."""
+    axioms, instances, count = [], 0, rnd.randint(1, 3)
+    while len(axioms) < count:
+        t = random_term(rnd, sig, depth=3)
+        arities = [arity for _, arity in free_vars(t)]
+        tables = prod(size ** size ** arity for arity in arities)
+        if max(arities, default=0) <= 1 and instances + tables <= 200:
+            axioms.append(t)
+            instances += tables
+    return axioms
+
+
+def test_find_models_matches_the_search_before_ground_instances():
+    # find_models grounds each axiom instance once; the oracle re-evaluates
+    # every instance's nameless form in each propagation round.  Both make
+    # the same propagation and branching choices, so they return the same
+    # model lists, in the same order.
+    problems = [(builtin_logic(name).signature, builtin_logic(name).axiom_terms,
+                 size, 10 ** 6)
+                for name in BUILTIN_NAMES for size in (1, 2)]
+    rnd = random.Random(15)
+    for sig in (SIG_D, SIG_K):
+        for _ in range(100):
+            problems.append((sig, _small_axiom_set(rnd, sig, 2), 2, 10 ** 6))
+        for _ in range(60):
+            problems.append((sig, _small_axiom_set(rnd, sig, 3), 3, 1))
+    # first models, and the first five, where several exist: the order in
+    # which they come out is where a changed propagation step shows
+    d = builtin_logic("D")
+    for n in range(8):
+        labels = [l for k, l in enumerate(("D1", "D2", "D3")) if n >> k & 1] + ["D4"]
+        for limit in (1, 5):
+            problems.append((SIG_D, [d.axiom(l) for l in labels], 3, limit))
+    counts = []
+    for sig, axioms, size, limit in problems:
+        found = find_models(sig, axioms, size, limit)
+        assert found == find_models_oracle(sig, axioms, size, limit), (axioms, size)
+        counts.append(len(found))
+    # refutations, first models and many-model enumerations all occur
+    assert 0 in counts and 1 in counts and max(counts) > 100
 
 
 def _random_logic_algebra(rnd, sig, size):
