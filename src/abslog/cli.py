@@ -122,7 +122,11 @@ def _parse_assignment(spec: str, alg) -> Valuation:
 
 def _cmd_eval(args) -> int:
     tf = _read_theory(args.file)
-    term = parse_term(args.term, tf.signature)
+    try:
+        term = parse_term(args.term, tf.signature)
+    except AbslogError as e:
+        e.source = "--term"
+        raise
     alg = model_for(tf, args.model)
     nu = _parse_assignment(args.assign, alg)
     value = eval_term(alg, nu, term)
@@ -200,7 +204,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except AbslogError as e:
-        at = f"{args.file}:{e.line}:{e.col}: " if e.line is not None else ""
+        at = f"{e.source or args.file}:{e.line}:{e.col}: " if e.line is not None else ""
         print(f"{at}error: [{e.code}] {e.message}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,10 @@
 
 The elaborator turns every proof step into a kernel proof node whose
 premises are the nodes of the steps it cites, with the step's `==>`
-annotation, if any, as the target; the kernel's rules derive the
-conclusion of an unannotated step.  Each step's tree goes whole to
-`check_proof`, which applies each node's rule once per theorem store.  A
-bug here can only produce a spurious failure, never a bogus theorem.
+annotation, if any, as the target.  Parsed terms are in nameless form
+and compare as such.  Each step's tree goes whole to `check_proof`,
+which applies each node's rule once per theorem store.  A bug here can
+only produce a spurious failure, never a bogus theorem.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .algebra import (
     model_from_spec,
 )
 from .errors import AbslogError, PreconditionFailed, TermError
-from .kernel import All, Ax, Lemma, Mp, Proof, Subst, TheoremDB, check_proof
+from .kernel import All, Ax, Lemma, Mp, Proof, Subst, Theorem, TheoremDB, check_proof
 from .logics import Logic, all_, builtin_logic, imp, is_extension, v
 from .shape import Signature, extends_signature
 from .subst import Substitution, Template
@@ -31,7 +31,7 @@ from .syntax import (
     TheoremBlock,
     TheoryFile,
 )
-from .term import Term, alpha_eq, check_wellformed, encode, same_class
+from .term import Term, alpha_eq, check_wellformed, same_class
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,16 @@ class BlockResult:
     name: str
     kind: str
     verdict: str  # "proved" | "failed"
-    statement: Term | None
+    theorem: Theorem | None
     diagnostics: tuple[Diagnostic, ...]
 
     @property
     def passed(self) -> bool:
         return self.verdict == "proved"
+
+    @property
+    def statement(self) -> Term | None:  # built when read
+        return None if self.theorem is None else self.theorem.statement
 
     def to_json(self):
         return {"name": self.name, "kind": self.kind, "verdict": self.verdict,
@@ -101,17 +105,17 @@ def check_theorem(logic: Logic, block: TheoremBlock,
             thm = check_proof(logic, node, db)
         except AbslogError as e:
             return _failed(block, step, e.message, e.code)
-        if step.claimed is not None and not alpha_eq(thm.statement, step.claimed):
+        if step.claimed is not None and not same_class(thm.node, step.claimed):
             return _failed(block, step, "step proves a different statement "
                            "than annotated", "ClaimMismatch")
         trees[step.name] = node
     if thm is None:
         return _failed(block, block, "empty proof", "EmptyProof")
-    if not same_class(thm.node, encode(block.statement, [])):
+    if not same_class(thm.node, block.node):
         return _failed(block, block, "final step does not prove the stated "
                        "theorem", "ConclusionMismatch")
     db.add(block.name, thm)
-    return BlockResult(block.name, "theorem", "proved", thm.statement, ())
+    return BlockResult(block.name, "theorem", "proved", thm, ())
 
 
 def check_theory(tf: TheoryFile, db: TheoremDB | None = None) -> CheckReport:

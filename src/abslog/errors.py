@@ -8,6 +8,7 @@ diagnostic without string matching.
 class AbslogError(Exception):
     code = "Error"
     line = col = None  # where in a theory file, when known
+    source = None  # what the line and column count in, if not that file
 
     def __init__(self, message=""):
         super().__init__(message or self.code)

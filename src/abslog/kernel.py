@@ -3,43 +3,37 @@
 and `gen` ALL; `lift` carries a theorem into a logic that extends its own.
 
 A theorem is `node`, the nameless form of its statement (term.py), which
-SUBST substitutes into, MP takes apart and ALL binds.  A term enters
-through `encode`, checked against the logic's signature, and matches a
-premise modulo α by `same_class`.  The named `statement` is the target or
-axiom the rule was given, else the term the node names, built when read.
+SUBST substitutes into, MP takes apart and ALL binds.  A term, template or
+node (the parser's output) from outside enters through `encode`, checked
+against the logic's signature in one walk: each head declared with its exact
+shape, one distinct hint per binder, one argument per position, each bound
+index below its binder depth, each variable named.  Targets match modulo α
+(`same_class`).  The named `statement` is the term target or axiom the rule
+was given, else the term the node names, built when read.
 
-The rules rest on the code above the untrusted line and on the walkers it
-calls: term.encode, same_class and strip_hints, and subst.encode_template,
-_subst_node (_instantiate, _lift, _rebuild), _bind and _settle.  Below
-the line, `check_proof` folds the rules over a proof tree, premises
-first, and memoises each node's theorem in the `TheoremDB`: a bug there
-can fail a good proof, or hand back a theorem a rule minted, never more.
+The rules rest on the code above the untrusted line, on `Logic.nodes` and
+on the walkers it calls: term.encode, same_class and strip_hints, and
+subst.encode_template, _subst_node (_instantiate, _lift, _rebuild), _bind
+and _settle.  Below the line, `check_proof` folds the rules over a proof
+tree and memoises each node's theorem in the `TheoremDB`: a bug there can
+fail a good proof, or hand back a theorem a rule minted, never more.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import (
-    AllMismatch,
-    IllFormed,
-    KernelPrivilege,
-    MpMismatch,
-    NotAnAxiom,
-    NotAnImplication,
-    ProofError,
-    ProofTooDeep,
-    SubstMismatch,
-    TermError,
-    UnknownLemma,
-)
+from .errors import (AllMismatch, IllFormed, KernelPrivilege, MpMismatch,
+                     NotAnAxiom, NotAnImplication, ProofError, ProofTooDeep,
+                     SubstMismatch, TermError, UnknownLemma)
 from .logics import ALL, IMP, Logic, is_extension
 from .shape import BINDER_SHAPE, BINOP_SHAPE
-from .subst import (Substitution, Template, _bind, _named, _settle, _subst_node,
-                    encode_template)
-from .term import DeBruijnTerm, Term, alpha_eq, encode, same_class
+from .subst import Substitution, Template, _bind, _named, _settle, _subst_node, encode_template
+from .term import DeBruijnTerm, Term, encode, same_class
+from .term import alpha_eq  # noqa: F401  (bench/tracing.py rebinds it here)
 
 _KERNEL_TOKEN = object()
+Target = Union[Term, DeBruijnTerm, None]  # what a rule must conclude, if given
 
 
 class Theorem:
@@ -70,8 +64,8 @@ class Theorem:
         return f"Theorem({self.statement!r}, logic={self.logic.name})"
 
 
-def _encode(logic: Logic, t: Term | Template) -> DeBruijnTerm:
-    """The nameless form of a term or template well-formed in logic."""
+def _encode(logic: Logic, t: Term | DeBruijnTerm | Template) -> DeBruijnTerm:
+    """The nameless form of a term, node or template well-formed in logic."""
     try:
         if isinstance(t, Template):
             return encode_template(t, logic.signature)
@@ -87,55 +81,51 @@ def _premise(thm: Theorem) -> Logic:
     return thm.logic
 
 
-def _match(logic: Logic, target: Term | None, derived: DeBruijnTerm,
-           mismatch: type, message: str) -> DeBruijnTerm:
-    """What a rule derived, or, given a target, the target's nameless form
-    if it matches that modulo α.  A derived statement is well-formed, so
-    only a target that does not match is checked, to tell an ill-formed
-    one from a wrong one."""
-    if target is None:
-        return derived
-    try:
-        node = encode(target, [])
-    except TermError:  # an argument that is not a term
-        node = None
-    if node is None or not same_class(node, derived):
-        _encode(logic, target)
+def _match(logic: Logic, target: Target, derived: DeBruijnTerm, mismatch: type,
+           message: str) -> tuple[DeBruijnTerm, Term | None]:
+    """The node and statement of what a rule derived, given a target that
+    matches it modulo α: a term target is the statement, its node the
+    theorem's; a node target, checked unless equal, vouches for `derived`."""
+    if target is None or target == derived:
+        return derived, None
+    node = _encode(logic, target)
+    if not same_class(node, derived):
         raise mismatch(message)
-    return node
+    return (derived, None) if type(target) is tuple else (node, target)
 
 
-def axiom(logic: Logic, label_or_term: Term | str) -> Theorem:
-    """AX, by label or by a term that is an axiom modulo α."""
-    if isinstance(label_or_term, str):
-        t = logic.axiom(label_or_term)
-        if t is None:
-            raise NotAnAxiom(f"no axiom labelled {label_or_term!r}")
-        node = encode(t, [])
-    else:
-        t = label_or_term
-        node = _encode(logic, t)
-        if not any(alpha_eq(t, a) for _, a in logic.axioms):
-            raise NotAnAxiom("term is not an axiom of this logic")
+def axiom(logic: Logic, label_or_term: Term | DeBruijnTerm | str) -> Theorem:
+    """AX, by label or by a term or node that is an axiom modulo α."""
+    t = label_or_term
+    if isinstance(t, str):
+        node = logic.axiom(t, nameless=True)
+        if node is None:
+            raise NotAnAxiom(f"no axiom labelled {t!r}")
+        return Theorem(logic, node, None, _token=_KERNEL_TOKEN)
+    node = _encode(logic, t)
+    match = next((a for a in logic.nodes if same_class(node, a)), None)
+    if match is None:
+        raise NotAnAxiom("term is not an axiom of this logic")
+    if type(t) is tuple:  # a node vouches for the axiom's own node
+        return Theorem(logic, match, None, _token=_KERNEL_TOKEN)
     return Theorem(logic, node, t, _token=_KERNEL_TOKEN)
 
 
-def inst(thm: Theorem, sigma: Substitution, target: Term | None = None) -> Theorem:
+def inst(thm: Theorem, sigma: Substitution, target: Target = None) -> Theorem:
     """SUBST: the premise with every variable in `sigma` replaced."""
     logic = _premise(thm)
     if not isinstance(sigma, Substitution):
         sigma = Substitution(sigma)
     node = _subst_node(thm.node, {
         key: _encode(logic, tmpl) for key, tmpl in sigma.items()})
-    if target is None:
+    if target is None or type(target) is tuple:
         node = _settle(node)
-    return Theorem(logic, _match(
+    return Theorem(logic, *_match(
         logic, target, node, SubstMismatch,
-        "target is not α-equivalent to the substituted premise"), target,
-        _token=_KERNEL_TOKEN)
+        "target is not α-equivalent to the substituted premise"), _token=_KERNEL_TOKEN)
 
 
-def mp(h: Theorem, g: Theorem, target: Term | None = None) -> Theorem:
+def mp(h: Theorem, g: Theorem, target: Target = None) -> Theorem:
     """MP: from h and (h → t), t."""
     logic = _premise(h)
     if _premise(g) is not logic:
@@ -146,20 +136,20 @@ def mp(h: Theorem, g: Theorem, target: Term | None = None) -> Theorem:
     antecedent, consequent = s[4]
     if not same_class(antecedent, h.node):
         raise MpMismatch("antecedent does not match the first premise")
-    return Theorem(logic, _match(
+    return Theorem(logic, *_match(
         logic, target, consequent, MpMismatch,
-        "consequent does not match the target"), target, _token=_KERNEL_TOKEN)
+        "consequent does not match the target"), _token=_KERNEL_TOKEN)
 
 
-def gen(thm: Theorem, binder: str, target: Term | None = None) -> Theorem:
+def gen(thm: Theorem, binder: str, target: Target = None) -> Theorem:
     """ALL: from t, (∀ binder. t)."""
     logic = _premise(thm)
     if not (isinstance(binder, str) and binder):
         raise IllFormed(f"binder {binder!r} is not a name")
     node = ("A", ALL, BINDER_SHAPE, (binder,), (_bind(thm.node, binder),))
-    return Theorem(logic, _match(
+    return Theorem(logic, *_match(
         logic, target, node, AllMismatch, "target is not (∀ x. premise)"),
-        target, _token=_KERNEL_TOKEN)
+        _token=_KERNEL_TOKEN)
 
 
 def lift(thm: Theorem, logic: Logic) -> Theorem:
@@ -179,27 +169,27 @@ Proof = Union["Ax", "Subst", "Mp", "All", "Lemma"]
 
 @dataclass(frozen=True)
 class Ax:
-    """Axiom invocation, by label or by literal term (matched modulo α)."""
-    axiom: Term | str
+    """Axiom invocation, by label or by literal term or node (modulo α)."""
+    axiom: Term | DeBruijnTerm | str
 
 
 @dataclass(frozen=True)
 class Subst:
-    target: Term | None
+    target: Target
     sigma: Substitution
     sub: Proof
 
 
 @dataclass(frozen=True)
 class Mp:
-    target: Term | None
+    target: Target
     sub_h: Proof
     sub_g: Proof
 
 
 @dataclass(frozen=True)
 class All:
-    target: Term | None
+    target: Target
     binder: str
     sub: Proof
 

@@ -32,13 +32,14 @@ def fresh_var(avoid: Iterable[str], base: str) -> str:
 
 @dataclass(frozen=True)
 class Template:
+    """[x0 ... xn-1. body]; a body node is under one frame of the parameters."""
     binders: tuple[str, ...]
-    body: Term
+    body: Term | DeBruijnTerm
 
     def __post_init__(self):
         if len(set(self.binders)) != len(self.binders):
             raise DuplicateBinder(f"template binders {self.binders} are not distinct")
-        if not isinstance(self.body, (Var, Abs)):
+        if not isinstance(self.body, (Var, Abs, tuple)):
             raise BadSubstitution(f"template body {self.body!r} is not a term")
 
     @property
@@ -154,14 +155,8 @@ def _settle(node: tuple, path: frozenset = frozenset()) -> tuple:
 def _named(node: tuple, frames: list) -> Term:
     """The term of a settled node, its hints as binder names."""
     tag = node[0]
-    if tag == "b":
-        idx = node[1]
-        for fr in reversed(frames):
-            for b in reversed(fr):
-                if idx == 0:
-                    return Var(b)
-                idx -= 1
-        raise AssertionError("dangling de Bruijn index")
+    if tag == "b":  # the k-th binder name counted from the innermost
+        return Var([b for fr in frames for b in fr][-1 - node[1]])
     if tag == "v":
         return Var(node[1], tuple(_named(a, frames) for a in node[2]))
     _, name, shape, hints, args = node

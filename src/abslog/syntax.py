@@ -6,16 +6,18 @@ tokens, abstractions, precedence levels and associativity.  The prefix
 over this table (Pratt's top-down operator precedence): one call per
 operator, not one per level.  Binder sugar (`all x. t`) extends
 maximally to the right and is only available at the start of a term;
-elsewhere use the parenthesized form `(all x. t)`.
+elsewhere use the parenthesized form `(all x. t)`.  Both ASCII spellings
+and the glyphs are accepted; the printer emits ASCII unless asked.
 
-Both ASCII spellings and the glyphs are accepted; the printer emits ASCII
-unless asked for glyphs.
+A written term enters the nameless form of term.py here: the term parser
+builds nodes, resolving each name against the binders in scope.  Proof
+terms stay nodes; `parse_term` and a file's axioms are named from them.
 
 `tokenize` returns `Tokens`: parallel arrays of kinds, values and start
-offsets, plus the offset where each line starts.  A token is an offset,
-not an object with a line: the line and column of an error, a proof
-step, a block or an axiom are worked out when it is built, by bisecting
-the line starts.  Both parsers read the arrays through one shared index.
+offsets, plus the offset where each line starts.  The line and column of
+an error, a proof step, a block or an axiom are worked out when it is
+built, by bisecting the line starts.  Both parsers read the arrays
+through one shared index.
 """
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ from .shape import (
     UNOP_SHAPE,
     make_shape,
 )
-from .subst import Substitution, Template
-from .term import Abs, Term, Var
+from .subst import Substitution, Template, _named
+from .term import Abs, DeBruijnTerm, Term, Var, _check_abs, _lookup
 
 ALIAS = {
     "true": "⊤", "imp": "⇒", "all": "∀", "eq": "=", "false": "⊥",
@@ -171,11 +173,9 @@ class TermParser:
         self.values = tokens.values
         self.i = 0
         self.sig = sig
+        self.frames: list[tuple[str, ...]] = []  # binders in scope, outermost first
 
     # cold paths: errors and the rare constructs
-    def peek(self) -> str:
-        return self.values[self.i]
-
     def error_at(self, i: int, message: str, code=None) -> ParseError:
         return ParseError(message, *self.tokens.position(i), code)
 
@@ -207,7 +207,7 @@ class TermParser:
                              "UnknownName")
         return d
 
-    def term(self) -> Term:
+    def term(self) -> DeBruijnTerm:
         i, kinds, values = self.i, self.kinds, self.values
         # binder sugar `all x. t`; an ident is never the eof token, and
         # neither is one after it, so i + 2 is in range
@@ -216,10 +216,14 @@ class TermParser:
             d = self.resolve(values[i])
             if d is not None and d.shape == BINDER_SHAPE:
                 self.i = i + 3
-                return Abs(d.name, d.shape, (values[i + 1],), (self.term(),))
+                x = values[i + 1]
+                self.frames.append((x,))
+                body = self.term()
+                self.frames.pop()
+                return ("A", d.name, d.shape, (x,), (body,))
         return self._level(_LOOSEST)
 
-    def _level(self, level: int) -> Term:
+    def _level(self, level: int) -> DeBruijnTerm:
         """A term whose operators bind at `level` or tighter: a prefix `not`
         or an atom, then each operator below `ceiling`.  A left-associative
         operator lowers the ceiling past its own level, `->` and `=` to it,
@@ -228,7 +232,7 @@ class TermParser:
         if level <= _NOT and values[self.i] in ("not", "¬"):
             self.i += 1
             d = self._op_decl("not", "¬")
-            left = Abs(d.name, d.shape, (), (self._level(_NOT),))
+            left = ("A", d.name, d.shape, (), (self._level(_NOT),))
             ceiling = _NOT
         else:
             left = self.atom()
@@ -239,11 +243,11 @@ class TermParser:
             self.i += 1
             d = self._op_decl(token, name)
             right = self._level(op_level + (assoc != "right"))
-            left = Abs(d.name, d.shape, (), (left, right))
+            left = ("A", d.name, d.shape, (), (left, right))
             ceiling = op_level + (assoc == "left")
         return left
 
-    def atom(self) -> Term:
+    def atom(self) -> DeBruijnTerm:
         i = self.i
         value = self.values[i]
         if value == "(":
@@ -255,11 +259,12 @@ class TermParser:
                 return self._abs_atom(i, d)
             if self.values[i + 1] == "[":
                 self.i = i + 2
-                return Var(value, self._args("]"))
-            return Var(value)
+                return ("v", value, self._args("]"))
+            k = _lookup(value, self.frames) if self.frames else None
+            return ("v", value, ()) if k is None else ("b", k)
         raise self.error(f"expected a term, found {value!r}")
 
-    def _args(self, close: str) -> tuple[Term, ...]:
+    def _args(self, close: str) -> tuple[DeBruijnTerm, ...]:
         """Comma-separated terms up to and including `close`."""
         args = []
         values = self.values
@@ -271,7 +276,7 @@ class TermParser:
         self.expect(close)
         return tuple(args)
 
-    def _abs_atom(self, at: int, d: AbstractionDecl) -> Term:
+    def _abs_atom(self, at: int, d: AbstractionDecl) -> DeBruijnTerm:
         """The abstraction `d`, named by token `at`, with its arguments."""
         shape, written = d.shape, self.values[at]
         if self.values[self.i] == "(":
@@ -284,12 +289,12 @@ class TermParser:
                 raise self.error_at(
                     at, f"{written} expects {shape.arity} arguments, got {len(args)}",
                     "ArityMismatch")
-            return Abs(d.name, shape, (), args)
+            return ("A", d.name, shape, (), args)
         if shape.arity == 0:
-            return Abs(d.name, shape)
+            return ("A", d.name, shape, (), ())
         raise self.error_at(at, f"{written} expects arguments", "ArityMismatch")
 
-    def _parens(self) -> Term:
+    def _parens(self) -> DeBruijnTerm:
         # abstraction application `(name binders. args)`: an ident sequence
         # followed by a dot; otherwise a parenthesized term
         kinds, values = self.kinds, self.values
@@ -313,12 +318,18 @@ class TermParser:
             raise self.error_at(
                 head, f"{written} binds {shape.valence} variables, got "
                 f"{len(binders)}", "ValenceMismatch")
+        # argument i sees its binder set; one past the arity, an error, none
+        frames = [tuple(binders[j] for j in p) for p in shape.binder_sets] + [()]
         if shape.arity == 1:
+            self.frames.append(frames[0])
             args = (self.term(),)
+            self.frames.pop()
         else:
             args = []
             while values[self.i] != ")":
+                self.frames.append(frames[min(len(args), shape.arity)])
                 args.append(self.atom())
+                self.frames.pop()
             args = tuple(args)
         self.expect(")")
         if len(args) != shape.arity:
@@ -326,7 +337,8 @@ class TermParser:
                 head, f"{written} expects {shape.arity} arguments, got "
                 f"{len(args)}", "ArityMismatch")
         with _placed(self.tokens, head):
-            return Abs(d.name, shape, binders, args)
+            _check_abs(d.name, shape, binders, args)
+        return ("A", d.name, shape, binders, args)
 
 
 _TOO_DEEP = "terms nest too deeply to parse"
@@ -335,24 +347,23 @@ _TOO_DEEP = "terms nest too deeply to parse"
 def parse_term(text: str, sig: Signature) -> Term:
     parser = TermParser(tokenize(text), sig)
     try:
-        t = parser.term()
+        node = parser.term()
+        if parser.kinds[parser.i] != "eof":
+            raise parser.error(f"trailing input {parser.values[parser.i]!r}")
+        return _named(node, [])
     except RecursionError:
         raise parser.error(_TOO_DEEP, "TooDeep") from None
-    if parser.kinds[parser.i] != "eof":
-        raise parser.error(f"trailing input {parser.peek()!r}")
-    return t
 
 
 # --- printing ---------------------------------------------------------------
 
-def print_term(t: Term, unicode: bool = False) -> str:
-    return _print(t, _LOOSEST, unicode)
+def print_term(t: Term | DeBruijnTerm, unicode: bool = False) -> str:
+    """t printed, or the term that a node names (subst._named)."""
+    return _print(_named(t, []) if isinstance(t, tuple) else t, _LOOSEST, unicode)
 
 
 def _name_out(name: str, unicode: bool) -> str:
-    if unicode:
-        return name
-    return ASCII_NAME.get(name, name)
+    return name if unicode else ASCII_NAME.get(name, name)
 
 
 def _print(t: Term, level: int, uni: bool) -> str:
@@ -395,11 +406,11 @@ class ProofStep:
     line: int = field(compare=False)
     col: int = field(compare=False)
     label: str | None = None          # ax (label form), lemma name
-    term: Term | None = None          # ax (literal form)
-    sigma: Substitution | None = None  # subst
+    term: DeBruijnTerm | None = None  # ax (literal form), as all terms here
+    sigma: Substitution | None = None  # subst, template bodies as nodes
     refs: tuple[str, ...] = ()        # premise step names
     binder: str | None = None         # all
-    claimed: Term | None = None       # optional ==> annotation
+    claimed: DeBruijnTerm | None = None  # optional ==> annotation
 
 
 # a table spec maps argument keys to a carrier value name; each key part is
@@ -437,10 +448,14 @@ class ModelBlock:
 @dataclass(frozen=True)
 class TheoremBlock:
     name: str
-    statement: Term
+    node: DeBruijnTerm  # the statement, in nameless form
     steps: tuple[ProofStep, ...]
     line: int = field(compare=False)
     col: int = field(compare=False)
+
+    @property
+    def statement(self) -> Term:
+        return _named(self.node, [])
 
 
 @dataclass
@@ -456,10 +471,7 @@ class TheoryFile:
         default_factory=dict, compare=False)
 
     def model_block(self, name: str) -> ModelBlock | None:
-        for m in self.models:
-            if m.name == name:
-                return m
-        return None
+        return next((m for m in self.models if m.name == name), None)
 
     @property
     def signature(self) -> Signature:
@@ -535,7 +547,7 @@ class TheoryParser:
                 self.labels.add(label)
                 self.positions[label] = self.tokens.position(at)
                 p.expect(":")
-                self.axioms.append((label, p.term()))
+                self.axioms.append((label, _named(p.term(), [])))
             elif value == "theorem":
                 self.theorems.append(self._theorem())
             elif value == "model":
@@ -599,13 +611,13 @@ class TheoryParser:
         p.i += 1  # `theorem`
         name = self._ident("theorem name")
         p.expect(":")
-        statement = p.term()
+        node = p.term()
         p.expect("proof")
         steps = []
         while self.values[p.i] != "qed":
             steps.append(self._step())
         p.i += 1
-        return TheoremBlock(name, statement, tuple(steps),
+        return TheoremBlock(name, node, tuple(steps),
                             *self.tokens.position(head))
 
     def _step(self) -> ProofStep:
@@ -700,7 +712,9 @@ class TheoryParser:
             while values[p.i] != ".":
                 binders.append(self._ident("template binder"))
             p.i += 1
+            p.frames.append(tuple(binders))
             body = p.term()
+            p.frames.pop()
             p.expect("]")
             with _placed(self.tokens, at):
                 tmpl = Template(tuple(binders), body)
@@ -732,7 +746,7 @@ def print_theory(tf: TheoryFile, unicode: bool = False) -> str:
     for label, term in tf.axioms:
         lines.append(f"axiom {label}: {print_term(term, unicode)}")
     for block in tf.theorems:
-        lines.append(f"theorem {block.name}: {print_term(block.statement, unicode)}")
+        lines.append(f"theorem {block.name}: {print_term(block.node, unicode)}")
         lines.append("proof")
         for st in block.steps:
             lines.append("  " + _print_step(st, unicode))
@@ -752,13 +766,7 @@ def print_theory(tf: TheoryFile, unicode: bool = False) -> str:
 
 
 def _print_key(key: tuple) -> str:
-    parts = []
-    for part in key:
-        if isinstance(part, tuple):
-            parts.append("[" + ", ".join(part) + "]")
-        else:
-            parts.append(part)
-    return ", ".join(parts)
+    return ", ".join(f"[{', '.join(p)}]" if isinstance(p, tuple) else p for p in key)
 
 
 def _print_step(st: ProofStep, uni: bool) -> str:
@@ -781,9 +789,12 @@ def _print_step(st: ProofStep, uni: bool) -> str:
 def _print_subst(sigma: Substitution, uni: bool) -> str:
     parts = []
     for (name, arity), tmpl in sorted(sigma.items()):
+        body = tmpl.body
+        if isinstance(body, tuple):  # parsed: a node under the parameters' frame
+            body = _named(body, [tmpl.binders])
+        body = print_term(body, uni)
         if arity == 0:
-            parts.append(f"{name} := {print_term(tmpl.body, uni)}")
+            parts.append(f"{name} := {body}")
         else:
-            parts.append(f"{name}/{arity} := [{' '.join(tmpl.binders)}. "
-                         f"{print_term(tmpl.body, uni)}]")
+            parts.append(f"{name}/{arity} := [{' '.join(tmpl.binders)}. {body}]")
     return "{ " + ", ".join(parts) + " }"

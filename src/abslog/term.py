@@ -1,15 +1,34 @@
-"""Terms, well-formedness, free variables and α-equivalence.
+"""Terms, their nameless form, well-formedness and α-equivalence.
 
 A term is either a variable application ``x[t0, ..., tn-1]`` (a bare ``x``
 is the arity-0 case) or an abstraction application
 ``(a x0 ... xm-1. t0 ... tn-1)``.  Variable identity is the pair
-(name, arity): ``x`` and ``x[t]`` are different variables.
+(name, arity): ``x`` and ``x[t]`` are different variables.  Abstraction
+nodes embed the shape they were built against, so the binding structure
+(which binder is active in which argument position) is part of the tree.
 
-Abstraction nodes embed the shape they were built against, so the binding
-structure (which binder is active in which argument position) is part of
-the tree.  ``encode`` checks the embedded shapes against a signature while
-it builds the nameless form; ``check_wellformed`` is that walk, its result
-dropped.
+The core reads one nameless (de Bruijn) form, nested tuples of three kinds:
+  ("b", k)                         bound arity-0 occurrence, k counted from
+                                   the innermost binder (within a frame,
+                                   later binder indices are closer)
+  ("v", name, args)                free occurrence; its arity is len(args)
+  ("A", name, shape, hints, args)  abstraction application; hints are the
+                                   binder names
+A template [x0 ... xn-1. t] is its body under one outer frame of its
+parameters, so parameter i is the bound index n-1-i wherever no binder of
+t encloses it.  The hints make the form lossless: the term a node names
+(subst._named) is the term it encodes.  Two terms are α-equivalent iff
+their forms agree with the hints left out (`same_class`).
+
+A term enters the form in one of two ways.  The parser (syntax.py) builds
+nodes as it reads, with heads from its signature, resolving each name
+against the binders in scope.  `encode` takes anything else: it works out
+binder scope for a named term, and checks a node as it is.  Given a
+signature, it checks in the same walk, by one set of rules (`_check_abs`,
+`_check_var`), that each head is declared with exactly its shape and has
+one distinct binder name (hint) per bound variable and one argument per
+position, that each bound index is below its binder depth and that each
+variable is named; `check_wellformed` is that walk.
 """
 from __future__ import annotations
 
@@ -46,48 +65,13 @@ class Abs:
     args: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        for b in self.binders:
-            if not (isinstance(b, str) and b):
-                raise MalformedTerm(f"{self.name}: binder {b!r} is not a name")
-        if len(set(self.binders)) != len(self.binders):
-            raise DuplicateBinder(f"binders {self.binders} are not distinct")
-        if len(self.binders) != self.shape.valence:
-            raise ValenceMismatch(
-                f"{self.name}: {len(self.binders)} binders for valence {self.shape.valence}")
-        if len(self.args) != self.shape.arity:
-            raise ArityMismatch(
-                f"{self.name}: {len(self.args)} arguments for arity {self.shape.arity}")
+        _check_abs(self.name, self.shape, self.binders, self.args)
 
 
-def check_wellformed(t: Term, sig: Signature) -> None:
-    """Raise unless t is a term whose variables have names and whose
-    abstraction applications match their declarations."""
-    encode(t, [], sig)
+def check_wellformed(t: Term | DeBruijnTerm, sig: Signature) -> DeBruijnTerm:
+    """The nameless form of t; raise unless t is a term over sig."""
+    return encode(t, [], sig)
 
-
-# --- nameless form ----------------------------------------------------------
-#
-# The one nameless (de Bruijn) encoding, and `encode` the one walk by which
-# a term enters the core: it is the only code that works out which binder
-# an occurrence refers to, and, given a signature, it checks the term on
-# the way.  α-equality, substitution (subst.py), the kernel's theorems,
-# free variables and evaluation (algebra.py) all read this form.  As
-# nested tuples, of three kinds:
-#   ("b", k)                         bound arity-0 occurrence, k counted from
-#                                    the innermost binder (within a frame,
-#                                    later binder indices are closer)
-#   ("v", name, args)                free occurrence, args encoded
-#                                    recursively; its arity is len(args)
-#   ("A", name, shape, hints, args)  abstraction application; hints are the
-#                                    binder names
-#
-# A template [x0 ... xn-1. t] is its body encoded under one outer frame of
-# its parameters, so parameter i is the bound index n-1-i wherever no
-# binder of t encloses it.
-#
-# The hints make the form lossless: the term named by a node (subst._named)
-# is the term it encodes.  Two terms are α-equivalent iff their forms agree
-# with the hints left out (`same_class`).
 
 DeBruijnTerm = tuple
 
@@ -102,38 +86,85 @@ def _lookup(name: str, frames: list[tuple[str, ...]]) -> int | None:
     return None
 
 
-def _check_decl(t: Abs, sig: Signature) -> None:
-    decl = sig.get(t.name)
+def _check_abs(name, shape: Shape, binders: tuple, args: tuple,
+               sig: Signature | None = None) -> None:
+    """Raise unless `binders` are distinct names, one per variable `shape`
+    binds, `args` has one term per argument position and, given sig, sig
+    declares `name` with exactly `shape`."""
+    if not isinstance(shape, Shape):
+        raise MalformedTerm(f"{name}: {shape!r} is not a shape")
+    for b in binders:
+        if not (isinstance(b, str) and b):
+            raise MalformedTerm(f"{name}: binder {b!r} is not a name")
+    if len(set(binders)) != len(binders):
+        raise DuplicateBinder(f"binders {binders} are not distinct")
+    if len(binders) != shape.valence:
+        raise ValenceMismatch(
+            f"{name}: {len(binders)} binders for valence {shape.valence}")
+    if len(args) != shape.arity:
+        raise ArityMismatch(f"{name}: {len(args)} arguments for arity {shape.arity}")
+    if sig is None:
+        return
+    decl = sig.get(name) if isinstance(name, str) else None
     if decl is None:
-        raise UnknownAbstraction(f"abstraction {t.name!r} is not declared")
-    if decl.shape.valence != t.shape.valence:
-        raise ValenceMismatch(
-            f"{t.name}: valence {t.shape.valence}, declared {decl.shape.valence}")
-    if decl.shape.arity != t.shape.arity:
-        raise ArityMismatch(
-            f"{t.name}: arity {t.shape.arity}, declared {decl.shape.arity}")
-    if decl.shape != t.shape:
-        # same valence/arity but different binding structure
-        raise ValenceMismatch(
-            f"{t.name}: binder sets {t.shape} differ from declared {decl.shape}")
+        raise UnknownAbstraction(f"abstraction {name!r} is not declared")
+    want = decl.shape
+    if shape is want or shape == want:
+        return
+    if want.valence != shape.valence:
+        raise ValenceMismatch(f"{name}: valence {shape.valence}, declared {want.valence}")
+    if want.arity != shape.arity:
+        raise ArityMismatch(f"{name}: arity {shape.arity}, declared {want.arity}")
+    raise ValenceMismatch(f"{name}: binder sets {shape} differ from declared {want}")
 
 
-def encode(t: Term, frames: list[tuple[str, ...]],
+def _check_var(name) -> None:
+    if not (isinstance(name, str) and name):
+        raise MalformedTerm(f"variable name {name!r} is not a name")
+
+
+def _check_node(node, depth: int, sig: Signature | None) -> DeBruijnTerm:
+    """node, if it is a nameless term under `depth` binders, over sig when
+    given; else the TermError of its first bad sub-node, in pre-order."""
+    tag = node[0] if type(node) is tuple and node else None
+    if tag == "b" and len(node) == 2 and type(node[1]) is int:
+        if not 0 <= node[1] < depth:
+            raise MalformedTerm(f"bound index {node[1]} under {depth} binders")
+    elif tag == "v" and len(node) == 3 and type(node[2]) is tuple:
+        if sig is not None:
+            _check_var(node[1])
+        for a in node[2]:
+            _check_node(a, depth, sig)
+    elif (tag == "A" and len(node) == 5 and type(node[3]) is tuple
+          and type(node[4]) is tuple):
+        _, name, shape, hints, args = node
+        _check_abs(name, shape, hints, args, sig)
+        for p, a in zip(shape.binder_sets, args):
+            _check_node(a, depth + len(p), sig)
+    else:
+        raise MalformedTerm(f"{node!r} is not a term")
+    return node
+
+
+def encode(t: Term | DeBruijnTerm, frames: list[tuple[str, ...]],
            sig: Signature | None = None) -> DeBruijnTerm:
     """Nameless form of t under the binder frames in scope (outermost
     first).  Given a signature, first raise the TermError of the first
-    node, in pre-order, that is not a term over it."""
+    node, in pre-order, that is not a term over it.  A t that is already a
+    node is checked in place (`_check_node`) and is its own form."""
     if isinstance(t, Var):
-        if sig is not None and not (isinstance(t.name, str) and t.name):
-            raise MalformedTerm(f"variable name {t.name!r} is not a name")
+        if sig is not None:
+            _check_var(t.name)
         if not t.args:
             k = _lookup(t.name, frames)
             return ("v", t.name, ()) if k is None else ("b", k)
         return ("v", t.name, tuple(encode(a, frames, sig) for a in t.args))
     if not isinstance(t, Abs):
+        if type(t) is tuple:
+            return _check_node(t, sum(map(len, frames)), sig)
         raise MalformedTerm(f"{t!r} is not a term")
     if sig is not None:
-        _check_decl(t, sig)
+        _check_abs(t.name, t.shape, t.binders, t.args, sig)
     args = []
     for p, a in zip(t.shape.binder_sets, t.args):
         if p:

@@ -5,7 +5,9 @@ comparison walks both terms with explicit rename environments (no nameless
 encoding), substitution freshens every binder globally before doing plain
 textual replacement (no index shifting), the tokenizer matches each blank
 run on its own and counts columns as it goes, the term parser spends one
-call per precedence level instead of climbing, the proof checker walks the
+call per precedence level instead of climbing and builds named terms whose
+binder scope `encode` works out afterwards instead of nameless nodes
+resolved as they are read, the proof checker walks the
 tree with every rule written out inline instead of folding the kernel's
 rules, evaluation and free variables follow binder names through the
 named term (a valuation updated for each binder value) instead of reading
@@ -59,16 +61,20 @@ from abslog.errors import (
     ValenceMismatch,
 )
 from abslog.logics import ALL, IMP, TRUE, all_
-from abslog.shape import BINOP_SHAPE, Signature, is_logic_signature
+from abslog.shape import (BINDER_SHAPE, BINOP_SHAPE, AbstractionDecl, Signature,
+                          is_logic_signature)
 from abslog.syntax import (
     _ATOM,
+    _LOOSEST,
     _NOT,
     _OP_TOKENS,
+    ALIAS,
     INFIX,
+    KEYWORDS,
     OP_GLYPHS,
     ParseError,
-    TermParser,
     Tokens,
+    _placed,
 )
 from abslog.term import encode, free_in
 
@@ -216,7 +222,182 @@ def token_positions_oracle(text: str) -> list[tuple[int, int]]:
     return [(line, col) for _, _, _, line, col in _scan_oracle(text)[0]]
 
 
-class LevelParser(TermParser):
+class NamedTermParser:
+    """The term parser as it was before it built nameless nodes: it builds
+    named `Var` and `Abs` terms, and `encode` works out binder scope later.
+    Operator-precedence term parser over a signature, driven by INFIX.
+
+    It reads the token arrays at index `i`, which it moves past what it
+    parses; a TheoryParser reads and moves the same index between terms.
+    `i` never passes the eof token: a token is only consumed after its
+    value or kind is checked, and eof's value "" matches no literal."""
+
+    def __init__(self, tokens: Tokens, sig: Signature):
+        self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.values = tokens.values
+        self.i = 0
+        self.sig = sig
+
+    # cold paths: errors and the rare constructs
+    def peek(self) -> str:
+        return self.values[self.i]
+
+    def error_at(self, i: int, message: str, code=None) -> ParseError:
+        return ParseError(message, *self.tokens.position(i), code)
+
+    def error(self, message: str, code=None) -> ParseError:
+        return self.error_at(self.i, message, code)
+
+    def accept(self, value: str) -> bool:
+        if self.values[self.i] == value:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> None:
+        found = self.values[self.i]
+        if found != value:
+            raise self.error(f"expected {value!r}, found {found!r}")
+        self.i += 1
+
+    def resolve(self, name: str) -> AbstractionDecl | None:
+        d = self.sig.get(name)
+        if d is None and name in ALIAS:
+            d = self.sig.get(ALIAS[name])
+        return d
+
+    def _op_decl(self, token: str, name: str) -> AbstractionDecl:
+        d = self.sig.get(name)
+        if d is None:
+            raise self.error(f"operator {token!r} ({name}) is not declared",
+                             "UnknownName")
+        return d
+
+    def term(self) -> Term:
+        i, kinds, values = self.i, self.kinds, self.values
+        # binder sugar `all x. t`; an ident is never the eof token, and
+        # neither is one after it, so i + 2 is in range
+        if (kinds[i] == "ident" and kinds[i + 1] == "ident"
+                and values[i + 2] == "." and values[i] not in KEYWORDS):
+            d = self.resolve(values[i])
+            if d is not None and d.shape == BINDER_SHAPE:
+                self.i = i + 3
+                return Abs(d.name, d.shape, (values[i + 1],), (self.term(),))
+        return self._level(_LOOSEST)
+
+    def _level(self, level: int) -> Term:
+        """A term whose operators bind at `level` or tighter: a prefix `not`
+        or an atom, then each operator below `ceiling`.  A left-associative
+        operator lowers the ceiling past its own level, `->` and `=` to it,
+        so `x = y = z` stops after `x = y`."""
+        values = self.values
+        if level <= _NOT and values[self.i] in ("not", "¬"):
+            self.i += 1
+            d = self._op_decl("not", "¬")
+            left = Abs(d.name, d.shape, (), (self._level(_NOT),))
+            ceiling = _NOT
+        else:
+            left = self.atom()
+            ceiling = _ATOM
+        while ((op := INFIX.get(token := values[self.i]))
+               and level <= op[1] < ceiling):
+            name, op_level, assoc = op
+            self.i += 1
+            d = self._op_decl(token, name)
+            right = self._level(op_level + (assoc != "right"))
+            left = Abs(d.name, d.shape, (), (left, right))
+            ceiling = op_level + (assoc == "left")
+        return left
+
+    def atom(self) -> Term:
+        i = self.i
+        value = self.values[i]
+        if value == "(":
+            return self._parens()
+        if self.kinds[i] == "ident" and value not in KEYWORDS:
+            self.i = i + 1
+            d = self.resolve(value)
+            if d is not None:
+                return self._abs_atom(i, d)
+            if self.values[i + 1] == "[":
+                self.i = i + 2
+                return Var(value, self._args("]"))
+            return Var(value)
+        raise self.error(f"expected a term, found {value!r}")
+
+    def _args(self, close: str) -> tuple[Term, ...]:
+        """Comma-separated terms up to and including `close`."""
+        args = []
+        values = self.values
+        if values[self.i] != close:
+            args.append(self.term())
+            while values[self.i] == ",":
+                self.i += 1
+                args.append(self.term())
+        self.expect(close)
+        return tuple(args)
+
+    def _abs_atom(self, at: int, d: AbstractionDecl) -> Term:
+        """The abstraction `d`, named by token `at`, with its arguments."""
+        shape, written = d.shape, self.values[at]
+        if self.values[self.i] == "(":
+            if shape.valence != 0:
+                raise self.error_at(
+                    at, f"{written} binds variables; use ({d.name} x. ...) syntax")
+            self.i += 1
+            args = self._args(")")
+            if len(args) != shape.arity:
+                raise self.error_at(
+                    at, f"{written} expects {shape.arity} arguments, got {len(args)}",
+                    "ArityMismatch")
+            return Abs(d.name, shape, (), args)
+        if shape.arity == 0:
+            return Abs(d.name, shape)
+        raise self.error_at(at, f"{written} expects arguments", "ArityMismatch")
+
+    def _parens(self) -> Term:
+        # abstraction application `(name binders. args)`: an ident sequence
+        # followed by a dot; otherwise a parenthesized term
+        kinds, values = self.kinds, self.values
+        head = j = self.i + 1
+        while kinds[j] == "ident":
+            j += 1
+        if j == head or values[j] != ".":
+            self.i = head
+            inner = self.term()
+            self.expect(")")
+            return inner
+        self.i = j + 1
+        written = values[head]
+        d = self.resolve(written)
+        if d is None:
+            raise self.error_at(head, f"unknown abstraction {written!r}",
+                                "UnknownName")
+        binders = tuple(values[head + 1:j])
+        shape = d.shape
+        if len(binders) != shape.valence:
+            raise self.error_at(
+                head, f"{written} binds {shape.valence} variables, got "
+                f"{len(binders)}", "ValenceMismatch")
+        if shape.arity == 1:
+            args = (self.term(),)
+        else:
+            args = []
+            while values[self.i] != ")":
+                args.append(self.atom())
+            args = tuple(args)
+        self.expect(")")
+        if len(args) != shape.arity:
+            raise self.error_at(
+                head, f"{written} expects {shape.arity} arguments, got "
+                f"{len(args)}", "ArityMismatch")
+        with _placed(self.tokens, head):
+            return Abs(d.name, shape, binders, args)
+
+
+
+class LevelParser(NamedTermParser):
     """`TermParser` with one `_level` call per precedence level."""
 
     def _level(self, level: int) -> Term:
@@ -239,6 +420,24 @@ class LevelParser(TermParser):
             if assoc != "left":
                 break
         return left
+
+
+class EncodingLevelParser(LevelParser):
+    """LevelParser as the term parser of a theory file: each outermost term
+    comes out as `encode` gives the named term, under the frames the theory
+    parser opens (template parameters)."""
+
+    def __init__(self, tokens: Tokens, sig):
+        super().__init__(tokens, sig)
+        self.frames, self.depth = [], 0
+
+    def term(self):
+        self.depth += 1
+        try:
+            t = super().term()
+        finally:
+            self.depth -= 1
+        return t if self.depth else encode(t, list(self.frames), self.sig)
 
 
 def parse_term_oracle(text: str, sig) -> Term:

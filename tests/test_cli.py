@@ -183,6 +183,36 @@ def test_eval_cli(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "not A = T"
 
 
+def test_eval_term_errors_point_at_the_term(capsys):
+    """An error in the --term text is placed in that text, not in FILE."""
+    path = str(CORPUS / "prelude_k.al")
+    assert main(["eval", path, "--term", "A -> ", "--model", "boolean"]) == 2
+    assert capsys.readouterr().err == (
+        "--term:1:6: error: [SyntaxError] expected a term, found ''\n")
+    assert main(["eval", path, "--term", "A ->\n (nope x. x)",
+                 "--model", "boolean"]) == 2
+    assert capsys.readouterr().err.startswith("--term:2:3: error: [UnknownName]")
+
+
+def test_check_never_leaves_the_nameless_form(capsys, monkeypatch):
+    """`check` neither builds a named abstraction nor needs one: with
+    `Abs` unbuildable it prints the same, with and without --json."""
+    from abslog import term
+    path = str(CORPUS / "prelude_k.al")
+    before = {}
+    for flags in ([], ["--json"]):
+        assert main(["check", path, *flags]) == 0
+        before[tuple(flags)] = capsys.readouterr().out
+
+    def unbuildable(self):
+        raise AssertionError("an Abs was built")
+    monkeypatch.setattr(term.Abs, "__post_init__", unbuildable)
+    for flags in ([], ["--json"]):
+        assert main(["check", path, *flags]) == 0
+        out = capsys.readouterr()
+        assert out.out == before[tuple(flags)] and out.err == ""
+
+
 def test_eval_bad_assignment(capsys):
     assert main(["eval", str(CORPUS / "prelude_k.al"),
                  "--term", "A", "--model", "boolean",

@@ -44,6 +44,7 @@ from abslog.errors import (
     UnknownLemma,
 )
 from abslog.logics import IMP, TRUE, all_, const, eq, imp, neg, v
+from abslog.shape import BINDER_SHAPE, BINOP_SHAPE, AbstractionDecl, make_shape
 from abslog.term import Abs, encode
 
 from oracles import check_proof_oracle
@@ -321,6 +322,103 @@ def test_only_the_rules_mint_theorems():
     assert minting == {"<module>", "Theorem", "axiom", "inst", "mp", "gen", "lift"}
     below = {getattr(top, "name", None) for top in tree.body if top.lineno > boundary}
     assert {"check_proof", "_fold", "TheoremDB", "Ax", "Lemma"} <= below
+
+
+# --- nodes from outside ----------------------------------------------------------
+
+_Q = make_shape(2, [{0, 1}])
+DQ = Logic("DQ", D.signature.extend([AbstractionDecl("q", _Q)]), D.axioms)
+_X, _TOP_NODE = ("v", "x", ()), ("A", TRUE, TOP.shape, (), ())
+# nodes that are not nameless terms over DQ, each named by its fault
+_BAD_NODES = {
+    "undeclared head": ("A", "nope", BINOP_SHAPE, (), (_X, _X)),
+    "head not a name": ("A", 5, BINOP_SHAPE, (), (_X, _X)),
+    "head unhashable": ("A", [IMP], BINOP_SHAPE, (), (_X, _X)),
+    "wrong shape": ("A", IMP, BINDER_SHAPE, ("y",), (_X,)),
+    "shape not a shape": ("A", IMP, "(0; {}, {})", (), (_X, _X)),
+    "too few arguments": ("A", IMP, BINOP_SHAPE, (), (_X,)),
+    "too many arguments": ("A", IMP, BINOP_SHAPE, (), (_X, _X, _X)),
+    "too many hints": ("A", IMP, BINOP_SHAPE, ("y",), (_X, _X)),
+    "too few hints": ("A", "∀", BINDER_SHAPE, (), (("b", 0),)),
+    "hint not a name": ("A", "∀", BINDER_SHAPE, (5,), (("b", 0),)),
+    "repeated hints": ("A", "q", _Q, ("y", "y"), (("b", 0),)),
+    "dangling index": ("A", IMP, BINOP_SHAPE, (), (("b", 0), _X)),
+    "dangling under a binder": ("A", "∀", BINDER_SHAPE, ("y",), (("b", 1),)),
+    "negative index": ("A", "∀", BINDER_SHAPE, ("y",), (("b", -1),)),
+    "index not an int": ("A", "∀", BINDER_SHAPE, ("y",), (("b", False),)),
+    "bound node too long": ("A", "∀", BINDER_SHAPE, ("y",), (("b", 0, 0),)),
+    "variable node too long": ("v", "x", (), ()),
+    "variable name not a str": ("A", IMP, BINOP_SHAPE, (), (("v", 5, ()), _X)),
+    "empty variable name": ("v", "f", (("v", "", ()),)),
+    "sub-node not a tuple": ("A", IMP, BINOP_SHAPE, (), (["v", "x", ()], _X)),
+    "sub-node a named term": ("A", IMP, BINOP_SHAPE, (), (Var("x"), _X)),
+    "arguments not a tuple": ("A", IMP, BINOP_SHAPE, (), [_X, _X]),
+    "variable arguments not a tuple": ("v", "f", [_X]),
+    "hints not a tuple": ("A", "∀", BINDER_SHAPE, ["y"], (("b", 0),)),
+    "too short": ("A", IMP, BINOP_SHAPE, ()),
+    "unknown tag": ("B", "x", ()),
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_BAD_NODES))
+def test_a_bad_node_is_ill_formed_at_every_entry(fault):
+    """A node from outside is checked against the signature before any
+    rule uses it: as an axiom literal, as a template body, whether its
+    variable occurs in the premise or not, and as a target that differs
+    from what the rule derived."""
+    node = _BAD_NODES[fault]
+    with pytest.raises(IllFormed):
+        kernel.axiom(DQ, node)
+    for label in ("D1", "D2"):
+        with pytest.raises(IllFormed):
+            kernel.inst(kernel.axiom(DQ, label), {("A", 0): Template((), node)})
+    d1 = kernel.axiom(DQ, "D1")
+    g = kernel.inst(kernel.axiom(DQ, "D2"), {("A", 0): TOP})
+    for rule in (lambda: kernel.inst(d1, {}, node), lambda: kernel.mp(d1, g, node),
+                 lambda: kernel.gen(d1, "y", node)):
+        with pytest.raises(IllFormed):
+            rule()
+
+
+def test_node_entry_counts_template_parameters_and_bound_names():
+    d2 = kernel.axiom(DQ, "D2")  # A ⇒ B ⇒ A
+    with pytest.raises(IllFormed):
+        kernel.axiom(DQ, ["v", "x", ()])
+    with pytest.raises(IllFormed):  # one parameter: index 1 dangles
+        kernel.inst(d2, {("B", 1): Template(("p",), ("b", 1))})
+    thm = kernel.inst(kernel.axiom(DQ, "D4"),  # (∀x. A[x]) ⇒ A[x]
+                      {("A", 1): Template(("p",), ("v", "f", (("b", 0),)))})
+    assert alpha_eq(thm.statement, imp(all_("x", v("f", v("x"))), v("f", v("x"))))
+    assert kernel.axiom(DQ, encode(D.axiom("D4"), [])).statement == D.axiom("D4")
+
+
+def test_a_node_target_that_does_not_match_is_the_rules_mismatch():
+    """A well-formed node target that is not what the rule derived raises
+    the rule's own mismatch; one that differs in binder names only is
+    taken, and the theorem keeps the node the rule derived, so a target
+    whose names would capture a free variable cannot rename the statement."""
+    d1, d4 = kernel.axiom(DQ, "D1"), kernel.axiom(DQ, "D4")
+    g = kernel.inst(kernel.axiom(DQ, "D2"), {("A", 0): TOP})  # ⊤ ⇒ B ⇒ ⊤
+    wrong = ("A", IMP, BINOP_SHAPE, (), (_X, _X))
+    with pytest.raises(SubstMismatch):
+        kernel.inst(d1, {}, wrong)
+    with pytest.raises(MpMismatch):
+        kernel.mp(d1, g, wrong)
+    with pytest.raises(AllMismatch):
+        kernel.gen(d1, "y", wrong)
+    with pytest.raises(NotAnAxiom):
+        kernel.axiom(DQ, wrong)
+    thm = kernel.gen(d1, "y", ("A", "∀", BINDER_SHAPE, ("z",), (_TOP_NODE,)))
+    assert thm.node == ("A", "∀", BINDER_SHAPE, ("y",), (_TOP_NODE,))
+    # ∀y. (∀x. A[x]) ⇒ A[x], with the outer hint x over the free x
+    capture = ("A", "∀", BINDER_SHAPE, ("x",), kernel.gen(d4, "y").node[4])
+    thm = kernel.gen(d4, "y", capture)
+    assert free_vars(thm.statement) == {("A", 1), ("x", 0)}
+    assert thm.node == encode(thm.statement, [])
+    claim = encode(imp(v("B"), TOP), [])
+    assert kernel.mp(d1, g, claim).node == claim
+    assert kernel.inst(d1, {}, _TOP_NODE).statement == TOP
 
 
 # --- the memoised fold -----------------------------------------------------------

@@ -18,9 +18,9 @@ from abslog import syntax
 from abslog.errors import AbslogError
 from abslog.syntax import ParseError, tokenize
 
-from conftest import random_signature, random_term
+from conftest import BINDER_POOL, random_signature, random_term
 from oracles import (
-    LevelParser,
+    EncodingLevelParser,
     parse_term_oracle,
     token_positions_oracle,
     tokenize_oracle,
@@ -309,7 +309,7 @@ def test_front_end_matches_oracle(rnd, monkeypatch):
     ours = [_theory_outcome(text) for text in texts + edited]
     with monkeypatch.context() as m:
         m.setattr(syntax, "tokenize", tokenize_oracle)
-        m.setattr(syntax, "TermParser", LevelParser)
+        m.setattr(syntax, "TermParser", EncodingLevelParser)
         assert [_theory_outcome(text) for text in texts + edited] == ours
 
 
@@ -335,3 +335,82 @@ def test_positions_on_demand_match_eager_ones(rnd):
         assert len(tokens) == len(tokenize_oracle(text))
         assert ([tokens.position(i) for i in range(len(tokens))]
                 == token_positions_oracle(text)), text
+
+
+
+def _some(t, holds, bound=frozenset()) -> bool:
+    """Whether holds(s, names bound around s) for some subterm s of t."""
+    if holds(t, bound):
+        return True
+    if isinstance(t, Var):
+        return any(_some(a, holds, bound) for a in t.args)
+    return any(_some(a, holds, bound | {t.binders[j] for j in p})
+               for p, a in zip(t.shape.binder_sets, t.args))
+
+
+def _theory_text(rnd, sig, base) -> tuple[str, list, tuple]:
+    """A theory over K plus `sig`'s abstractions whose terms are random, the
+    named terms written into it (an axiom, a statement, `==>` claims, a
+    literal axiom and the bodies of two substitution templates, last), and
+    the templates' parameters."""
+    term = lambda bound=(): random_term(rnd, base, depth=4, bound=bound)
+    params = tuple(rnd.sample(BINDER_POOL, 2))
+    terms = [term() for _ in range(6)] + [term(params[:1]), term(params)]
+    out = [print_term(t, unicode=rnd.random() < 0.5) for t in terms]
+    text = "\n".join([
+        "logic K",
+        *(f"abstraction {d.name} {d.shape}" for d in sig.decls),
+        f"axiom X: {out[0]}",
+        f"theorem T: {out[1]}",
+        "proof",
+        f"  s1: ax X ==> {out[2]}",
+        f"  s2: subst s1 {{ A/1 := [{params[0]}. {out[6]}], B := {out[3]},"
+        f" C/2 := [{' '.join(params)}. {out[7]}] }} ==> {out[4]}",
+        f"  s3: ax {out[5]}",
+        "qed", ""])
+    return text, terms, params
+
+
+def test_parser_node_is_the_encoded_oracle_term(rnd, monkeypatch):
+    """The node the parser builds is `encode` of the term the named parser
+    builds: for each term of 300 seeded theories over random shapes, and
+    for both corpus files and those theories whole, templates included
+    (their bodies against the named term under the parameters' frame)."""
+    from pathlib import Path
+    from abslog import builtin_logic
+    from abslog.term import encode
+    corpus = Path(__file__).parent.parent / "src" / "abslog" / "corpus"
+    texts = [path.read_text() for path in sorted(corpus.glob("*.al"))]
+    written = []
+    for _ in range(300):
+        sig = random_signature(rnd)
+        base = builtin_logic("K").signature.extend(sig.decls)
+        text, terms, params = _theory_text(rnd, sig, base)
+        texts.append(text)
+        written += terms
+        for t in terms:
+            for printed in (print_term(t), print_term(t, unicode=True)):
+                parser = syntax.TermParser(tokenize(printed), base)
+                assert parser.term() == encode(
+                    parse_term_oracle(printed, base), [], base), printed
+                assert parser.kinds[parser.i] == "eof"
+        # a template body is encoded under one frame of its parameters
+        sigma = parse_theory(text).theorems[0].steps[1].sigma
+        for key, frame, t in ((("A", 1), params[:1], terms[6]),
+                              (("C", 2), params, terms[7])):
+            assert sigma[key].body == encode(
+                parse_term_oracle(print_term(t), base), [frame], base)
+    # what scope resolution can get wrong occurs in the texts: a binder
+    # that shadows another, x[..] under a binder x, and a shape whose
+    # argument positions bind different sets
+    assert any(_some(t, lambda s, bound: isinstance(s, Abs)
+                     and bound & set(s.binders)) for t in written)
+    assert any(_some(t, lambda s, bound: isinstance(s, Var) and s.args
+                     and s.name in bound) for t in written)
+    assert any(_some(t, lambda s, _: isinstance(s, Abs) and s.shape.valence
+                     and len(set(s.shape.binder_sets)) > 1) for t in written)
+    ours = [parse_theory(text) for text in texts]
+    assert all(len(tf.theorems[0].steps[1].sigma) == 3 for tf in ours[2:])
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "TermParser", EncodingLevelParser)
+        assert [parse_theory(text) for text in texts] == ours
