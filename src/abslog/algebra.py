@@ -11,14 +11,15 @@ Evaluation reads the nameless form of term.py (binder scope is never
 worked out here) and builds each row digit by digit as it evaluates the
 arguments.  Model search grounds each axiom instance once: its valuation
 and binder values are filled in, so what remains is the operator cells it
-reads, and each propagation round evaluates those cell reads alone.
+reads.  Propagation reads an instance again only once a cell that its last
+read stopped at has been assigned.
 """
 from __future__ import annotations
 
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, wraps
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,6 +40,7 @@ from .errors import (
     NotLogicSignature,
     SpecKindMismatch,
     TermError,
+    TermTooDeep,
     UnknownValue,
 )
 from .logics import (
@@ -196,6 +198,19 @@ class Valuation:
                 or constant_table(self.size, arity, 0))
 
 
+def _depth_checked(fn):
+    """fn, with a RecursionError from a term too deep for the recursive
+    walkers (encode, _eval, _ground, _value) raised as TermTooDeep."""
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise TermTooDeep(f"{fn.__name__}: a term nests too deeply "
+                              f"to evaluate") from None
+    return checked
+
+
 def _eval(entry: Callable[[str, int], int], size: int, nu: Valuation,
           node: DeBruijnTerm, env: tuple[int, ...]) -> int:
     """Value of a nameless term; env holds the values of the enclosing
@@ -220,6 +235,7 @@ def _eval(entry: Callable[[str, int], int], size: int, nu: Valuation,
     return entry(name, row)
 
 
+@_depth_checked
 def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
     """Value of t in alg under nu; requires t well-formed over alg's
     signature."""
@@ -302,6 +318,7 @@ def _valuations(size: int, fvs: Sequence[tuple[str, int]]) -> Iterator[Valuation
         yield Valuation(size, dict(zip(fvs, tables)))
 
 
+@_depth_checked
 def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
                 arity_cap: int = 2,
                 labels: Sequence[str] | None = None) -> ModelReport:
@@ -449,37 +466,60 @@ def _instances(nodes: Iterable[DeBruijnTerm], size: int, top: int) -> Iterator:
     must_hold = frozenset({top})
     for node in nodes:
         for nu in _valuations(size, sorted(free_in(node))):
-            yield _ground(node, nu, size, top, ()), must_hold
+            yield _ground(node, nu, size, top, ()), must_hold, None, None, None
 
 
 def _solve(cs: Iterable, cells: dict, size: int, limit: int,
            found: list[dict]) -> None:
     """Propagate: drop satisfied constraints, intersect the viable values
     of every read-but-unassigned cell, assign forced cells; then branch on
-    a cell with the fewest viable values.  cs is read once per round, so
-    it may be an iterator that grounds constraints as the first round
-    reaches them.  The cells this call assigns are on the trail, and are
-    unassigned when it returns."""
+    a cell with the fewest viable values.  The cells this call assigns are
+    on the trail, and are unassigned when it returns.
+
+    A constraint is (ground term, allowed values, k, ok, blockers), its
+    status the last three.  After a read, k is the first cell it reads
+    that has no value, ok the values of k under which the look-ahead finds
+    it allowed or waiting on another cell, and blockers the cells the
+    look-ahead stopped at.  While k has no value, the cells read before it
+    keep theirs, so a read finds k again: only the look-ahead is redone,
+    over ok alone (a value that made the constraint false still does), and
+    only once a blocker has a value.  Until then ok, cut to the values of
+    k still viable this round, is what the look-ahead would find.  Each
+    round passes the statuses on in the list it builds, which the children
+    start from, so returning drops a subtree's statuses with its cells.
+    cs is read once per round, so it may be an iterator that grounds
+    constraints, with no status yet (k, ok and blockers None), as the
+    first round reaches them."""
     if len(found) >= limit:
         return
     trail: list = []
+    assigned = cells.keys()  # a live view: the cells with a value now
     try:
         while True:
             remaining, viable, progress = [], {}, False
             for c in cs:
-                g, allowed = c
-                k = _value(g, cells, size)  # its value, or the cell it waits on
-                if k.__class__ is int:
-                    if k not in allowed:
-                        return
-                    continue
-                ok_vals = set()
-                for value in viable.get(k, range(size)):
-                    cells[k] = value
-                    v = _value(g, cells, size)
-                    if v.__class__ is not int or v in allowed:
-                        ok_vals.add(value)
-                del cells[k]
+                g, allowed, k, ok_vals, blockers = c
+                if k is None or k in cells:
+                    k = _value(g, cells, size)  # its value, or the cell it waits on
+                    if k.__class__ is int:
+                        if k not in allowed:
+                            return
+                        continue
+                    ok_vals, blockers = range(size), None
+                if k in viable:
+                    ok_vals = viable[k].intersection(ok_vals)
+                if blockers is None or not assigned.isdisjoint(blockers):
+                    trials, ok_vals, blockers = ok_vals, set(), set()
+                    for value in trials:
+                        cells[k] = value
+                        v = _value(g, cells, size)
+                        if v.__class__ is not int:
+                            ok_vals.add(value)
+                            blockers.add(v)
+                        elif v in allowed:
+                            ok_vals.add(value)
+                    del cells[k]
+                    c = g, allowed, k, ok_vals, blockers
                 if not ok_vals:
                     return
                 if len(ok_vals) == 1:
@@ -513,6 +553,7 @@ def _universe(size: int) -> Universe:
     return Universe(tuple(str(i) for i in range(size)))
 
 
+@_depth_checked
 def find_models(sig: Signature, axioms: Sequence[Term], size: int,
                 limit: int = 1) -> list[AbstractionAlgebra]:
     """Search for logic algebras of the given carrier size in which every
@@ -540,7 +581,9 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
         ((_term_size(axiom), encode(axiom, [], sig)) for axiom in axioms),
         key=lambda weighted: weighted[0])]
     found: list[dict] = []
-    _solve(chain(_logic_conditions(size, top), _instances(nodes, size, top)),
+    conditions = [(cell, allowed, None, None, None)
+                  for cell, allowed in _logic_conditions(size, top)]
+    _solve(chain(conditions, _instances(nodes, size, top)),
            cells, size, limit, found)
     # cells no constraint read are free; they take value 0
     return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(sig, size, tuple(

@@ -97,6 +97,12 @@ class ArityCapExceeded(AlgebraError):
     code = "ArityCapExceeded"
 
 
+class TermTooDeep(AlgebraError):
+    """A term too deep for the recursion limit of the evaluator or of the
+    model search."""
+    code = "TooDeep"
+
+
 class ModelError(AlgebraError):
     """A model description (a model block or a JSON file) that defines no
     algebra over the signature."""

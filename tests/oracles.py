@@ -681,6 +681,65 @@ class _Need(Exception):
         self.key = key
 
 
+def _solve_oracle(cs: list, cells: dict, size: int, limit: int,
+                  found: list[dict]) -> None:
+    """One node of find_models_oracle's search, the cells assigned on the
+    way to it in cells: propagate (drop satisfied constraints, intersect
+    the viable values of every queried-but-unassigned cell, assign forced
+    cells), then branch on a cell with the fewest viable values.  The
+    cells this call assigns are on the trail, and are unassigned when it
+    returns."""
+    if len(found) >= limit:
+        return
+    trail: list = []
+    try:
+        while True:
+            remaining, viable, progress = [], {}, False
+            for c in cs:
+                try:
+                    ok = c()
+                except _Need as need:
+                    k = need.key
+                    ok_vals = set()
+                    for value in viable.get(k, range(size)):
+                        cells[k] = value
+                        try:
+                            if c() is not False:
+                                ok_vals.add(value)
+                        except _Need:
+                            ok_vals.add(value)
+                    del cells[k]
+                    if not ok_vals:
+                        return
+                    if len(ok_vals) == 1:
+                        cells[k] = next(iter(ok_vals))
+                        trail.append(k)
+                        viable.pop(k, None)
+                        progress = True
+                    else:
+                        viable[k] = ok_vals
+                    remaining.append(c)
+                    continue
+                if not ok:
+                    return
+            cs = remaining
+            if not cs:
+                found.append(dict(cells))
+                return
+            if not progress:
+                break
+        k = min(viable, key=lambda k: len(viable[k]))
+        trail.append(k)
+        for value in sorted(viable[k]):
+            cells[k] = value
+            _solve_oracle(cs, cells, size, limit, found)
+            if len(found) >= limit:
+                break
+    finally:
+        for k in trail:
+            del cells[k]
+
+
 def find_models_oracle(sig: Signature, axioms: Sequence[Term], size: int,
                        limit: int = 1) -> list[AbstractionAlgebra]:
     """Search for logic algebras of the given carrier size in which every
@@ -728,63 +787,7 @@ def find_models_oracle(sig: Signature, axioms: Sequence[Term], size: int,
             lambda node=node, nu=nu: _eval(query, size, nu, node, ()) == top)
 
     found: list[dict] = []
-
-    def solve(cs: list) -> None:
-        # propagate: drop satisfied constraints, intersect the viable values
-        # of every queried-but-unassigned cell, assign forced cells; then
-        # branch on a cell with the fewest viable values.  The cells this
-        # call assigns are on the trail, and are unassigned when it returns.
-        if len(found) >= limit:
-            return
-        trail: list = []
-        try:
-            while True:
-                remaining, viable, progress = [], {}, False
-                for c in cs:
-                    try:
-                        ok = c()
-                    except _Need as need:
-                        k = need.key
-                        ok_vals = set()
-                        for value in viable.get(k, range(size)):
-                            cells[k] = value
-                            try:
-                                if c() is not False:
-                                    ok_vals.add(value)
-                            except _Need:
-                                ok_vals.add(value)
-                        del cells[k]
-                        if not ok_vals:
-                            return
-                        if len(ok_vals) == 1:
-                            cells[k] = next(iter(ok_vals))
-                            trail.append(k)
-                            viable.pop(k, None)
-                            progress = True
-                        else:
-                            viable[k] = ok_vals
-                        remaining.append(c)
-                        continue
-                    if not ok:
-                        return
-                cs = remaining
-                if not cs:
-                    found.append(dict(cells))
-                    return
-                if not progress:
-                    break
-            k = min(viable, key=lambda k: len(viable[k]))
-            trail.append(k)
-            for value in sorted(viable[k]):
-                cells[k] = value
-                solve(cs)
-                if len(found) >= limit:
-                    break
-        finally:
-            for k in trail:
-                del cells[k]
-
-    solve(constraints)
+    _solve_oracle(constraints, cells, size, limit, found)
 
     # cells no constraint read are free; they take value 0
     universe = Universe(tuple(str(i) for i in range(size)))

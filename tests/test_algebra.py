@@ -28,12 +28,14 @@ from abslog import (
     table_from_rows,
     valuation_from_subst,
 )
+from abslog import algebra
 from abslog.algebra import all_tables, argument_keys
 from abslog.errors import (
     ArityCapExceeded,
     MissingRow,
     IllFormedTerm,
     NotLogicSignature,
+    TermTooDeep,
 )
 from abslog.logics import (
     ALL,
@@ -54,6 +56,7 @@ from abslog.logics import (
 
 from conftest import (BINDER_POOL, random_algebra, random_signature,
                       random_term, random_valuation, size_cap)
+import oracles
 from oracles import (check_model_oracle, enumerate_algebras, eval_oracle,
                      find_models_oracle, free_vars_oracle, tabulate_oracle)
 
@@ -145,6 +148,19 @@ def test_check_model_fail_reports_value():
 def test_check_model_arity_cap():
     with pytest.raises(ArityCapExceeded):
         check_model(BOOL, [v("A", v("x"), v("y"))], arity_cap=1)
+
+
+def test_a_term_too_deep_to_evaluate_is_a_named_error():
+    chain = const(TRUE)
+    for _ in range(3000):
+        chain = imp(v("A"), chain)
+    alg = degenerate_model(SIG_D)
+    for walk in (lambda: find_models(SIG_D, [chain], 2),
+                 lambda: check_model(alg, [chain]),
+                 lambda: eval_term(alg, Valuation(1), chain)):
+        with pytest.raises(TermTooDeep) as err:
+            walk()
+        assert err.value.code == "TooDeep"
 
 
 def test_eval_depends_only_on_free_vars(rnd):
@@ -266,11 +282,25 @@ def _small_axiom_set(rnd, sig, size):
     return axioms
 
 
-def test_find_models_matches_the_search_before_ground_instances():
-    # find_models grounds each axiom instance once; the oracle re-evaluates
-    # every instance's nameless form in each propagation round.  Both make
-    # the same propagation and branching choices, so they return the same
-    # model lists, in the same order.
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Replace module.name by a wrapper that counts its calls, recursive
+    ones included, in the returned one-element list."""
+    calls, fn = [0], getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_find_models_matches_the_search_before_ground_instances(monkeypatch):
+    # find_models grounds each axiom instance once and re-reads one only
+    # when a cell it read has been assigned; the oracle re-evaluates every
+    # instance's nameless form in each propagation round.  Both make the
+    # same propagation and branching choices, so they visit the same search
+    # nodes and return the same model lists, in the same order.
     problems = [(builtin_logic(name).signature, builtin_logic(name).axiom_terms,
                  size, 10 ** 6)
                 for name in BUILTIN_NAMES for size in (1, 2)]
@@ -287,13 +317,26 @@ def test_find_models_matches_the_search_before_ground_instances():
         labels = [l for k, l in enumerate(("D1", "D2", "D3")) if n >> k & 1] + ["D4"]
         for limit in (1, 5):
             problems.append((SIG_D, [d.axiom(l) for l in labels], 3, limit))
+    # searches that backtrack, where a constraint status kept past the
+    # assignment of a cell it read would show: an enumeration of many
+    # models (422 nodes), a refutation that branches on ∀ rows until every
+    # unary f is seen to map ∀x. ∀y. x to ⊤ (151 nodes), and two that
+    # propagation alone refutes
+    problems += [(SIG_D, [d.axiom("D4")], 3, 200),
+                 (SIG_D, [v("f", all_("x", all_("y", v("x"))))], 3, 1),
+                 (SIG_K, [*builtin_logic("K").axiom_terms, eq(v("x"), v("y"))], 3, 1),
+                 (SIG_D, [*d.axiom_terms, all_("x", v("x"))], 3, 1)]
+    nodes = _count_calls(monkeypatch, algebra, "_solve")
+    oracle_nodes = _count_calls(monkeypatch, oracles, "_solve_oracle")
     counts = []
     for sig, axioms, size, limit in problems:
         found = find_models(sig, axioms, size, limit)
         assert found == find_models_oracle(sig, axioms, size, limit), (axioms, size)
+        assert nodes == oracle_nodes, (axioms, size)
         counts.append(len(found))
     # refutations, first models and many-model enumerations all occur
     assert 0 in counts and 1 in counts and max(counts) > 100
+    assert counts[-4:] == [200, 0, 0, 0]
 
 
 def _random_logic_algebra(rnd, sig, size):

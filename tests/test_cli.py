@@ -1,11 +1,13 @@
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from abslog import check_theory, parse_theory
+from abslog import cli
 from abslog.cli import main
 from abslog.driver import build_model, model_for
 from abslog.errors import (
@@ -411,6 +413,31 @@ _GOOD_JSON = {
         "all": {"T,T": "T", "T,F": "F", "F,T": "F", "F,F": "F"},
     },
 }
+
+
+def test_a_term_too_deep_to_evaluate_exits_two(tmp_path, capsys, monkeypatch):
+    # the parser gives up at a shallower nesting than the evaluator, so the
+    # recursion limit is lowered once the file is parsed: check_model then
+    # runs out of depth on the axiom, and names it
+    f = tmp_path / "tall.al"
+    f.write_text("logic D\naxiom Z: " + " -> ".join(["A"] * 700) + "\n")
+    parsed_model_for = cli.model_for
+
+    def model_for_with_less_depth(*args):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        sys.setrecursionlimit(depth + 300)
+        return parsed_model_for(*args)
+
+    monkeypatch.setattr(cli, "model_for", model_for_with_less_depth)
+    limit = sys.getrecursionlimit()
+    try:
+        assert main(["model-check", str(f), "--model", "boolean"]) == 2
+    finally:
+        sys.setrecursionlimit(limit)
+    assert re.fullmatch(r"error: \[TooDeep\] check_model: [^\n]*\n",
+                        capsys.readouterr().err)
 
 
 def _json_with(**interp):
