@@ -288,7 +288,7 @@ def is_logic_algebra(alg: AbstractionAlgebra) -> bool:
 @dataclass(frozen=True)
 class AxiomVerdict:
     label: str
-    axiom: Term
+    axiom: Term | DeBruijnTerm  # as check_model was given it
     passed: bool
     # on failure: the valuation restricted to the axiom's free variables,
     # and the value the axiom evaluated to
@@ -319,7 +319,7 @@ def _valuations(size: int, fvs: Sequence[tuple[str, int]]) -> Iterator[Valuation
 
 
 @_depth_checked
-def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term],
+def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term | DeBruijnTerm],
                 arity_cap: int = 2,
                 labels: Sequence[str] | None = None) -> ModelReport:
     """Exhaustively check that every axiom evaluates to I(⊤) under every
@@ -454,8 +454,8 @@ def _value(g, cells: dict[tuple[str, int], int], size: int):
     return cell if value is None else value
 
 
-def _term_size(t: Term) -> int:
-    return 1 + sum(_term_size(a) for a in t.args)
+def _node_size(node: DeBruijnTerm) -> int:
+    return 1 if node[0] == "b" else 1 + sum(map(_node_size, node[-1]))
 
 
 def _instances(nodes: Iterable[DeBruijnTerm], size: int, top: int) -> Iterator:
@@ -554,7 +554,7 @@ def _universe(size: int) -> Universe:
 
 
 @_depth_checked
-def find_models(sig: Signature, axioms: Sequence[Term], size: int,
+def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int,
                 limit: int = 1) -> list[AbstractionAlgebra]:
     """Search for logic algebras of the given carrier size in which every
     axiom holds under every valuation.
@@ -577,9 +577,7 @@ def find_models(sig: Signature, axioms: Sequence[Term], size: int,
     top = 0
     cells = {(TRUE, 0): top}
     # smaller axioms first, so that unit propagation fires early
-    nodes = [node for _, node in sorted(
-        ((_term_size(axiom), encode(axiom, [], sig)) for axiom in axioms),
-        key=lambda weighted: weighted[0])]
+    nodes = sorted((encode(axiom, [], sig) for axiom in axioms), key=_node_size)
     found: list[dict] = []
     conditions = [(cell, allowed, None, None, None)
                   for cell, allowed in _logic_conditions(size, top)]

@@ -31,7 +31,8 @@ from .syntax import (
     TheoremBlock,
     TheoryFile,
 )
-from .term import Term, alpha_eq, check_wellformed, same_class
+from .term import Term, check_wellformed, same_class
+from .term import alpha_eq  # noqa: F401  (bench/tracing.py rebinds it here)
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,8 @@ def inconsistency_expand(logic: Logic, p_forall: Proof, target: Term,
         raise PreconditionFailed("logic does not extend deduction logic")
     x = v("x")
     forall_x = all_("x", x)
-    if not alpha_eq(check_proof(logic, p_forall, db).statement, forall_x):
+    if not same_class(check_proof(logic, p_forall, db).node,
+                      check_wellformed(forall_x, logic.signature)):
         raise PreconditionFailed("premise does not prove (∀x. x)")
     try:
         check_wellformed(target, logic.signature)

@@ -153,6 +153,10 @@ class UnknownLogic(AbslogError):
     code = "UnknownLogic"
 
 
+class DuplicateAxiom(AbslogError):
+    code = "DuplicateAxiom"
+
+
 # --- kernel ---
 
 class ProofError(AbslogError):

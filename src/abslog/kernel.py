@@ -11,7 +11,7 @@ index below its binder depth, each variable named.  Targets match modulo α
 (`same_class`).  The named `statement` is the term target or axiom the rule
 was given, else the term the node names, built when read.
 
-The rules rest on the code above the untrusted line, on `Logic.nodes` and
+The rules rest on the code above the untrusted line, on `Logic.axioms` and
 on the walkers it calls: term.encode, same_class and strip_hints, and
 subst.encode_template, _subst_node (_instantiate, _lift, _rebuild), _bind
 and _settle.  Below the line, `check_proof` folds the rules over a proof
@@ -98,12 +98,12 @@ def axiom(logic: Logic, label_or_term: Term | DeBruijnTerm | str) -> Theorem:
     """AX, by label or by a term or node that is an axiom modulo α."""
     t = label_or_term
     if isinstance(t, str):
-        node = logic.axiom(t, nameless=True)
+        node = logic.axiom(t)
         if node is None:
             raise NotAnAxiom(f"no axiom labelled {t!r}")
         return Theorem(logic, node, None, _token=_KERNEL_TOKEN)
     node = _encode(logic, t)
-    match = next((a for a in logic.nodes if same_class(node, a)), None)
+    match = next((a for a in logic.axiom_terms if same_class(node, a)), None)
     if match is None:
         raise NotAnAxiom("term is not an axiom of this logic")
     if type(t) is tuple:  # a node vouches for the axiom's own node

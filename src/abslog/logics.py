@@ -5,10 +5,10 @@ accepts ASCII aliases (see the syntax module).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
-from .errors import NotLogicSignature, UnknownLogic
+from .errors import DuplicateAxiom, NotLogicSignature, TermError, UnknownLogic
 from .shape import (
     BINDER_SHAPE,
     BINOP_SHAPE,
@@ -19,7 +19,8 @@ from .shape import (
     is_logic_signature,
     signature,
 )
-from .term import Abs, DeBruijnTerm, Term, Var, alpha_eq, check_wellformed
+from .term import Abs, DeBruijnTerm, Term, Var, check_wellformed, strip_hints
+from .term import alpha_eq  # noqa: F401  (bench/tracing.py rebinds it here)
 
 TRUE, IMP, ALL = "⊤", "⇒", "∀"
 EQ, FALSE, NOT, NEQ = "=", "⊥", "¬", "≠"
@@ -85,45 +86,57 @@ def all_(x: str, body: Term) -> Abs:
 class Logic:
     name: str
     signature: Signature
-    axioms: tuple[tuple[str, Term], ...]  # (label, term), order fixed
-    # the nameless form of each axiom, checked against the signature
-    nodes: tuple[DeBruijnTerm, ...] = field(default=(), init=False, repr=False, compare=False)
-    # is_extension's verdicts with self as the child: id(parent) -> (parent,
-    # verdict), the entry keeping parent, and so its id, alive
-    _extends: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    # (label, node), order fixed: a term given here or to `extend` is
+    # checked against the signature and kept as its nameless form
+    axioms: tuple[tuple[str, DeBruijnTerm], ...]
 
     def __post_init__(self):
         if not is_logic_signature(self.signature):
             # the kernel's ALL builds ∀ nodes on this
             raise NotLogicSignature(
                 f"logic {self.name!r}: signature lacks ⊤/⇒/∀ with their required shapes")
-        object.__setattr__(self, "nodes", tuple(
-            check_wellformed(a, self.signature) for _, a in self.axioms))
+        object.__setattr__(self, "axioms", _checked(self.axioms, self.signature))
 
-    def axiom(self, label: str, nameless: bool = False):
-        """The axiom labelled `label`, or its node if `nameless`; else None."""
-        for i, (lbl, t) in enumerate(self.axioms):
-            if lbl == label:
-                return self.nodes[i] if nameless else t
-        return None
+    def axiom(self, label: str) -> DeBruijnTerm | None:
+        """The node of the axiom labelled `label`, or None."""
+        return next((a for lbl, a in self.axioms if lbl == label), None)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.axioms)
 
     @property
-    def axiom_terms(self) -> tuple[Term, ...]:
-        return tuple(t for _, t in self.axioms)
+    def axiom_terms(self) -> tuple[DeBruijnTerm, ...]:
+        return tuple(a for _, a in self.axioms)
+
+    @cached_property
+    def classes(self) -> frozenset[DeBruijnTerm]:
+        """The α-class of each axiom: its node with the hints left out."""
+        return frozenset(strip_hints(a) for _, a in self.axioms)
 
     def extend(self, name, decls=(), axioms=()) -> "Logic":
         """This logic with decls and axioms added.  Only the added axioms
         are checked: an extended signature keeps every declaration it had,
         so this logic's axioms stay well-formed in it."""
-        child = Logic(name, self.signature.extend(decls), tuple(axioms))
-        object.__setattr__(child, "axioms", self.axioms + child.axioms)
-        object.__setattr__(child, "nodes", self.nodes + child.nodes)
+        child = Logic(name, self.signature.extend(decls), ())
+        object.__setattr__(child, "axioms", self.axioms + _checked(
+            axioms, child.signature, self.labels))
         return child
+
+
+def _checked(axioms, sig: Signature, used=()) -> tuple[tuple[str, DeBruijnTerm], ...]:
+    """Each (label, axiom) as (label, its node), checked against sig; a
+    label that repeats one before it or in `used` is an error."""
+    out, seen = [], set(used)
+    for label, axiom in axioms:
+        if label in seen:
+            raise DuplicateAxiom(f"axiom label {label!r} already used")
+        seen.add(label)
+        try:
+            out.append((label, check_wellformed(axiom, sig)))
+        except TermError as e:
+            raise type(e)(f"axiom {label}: {e.message}") from None
+    return tuple(out)
 
 
 @cache
@@ -205,8 +218,10 @@ def _axiom_groups() -> dict[str, tuple[tuple[str, Term], ...]]:
     }
 
 
-# the classical tower, each logic with its signature
-_TOWER = {"D": SIG_D, "E": SIG_E, "F": SIG_F, "I": SIG_I, "K": SIG_K}
+# each builtin logic: the logic it is built on, and its signature
+_BUILT_ON = {"D": (None, SIG_D), "E": ("D", SIG_E), "F": ("E", SIG_F),
+             "I": ("F", SIG_I), "K": ("I", SIG_K), "P": ("K", SIG_P),
+             "U": ("K", SIG_U), "U'": ("K", SIG_U_PRIME)}
 
 
 @cache
@@ -216,21 +231,17 @@ def builtin_logic(name: str, peano_base: str = "K") -> Logic:
     P is based on K by default; pass peano_base="I" for the intuitionistic
     variant.  Logics are immutable, so each is built once and shared.
     """
-    if name in _TOWER:
-        below = tuple(_TOWER)[:tuple(_TOWER).index(name) + 1]
-        return Logic(name, _TOWER[name], sum((_axiom_groups()[g] for g in below), ()))
+    name = name.replace("′", "'")
+    if name not in _BUILT_ON:
+        raise UnknownLogic(f"no builtin logic named {name!r}")
+    below, sig = _BUILT_ON[name]
     if name == "P":
-        base = builtin_logic(peano_base)
         if peano_base not in ("I", "K"):
             raise UnknownLogic(f"P must be based on I or K, not {peano_base!r}")
-        sig = base.signature.extend(
-            d for d in SIG_P.decls if d.name not in base.signature)
-        return Logic("P", sig, base.axioms + _axiom_groups()["P"])
-    if name in ("U", "U'", "U′"):
-        name = name.replace("′", "'")
-        return Logic(name, SIG_U if name == "U" else SIG_U_PRIME,
-                     builtin_logic("K").axioms + _axiom_groups()[name])
-    raise UnknownLogic(f"no builtin logic named {name!r}")
+        below = peano_base
+    base = builtin_logic(below) if below else Logic(name, sig, ())
+    return base.extend(name, (d for d in sig.decls if d.name not in base.signature),
+                       _axiom_groups()[name])
 
 
 BUILTIN_NAMES = ("D", "E", "F", "I", "K", "P", "U", "U'")
@@ -238,13 +249,6 @@ BUILTIN_NAMES = ("D", "E", "F", "I", "K", "P", "U", "U'")
 
 def is_extension(child: Logic, parent: Logic) -> bool:
     """True iff child's signature extends parent's and every parent axiom
-    appears among child's axioms modulo α-equivalence.  The verdict is kept
-    on child for as long as both logics live."""
-    hit = child._extends.get(id(parent))
-    if hit is not None:
-        return hit[1]
-    child_terms = child.axiom_terms
-    verdict = extends_signature(child.signature, parent.signature) and all(
-        any(alpha_eq(a, c) for c in child_terms) for a in parent.axiom_terms)
-    child._extends[id(parent)] = (parent, verdict)
-    return verdict
+    is one of child's axioms modulo α-equivalence."""
+    return (extends_signature(child.signature, parent.signature)
+            and parent.classes <= child.classes)

@@ -10,8 +10,8 @@ elsewhere use the parenthesized form `(all x. t)`.  Both ASCII spellings
 and the glyphs are accepted; the printer emits ASCII unless asked.
 
 A written term enters the nameless form of term.py here: the term parser
-builds nodes, resolving each name against the binders in scope.  Proof
-terms stay nodes; `parse_term` and a file's axioms are named from them.
+builds nodes, resolving each name against the binders in scope.  A file's
+axioms and proof terms stay nodes; `parse_term` names its node.
 
 `tokenize` returns `Tokens`: parallel arrays of kinds, values and start
 offsets, plus the offset where each line starts.  The line and column of
@@ -462,7 +462,7 @@ class TheoremBlock:
 class TheoryFile:
     base: str | None = None
     decls: tuple[AbstractionDecl, ...] = ()
-    axioms: tuple[tuple[str, Term], ...] = ()
+    axioms: tuple[tuple[str, DeBruijnTerm], ...] = ()  # (label, parsed node)
     theorems: tuple[TheoremBlock, ...] = ()
     models: tuple[ModelBlock, ...] = ()
     # axiom label -> (line, col) of its `axiom` keyword, or of the `logic`
@@ -504,10 +504,9 @@ class TheoryParser:
         # extended on each `logic` and `abstraction` line
         self.terms = TermParser(self.tokens, Signature(()))
         self.decls: list[AbstractionDecl] = []
-        self.axioms: list[tuple[str, Term]] = []
+        self.axioms: list[tuple[str, DeBruijnTerm]] = []
         self.theorems: list[TheoremBlock] = []
         self.models: list[ModelBlock] = []
-        self.labels: set[str] = set()
         self.positions: dict[str, tuple[int, int]] = {}
 
     def parse(self) -> TheoryFile:
@@ -525,7 +524,9 @@ class TheoryParser:
                 with _placed(self.tokens, at + 1):
                     base = builtin_logic(name)
                     p.sig = base.signature.extend(self.decls)
-                self.labels.update(base.labels)
+                repeated = [lbl for lbl in base.labels if lbl in self.positions]
+                if repeated:
+                    raise p.error_at(at, f"axiom label {repeated[0]!r} already used")
                 position = self.tokens.position(at)
                 self.positions.update((label, position) for label in base.labels)
             elif value == "abstraction":
@@ -542,12 +543,11 @@ class TheoryParser:
             elif value == "axiom":
                 p.i += 1
                 label = self._ident("axiom label")
-                if label in self.labels:
+                if label in self.positions:
                     raise p.error_at(at, f"axiom label {label!r} already used")
-                self.labels.add(label)
                 self.positions[label] = self.tokens.position(at)
                 p.expect(":")
-                self.axioms.append((label, _named(p.term(), [])))
+                self.axioms.append((label, p.term()))
             elif value == "theorem":
                 self.theorems.append(self._theorem())
             elif value == "model":
@@ -632,7 +632,7 @@ class TheoryParser:
         refs: tuple[str, ...] = ()
         if rule == "ax":
             i = p.i
-            if kinds[i] == "ident" and values[i] in self.labels:
+            if kinds[i] == "ident" and values[i] in self.positions:
                 label = values[i]
                 p.i = i + 1
             else:
@@ -743,8 +743,8 @@ def print_theory(tf: TheoryFile, unicode: bool = False) -> str:
         lines.append(f"logic {tf.base}")
     for d in tf.decls:
         lines.append(f"abstraction {d.name} {d.shape}")
-    for label, term in tf.axioms:
-        lines.append(f"axiom {label}: {print_term(term, unicode)}")
+    for label, node in tf.axioms:
+        lines.append(f"axiom {label}: {print_term(node, unicode)}")
     for block in tf.theorems:
         lines.append(f"theorem {block.name}: {print_term(block.node, unicode)}")
         lines.append("proof")

@@ -76,6 +76,7 @@ from abslog.syntax import (
     Tokens,
     _placed,
 )
+from abslog.subst import _named
 from abslog.term import encode, free_in
 
 _fresh = itertools.count()
@@ -517,13 +518,13 @@ def _check(logic, p, db, path, memo):
 def _rule(logic, p, db, path, memo):
     if isinstance(p, Ax):
         if isinstance(p.axiom, str):
-            t = logic.axiom(p.axiom)
-            if t is None:
+            node = logic.axiom(p.axiom)
+            if node is None:
                 raise NotAnAxiom(f"no axiom labelled {p.axiom!r}", path)
-            return t
+            return _named(node, [])
         _wf(p.axiom, logic, path)
-        for _, a in logic.axioms:
-            if alpha_eq(p.axiom, a):
+        for _, node in logic.axioms:
+            if alpha_eq(p.axiom, _named(node, [])):
                 return p.axiom
         raise NotAnAxiom("term is not an axiom of this logic", path)
 

@@ -41,6 +41,7 @@ from abslog import (
 )
 from abslog.cli import main
 from abslog.logics import BUILTIN_NAMES, SIG_K, all_, v
+from abslog.subst import _named
 
 from conftest import (
     ACCEPTANCE_LINES,
@@ -150,7 +151,8 @@ def test_alpha_equivalence_at_scale():
 
     checked = equal = 0
     # systematic binder renames of every classical axiom
-    for term in K.axiom_terms:
+    for node in K.axiom_terms:
+        term = _named(node, [])
         assert agree(term, rename_binders(term))
         checked += 1
     # shadowing: the inner binder wins, whatever the outer one is called

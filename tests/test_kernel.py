@@ -45,6 +45,7 @@ from abslog.errors import (
 )
 from abslog.logics import IMP, TRUE, all_, const, eq, imp, neg, v
 from abslog.shape import BINDER_SHAPE, BINOP_SHAPE, AbstractionDecl, make_shape
+from abslog.subst import _named
 from abslog.term import Abs, encode
 
 from oracles import check_proof_oracle
@@ -390,7 +391,7 @@ def test_node_entry_counts_template_parameters_and_bound_names():
     thm = kernel.inst(kernel.axiom(DQ, "D4"),  # (∀x. A[x]) ⇒ A[x]
                       {("A", 1): Template(("p",), ("v", "f", (("b", 0),)))})
     assert alpha_eq(thm.statement, imp(all_("x", v("f", v("x"))), v("f", v("x"))))
-    assert kernel.axiom(DQ, encode(D.axiom("D4"), [])).statement == D.axiom("D4")
+    assert kernel.axiom(DQ, D.axiom("D4")).statement == _named(D.axiom("D4"), [])
 
 
 def test_a_node_target_that_does_not_match_is_the_rules_mismatch():

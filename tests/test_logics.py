@@ -1,14 +1,20 @@
 import gc
+import random
 import weakref
 
 import pytest
 
 from abslog import logics
-from abslog import builtin_logic, check_wellformed, is_extension, parse_term
-from abslog.errors import NotLogicSignature, UnknownLogic
+from abslog import builtin_logic, check_wellformed, is_extension, parse_term, parse_theory
+from abslog.errors import (DuplicateAxiom, MalformedTerm, NotLogicSignature,
+                           UnknownAbstraction, UnknownLogic)
 from abslog.logics import BUILTIN_NAMES, SIG_D, SIG_P, Logic
-from abslog.shape import Signature
-from abslog.term import alpha_eq
+from abslog.shape import VALUE_SHAPE, AbstractionDecl, Signature, extends_signature
+from abslog.subst import Template, _named
+from abslog.syntax import ParseError
+from abslog.term import Abs, Var, alpha_eq
+
+from oracles import alpha_oracle, free_vars_oracle, rename_binders, subst_oracle
 
 D = builtin_logic("D")
 K = builtin_logic("K")
@@ -93,19 +99,21 @@ def test_extension_modulo_alpha():
 
 
 def test_extension_verdict_is_kept_while_the_logics_live(monkeypatch):
-    compared = []
-    alpha = logics.alpha_eq
-    monkeypatch.setattr(logics, "alpha_eq",
-                        lambda s, t: compared.append(1) or alpha(s, t))
+    # each logic builds its α-classes once, from every axiom, on the first
+    # is_extension that reads them; later calls strip no hints
+    stripped = []
+    strip = logics.strip_hints
+    monkeypatch.setattr(logics, "strip_hints",
+                        lambda node: stripped.append(1) or strip(node))
     parent = D.extend("D+", axioms=[("X", parse_term("A -> A", D.signature))])
     child = K.extend("K+", axioms=parent.axioms[-1:])
     assert is_extension(child, parent) and not is_extension(parent, child)
-    first = len(compared)
-    assert first > 0
+    first = len(stripped)
+    assert first == len(parent.axioms) + len(child.axioms)
     for _ in range(3):
         assert is_extension(child, parent) and not is_extension(parent, child)
-    assert len(compared) == first
-    # the verdicts live on the child, so they free both logics with it
+    assert len(stripped) == first
+    # is_extension holds neither logic, so both are freed with their names
     refs = weakref.ref(child), weakref.ref(parent)
     del child, parent
     gc.collect()
@@ -182,11 +190,8 @@ def test_label_lookup():
 def test_a_file_logic_checks_only_its_own_axioms(monkeypatch):
     """Extending a signature keeps every declaration it had, so building a
     file's logic checks the file's axioms and not the base logic's."""
-    from abslog import parse_theory
-    from abslog.errors import UnknownAbstraction
     from abslog.logics import v
     from abslog.syntax import TheoryFile
-    from abslog.term import Abs
 
     checked = []
     wellformed = logics.check_wellformed
@@ -195,9 +200,69 @@ def test_a_file_logic_checks_only_its_own_axioms(monkeypatch):
     tf = parse_theory("logic K\naxiom X: A -> A\n")
     logic = tf.logic()
     assert checked == [tf.axioms[0][1]]
+    assert logic.axiom("X") is tf.axioms[0][1]  # the parser's node, kept
     assert logic.axioms == K.axioms + tf.axioms and logic.signature == K.signature
     bad = Abs("nope", SIG_D.get("⇒").shape, (), (v("A"), v("A")))
     with pytest.raises(UnknownAbstraction):
         TheoryFile(base="K", axioms=(("X", bad),)).logic()
     with pytest.raises(UnknownAbstraction):
         D.extend("D+", axioms=[("X", bad)])
+
+
+def test_a_repeated_axiom_label_is_a_named_error():
+    a_a = parse_term("A -> A", D.signature)
+    with pytest.raises(DuplicateAxiom, match="axiom label 'D1' already used"):
+        D.extend("L", axioms=[("D1", a_a)])
+    with pytest.raises(DuplicateAxiom, match="'X'"):
+        D.extend("L", axioms=[("X", a_a), ("X", a_a)])
+    with pytest.raises(DuplicateAxiom, match="'X'"):
+        Logic("L", SIG_D, (("X", a_a), ("Y", a_a), ("X", a_a)))
+    # a file that uses a label before the logic line that brings it in
+    with pytest.raises(ParseError, match="axiom label 'D1' already used") as e:
+        parse_theory("axiom D1: x\nlogic D\n")
+    assert (e.value.line, e.value.col) == (2, 1)
+
+
+def test_an_ill_formed_axiom_is_named_in_its_error():
+    bad = Abs("nope", VALUE_SHAPE)
+    message = "axiom L1: abstraction 'nope' is not declared"
+    with pytest.raises(UnknownAbstraction, match=message):
+        D.extend("L", axioms=[("L0", parse_term("A", D.signature)), ("L1", bad)])
+    with pytest.raises(UnknownAbstraction, match=message):
+        Logic("L", SIG_D, (("L1", bad),))
+    with pytest.raises(MalformedTerm, match="axiom L2: "):
+        Logic("L", SIG_D, (("L2", ("b", 0)),))
+
+
+def test_is_extension_agrees_with_its_definition():
+    """Children built from a builtin logic's axioms, with every binder
+    renamed, one axiom dropped, one free variable renamed (a new α-class),
+    or a declaration added: is_extension, both ways, is what the definition
+    says over the named terms, α-equivalence by the oracle."""
+    outcomes = set()
+    for seed in range(60):
+        rnd = random.Random(seed)
+        parent = builtin_logic(rnd.choice(BUILTIN_NAMES))
+        parent_terms = [_named(a, []) for a in parent.axiom_terms]
+        terms = [rename_binders(t) for t in parent_terms]
+        if rnd.random() < 0.5:
+            del terms[rnd.randrange(len(terms))]
+        if rnd.random() < 0.5:
+            k = rnd.randrange(len(terms))
+            fvs = sorted(free_vars_oracle(terms[k]))
+            if fvs:
+                name, arity = rnd.choice(fvs)
+                params = tuple(f"p{i}" for i in range(arity))
+                fresh = Template(params, Var("Z", tuple(map(Var, params))))
+                terms[k] = subst_oracle({(name, arity): fresh}, terms[k])
+        rnd.shuffle(terms)
+        decls = [AbstractionDecl("q", VALUE_SHAPE)] if rnd.random() < 0.3 else []
+        child = Logic("child", parent.signature.extend(decls),
+                      tuple((f"C{i}", t) for i, t in enumerate(terms)))
+        for a, b, a_terms, b_terms in ((child, parent, terms, parent_terms),
+                                       (parent, child, parent_terms, terms)):
+            want = extends_signature(a.signature, b.signature) and all(
+                any(alpha_oracle(x, y) for y in a_terms) for x in b_terms)
+            assert is_extension(a, b) == want, seed
+            outcomes.add((a is child, want))
+    assert len(outcomes) == 4
