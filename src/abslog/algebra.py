@@ -9,10 +9,12 @@ shape (0; ∅ⁿ).  Everything is checkable by exhaustive enumeration.
 
 Evaluation reads the nameless form of term.py (binder scope is never
 worked out here) and builds each row digit by digit as it evaluates the
-arguments.  Model search grounds each axiom instance once: its valuation
-and binder values are filled in, so what remains is the operator cells it
-reads.  Propagation reads an instance again only once a cell that its last
-read stopped at has been assigned.
+arguments.  Model search compiles each axiom once into closures
+(`_grounder`) and grounds each instance with one call: its valuation and
+binder values are filled in, so what remains is the operator cells it
+reads.  An instance whose ground term repeats an earlier one is dropped.
+Propagation reads an instance again only once a cell that its last read
+stopped at has been assigned.
 """
 from __future__ import annotations
 
@@ -200,7 +202,8 @@ class Valuation:
 
 def _depth_checked(fn):
     """fn, with a RecursionError from a term too deep for the recursive
-    walkers (encode, _eval, _ground, _value) raised as TermTooDeep."""
+    walkers (encode, _eval, _grounder and its closures, _value) raised
+    as TermTooDeep."""
     @wraps(fn)
     def checked(*args, **kwargs):
         try:
@@ -395,34 +398,55 @@ def degenerate_model(sig: Signature) -> AbstractionAlgebra:
 # kids are ground terms whose values give the row.  Evaluating it reads cells
 # in exactly the order _eval reads the entries of the term it came from.
 
-def _ground(node: DeBruijnTerm, nu: Valuation, size: int, top: int,
-            env: tuple[int, ...]):
-    """Ground term of node under nu, with the enclosing binders' values in
-    env; ⊤ reads as top, the value the search fixes for it."""
+def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int], size: int,
+              top: int) -> Callable[[tuple, tuple[int, ...]], object]:
+    """node compiled into ground(tables, env): its ground term when the free
+    variable v has the entries tables[pos[v]] and the enclosing binders have
+    the values env, innermost last.  The tag of each sub-node, the place of
+    each variable, the value tuples of each binding position and the cell
+    of each nullary head are worked out here, once; ⊤ reads as top, the
+    value the search fixes for it."""
     tag = node[0]
     if tag == "b":
-        return env[-1 - node[1]]
+        i = -1 - node[1]
+        return lambda tables, env: env[i]
     if tag == "v":
         _, name, args = node
-        head = nu.get(name, len(args)).entries
-        kids = [_ground(a, nu, size, top, env) for a in args]
-    else:
-        _, head, shape, _, args = node
-        kids = []
-        for p, a in zip(shape.binder_sets, args):
-            if p:
-                kids += [_ground(a, nu, size, top, env + us)
-                         for us in product(range(size), repeat=len(p))]
-            else:
-                kids.append(_ground(a, nu, size, top, env))
-    row = 0
-    for kid in kids:
-        if kid.__class__ is not int:
-            return head, tuple(kids)
-        row = row * size + kid
-    if head.__class__ is tuple:
-        return head[row]
-    return top if head == TRUE else (head, row)
+        p = pos[name, len(args)]
+        if not args:
+            return lambda tables, env: tables[p][0]
+        kids = [_grounder(a, pos, size, top) for a in args]
+
+        def ground_var(tables, env):
+            ground, row = [], 0  # row is None once a kid is not an int
+            for kid in kids:
+                g = kid(tables, env)
+                ground.append(g)
+                if row is not None:
+                    row = row * size + g if g.__class__ is int else None
+            head = tables[p]
+            return head[row] if row is not None else (head, tuple(ground))
+        return ground_var
+    _, head, shape, _, args = node
+    if not args:
+        cell = top if head == TRUE else (head, 0)
+        return lambda tables, env: cell
+    # one (grounder, binder values) per kid: a position has a kid per tuple
+    # of values of the variables it binds, and one, with (), if it binds none
+    calls = []
+    for p, a in zip(shape.binder_sets, args):
+        kid = _grounder(a, pos, size, top)
+        calls += [(kid, us) for us in product(range(size), repeat=len(p))]
+
+    def ground_abs(tables, env):
+        ground, row = [], 0  # as in ground_var
+        for kid, us in calls:
+            g = kid(tables, env + us)
+            ground.append(g)
+            if row is not None:
+                row = row * size + g if g.__class__ is int else None
+        return (head, row) if row is not None else (head, tuple(ground))
+    return ground_abs
 
 
 def _value(g, cells: dict[tuple[str, int], int], size: int):
@@ -459,14 +483,22 @@ def _node_size(node: DeBruijnTerm) -> int:
 
 
 def _instances(nodes: Iterable[DeBruijnTerm], size: int, top: int) -> Iterator:
-    """One (ground term, {top}) constraint per instance of each axiom node,
-    ground when the search first reads it.  An instance assigns operations
-    to the axiom's free variables; together they stand for every
-    valuation."""
+    """One (ground term, {top}) constraint per distinct instance of the
+    axiom nodes, in the order the instances first occur, each ground when
+    the search first reads it.  An instance assigns operations to an
+    axiom's free variables; together they stand for every valuation.  A
+    repeated ground term is the same constraint again, and is left out."""
     must_hold = frozenset({top})
+    seen = set()
     for node in nodes:
-        for nu in _valuations(size, sorted(free_in(node))):
-            yield _ground(node, nu, size, top, ()), must_hold, None, None, None
+        fvs = sorted(free_in(node))
+        ground = _grounder(node, {v: i for i, v in enumerate(fvs)}, size, top)
+        for tables in product(*([t.entries for t in all_tables(size, n)]
+                                for _, n in fvs)):
+            g = ground(tables, ())
+            if g not in seen:
+                seen.add(g)
+                yield g, must_hold, None, None, None
 
 
 def _solve(cs: Iterable, cells: dict, size: int, limit: int,
@@ -559,15 +591,17 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
     """Search for logic algebras of the given carrier size in which every
     axiom holds under every valuation.
 
-    The constraints are the logic-algebra conditions and one per axiom
-    instance, the same checks is_logic_algebra and check_model make.  Each
-    is a ground term and the values it may take: an instance is ground
-    once, the first time the search reads it, into the cells it reads and
-    the values its valuation and binders fix.  Interpretation entries are
-    chosen lazily: a constraint that reads an unassigned cell branches on
-    its value, so the search never materialises the full (often
-    astronomically large) space of operator tables.  It is exhaustive: an
-    empty result means no model exists.
+    The constraints are the logic-algebra conditions and one per distinct
+    axiom instance, the same checks is_logic_algebra and check_model make.
+    Each is a ground term and the values it may take.  Each axiom is
+    compiled once per call (`_grounder`), and an instance is ground by one
+    call of it, the first time the search reads it, into the cells it reads
+    and the values its valuation and binders fix.  An instance whose ground
+    term an earlier one already gave adds no check and is left out.
+    Interpretation entries are chosen lazily: a constraint that reads an
+    unassigned cell branches on its value, so the search never materialises
+    the full (often astronomically large) space of operator tables.  It is
+    exhaustive: an empty result means no model exists.
     """
     if not is_logic_signature(sig):
         raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")

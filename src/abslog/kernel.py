@@ -12,11 +12,11 @@ index below its binder depth, each variable named.  Targets match modulo α
 was given, else the term the node names, built when read.
 
 The rules rest on the code above the untrusted line, on `Logic.axioms` and
-on the walkers it calls: term.encode, same_class and strip_hints, and
-subst.encode_template, _subst_node (_instantiate, _lift, _rebuild), _bind
-and _settle.  Below the line, `check_proof` folds the rules over a proof
-tree and memoises each node's theorem in the `TheoremDB`: a bug there can
-fail a good proof, or hand back a theorem a rule minted, never more.
+`Logic.classes`, and on the walkers it calls: term.encode, same_class and
+strip_hints, and subst.encode_template, _subst_node (_instantiate, _lift,
+_rebuild), _bind and _settle.  Below the line, `check_proof` folds the rules
+over a proof tree and memoises each node's theorem in the `TheoremDB`: a bug
+there can fail a good proof, or hand back a theorem a rule minted, never more.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .errors import (AllMismatch, IllFormed, KernelPrivilege, MpMismatch,
 from .logics import ALL, IMP, Logic, is_extension
 from .shape import BINDER_SHAPE, BINOP_SHAPE
 from .subst import Substitution, Template, _bind, _named, _settle, _subst_node, encode_template
-from .term import DeBruijnTerm, Term, encode, same_class
+from .term import DeBruijnTerm, Term, encode, same_class, strip_hints
 from .term import alpha_eq  # noqa: F401  (bench/tracing.py rebinds it here)
 
 _KERNEL_TOKEN = object()
@@ -103,7 +103,7 @@ def axiom(logic: Logic, label_or_term: Term | DeBruijnTerm | str) -> Theorem:
             raise NotAnAxiom(f"no axiom labelled {t!r}")
         return Theorem(logic, node, None, _token=_KERNEL_TOKEN)
     node = _encode(logic, t)
-    match = next((a for a in logic.axiom_terms if same_class(node, a)), None)
+    match = logic.classes.get(strip_hints(node))
     if match is None:
         raise NotAnAxiom("term is not an axiom of this logic")
     if type(t) is tuple:  # a node vouches for the axiom's own node

@@ -5,8 +5,10 @@ accepts ASCII aliases (see the syntax module).
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
+from types import MappingProxyType
 
 from .errors import DuplicateAxiom, NotLogicSignature, TermError, UnknownLogic
 from .shape import (
@@ -110,9 +112,18 @@ class Logic:
         return tuple(a for _, a in self.axioms)
 
     @cached_property
-    def classes(self) -> frozenset[DeBruijnTerm]:
-        """The α-class of each axiom: its node with the hints left out."""
-        return frozenset(strip_hints(a) for _, a in self.axioms)
+    def classes(self) -> Mapping[DeBruijnTerm, DeBruijnTerm]:
+        """The α-class of each axiom, its node with the hints left out,
+        mapped to the node of the first axiom of that class."""
+        classes: dict[DeBruijnTerm, DeBruijnTerm] = {}
+        for _, a in self.axioms:
+            classes.setdefault(strip_hints(a), a)
+        return MappingProxyType(classes)
+
+    def __getstate__(self):
+        """Pickle without the classes, a read-only view that pickle cannot
+        take; they are built again when next read."""
+        return {k: v for k, v in vars(self).items() if k != "classes"}
 
     def extend(self, name, decls=(), axioms=()) -> "Logic":
         """This logic with decls and axioms added.  Only the added axioms
@@ -251,4 +262,4 @@ def is_extension(child: Logic, parent: Logic) -> bool:
     """True iff child's signature extends parent's and every parent axiom
     is one of child's axioms modulo α-equivalence."""
     return (extends_signature(child.signature, parent.signature)
-            and parent.classes <= child.classes)
+            and parent.classes.keys() <= child.classes.keys())

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from itertools import product
 from math import prod
 
 import pytest
@@ -55,7 +56,7 @@ from abslog.logics import (
 )
 from abslog.subst import _named
 
-from conftest import (BINDER_POOL, random_algebra, random_signature,
+from conftest import (BINDER_POOL, random_algebra, random_shape, random_signature,
                       random_term, random_valuation, size_cap)
 import oracles
 from oracles import (check_model_oracle, enumerate_algebras, eval_oracle,
@@ -152,11 +153,16 @@ def test_check_model_arity_cap():
 
 
 def test_a_term_too_deep_to_evaluate_is_a_named_error():
-    chain = const(TRUE)
+    chain, bound = const(TRUE), const(TRUE)
     for _ in range(3000):
         chain = imp(v("A"), chain)
+        bound = imp(v("x"), bound)
     alg = degenerate_model(SIG_D)
+    # under a binder as well: whichever walker runs out of depth first (the
+    # encoding, or the grounding closures, which recurse when they are
+    # built and when they are called), find_models names the error
     for walk in (lambda: find_models(SIG_D, [chain], 2),
+                 lambda: find_models(SIG_D, [all_("x", bound)], 2),
                  lambda: check_model(alg, [chain]),
                  lambda: eval_term(alg, Valuation(1), chain)):
         with pytest.raises(TermTooDeep) as err:
@@ -341,6 +347,82 @@ def test_find_models_matches_the_search_before_ground_instances(monkeypatch):
     # refutations, first models and many-model enumerations all occur
     assert 0 in counts and 1 in counts and max(counts) > 100
     assert counts[-4:] == [200, 0, 0, 0]
+
+
+def _grounding_problems(rnd):
+    """(signature, size) pairs at sizes 2 and 3: D's and K's signatures,
+    and D's extended by random shapes up to valence 2 (at size 3 only those
+    whose tables are small) and by w, whose one position binds two
+    variables."""
+    wide = ("w", make_shape(2, [(0, 1)]))
+    for size in (2, 3):
+        yield SIG_D, size
+        yield SIG_K, size
+        for _ in range(15):
+            shapes = [random_shape(rnd) for _ in range(4)]
+            if size == 3:
+                shapes = [s for s in shapes if algebra._row_count(3, s) <= 729]
+            decls = [(f"f{i}", s) for i, s in enumerate(shapes)]
+            yield SIG_D.extend(signature(decls + [wide]).decls), size
+
+
+def _binding_facts(t, bound=frozenset()) -> set[str]:
+    """Which of "nested", "shadowed" and "two" (a position that binds two
+    variables) occur in the named term t."""
+    if isinstance(t, Var):
+        return set().union(*(_binding_facts(a, bound) for a in t.args))
+    facts = set()
+    if t.binders:
+        facts |= {"nested"} if bound else set()
+        facts |= {"shadowed"} if bound & set(t.binders) else set()
+    for p, a in zip(t.shape.binder_sets, t.args):
+        facts |= {"two"} if len(p) == 2 else set()
+        facts |= _binding_facts(a, bound | {t.binders[j] for j in p})
+    return facts
+
+
+def test_grounding_agrees_with_evaluation():
+    # each instance's ground term, read with every cell of a random algebra
+    # with ⊤ = 0 except ⊤'s own (the search fixes ⊤, so no ground term may
+    # read it), has the value _eval gives the node under the instance's
+    # valuation; and _instances yields each distinct ground term once, in
+    # the order the instances first give it, across nodes as well
+    rnd = random.Random(19)
+    seen, checked = set(), 0
+    for sig, size in _grounding_problems(rnd):
+        algs = []
+        for _ in range(2):
+            alg = random_algebra(rnd, sig, size)
+            interp = dict(alg.interp)
+            interp[TRUE] = OperationTable(size, interp[TRUE].shape, (0,))
+            algs.append(AbstractionAlgebra(alg.universe, sig, interp))
+        cells = [{(d.name, row): e for d in sig.decls if d.name != TRUE
+                  for row, e in enumerate(a.interp[d.name].entries)} for a in algs]
+        for _ in range(6):
+            t = random_term(rnd, sig, depth=4)
+            fvs = sorted(free_vars(t))
+            if prod(size ** size ** n for _, n in fvs) > 300:
+                continue
+            seen |= {(size, f) for f in _binding_facts(t) | {
+                f"arity {n}" for _, n in fvs}}
+            node = algebra.encode(t, [], sig)
+            ground = algebra._grounder(node, {v: i for i, v in enumerate(fvs)},
+                                       size, 0)
+            grounds = []
+            for tables in product(*(all_tables(size, n) for _, n in fvs)):
+                g = ground(tuple(tb.entries for tb in tables), ())
+                nu = Valuation(size, dict(zip(fvs, tables)))
+                for alg, entries in zip(algs, cells):
+                    assert algebra._value(g, entries, size) \
+                        == algebra._eval(alg.entry, size, nu, node, ()), (t, g)
+                grounds.append(g)
+                checked += 1
+            distinct = list(dict.fromkeys(grounds))
+            for nodes in ([node], [node, node]):
+                assert [c for c, *_ in algebra._instances(nodes, size, 0)] == distinct
+    assert seen >= {(size, f) for size in (2, 3) for f in (
+        "nested", "shadowed", "two", "arity 0", "arity 1")} | {(2, "arity 2")}
+    assert checked > 2000
 
 
 def _random_logic_algebra(rnd, sig, size):

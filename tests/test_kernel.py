@@ -1,4 +1,5 @@
 import ast
+import pickle
 import random
 from pathlib import Path
 
@@ -43,12 +44,12 @@ from abslog.errors import (
     SubstMismatch,
     UnknownLemma,
 )
-from abslog.logics import IMP, TRUE, all_, const, eq, imp, neg, v
+from abslog.logics import BUILTIN_NAMES, IMP, TRUE, all_, const, eq, imp, neg, v
 from abslog.shape import BINDER_SHAPE, BINOP_SHAPE, AbstractionDecl, make_shape
 from abslog.subst import _named
-from abslog.term import Abs, encode
+from abslog.term import Abs, encode, same_class
 
-from oracles import check_proof_oracle
+from oracles import check_proof_oracle, rename_binders
 
 D = builtin_logic("D")
 K = builtin_logic("K")
@@ -62,6 +63,43 @@ def test_ax_by_label_and_by_term():
     # literal terms are matched modulo alpha
     d4 = imp(all_("y", v("A", v("y"))), v("A", v("x")))
     assert alpha_eq(check_proof(D, Ax(d4)).statement, D.axiom("D4"))
+
+
+def test_axiom_by_term_finds_the_labelled_axiom():
+    # AX given a term or node looks its α-class up in the logic's classes:
+    # every builtin axiom, as a term with its binders renamed and as that
+    # term's node, gives the by-label theorem modulo α; a node vouches for
+    # the axiom's own node, a term is the statement as given
+    hints_differ = 0
+    for name in BUILTIN_NAMES:
+        logic = builtin_logic(name)
+        for label, node in logic.axioms:
+            by_label = kernel.axiom(logic, label)
+            term = rename_binders(_named(node, []))
+            renamed = encode(term, [], logic.signature)
+            hints_differ += renamed != node
+            by_term = kernel.axiom(logic, term)
+            assert by_term.statement is term and by_term.node == renamed
+            assert same_class(by_term.node, by_label.node)
+            assert kernel.axiom(logic, renamed).node is by_label.node is node
+    assert hints_differ > 30
+    # of two α-equivalent axioms the first wins, by term and by node
+    d4 = D.axiom("D4")
+    twice = D.extend("D+", axioms=[("D4x", rename_binders(_named(d4, [])))])
+    again = twice.axiom("D4x")
+    assert again != d4 and same_class(again, d4)
+    assert kernel.axiom(twice, again).node is d4
+    assert kernel.axiom(twice, "D4x").node is again
+    # the map is read-only, so no caller can make a term an axiom, and a
+    # logic that has built it still pickles
+    with pytest.raises(TypeError):
+        twice.classes[("v", "A", ())] = ("v", "A", ())
+    assert pickle.loads(pickle.dumps(twice)).classes == twice.classes
+    # a non-axiom, as a term or as a node, is not one
+    for t in (imp(v("A"), v("A")), encode(imp(v("A"), v("A")), [], D.signature),
+              all_("x", v("A", v("x")))):
+        with pytest.raises(NotAnAxiom):
+            kernel.axiom(D, t)
 
 
 def test_subst_rule():
