@@ -7,13 +7,16 @@ instantiation of that frame.  Free variables stay named there, so
 inserting a template body under a binder can never capture anything.  The
 result is converted back to named syntax in two steps: `_settle` gives
 each binder its name, the hint unless it would clash, so byte-equal
-inputs give byte-equal outputs, and `_named` builds the term.  The kernel
-keeps settled nodes and builds a term only when a statement is read.
+inputs give byte-equal outputs, and `_named` builds the term.  Each walk
+returns a node itself, not a copy, where nothing under it changed, so a
+result shares every sub-node the substitution leaves unchanged.  The
+kernel keeps settled nodes and builds a term only when a statement is read.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from operator import is_
 from types import MappingProxyType
 
 from .errors import ArityMismatch, BadSubstitution, DuplicateBinder
@@ -85,16 +88,21 @@ def _rebuild(node: tuple, leaf: Callable[[tuple, int], tuple],
              depth: int = 0) -> tuple:
     """node with each "b" node, and each "v" node once its arguments are
     rebuilt, replaced by leaf(node, depth), depth being the number of
-    binders between it and the root."""
+    binders between it and the root.  A node whose children all come back
+    as the same objects is kept itself, so the result shares every sub-node
+    the walk leaves unchanged."""
     tag = node[0]
-    if tag == "b":
-        return leaf(node, depth)
+    old = node[-1]
+    if tag == "b" or not old:
+        return node if tag == "A" else leaf(node, depth)
     if tag == "v":
-        return leaf(("v", node[1], tuple(_rebuild(a, leaf, depth) for a in node[2])),
+        args = tuple([_rebuild(a, leaf, depth) for a in old])
+        return leaf(node if all(map(is_, args, old)) else ("v", node[1], args),
                     depth)
-    _, name, shape, hints, args = node
-    return ("A", name, shape, hints, tuple(
-        _rebuild(a, leaf, depth + len(p)) for p, a in zip(shape.binder_sets, args)))
+    _, name, shape, hints, _ = node
+    args = tuple([_rebuild(a, leaf, depth + len(p))
+                  for p, a in zip(shape.binder_sets, old)])
+    return node if all(map(is_, args, old)) else ("A", name, shape, hints, args)
 
 
 def _lift(node: tuple, k: int) -> tuple:
@@ -108,6 +116,8 @@ def _instantiate(body: tuple, args: tuple) -> tuple:
     `depth` binders of the body, index k >= depth is parameter
     n-1-(k-depth)."""
     n = len(args)
+    if not n:  # nothing to plug in: encode_template rejects escaping indices
+        return body
     return _rebuild(body, lambda node, depth: (
         _lift(args[n - 1 - (node[1] - depth)], depth)
         if node[0] == "b" and node[1] >= depth else node))
@@ -133,13 +143,16 @@ def _settle(node: tuple, path: frozenset = frozenset()) -> tuple:
     """node with each binder's hint replaced by its name in named syntax:
     the hint, primed until it clashes with no free variable of its
     subterm and no name in `path`, the names of the enclosing binders.
-    Byte-equal inputs give byte-equal outputs."""
+    Byte-equal inputs give byte-equal outputs, and a node whose hints and
+    children all stay the same objects is kept itself."""
     tag = node[0]
-    if tag == "b" or tag == "v" and not node[2]:
+    old = node[-1]
+    if tag == "b" or not old:
         return node
     if tag == "v":
-        return ("v", node[1], tuple(_settle(a, path) for a in node[2]))
-    _, name, shape, hints, args = node
+        args = tuple([_settle(a, path) for a in old])
+        return node if all(map(is_, args, old)) else ("v", node[1], args)
+    _, name, shape, hints, _ = node
     if shape.valence:
         avoid = {x for x, _ in free_in(node)} | path
         chosen = []
@@ -147,9 +160,11 @@ def _settle(node: tuple, path: frozenset = frozenset()) -> tuple:
             nm = fresh_var(avoid, hints[j])
             avoid.add(nm)
             chosen.append(nm)
-        hints = tuple(chosen)
+        hints = hints if chosen == list(hints) else tuple(chosen)
         path = path | set(chosen)
-    return ("A", name, shape, hints, tuple(_settle(a, path) for a in args))
+    args = tuple([_settle(a, path) for a in old])
+    return (node if hints is node[3] and all(map(is_, args, old))
+            else ("A", name, shape, hints, args))
 
 
 def _named(node: tuple, frames: list) -> Term:

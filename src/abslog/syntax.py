@@ -640,7 +640,9 @@ class TheoryParser:
         elif rule == "subst":
             refs = (self._ident("premise step"),)
             p.expect("{")
-            sigma = Substitution(dict(self._list("}", self._binding)))
+            bindings: dict[tuple[str, int], Template] = {}
+            self._list("}", lambda: self._binding(bindings))
+            sigma = Substitution(bindings)
         elif rule == "mp":
             refs = (self._ident("premise step"), self._ident("premise step"))
         elif rule == "all":
@@ -696,8 +698,9 @@ class TheoryParser:
         self.terms.expect("]")
         return entries
 
-    def _binding(self) -> tuple[tuple[str, int], Template]:
-        """One `name[/arity] := template` entry of a substitution literal."""
+    def _binding(self, out: dict[tuple[str, int], Template]) -> None:
+        """One `name[/arity] := template` entry of a substitution literal,
+        added to `out`; a key already there is an error at this entry."""
         p, values = self.terms, self.values
         at = p.i
         name = self._ident("variable name")
@@ -724,7 +727,11 @@ class TheoryParser:
             raise p.error(
                 f"{name}/{declared} bound to a template of arity {tmpl.arity}",
                 "ArityMismatch")
-        return (name, tmpl.arity), tmpl
+        key = name, tmpl.arity
+        if key in out:
+            raise p.error_at(at, f"{name}/{tmpl.arity} is bound twice in one "
+                             "substitution", "DuplicateBinding")
+        out[key] = tmpl
 
 
 def parse_theory(text: str) -> TheoryFile:

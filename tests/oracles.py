@@ -14,7 +14,10 @@ named term (a valuation updated for each binder value) instead of reading
 the nameless form, and model enumeration tries every table instead of
 searching.  find_models_oracle is the model search as it stood before
 axiom instances were ground: it evaluates each instance's nameless form
-again in every propagation round.
+again in every propagation round.  The nameless substitution walkers
+(`subst_node_oracle`, `instantiate_oracle`, `lift_oracle`, `bind_oracle`,
+`settle_oracle`) are the package's as they stood before they kept
+unchanged sub-nodes: they build every node of their output again.
 """
 from __future__ import annotations
 
@@ -76,7 +79,7 @@ from abslog.syntax import (
     Tokens,
     _placed,
 )
-from abslog.subst import _named
+from abslog.subst import _named, fresh_var
 from abslog.term import encode, free_in
 
 _fresh = itertools.count()
@@ -170,6 +173,65 @@ def _plug(t, env):
         return Var(t.name, tuple(_plug(a, env) for a in t.args))
     return Abs(t.name, t.shape, t.binders,
                tuple(_plug(a, env) for a in t.args))
+
+
+# --- the nameless walkers as they stood before they shared sub-nodes ---------
+
+def _rebuild_copying(node: tuple, leaf, depth: int = 0) -> tuple:
+    """subst._rebuild that builds every node again, changed or not."""
+    tag = node[0]
+    if tag == "b":
+        return leaf(node, depth)
+    if tag == "v":
+        return leaf(("v", node[1], tuple(_rebuild_copying(a, leaf, depth)
+                                         for a in node[2])), depth)
+    _, name, shape, hints, args = node
+    return ("A", name, shape, hints, tuple(
+        _rebuild_copying(a, leaf, depth + len(p))
+        for p, a in zip(shape.binder_sets, args)))
+
+
+def lift_oracle(node: tuple, k: int) -> tuple:
+    return node if not k else _rebuild_copying(node, lambda n, depth: (
+        ("b", n[1] + k) if n[0] == "b" and n[1] >= depth else n))
+
+
+def instantiate_oracle(body: tuple, args: tuple) -> tuple:
+    n = len(args)
+    return _rebuild_copying(body, lambda node, depth: (
+        lift_oracle(args[n - 1 - (node[1] - depth)], depth)
+        if node[0] == "b" and node[1] >= depth else node))
+
+
+def subst_node_oracle(node: tuple, enc_sigma: dict) -> tuple:
+    def leaf(node: tuple, depth: int) -> tuple:
+        body = enc_sigma.get((node[1], len(node[2]))) if node[0] == "v" else None
+        return node if body is None else instantiate_oracle(body, node[2])
+    return _rebuild_copying(node, leaf)
+
+
+def bind_oracle(node: tuple, name: str) -> tuple:
+    return _rebuild_copying(node, lambda n, depth: (
+        ("b", depth) if n[0] == "v" and n[1] == name and not n[2] else n))
+
+
+def settle_oracle(node: tuple, path: frozenset = frozenset()) -> tuple:
+    tag = node[0]
+    if tag == "b" or tag == "v" and not node[2]:
+        return node
+    if tag == "v":
+        return ("v", node[1], tuple(settle_oracle(a, path) for a in node[2]))
+    _, name, shape, hints, args = node
+    if shape.valence:
+        avoid = {x for x, _ in free_in(node)} | path
+        chosen = []
+        for j in range(shape.valence):
+            nm = fresh_var(avoid, hints[j])
+            avoid.add(nm)
+            chosen.append(nm)
+        hints = tuple(chosen)
+        path = path | set(chosen)
+    return ("A", name, shape, hints, tuple(settle_oracle(a, path) for a in args))
 
 
 # --- tokens and terms, one precedence level per call --------------------------

@@ -67,9 +67,12 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     ("logic D\ntheorem t: true\nproof\n  s1: ax D1\n"
      "  s2: subst s1 { A/2 := [x x. x] }\nqed\n",
      "5:18: error: [DuplicateBinder]"),
+    ("logic D\ntheorem t: C -> B -> C\nproof\n  s1: ax D2\n"
+     "  s2: subst s1 { A := B, A := C }\nqed\n",
+     "5:26: error: [DuplicateBinding]"),
 ], ids=["second-logic", "keyword-abstraction", "duplicate-abstraction",
         "unknown-logic", "degenerate-shape", "index-out-of-range",
-        "repeated-binder", "repeated-template-parameter"])
+        "repeated-binder", "repeated-template-parameter", "repeated-subst-key"])
 def test_bad_declaration_exit_two(tmp_path, capsys, text, where):
     path = tmp_path / "decl.al"
     path.write_text(text)

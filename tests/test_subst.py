@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -18,10 +19,16 @@ from abslog import (
     signature,
 )
 from abslog.errors import ArityMismatch, BadSubstitution, DuplicateBinder
-from abslog.logics import SIG_K, all_, builtin_logic, eq, imp, v
+from abslog.logics import IMP, SIG_K, all_, builtin_logic, eq, imp, v
+from abslog.shape import BINOP_SHAPE
+from abslog.subst import (_bind, _instantiate, _lift, _named, _settle, _subst_node,
+                          encode_template)
+from abslog.term import encode
 
-from conftest import random_signature, random_substitution, random_term
-from oracles import alpha_oracle, rename_binders, subst_oracle
+from conftest import (FREE_POOL, random_signature, random_substitution,
+                      random_term)
+from oracles import (alpha_oracle, bind_oracle, instantiate_oracle, lift_oracle,
+                     rename_binders, settle_oracle, subst_node_oracle, subst_oracle)
 
 AB_SIG = signature([("a", make_shape(1, [{0}])), ("b", make_shape(0, [(), ()]))])
 
@@ -164,3 +171,115 @@ def test_identity_template_substitution(rnd):
             mapping[(name, arity)] = Template(
                 binders, Var(name, tuple(Var(b) for b in binders)))
         assert alpha_eq(apply_subst(Substitution(mapping), t), t)
+
+
+def _subnodes(node):
+    yield node
+    if node[0] != "b":
+        for a in node[-1]:
+            yield from _subnodes(a)
+
+
+def _fires_under(node, fires, depth):
+    if fires(node, depth):
+        return True
+    if node[0] == "b":
+        return False
+    sets = node[2].binder_sets if node[0] == "A" else [()] * len(node[2])
+    return any(_fires_under(a, fires, depth + len(p))
+               for p, a in zip(sets, node[-1]))
+
+
+def _assert_shares(old, new, fires, depth=0):
+    """Walk a walker's input and output in step: each sub-node of `old` with
+    no node under it on which the walker's leaf `fires` comes back as that
+    very object."""
+    if not _fires_under(old, fires, depth):
+        assert new is old, old
+    elif old[0] != "b" and not fires(old, depth):
+        assert new[:2] == old[:2] and len(new[-1]) == len(old[-1])
+        sets = old[2].binder_sets if old[0] == "A" else [()] * len(old[2])
+        for p, a, b in zip(sets, old[-1], new[-1]):
+            _assert_shares(a, b, fires, depth + len(p))
+
+
+def _assert_settle_shares(old, new, want):
+    """Each sub-node that settling leaves equal comes back as itself."""
+    if want == old:
+        assert new is old, old
+    elif old[0] != "b":
+        for a, b, c in zip(old[-1], new[-1], want[-1]):
+            _assert_settle_shares(a, b, c)
+
+
+def test_walkers_share_every_sub_node_they_leave_unchanged(rnd):
+    # random signatures give binders binding one and two variables; the
+    # binder pool shares x and y with the free pool, so nested binders
+    # shadow each other and template bodies bring in frees that clash with
+    # the hints they land under
+    arities, renamed = set(), 0
+    for _ in range(300):
+        sig = random_signature(rnd)
+        node = encode(random_term(rnd, sig, depth=4), [])
+        sigma = random_substitution(rnd, sig, _named(node, []))
+        enc = {key: encode_template(tmpl) for key, tmpl in sigma.items()}
+        got = _subst_node(node, enc)
+        assert got == subst_node_oracle(node, enc)
+        _assert_shares(node, got, lambda n, d: (
+            n[0] == "v" and (n[1], len(n[2])) in enc))
+        for n in (node, got):
+            want, settled = settle_oracle(n), _settle(n)
+            assert settled == want
+            _assert_settle_shares(n, settled, want)
+            renamed += want != n
+        name = rnd.choice(FREE_POOL)
+        bound = _bind(node, name)
+        assert bound == bind_oracle(node, name)
+        _assert_shares(node, bound, lambda n, d: (
+            n[0] == "v" and n[1] == name and not n[2]))
+        subs = list(_subnodes(node))
+        for (_, arity), body in enc.items():
+            arities.add(arity)
+            args = tuple(rnd.choice(subs) for _ in range(arity))
+            plugged = _instantiate(body, args)
+            assert plugged == instantiate_oracle(body, args)
+            if not arity:
+                assert plugged is body
+            _assert_shares(body, plugged, lambda n, d: n[0] == "b" and n[1] >= d)
+            k = rnd.randint(0, 2)
+            lifted = _lift(body, k)
+            assert lifted == lift_oracle(body, k)
+            _assert_shares(body, lifted, lambda n, d: (
+                k and n[0] == "b" and n[1] >= d))
+    assert arities == {0, 1, 2} and renamed > 20
+
+
+def test_unchanged_is_decided_by_identity():
+    # comparing rebuilt children with `==` instead of `is` compares each
+    # level of a chain down to the changed leaf: one call of the name's
+    # __eq__ per level instead of one for the whole substitution
+    calls = []
+
+    class Name(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            calls.append(other)
+            return str.__eq__(self, other)
+
+    depth = 1600
+    node = want = ("v", Name("A"), ())
+    for i in range(depth):
+        side = ("v", f"X{i}", ())
+        node = ("A", IMP, BINOP_SHAPE, (), (side, node))
+        want = ("A", IMP, BINOP_SHAPE, (), (side, ("v", "B", ())) if not i
+                else (side, want))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * depth + 1000)
+    try:
+        got = _subst_node(node, {("A", 0): ("v", "B", ())})
+        assert len(calls) <= 2
+        assert got == want
+        assert _settle(got) is got
+    finally:
+        sys.setrecursionlimit(limit)

@@ -174,6 +174,9 @@ _DEEP_PARENS = "(" * 400 + "A" + ")" * 400
 _REPEATED_BINDER = "logic D\nabstraction q (2; {0, 1})\naxiom Q: (q x x. A)\n"
 _REPEATED_PARAMETER = ("logic D\ntheorem t: true\nproof\n  s1: ax D1\n"
                        "  s2: subst s1 { A/2 := [x x. x] }\nqed\n")
+# once applied, the second entry would silently replace the first
+_REPEATED_KEY = ("logic D\ntheorem t: C -> B -> C\nproof\n  s1: ax D2\n"
+                 "  s2: subst s1 { A := B, A := C }\nqed\n")
 
 
 @pytest.mark.parametrize("text, code, line, cols", [
@@ -188,9 +191,12 @@ _REPEATED_PARAMETER = ("logic D\ntheorem t: true\nproof\n  s1: ax D1\n"
     ("logic D\naxiom Z: " + _DEEP_PARENS + "\n", "TooDeep", 2, range(10, 410)),
     (_REPEATED_BINDER, "DuplicateBinder", 3, [11]),
     (_REPEATED_PARAMETER, "DuplicateBinder", 5, [18]),
+    (_REPEATED_KEY, "DuplicateBinding", 5, [26]),
+    (_REPEATED_KEY.replace("A := B", "A/0 := B"), "DuplicateBinding", 5, [28]),
 ], ids=["second-logic", "keyword-abstraction", "duplicate-abstraction",
         "unknown-logic", "degenerate-shape", "index-out-of-range", "too-deep",
-        "repeated-binder", "repeated-template-parameter"])
+        "repeated-binder", "repeated-template-parameter", "repeated-key",
+        "repeated-key-with-arity"])
 def test_bad_declaration_rejected(text, code, line, cols):
     with pytest.raises(ParseError) as e:
         parse_theory(text)
@@ -209,6 +215,12 @@ def test_subst_literal_arity_check():
     """
     with pytest.raises(ParseError):
         parse_theory(bad)
+
+
+def test_subst_literal_keys_are_name_and_arity():
+    tf = parse_theory(_REPEATED_KEY.replace("A := C", "A/1 := [x. x]"))
+    sigma = tf.theorems[0].steps[1].sigma
+    assert sorted(sigma) == [("A", 0), ("A", 1)]
 
 
 def test_unknown_rule_rejected():
