@@ -47,11 +47,13 @@ def _cmd_check(args) -> int:
     tf = _phase(stats, "parse_s", parse_theory, text)
     report = _phase(stats, "check_s", check_theory, tf)
     if stats is not None:
+        stats["tokens"] = len(tf.tokens)
         stats["theorems"] = len(tf.theorems)
         stats["steps"] = sum(len(block.steps) for block in tf.theorems)
         print(f"stats: read {stats['read_s'] * 1000:.3f} ms, "
               f"parse {stats['parse_s'] * 1000:.3f} ms, "
               f"check {stats['check_s'] * 1000:.3f} ms, "
+              f"{stats['tokens']} tokens, "
               f"{stats['theorems']} theorems, {stats['steps']} proof steps",
               file=sys.stderr)
     if args.json:
@@ -152,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="machine-readable report on stdout")
     p_check.add_argument("--stats", action="store_true",
                          help="time reading, parsing and checking, count "
-                              "theorems and proof steps, and print them on "
+                              "tokens, theorems and proof steps, and print them on "
                               "one line to stderr (and under \"stats\" with "
                               "--json)")
     p_check.set_defaults(fn=_cmd_check)

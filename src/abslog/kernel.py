@@ -12,7 +12,9 @@ index below its binder depth, each variable named.  Targets match modulo α
 was given, else the term the node names, built when read.
 
 The rules rest on the code above the untrusted line, on `Logic.axioms` and
-`Logic.classes`, and on the walkers it calls: term.encode, same_class and
+`Logic.classes`, and on the walkers it calls: term.encode (whose node check
+skips `_check_abs` only where it must pass: a head declared with that very
+shape, valence 0, no hints, one argument per position), same_class and
 strip_hints, and subst.encode_template, _subst_node (_instantiate, _lift,
 _rebuild), _bind and _settle.  Below the line, `check_proof` folds the rules
 over a proof tree and memoises each node's theorem in the `TheoremDB`: a bug

@@ -13,15 +13,19 @@ A written term enters the nameless form of term.py here: the term parser
 builds nodes, resolving each name against the binders in scope.  A file's
 axioms and proof terms stay nodes; `parse_term` names its node.
 
-`tokenize` returns `Tokens`: parallel arrays of kinds, values and start
-offsets, plus the offset where each line starts.  The line and column of
-an error, a proof step, a block or an axiom are worked out when it is
-built, by bisecting the line starts.  Both parsers read the arrays
+`tokenize` returns `Tokens`: parallel arrays of kinds and values, from one
+`findall` of one regex, with no offsets.  A proof step, a block, a model
+row and an axiom label keep the index of their token, and their line and
+column are worked out when read: the first `Tokens.position` call scans
+the text again with the same regex for every token's offset, and each
+call bisects the offsets where lines start.  So a file that parses and
+checks cleanly never works out an offset.  Both parsers read the arrays
 through one shared index.
 """
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -65,46 +69,68 @@ _OPERATOR = {name: (token, level, assoc)
 
 KEYWORDS = {"logic", "abstraction", "axiom", "theorem", "proof", "qed", "model"}
 
-# multi-character and glyph operators, longest first.  Each match takes the
-# blanks, line breaks and comments before one token; `bad` takes any other
-# character, and `\Z` the blanks at the end.  A glyph operator is its own
-# group, so that only it pays for the lookup of its ASCII spelling.
+# multi-character and glyph operators, longest first, and one-character
+# punctuation.  Each match takes the blanks, line breaks and comments before
+# one token, then the token as its one group: an operator, an identifier or
+# a number, any other character (an error), or "" at the end of the text.
 _OP_TOKENS = sorted(["==>", ":=", *INFIX, *OP_GLYPHS], key=len, reverse=True)
-_TOKEN_RE = re.compile(r"""(?:[ \t\r\n]|\#[^\n]*)*(?:
-    (?P<op>""" + "|".join(re.escape(t) for t in _OP_TOKENS if t not in OP_GLYPHS)
-                       + r"""|[()\[\]{},.;:=/¬])
-  | (?P<ident>∃₁|[⊤⊥⅄∀∃]|[A-Za-z_][A-Za-z0-9_′]*)
-  | (?P<num>\d+)
-  | (?P<glyph>""" + "|".join(map(re.escape, OP_GLYPHS)) + r""")
-  | (?P<bad>.)
+_PUNCTUATION = "()[]{},.;:=/¬"
+_TOKEN_RE = re.compile(r"""(?:[ \t\r\n]|\#[^\n]*)*(
+    """ + "|".join(map(re.escape, _OP_TOKENS)) + "|[" + re.escape(_PUNCTUATION) + r"""]
+  | ∃₁|[⊤⊥⅄∀∃]|[A-Za-z_][A-Za-z0-9_′]*
+  | \d+
+  | .
   | \Z)""", re.VERBOSE)
+# the kind of a token: of an operator or "" (eof) by its value, else of an
+# identifier or a number by its first character; a glyph operator is "op"
+# once translated through OP_GLYPHS, and a number may also start with a
+# decimal digit other than 0-9, which `\d` matches
+_KIND = {"": "eof", **dict.fromkeys([*_OP_TOKENS, *_PUNCTUATION], "op"),
+         **dict.fromkeys(OP_GLYPHS, "glyph")}
+_FIRST = {**dict.fromkeys("⊤⊥⅄∀∃_" + string.ascii_letters, "ident"),
+          **dict.fromkeys(string.digits, "num")}
 
 
-def _line_col(line_starts: list[int], offset: int) -> tuple[int, int]:
-    """The line and column, both from 1, of `offset` in a text whose lines
-    start at `line_starts`; the column counts code points."""
-    line = bisect_right(line_starts, offset)
-    return line, offset - line_starts[line - 1] + 1
-
-
-@dataclass(frozen=True)
 class Tokens:
-    """The tokens of a text as parallel arrays, the eof token last: each
-    token's kind ("op", "num", "ident" or "eof"), its value (an operator in
-    its ASCII spelling, "" at eof) and the offset where it starts.  No token
-    knows its line: `position` works it out from `line_starts`, the offset
-    of each line's first character."""
-    kinds: list[str]
-    values: list[str]
-    starts: list[int]
-    line_starts: list[int]
+    """The tokens of `text` as parallel arrays, the eof token last: each
+    token's kind ("op", "num", "ident" or "eof") and its value (an operator
+    in its ASCII spelling, "" at eof).  No token knows where it starts:
+    the first `position` call scans the text once more for every token's
+    offset, unless `starts` were given, and bisects the line starts."""
+    __slots__ = ("kinds", "values", "text", "_starts", "_line_starts")
+
+    def __init__(self, kinds: list[str], values: list[str], text: str,
+                 starts: list[int] | None = None):
+        self.kinds, self.values, self.text = kinds, values, text
+        self._starts, self._line_starts = starts, None
 
     def __len__(self) -> int:
         return len(self.kinds)
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Tokens)
+                and (self.kinds, self.values, self.text, self.starts())
+                == (other.kinds, other.values, other.text, other.starts()))
+
+    def __repr__(self) -> str:
+        return f"Tokens({self.kinds!r}, {self.values!r}, {self.text!r})"
+
+    def starts(self) -> list[int]:
+        """The offset where each token starts, eof at the end of the text."""
+        if self._starts is None:
+            found = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+            self._starts = found[:len(self.kinds)]
+        return self._starts
+
     def position(self, i: int) -> tuple[int, int]:
-        """The line and column of token `i`."""
-        return _line_col(self.line_starts, self.starts[i])
+        """The line and column, both from 1, of token `i`; the column
+        counts code points."""
+        if self._line_starts is None:
+            lines = self.text.split("\n")[:-1]
+            self._line_starts = [0, *accumulate(len(line) + 1 for line in lines)]
+        offset = self.starts()[i]
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
 
 
 @dataclass(frozen=True)
@@ -134,29 +160,23 @@ class ParseError(AbslogError):
 
 
 def tokenize(text: str) -> Tokens:
-    kinds, values, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # only blanks were left
-            break
-        value = m.group(kind)
-        start = m.end() - len(value)  # a token ends its match
-        if kind == "glyph":
-            kind, value = "op", OP_GLYPHS[value]
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {value!r}",
-                             *_line_col(_line_starts(text), start))
-        kinds.append(kind)
-        values.append(value)
-        starts.append(start)
-    kinds.append("eof")
-    values.append("")
-    starts.append(len(text))
-    return Tokens(kinds, values, starts, _line_starts(text))
-
-
-def _line_starts(text: str) -> list[int]:
-    return [0, *accumulate(len(line) + 1 for line in text.split("\n")[:-1])]
+    values = _TOKEN_RE.findall(text)
+    if len(values) > 1 and values[-2] == "":  # blanks ended the text
+        del values[-1]
+    get, first = _KIND.get, _FIRST.get
+    kinds = [get(v) or first(v[0]) for v in values]
+    if None in kinds:  # a number in other digits, or any other character
+        for i, value in enumerate(values):
+            if kinds[i] is None:
+                if not value.isdecimal():
+                    raise ParseError(f"unexpected character {value!r}",
+                                     *Tokens(kinds, values, text).position(i))
+                kinds[i] = "num"
+    if "glyph" in kinds:
+        for i, kind in enumerate(kinds):
+            if kind == "glyph":
+                kinds[i], values[i] = "op", OP_GLYPHS[values[i]]
+    return Tokens(kinds, values, text)
 
 
 class TermParser:
@@ -399,12 +419,27 @@ def _print(t: Term, level: int, uni: bool) -> str:
 
 # --- theory files -------------------------------------------------------------
 
+class _AtToken:
+    """A parsed item that keeps `at`, the index of its first token in
+    `tokens`: its line and column are worked out when read."""
+    tokens: Tokens
+    at: int
+
+    @property
+    def line(self) -> int:
+        return self.tokens.position(self.at)[0]
+
+    @property
+    def col(self) -> int:
+        return self.tokens.position(self.at)[1]
+
+
 @dataclass(frozen=True)
-class ProofStep:
+class ProofStep(_AtToken):
     name: str
     rule: str  # "ax" | "subst" | "mp" | "all" | "lemma"
-    line: int = field(compare=False)
-    col: int = field(compare=False)
+    tokens: Tokens = field(compare=False, repr=False)
+    at: int = field(compare=False)  # its name
     label: str | None = None          # ax (label form), lemma name
     term: DeBruijnTerm | None = None  # ax (literal form), as all terms here
     sigma: Substitution | None = None  # subst, template bodies as nodes
@@ -419,39 +454,36 @@ TableKey = tuple  # of str | tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class ModelBlock:
+class ModelBlock(_AtToken):
     name: str
     carrier: tuple[str, ...]
     interp: tuple[tuple[str, str | tuple[tuple[TableKey, str], ...]], ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-    # the offset of each entry's abstraction name, of the `(` of each of its
-    # rows (none for a value), and of each line of the text
-    entry_starts: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    row_starts: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False)
-    line_starts: list[int] = field(default_factory=list, compare=False,
-                                   repr=False)
+    tokens: Tokens = field(compare=False, repr=False)
+    at: int = field(compare=False)  # its `model` keyword
+    # the token index of each entry's abstraction name, and of the `(` of
+    # each of its rows (none for a value)
+    entry_at: tuple[int, ...] = field(compare=False, repr=False)
+    row_at: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def position(self, entry: int | None = None,
                  row: int | None = None) -> tuple[int, int]:
         """The line and column of row `row` of entry `entry` of `interp`, of
         the entry itself without a row, and of the `model` keyword without
-        an entry or without offsets."""
-        if entry is None or not self.entry_starts:
-            return self.line, self.col
+        an entry."""
+        if entry is None:
+            return self.tokens.position(self.at)
         if row is None:
-            return _line_col(self.line_starts, self.entry_starts[entry])
-        return _line_col(self.line_starts, self.row_starts[entry][row])
+            return self.tokens.position(self.entry_at[entry])
+        return self.tokens.position(self.row_at[entry][row])
 
 
 @dataclass(frozen=True)
-class TheoremBlock:
+class TheoremBlock(_AtToken):
     name: str
     node: DeBruijnTerm  # the statement, in nameless form
     steps: tuple[ProofStep, ...]
-    line: int = field(compare=False)
-    col: int = field(compare=False)
+    tokens: Tokens = field(compare=False, repr=False)
+    at: int = field(compare=False)  # its `theorem` keyword
 
     @property
     def statement(self) -> Term:
@@ -465,10 +497,18 @@ class TheoryFile:
     axioms: tuple[tuple[str, DeBruijnTerm], ...] = ()  # (label, parsed node)
     theorems: tuple[TheoremBlock, ...] = ()
     models: tuple[ModelBlock, ...] = ()
-    # axiom label -> (line, col) of its `axiom` keyword, or of the `logic`
-    # line for an axiom of the base logic
-    axiom_positions: dict[str, tuple[int, int]] = field(
-        default_factory=dict, compare=False)
+    # the tokens the file was parsed from, and the index of the `axiom`
+    # keyword of each axiom label, or of the `logic` keyword for an axiom
+    # of the base logic
+    tokens: Tokens | None = field(default=None, compare=False, repr=False)
+    axiom_at: dict[str, int] = field(default_factory=dict, compare=False,
+                                     repr=False)
+
+    @property
+    def axiom_positions(self) -> dict[str, tuple[int, int]]:
+        """Axiom label -> the line and column of its `axiom_at` token."""
+        return {label: self.tokens.position(i)
+                for label, i in self.axiom_at.items()}
 
     def model_block(self, name: str) -> ModelBlock | None:
         return next((m for m in self.models if m.name == name), None)
@@ -507,7 +547,7 @@ class TheoryParser:
         self.axioms: list[tuple[str, DeBruijnTerm]] = []
         self.theorems: list[TheoremBlock] = []
         self.models: list[ModelBlock] = []
-        self.positions: dict[str, tuple[int, int]] = {}
+        self.labels: dict[str, int] = {}  # axiom label -> its token index
 
     def parse(self) -> TheoryFile:
         p = self.terms
@@ -524,11 +564,10 @@ class TheoryParser:
                 with _placed(self.tokens, at + 1):
                     base = builtin_logic(name)
                     p.sig = base.signature.extend(self.decls)
-                repeated = [lbl for lbl in base.labels if lbl in self.positions]
+                repeated = [lbl for lbl in base.labels if lbl in self.labels]
                 if repeated:
                     raise p.error_at(at, f"axiom label {repeated[0]!r} already used")
-                position = self.tokens.position(at)
-                self.positions.update((label, position) for label in base.labels)
+                self.labels.update((label, at) for label in base.labels)
             elif value == "abstraction":
                 p.i += 1
                 name = self._ident("abstraction name")
@@ -543,9 +582,9 @@ class TheoryParser:
             elif value == "axiom":
                 p.i += 1
                 label = self._ident("axiom label")
-                if label in self.positions:
+                if label in self.labels:
                     raise p.error_at(at, f"axiom label {label!r} already used")
-                self.positions[label] = self.tokens.position(at)
+                self.labels[label] = at
                 p.expect(":")
                 self.axioms.append((label, p.term()))
             elif value == "theorem":
@@ -556,7 +595,7 @@ class TheoryParser:
                 raise p.error(f"expected a declaration, found {value!r}")
         return TheoryFile(self.base, tuple(self.decls), tuple(self.axioms),
                           tuple(self.theorems), tuple(self.models),
-                          self.positions)
+                          self.tokens, self.labels)
 
     def _ident(self, what: str) -> str:
         p = self.terms
@@ -617,8 +656,7 @@ class TheoryParser:
         while self.values[p.i] != "qed":
             steps.append(self._step())
         p.i += 1
-        return TheoremBlock(name, node, tuple(steps),
-                            *self.tokens.position(head))
+        return TheoremBlock(name, node, tuple(steps), self.tokens, head)
 
     def _step(self) -> ProofStep:
         p, kinds, values = self.terms, self.kinds, self.values
@@ -632,7 +670,7 @@ class TheoryParser:
         refs: tuple[str, ...] = ()
         if rule == "ax":
             i = p.i
-            if kinds[i] == "ident" and values[i] in self.positions:
+            if kinds[i] == "ident" and values[i] in self.labels:
                 label = values[i]
                 p.i = i + 1
             else:
@@ -655,8 +693,8 @@ class TheoryParser:
         if values[p.i] == "==>":
             p.i += 1
             claimed = p.term()
-        return ProofStep(values[at], rule, *self.tokens.position(at), label,
-                         term, sigma, refs, binder, claimed)
+        return ProofStep(values[at], rule, self.tokens, at, label, term,
+                         sigma, refs, binder, claimed)
 
     def _model(self) -> ModelBlock:
         p = self.terms
@@ -666,30 +704,29 @@ class TheoryParser:
         p.expect("{")
         p.expect("carrier")
         carrier = self._values()
-        interp, entry_starts, row_starts = [], [], []
+        interp, entry_at, row_at = [], [], []
         while self.values[p.i] != "}":
-            entry_starts.append(self.tokens.starts[p.i])
+            entry_at.append(p.i)
             abs_name = self._ident("abstraction name")
             p.expect(":=")
             if p.accept("{"):
                 rows = self._list("}", self._row)
                 interp.append((abs_name, tuple((key, out) for _, key, out in rows)))
-                row_starts.append(tuple(start for start, _, _ in rows))
+                row_at.append(tuple(at for at, _, _ in rows))
             else:
                 interp.append((abs_name, self._ident("carrier value")))
-                row_starts.append(())
+                row_at.append(())
         p.expect("}")
-        return ModelBlock(name, carrier, tuple(interp),
-                          *self.tokens.position(head), tuple(entry_starts),
-                          tuple(row_starts), self.tokens.line_starts)
+        return ModelBlock(name, carrier, tuple(interp), self.tokens, head,
+                          tuple(entry_at), tuple(row_at))
 
     def _row(self) -> tuple[int, TableKey, str]:
-        """The offset of a row's `(`, its key and its value."""
-        start = self.tokens.starts[self.terms.i]
+        """The token index of a row's `(`, its key and its value."""
+        at = self.terms.i
         self.terms.expect("(")
         key = tuple(self._list(")", self._key_part))
         self.terms.expect("->")
-        return start, key, self._ident("carrier value")
+        return at, key, self._ident("carrier value")
 
     def _key_part(self) -> str | tuple[str, ...]:
         if not self.terms.accept("["):

@@ -138,7 +138,12 @@ def _check_node(node, depth: int, sig: Signature | None) -> DeBruijnTerm:
     elif (tag == "A" and len(node) == 5 and type(node[3]) is tuple
           and type(node[4]) is tuple):
         _, name, shape, hints, args = node
-        _check_abs(name, shape, hints, args, sig)
+        decl = sig.get(name) if sig is not None and type(name) is str else None
+        # _check_abs passes a head declared with this very shape, valence 0,
+        # no hints and one argument per position: only other heads need it
+        if (decl is None or decl.shape is not shape or hints or shape.valence
+                or len(args) != shape.arity):
+            _check_abs(name, shape, hints, args, sig)
         for p, a in zip(shape.binder_sets, args):
             _check_node(a, depth + len(p), sig)
     else:

@@ -18,6 +18,9 @@ again in every propagation round.  The nameless substitution walkers
 (`subst_node_oracle`, `instantiate_oracle`, `lift_oracle`, `bind_oracle`,
 `settle_oracle`) are the package's as they stood before they kept
 unchanged sub-nodes: they build every node of their output again.
+`check_node_oracle` is the node check as it stood before its fast path
+for declared heads: it runs every check of `_check_abs` on every
+abstraction node.
 """
 from __future__ import annotations
 
@@ -80,7 +83,7 @@ from abslog.syntax import (
     _placed,
 )
 from abslog.subst import _named, fresh_var
-from abslog.term import encode, free_in
+from abslog.term import _check_abs, _check_var, encode, free_in
 
 _fresh = itertools.count()
 
@@ -247,9 +250,8 @@ _BLANK_RUN_RE = re.compile(r"""
 
 
 def _scan_oracle(text: str):
-    """Each token's kind, value, start offset, line and column, eof last,
-    and the offsets where lines start."""
-    tokens, line_starts = [], [0]
+    """Each token's kind, value, start offset, line and column, eof last."""
+    tokens = []
     line, col, pos = 1, 1, 0
     while pos < len(text):
         m = _BLANK_RUN_RE.match(text, pos)
@@ -260,7 +262,6 @@ def _scan_oracle(text: str):
         if kind == "nl":
             line += 1
             col = 1
-            line_starts.append(m.end())
         elif kind in ("ws", "comment"):
             col += len(value)
         else:
@@ -270,19 +271,18 @@ def _scan_oracle(text: str):
             col += len(m.group())
         pos = m.end()
     tokens.append(("eof", "", pos, line, col))
-    return tokens, line_starts
+    return tokens
 
 
 def tokenize_oracle(text: str) -> Tokens:
-    tokens, line_starts = _scan_oracle(text)
-    kinds, values, starts, _, _ = (list(column) for column in zip(*tokens))
-    return Tokens(kinds, values, starts, line_starts)
+    kinds, values, starts, _, _ = (list(column) for column in zip(*_scan_oracle(text)))
+    return Tokens(kinds, values, text, starts)
 
 
 def token_positions_oracle(text: str) -> list[tuple[int, int]]:
     """The line and column of each token, eof included, counted as the
     blank runs are matched."""
-    return [(line, col) for _, _, _, line, col in _scan_oracle(text)[0]]
+    return [(line, col) for _, _, _, line, col in _scan_oracle(text)]
 
 
 class NamedTermParser:
@@ -539,6 +539,29 @@ def check_wellformed_oracle(t: Term, sig) -> None:
             f"{t.name}: binder sets {t.shape} differ from declared {decl.shape}")
     for a in t.args:
         check_wellformed_oracle(a, sig)
+
+
+def check_node_oracle(node, depth: int, sig) -> tuple:
+    """node, if it is a nameless term under `depth` binders, over sig when
+    given; else the TermError of its first bad sub-node, in pre-order."""
+    tag = node[0] if type(node) is tuple and node else None
+    if tag == "b" and len(node) == 2 and type(node[1]) is int:
+        if not 0 <= node[1] < depth:
+            raise MalformedTerm(f"bound index {node[1]} under {depth} binders")
+    elif tag == "v" and len(node) == 3 and type(node[2]) is tuple:
+        if sig is not None:
+            _check_var(node[1])
+        for a in node[2]:
+            check_node_oracle(a, depth, sig)
+    elif (tag == "A" and len(node) == 5 and type(node[3]) is tuple
+          and type(node[4]) is tuple):
+        _, name, shape, hints, args = node
+        _check_abs(name, shape, hints, args, sig)
+        for p, a in zip(shape.binder_sets, args):
+            check_node_oracle(a, depth + len(p), sig)
+    else:
+        raise MalformedTerm(f"{node!r} is not a term")
+    return node
 
 
 # --- proof checking by walking the tree -----------------------------------------

@@ -23,6 +23,7 @@ from abslog.errors import (
     UnknownValue,
 )
 from abslog.logics import SIG_D
+from abslog.syntax import tokenize
 
 CORPUS = Path(__file__).parent.parent / "src" / "abslog" / "corpus"
 DATA = Path(__file__).parent / "data"
@@ -103,16 +104,19 @@ def test_check_json_schema(capsys):
 
 
 _STATS_LINE = re.compile(r"stats: read \d+\.\d{3} ms, parse \d+\.\d{3} ms, "
-                         r"check \d+\.\d{3} ms, (\d+) theorems, (\d+) proof steps\n")
+                         r"check \d+\.\d{3} ms, (\d+) tokens, (\d+) theorems, "
+                         r"(\d+) proof steps\n")
 
 
 def test_check_stats(capsys, monkeypatch):
     """--stats adds one stderr line, and a "stats" object under --json, and
     leaves the rest of the output as it is; without it nothing is timed."""
     path = str(CORPUS / "prelude_k.al")
-    tf = parse_theory((CORPUS / "prelude_k.al").read_text())
-    counts = (len(tf.theorems), sum(len(b.steps) for b in tf.theorems))
-    assert counts == (9, 114)
+    text = (CORPUS / "prelude_k.al").read_text()
+    tf = parse_theory(text)
+    counts = (len(tokenize(text)), len(tf.theorems),
+              sum(len(b.steps) for b in tf.theorems))
+    assert counts[1:] == (9, 114) and counts[0] > 1000
     outputs = {}
     for flags in ([], ["--json"]):
         assert main(["check", path, *flags]) == 0
@@ -121,7 +125,7 @@ def test_check_stats(capsys, monkeypatch):
         assert main(["check", path, *flags, "--stats"]) == 0
         timed = capsys.readouterr()
         m = _STATS_LINE.fullmatch(timed.err)
-        assert m and (int(m[1]), int(m[2])) == counts
+        assert m and tuple(map(int, m.groups())) == counts
         outputs[tuple(flags)] = plain.out, timed.out
     plain, timed = outputs[()]
     assert timed == plain
@@ -129,8 +133,9 @@ def test_check_stats(capsys, monkeypatch):
     assert "stats" not in plain
     stats = timed.pop("stats")
     assert timed == plain
-    assert set(stats) == {"read_s", "parse_s", "check_s", "theorems", "steps"}
-    assert (stats["theorems"], stats["steps"]) == counts
+    assert set(stats) == {"read_s", "parse_s", "check_s", "tokens", "theorems",
+                          "steps"}
+    assert (stats["tokens"], stats["theorems"], stats["steps"]) == counts
     assert all(stats[k] >= 0 for k in ("read_s", "parse_s", "check_s"))
 
     def no_clock():

@@ -349,6 +349,52 @@ def test_positions_on_demand_match_eager_ones(rnd):
                 == token_positions_oracle(text)), text
 
 
+# text -> the token values before eof, or the bad character and its place
+_EDGES = {
+    "": [],
+    "A": ["A"],
+    "A ->": ["A", "->"],
+    "A  \t\n  ": ["A"],
+    "A # a comment, no line break": ["A"],
+    "# ends ⇒ here\n  B": ["B"],
+    "A # ∃₁ x\n∃₁ x. x": ["A", "∃₁", "x", ".", "x"],
+    "A\r\n-> B\r\n": ["A", "->", "B"],
+    "A ⇒ B # ⇒\r\n∧ C": ["A", "->", "B", "/\\", "C"],
+    "∃∃₁ ∃₁∃ ∃ ₁": ("₁", 1, 11),
+    "x′′ y′": ["x′′", "y′"],
+    "′x": ("′", 1, 1),
+    "A <": ("<", 1, 3),
+    "A\n -B": ("-", 2, 2),
+    "x ! y": ("!", 1, 3),
+    "# ⇒\r\n\\": ("\\", 2, 1),
+    "A\n\t$": ("$", 2, 2),
+    "é": ("é", 1, 1),
+    "12 x٣ ١٢": ["12", "x", "٣", "١٢"],
+    "x²": ("²", 1, 2),
+    "# ⇒ ∃₁\nf(٣) <-> 1": ["f", "(", "٣", ")", "<->", "1"],
+}
+
+
+def test_tokenizer_edge_cases():
+    """Kinds, values and every position (eof too) agree with the oracle,
+    and so does the place of the first bad character."""
+    for text, want in _EDGES.items():
+        if isinstance(want, tuple):
+            char, line, col = want
+            expected = ("ParseError", "SyntaxError",
+                        f"unexpected character {char!r}", line, col)
+            assert _outcome(tokenize_oracle, text) == expected, text
+            assert _outcome(tokenize, text) == expected, text
+            continue
+        tokens, oracle = tokenize(text), tokenize_oracle(text)
+        assert tokens.values == oracle.values == [*want, ""], text
+        assert tokens.kinds == oracle.kinds, text
+        assert tokens.kinds[-1] == "eof" and "eof" not in tokens.kinds[:-1]
+        assert tokens == oracle, text
+        assert ([tokens.position(i) for i in range(len(tokens))]
+                == token_positions_oracle(text)), text
+
+
 
 def _some(t, holds, bound=frozenset()) -> bool:
     """Whether holds(s, names bound around s) for some subterm s of t."""

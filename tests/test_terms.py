@@ -19,11 +19,14 @@ from abslog.errors import (
     UnknownAbstraction,
     ValenceMismatch,
 )
-from abslog.logics import SIG_D, SIG_K, all_, v
-from abslog.term import encode
+from abslog.logics import SIG_D, SIG_K, all_, imp, v
+from abslog import term
+from abslog.shape import Shape, pure_shape
+from abslog.term import _check_node, encode
 
 from conftest import random_signature, random_term
-from oracles import alpha_oracle, check_wellformed_oracle, rename_binders
+from oracles import (alpha_oracle, check_node_oracle, check_wellformed_oracle,
+                     rename_binders)
 
 INTEGRAL = make_shape(1, [set(), {0}])
 AB_SIG = signature([("a", make_shape(1, [{0}])), ("b", make_shape(0, [(), ()]))])
@@ -204,3 +207,75 @@ def test_checked_encoder_agrees_with_the_tree_walking_checker(rnd):
                 want = _outcome(lambda: check_wellformed_oracle(term, s))
                 got = _outcome(lambda: encode(term, [], s))
                 assert got == (encode(term, []) if want is None else want), term
+
+
+# --- the node check's fast path against the full walk ----------------------------
+
+def _node_paths(node, path=()):
+    yield path, node
+    if node[0] != "b":
+        for i, a in enumerate(node[-1]):
+            yield from _node_paths(a, path + (i,))
+
+
+def _put(node, path, new):
+    """node with the sub-node at `path` replaced by `new`."""
+    if not path:
+        return new
+    i, args = path[0], node[-1]
+    return node[:-1] + (args[:i] + (_put(args[i], path[1:], new),) + args[i + 1:],)
+
+
+def _head_mutants(node):
+    """An abstraction node changed at its head: each either fails the full
+    check or passes it without the fast path."""
+    _, name, shape, hints, args = node
+    leaf = ("v", "x", ())
+    yield ("A", name, Shape(shape.valence, shape.binder_sets), hints, args)
+    yield ("A", name, shape, hints + ("h",), args)
+    yield ("A", name, shape, (), args)
+    yield ("A", name, shape, hints, args + (leaf,))
+    yield ("A", name, shape, hints, args[:-1])
+    yield ("A", name, pure_shape(shape.arity + 1), hints, args + (leaf,))
+    yield ("A", [name], shape, hints, args)
+    yield ("A", 5, shape, hints, args)
+    yield ("A", "nope", shape, hints, args)
+
+
+def test_node_check_fast_path_agrees_with_the_full_walk(rnd):
+    """`_check_node` skips `_check_abs` only at a head its signature
+    declares with that very shape, of valence 0, with no hints and one
+    argument per position.  On random nodes, and on mutants of each of
+    their sub-nodes (a shape equal to the declared one but another
+    object, hints added or dropped, an argument too many or too few,
+    another declared name's kind of shape, a head that is not a string or
+    not declared, a bound index out of range), with the signature and
+    without one, it gives the full walk's node or its error class, code
+    and message."""
+    for _ in range(100):
+        sig = rnd.choice([SIG_D, AB_SIG, random_signature(rnd)])
+        node = encode(random_term(rnd, sig), [])
+        for path, sub in _node_paths(node):
+            mutants = [sub, ("b", 10 ** 6)]
+            if sub[0] == "A":
+                mutants += _head_mutants(sub)
+            for new in mutants:
+                m = _put(node, path, new)
+                for s in (sig, None):
+                    want = _outcome(lambda: check_node_oracle(m, 0, s))
+                    assert _outcome(lambda: _check_node(m, 0, s)) == want, m
+
+
+def test_node_check_skips_the_full_check_at_declared_heads(monkeypatch):
+    """A node of D's operators that binds nothing calls `_check_abs` only
+    at its binding heads."""
+    calls = []
+    full = term._check_abs
+    monkeypatch.setattr(term, "_check_abs",
+                        lambda name, *rest: calls.append(name) or full(name, *rest))
+    x = v("x")
+    t = all_("x", imp(imp(x, v("A", x)), imp(v("B"), v("A", x))))
+    node = encode(t, [])
+    calls.clear()  # building the term checked each head
+    assert _check_node(node, 0, SIG_D) is node
+    assert calls == ["∀"]
