@@ -14,7 +14,9 @@ arguments.  Model search compiles each axiom once into closures
 binder values are filled in, so what remains is the operator cells it
 reads.  An instance whose ground term repeats an earlier one is dropped.
 Propagation reads an instance again only once a cell that its last read
-stopped at has been assigned.
+stopped at has been assigned.  The search works on plain ints: each table
+entry is a numbered cell, a set of values is a bitmask, and a model found
+keeps one byte per entry.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from .errors import (
     ModelError,
     NotLogicAlgebra,
     NotLogicSignature,
+    SearchSizeOutOfRange,
     SpecKindMismatch,
     TermError,
     TermTooDeep,
@@ -272,8 +275,9 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
 def _logic_conditions(size: int,
                       top: int) -> list[tuple[tuple[str, int], frozenset[int]]]:
     """The two minimum requirements on ⇒ and ∀ as (cell, allowed values)
-    pairs: ⊤ ⇒ u is ⊤ only for u = ⊤ (the cell ⊤ ⇒ ⊤ may hold any value),
-    and ∀ of the constant-⊤ operation is ⊤."""
+    pairs, a cell being (name, row): ⊤ ⇒ u is ⊤ only for u = ⊤ (the cell
+    ⊤ ⇒ ⊤ may hold any value), and ∀ of the constant-⊤ operation is ⊤.
+    find_models numbers the cells and turns the sets into bitmasks."""
     values = frozenset(range(size))
     return [((IMP, top * size + u), values if u == top else values - {top})
             for u in range(size)] + [((ALL, _row(size, ((top,) * size,))),
@@ -391,14 +395,29 @@ def degenerate_model(sig: Signature) -> AbstractionAlgebra:
 
 # --- enumeration and model search -------------------------------------------
 
-# A ground term is an axiom instance's nameless form with its valuation and
-# every binder value filled in: an int where it reads no operator entry, a
-# cell (name, row) where it reads one entry at a known row, or else
-# (head, kids) where head is an abstraction name or a variable's entries and
-# kids are ground terms whose values give the row.  Evaluating it reads cells
-# in exactly the order _eval reads the entries of the term it came from.
+# The search numbers every table entry: row r of abstraction d is the cell
+# size + offset(d) + r, the offsets running over the tables in signature
+# order (_cell_bases), so an int below size is a value and one at or above it
+# is a cell.  A ground term is an axiom instance's nameless form with its
+# valuation and every binder value filled in: an int, a value where it reads
+# no operator entry and a cell where it reads one entry at a known row, or
+# else (head, kids), where head is an abstraction's first cell or a
+# variable's entries and kids are ground terms whose values give the row.
+# Evaluating it reads cells in exactly the order _eval reads the entries of
+# the term it came from.
 
-def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int], size: int,
+def _cell_bases(sig: Signature, size: int) -> tuple[dict[str, int], int]:
+    """The first cell of each abstraction's table, and the cell after the
+    last table."""
+    bases, end = {}, size
+    for d in sig.decls:
+        bases[d.name] = end
+        end += _row_count(size, d.shape)
+    return bases, end
+
+
+def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int],
+              bases: Mapping[str, int], size: int,
               top: int) -> Callable[[tuple, tuple[int, ...]], object]:
     """node compiled into ground(tables, env): its ground term when the free
     variable v has the entries tables[pos[v]] and the enclosing binders have
@@ -415,27 +434,28 @@ def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int], size: int,
         p = pos[name, len(args)]
         if not args:
             return lambda tables, env: tables[p][0]
-        kids = [_grounder(a, pos, size, top) for a in args]
+        kids = [_grounder(a, pos, bases, size, top) for a in args]
 
         def ground_var(tables, env):
-            ground, row = [], 0  # row is None once a kid is not an int
+            ground, row = [], 0  # row is None once a kid is not a value
             for kid in kids:
                 g = kid(tables, env)
                 ground.append(g)
                 if row is not None:
-                    row = row * size + g if g.__class__ is int else None
+                    row = row * size + g if g.__class__ is int and g < size else None
             head = tables[p]
             return head[row] if row is not None else (head, tuple(ground))
         return ground_var
-    _, head, shape, _, args = node
+    _, name, shape, _, args = node
+    head = bases[name]
     if not args:
-        cell = top if head == TRUE else (head, 0)
+        cell = top if name == TRUE else head
         return lambda tables, env: cell
     # one (grounder, binder values) per kid: a position has a kid per tuple
     # of values of the variables it binds, and one, with (), if it binds none
     calls = []
     for p, a in zip(shape.binder_sets, args):
-        kid = _grounder(a, pos, size, top)
+        kid = _grounder(a, pos, bases, size, top)
         calls += [(kid, us) for us in product(range(size), repeat=len(p))]
 
     def ground_abs(tables, env):
@@ -444,55 +464,48 @@ def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int], size: int,
             g = kid(tables, env + us)
             ground.append(g)
             if row is not None:
-                row = row * size + g if g.__class__ is int else None
-        return (head, row) if row is not None else (head, tuple(ground))
+                row = row * size + g if g.__class__ is int and g < size else None
+        return head + row if row is not None else (head, tuple(ground))
     return ground_abs
 
 
-def _value(g, cells: dict[tuple[str, int], int], size: int):
-    """The value of ground term g, or the first cell it reads that cells
-    does not assign."""
+def _value(g, cells: dict[int, int], size: int) -> int:
+    """The value of ground term g (an int below size), or the first cell
+    it reads that cells does not assign (an int at or above it)."""
     if g.__class__ is int:
-        return g
+        return cells.get(g, g)  # a value is no key of cells
     head, kids = g
-    if kids.__class__ is int:  # a cell
-        value = cells.get(g)
-        return g if value is None else value
     row = 0
     for kid in kids:
-        if kid.__class__ is int:
-            value = kid
-        elif kid[1].__class__ is int:  # a cell, read here to save a call
-            value = cells.get(kid)
-            if value is None:
-                return kid
+        if kid.__class__ is int:  # read here to save a call
+            value = cells.get(kid, kid)
         else:
             value = _value(kid, cells, size)
-            if value.__class__ is not int:
-                return value
+        if value >= size:
+            return value
         row = row * size + value
-    if head.__class__ is tuple:
-        return head[row]
-    cell = (head, row)
-    value = cells.get(cell)
-    return cell if value is None else value
+    if head.__class__ is int:
+        head += row
+        return cells.get(head, head)
+    return head[row]
 
 
 def _node_size(node: DeBruijnTerm) -> int:
     return 1 if node[0] == "b" else 1 + sum(map(_node_size, node[-1]))
 
 
-def _instances(nodes: Iterable[DeBruijnTerm], size: int, top: int) -> Iterator:
+def _instances(nodes: Iterable[DeBruijnTerm], bases: Mapping[str, int],
+               size: int, top: int) -> Iterator:
     """One (ground term, {top}) constraint per distinct instance of the
     axiom nodes, in the order the instances first occur, each ground when
     the search first reads it.  An instance assigns operations to an
     axiom's free variables; together they stand for every valuation.  A
     repeated ground term is the same constraint again, and is left out."""
-    must_hold = frozenset({top})
+    must_hold = 1 << top
     seen = set()
     for node in nodes:
         fvs = sorted(free_in(node))
-        ground = _grounder(node, {v: i for i, v in enumerate(fvs)}, size, top)
+        ground = _grounder(node, {v: i for i, v in enumerate(fvs)}, bases, size, top)
         for tables in product(*([t.entries for t in all_tables(size, n)]
                                 for _, n in fvs)):
             g = ground(tables, ())
@@ -501,12 +514,13 @@ def _instances(nodes: Iterable[DeBruijnTerm], size: int, top: int) -> Iterator:
                 yield g, must_hold, None, None, None
 
 
-def _solve(cs: Iterable, cells: dict, size: int, limit: int,
-           found: list[dict]) -> None:
+def _solve(cs: Iterable, cells: dict[int, int], size: int, limit: int,
+           found: list[dict[int, int]]) -> None:
     """Propagate: drop satisfied constraints, intersect the viable values
     of every read-but-unassigned cell, assign forced cells; then branch on
-    a cell with the fewest viable values.  The cells this call assigns are
-    on the trail, and are unassigned when it returns.
+    a cell with the fewest viable values, trying them in ascending order.
+    The cells this call assigns are on the trail, and are unassigned when
+    it returns.  A set of values is a bitmask: value u is bit 1 << u.
 
     A constraint is (ground term, allowed values, k, ok, blockers), its
     status the last three.  After a read, k is the first cell it reads
@@ -524,8 +538,9 @@ def _solve(cs: Iterable, cells: dict, size: int, limit: int,
     first round reaches them."""
     if len(found) >= limit:
         return
-    trail: list = []
+    trail: list[int] = []
     assigned = cells.keys()  # a live view: the cells with a value now
+    every = (1 << size) - 1
     try:
         while True:
             remaining, viable, progress = [], {}, False
@@ -533,29 +548,31 @@ def _solve(cs: Iterable, cells: dict, size: int, limit: int,
                 g, allowed, k, ok_vals, blockers = c
                 if k is None or k in cells:
                     k = _value(g, cells, size)  # its value, or the cell it waits on
-                    if k.__class__ is int:
-                        if k not in allowed:
+                    if k < size:
+                        if not allowed >> k & 1:
                             return
                         continue
-                    ok_vals, blockers = range(size), None
+                    ok_vals, blockers = every, None
                 if k in viable:
-                    ok_vals = viable[k].intersection(ok_vals)
-                if blockers is None or not assigned.isdisjoint(blockers):
-                    trials, ok_vals, blockers = ok_vals, set(), set()
-                    for value in trials:
-                        cells[k] = value
+                    ok_vals &= viable[k]  # from size 4 on, the two may be disjoint
+                if ok_vals and (blockers is None or not assigned.isdisjoint(blockers)):
+                    trials, ok_vals, blockers = ok_vals, 0, set()
+                    while trials:
+                        bit = trials & -trials
+                        trials ^= bit
+                        cells[k] = bit.bit_length() - 1
                         v = _value(g, cells, size)
-                        if v.__class__ is not int:
-                            ok_vals.add(value)
+                        if v >= size:
+                            ok_vals |= bit
                             blockers.add(v)
-                        elif v in allowed:
-                            ok_vals.add(value)
+                        elif allowed >> v & 1:
+                            ok_vals |= bit
                     del cells[k]
                     c = g, allowed, k, ok_vals, blockers
                 if not ok_vals:
                     return
-                if len(ok_vals) == 1:
-                    cells[k] = next(iter(ok_vals))
+                if ok_vals & (ok_vals - 1) == 0:  # one value left
+                    cells[k] = ok_vals.bit_length() - 1
                     trail.append(k)
                     viable.pop(k, None)
                     progress = True
@@ -568,10 +585,13 @@ def _solve(cs: Iterable, cells: dict, size: int, limit: int,
                 return
             if not progress:
                 break
-        k = min(viable, key=lambda k: len(viable[k]))
+        k = min(viable, key=lambda k: viable[k].bit_count())
         trail.append(k)
-        for value in sorted(viable[k]):
-            cells[k] = value
+        values = viable[k]
+        while values:
+            bit = values & -values
+            values ^= bit
+            cells[k] = bit.bit_length() - 1
             _solve(cs, cells, size, limit, found)
             if len(found) >= limit:
                 break
@@ -585,11 +605,14 @@ def _universe(size: int) -> Universe:
     return Universe(tuple(str(i) for i in range(size)))
 
 
+MAX_SEARCH_SIZE = 256  # the values one byte per table entry holds
+
+
 @_depth_checked
 def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int,
                 limit: int = 1) -> list[AbstractionAlgebra]:
-    """Search for logic algebras of the given carrier size in which every
-    axiom holds under every valuation.
+    """Search for logic algebras of the given carrier size, 1 to 256, in
+    which every axiom holds under every valuation.
 
     The constraints are the logic-algebra conditions and one per distinct
     axiom instance, the same checks is_logic_algebra and check_model make.
@@ -603,35 +626,38 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
     the full (often astronomically large) space of operator tables.  It is
     exhaustive: an empty result means no model exists.
     """
+    if not 1 <= size <= MAX_SEARCH_SIZE:
+        raise SearchSizeOutOfRange(f"find_models: carrier size {size!r} is not "
+                                   f"in 1..{MAX_SEARCH_SIZE}")
     if not is_logic_signature(sig):
         raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
     # The constraint set is closed under renaming carrier values (axiom
     # instances range over all argument tables), so every model is isomorphic
     # to one interpreting ⊤ as value 0; fixing that cuts the search threefold.
     top = 0
-    cells = {(TRUE, 0): top}
+    bases, end = _cell_bases(sig, size)
+    cells = {bases[TRUE]: top}
     # smaller axioms first, so that unit propagation fires early
     nodes = sorted((encode(axiom, [], sig) for axiom in axioms), key=_node_size)
-    found: list[dict] = []
-    conditions = [(cell, allowed, None, None, None)
-                  for cell, allowed in _logic_conditions(size, top)]
-    _solve(chain(conditions, _instances(nodes, size, top)),
+    found: list[dict[int, int]] = []
+    conditions = [(bases[name] + row, sum(1 << u for u in allowed), None, None, None)
+                  for (name, row), allowed in _logic_conditions(size, top)]
+    _solve(chain(conditions, _instances(nodes, bases, size, top)),
            cells, size, limit, found)
     # cells no constraint read are free; they take value 0
-    return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(sig, size, tuple(
-                found_cells.get((d.name, row), 0)
-                for d in sig.decls for row in range(_row_count(size, d.shape)))))
+    return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(
+                sig, size, bytes(found_cells.get(c, 0) for c in range(size, end))))
             for found_cells in found]
 
 
 class _PackedInterp(Mapping):
     """The interpretation of a model that find_models returns: the entries
-    of every table, in signature order, in one tuple.  A table is built
-    each time it is read, so a kept model holds one tuple and no dict of
-    tables."""
+    of every table, in signature order, one byte each in one bytes object.
+    A table is built, its entries a tuple, each time it is read, so a kept
+    model holds one bytes object and no dict of tables."""
     __slots__ = ("_sig", "_size", "_entries")
 
-    def __init__(self, sig: Signature, size: int, entries: tuple[int, ...]):
+    def __init__(self, sig: Signature, size: int, entries: bytes):
         self._sig, self._size, self._entries = sig, size, entries
 
     def __getitem__(self, name: str) -> OperationTable:
@@ -642,7 +668,7 @@ class _PackedInterp(Mapping):
                 if not d.shape.binder_sets:
                     return constant_table(self._size, 0, self._entries[start])
                 return OperationTable(self._size, d.shape,
-                                      self._entries[start:start + rows])
+                                      tuple(self._entries[start:start + rows]))
             start += rows
         raise KeyError(name)
 

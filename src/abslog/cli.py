@@ -23,7 +23,9 @@ from .term import free_vars
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # as written: parse_theory counts lines and columns itself, so a file
+    # that the CLI checks is placed as parse_theory places its text
+    with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 

@@ -97,6 +97,12 @@ class ArityCapExceeded(AlgebraError):
     code = "ArityCapExceeded"
 
 
+class SearchSizeOutOfRange(AlgebraError):
+    """A model search asked for a carrier size outside 1..256, the values
+    one byte per table entry holds."""
+    code = "SearchSizeOutOfRange"
+
+
 class TermTooDeep(AlgebraError):
     """A term too deep for the recursion limit of the evaluator or of the
     model search."""

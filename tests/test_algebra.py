@@ -36,6 +36,7 @@ from abslog.errors import (
     MissingRow,
     IllFormedTerm,
     NotLogicSignature,
+    SearchSizeOutOfRange,
     TermTooDeep,
 )
 from abslog.logics import (
@@ -349,6 +350,29 @@ def test_find_models_matches_the_search_before_ground_instances(monkeypatch):
     assert counts[-4:] == [200, 0, 0, 0]
 
 
+def test_find_models_at_size_four():
+    # a value set of four values is a mask wider than the three bits that
+    # sizes up to 3 use; the oracle search is too slow at this size, so the
+    # first model is checked directly
+    for name in ("D", "E"):
+        logic = builtin_logic(name)
+        (model,) = find_models(logic.signature, logic.axiom_terms, 4, limit=1)
+        assert model.size == 4 and is_logic_algebra(model)
+        assert check_model(model, logic.axiom_terms, arity_cap=1).passed
+
+
+def test_find_models_refuses_a_size_outside_one_to_256():
+    # a found model keeps one byte per table entry; the size is checked
+    # before any work, so 256 gets as far as the signature check
+    for size in (0, -1, 257):
+        with pytest.raises(SearchSizeOutOfRange):
+            find_models(SIG_D, [], size)
+    with pytest.raises(NotLogicSignature):
+        find_models(signature([("f", pure_shape(1))]), [], 256)
+    (model,) = find_models(SIG_D, builtin_logic("D").axiom_terms, 1)
+    assert model.size == 1
+
+
 def _grounding_problems(rnd):
     """(signature, size) pairs at sizes 2 and 3: D's and K's signatures,
     and D's extended by random shapes up to valence 2 (at size 3 only those
@@ -382,11 +406,13 @@ def _binding_facts(t, bound=frozenset()) -> set[str]:
 
 
 def test_grounding_agrees_with_evaluation():
-    # each instance's ground term, read with every cell of a random algebra
-    # with ⊤ = 0 except ⊤'s own (the search fixes ⊤, so no ground term may
-    # read it), has the value _eval gives the node under the instance's
-    # valuation; and _instances yields each distinct ground term once, in
-    # the order the instances first give it, across nodes as well
+    # each instance's ground term, read with every cell (an entry's number
+    # in the search's layout) of a random algebra with ⊤ = 0 except ⊤'s own
+    # (the search fixes ⊤, so no ground term may read it; read, it would
+    # give its cell, not a value), has the value _eval gives the node under
+    # the instance's valuation; and _instances yields each distinct ground
+    # term once, in the order the instances first give it, across nodes as
+    # well
     rnd = random.Random(19)
     seen, checked = set(), 0
     for sig, size in _grounding_problems(rnd):
@@ -396,7 +422,8 @@ def test_grounding_agrees_with_evaluation():
             interp = dict(alg.interp)
             interp[TRUE] = OperationTable(size, interp[TRUE].shape, (0,))
             algs.append(AbstractionAlgebra(alg.universe, sig, interp))
-        cells = [{(d.name, row): e for d in sig.decls if d.name != TRUE
+        bases, _ = algebra._cell_bases(sig, size)
+        cells = [{bases[d.name] + row: e for d in sig.decls if d.name != TRUE
                   for row, e in enumerate(a.interp[d.name].entries)} for a in algs]
         for _ in range(6):
             t = random_term(rnd, sig, depth=4)
@@ -407,7 +434,7 @@ def test_grounding_agrees_with_evaluation():
                 f"arity {n}" for _, n in fvs}}
             node = algebra.encode(t, [], sig)
             ground = algebra._grounder(node, {v: i for i, v in enumerate(fvs)},
-                                       size, 0)
+                                       bases, size, 0)
             grounds = []
             for tables in product(*(all_tables(size, n) for _, n in fvs)):
                 g = ground(tuple(tb.entries for tb in tables), ())
@@ -419,7 +446,8 @@ def test_grounding_agrees_with_evaluation():
                 checked += 1
             distinct = list(dict.fromkeys(grounds))
             for nodes in ([node], [node, node]):
-                assert [c for c, *_ in algebra._instances(nodes, size, 0)] == distinct
+                assert [c for c, *_ in algebra._instances(nodes, bases, size, 0)] \
+                    == distinct
     assert seen >= {(size, f) for size in (2, 3) for f in (
         "nested", "shadowed", "two", "arity 0", "arity 1")} | {(2, "arity 2")}
     assert checked > 2000

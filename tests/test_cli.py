@@ -55,6 +55,22 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, where", [
+    ("logic D\raxiom X: A -> A\r  $\r", (1, 27)),  # a lone \r breaks no line
+    ("logic D\r\naxiom X: A -> A\r\n  $\r\n", (3, 3)),
+], ids=["lone-cr", "crlf"])
+def test_check_places_an_error_where_parse_theory_does(tmp_path, capsys, text, where):
+    # the CLI reads a file as written, so the two count lines alike
+    path = tmp_path / "breaks.al"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(AbslogError) as e:
+        parse_theory(text)
+    assert (e.value.line, e.value.col) == where
+    assert main(["check", str(path)]) == 2
+    line, col = where
+    assert f"breaks.al:{line}:{col}: error: [SyntaxError]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where", [
     ("logic D\naxiom Z: A\nlogic K\ntheorem t: true\nproof\n  s1: ax D1\nqed\n",
      "3:1: error: [SyntaxError]"),
     ("logic D\nabstraction model (0; {})\n", "2:13: error: [SyntaxError]"),
