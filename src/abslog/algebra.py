@@ -9,14 +9,16 @@ shape (0; ∅ⁿ).  Everything is checkable by exhaustive enumeration.
 
 Evaluation reads the nameless form of term.py (binder scope is never
 worked out here) and builds each row digit by digit as it evaluates the
-arguments.  Model search compiles each axiom once into closures
-(`_grounder`) and grounds each instance with one call: its valuation and
-binder values are filled in, so what remains is the operator cells it
-reads.  An instance whose ground term repeats an earlier one is dropped.
-Propagation reads an instance again only once a cell that its last read
-stopped at has been assigned.  The search works on plain ints: each table
-entry is a numbered cell, a set of values is a bitmask, and a model found
-keeps one byte per entry.
+arguments, reading tables[name][row] from a {name: entries} dict that
+each entry point fills from the algebra once per call.  Model search
+compiles each axiom once into closures (`_grounder`) and grounds each
+instance with one call: its valuation and binder values are filled in,
+so what remains is the operator cells it reads.  An instance whose
+ground term repeats an earlier one is dropped.  Propagation reads an
+instance again only once a cell that its last read stopped at has been
+assigned.  The search works on plain ints: each table entry is a
+numbered cell, a set of values is a bitmask, and a model found keeps one
+byte per entry.
 """
 from __future__ import annotations
 
@@ -37,11 +39,13 @@ from .errors import (
     EmptyCarrier,
     IllFormedTemplate,
     IllFormedTerm,
+    LabelCountMismatch,
     MissingInterpretation,
     MissingRow,
     ModelError,
     NotLogicAlgebra,
     NotLogicSignature,
+    SearchLimitOutOfRange,
     SearchSizeOutOfRange,
     SpecKindMismatch,
     TermError,
@@ -64,6 +68,7 @@ from .logics import (
 )
 from .shape import Shape, Signature, is_logic_signature, pure_shape
 from .subst import Substitution, encode_template
+from .syntax import ALIAS
 from .term import DeBruijnTerm, Term, encode, free_in
 
 
@@ -180,16 +185,6 @@ class AbstractionAlgebra:
     def size(self) -> int:
         return self.universe.size
 
-    def value_of(self, name: str) -> int:
-        """Interpretation of a value-shaped abstraction."""
-        return self.interp[name].entries[0]
-
-    def lookup(self, name: str, key: tuple) -> int:
-        return self.interp[name].apply(key)
-
-    def entry(self, name: str, row: int) -> int:
-        return self.interp[name].entries[row]
-
 
 @dataclass(frozen=True)
 class Valuation:
@@ -217,11 +212,14 @@ def _depth_checked(fn):
     return checked
 
 
-def _eval(entry: Callable[[str, int], int], size: int, nu: Valuation,
+def _tables(alg: AbstractionAlgebra) -> dict[str, tuple[int, ...]]:
+    return {name: table.entries for name, table in alg.interp.items()}
+
+
+def _eval(tables: Mapping[str, Sequence[int]], size: int, nu: Valuation,
           node: DeBruijnTerm, env: tuple[int, ...]) -> int:
     """Value of a nameless term; env holds the values of the enclosing
-    binders, innermost last, and entry(name, row) reads an abstraction's
-    table."""
+    binders, innermost last, and tables[name] an abstraction's entries."""
     tag = node[0]
     if tag == "b":
         return env[-1 - node[1]]
@@ -229,16 +227,16 @@ def _eval(entry: Callable[[str, int], int], size: int, nu: Valuation,
     if tag == "v":
         _, name, args = node
         for a in args:
-            row = row * size + _eval(entry, size, nu, a, env)
+            row = row * size + _eval(tables, size, nu, a, env)
         return nu.get(name, len(args)).entries[row]
     _, name, shape, _, args = node
     for p, a in zip(shape.binder_sets, args):
         if p:
             for us in product(range(size), repeat=len(p)):
-                row = row * size + _eval(entry, size, nu, a, env + us)
+                row = row * size + _eval(tables, size, nu, a, env + us)
         else:
-            row = row * size + _eval(entry, size, nu, a, env)
-    return entry(name, row)
+            row = row * size + _eval(tables, size, nu, a, env)
+    return tables[name][row]
 
 
 @_depth_checked
@@ -249,7 +247,7 @@ def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
         node = encode(t, [], alg.signature)
     except TermError as e:
         raise IllFormedTerm(str(e)) from e
-    return _eval(alg.entry, alg.size, nu, node, ())
+    return _eval(_tables(alg), alg.size, nu, node, ())
 
 
 def valuation_from_subst(nu: Valuation, sigma: Substitution,
@@ -258,38 +256,41 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
     (resolved) template under ν, unmapped ones fall through to ν."""
     if not isinstance(sigma, Substitution):
         sigma = Substitution(sigma)
-    overrides = dict(nu.overrides)
+    overrides, tables = dict(nu.overrides), _tables(alg)
     for (name, arity), tmpl in sigma.items():
         try:
             body = encode_template(tmpl, alg.signature)
         except TermError as e:
             raise IllFormedTemplate(str(e)) from e
         overrides[(name, arity)] = OperationTable(alg.size, pure_shape(arity), tuple(
-            _eval(alg.entry, alg.size, nu, body, us)
+            _eval(tables, alg.size, nu, body, us)
             for us in product(range(alg.size), repeat=arity)))
     return Valuation(alg.size, overrides)
 
 
 # --- logic algebras and model checking -------------------------------------
 
-def _logic_conditions(size: int,
-                      top: int) -> list[tuple[tuple[str, int], frozenset[int]]]:
-    """The two minimum requirements on ⇒ and ∀ as (cell, allowed values)
-    pairs, a cell being (name, row): ⊤ ⇒ u is ⊤ only for u = ⊤ (the cell
-    ⊤ ⇒ ⊤ may hold any value), and ∀ of the constant-⊤ operation is ⊤.
-    find_models numbers the cells and turns the sets into bitmasks."""
-    values = frozenset(range(size))
-    return [((IMP, top * size + u), values if u == top else values - {top})
-            for u in range(size)] + [((ALL, _row(size, ((top,) * size,))),
-                                      frozenset({top}))]
+def _logic_conditions(size: int, top: int) -> list[tuple[str, int, int]]:
+    """The two minimum requirements on ⇒ and ∀ as (name, row, allowed values
+    as a bitmask): ⊤ ⇒ u is ⊤ only for u = ⊤ (the entry ⊤ ⇒ ⊤ may hold any
+    value), and ∀ of the constant-⊤ operation is ⊤."""
+    every, only_top = (1 << size) - 1, 1 << top
+    return [(IMP, top * size + u, every if u == top else every ^ only_top)
+            for u in range(size)] + [(ALL, _row(size, ((top,) * size,)), only_top)]
+
+
+def _logic_tables(alg: AbstractionAlgebra) -> dict[str, tuple[int, ...]] | None:
+    """alg's tables as _eval reads them, or None if alg is no logic algebra."""
+    if not is_logic_signature(alg.signature):
+        raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
+    tables = _tables(alg)
+    conditions = _logic_conditions(alg.size, tables[TRUE][0])
+    return tables if all(mask >> tables[n][r] & 1 for n, r, mask in conditions) else None
 
 
 def is_logic_algebra(alg: AbstractionAlgebra) -> bool:
     """Check the two minimum requirements on ⇒ and ∀ by enumeration."""
-    if not is_logic_signature(alg.signature):
-        raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
-    return all(alg.entry(*cell) in allowed for cell, allowed
-               in _logic_conditions(alg.size, alg.value_of(TRUE)))
+    return _logic_tables(alg) is not None
 
 
 @dataclass(frozen=True)
@@ -331,12 +332,13 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term | DeBruijnTerm],
                 labels: Sequence[str] | None = None) -> ModelReport:
     """Exhaustively check that every axiom evaluates to I(⊤) under every
     assignment of operations to its free variables."""
-    if not is_logic_algebra(alg):
-        raise NotLogicAlgebra("⇒ or ∀ violates the logic-algebra conditions")
-    top = alg.value_of(TRUE)
-    size = alg.size
     if labels is None:
         labels = [str(i + 1) for i in range(len(axioms))]
+    elif len(labels) != len(axioms):
+        raise LabelCountMismatch(f"{len(labels)} labels for {len(axioms)} axioms")
+    if (tables := _logic_tables(alg)) is None:
+        raise NotLogicAlgebra("⇒ or ∀ violates the logic-algebra conditions")
+    top, size = tables[TRUE][0], alg.size
     verdicts = []
     for label, axiom in zip(labels, axioms):
         node = encode(axiom, [], alg.signature)
@@ -348,7 +350,7 @@ def check_model(alg: AbstractionAlgebra, axioms: Sequence[Term | DeBruijnTerm],
                     f"cap {arity_cap}")
         verdict = AxiomVerdict(label, axiom, True)
         for nu in _valuations(size, fvs):
-            value = _eval(alg.entry, size, nu, node, ())
+            value = _eval(tables, size, nu, node, ())
             if value != top:
                 verdict = AxiomVerdict(
                     label, axiom, False,
@@ -406,9 +408,11 @@ def degenerate_model(sig: Signature) -> AbstractionAlgebra:
 # Evaluating it reads cells in exactly the order _eval reads the entries of
 # the term it came from.
 
+@cache
 def _cell_bases(sig: Signature, size: int) -> tuple[dict[str, int], int]:
     """The first cell of each abstraction's table, and the cell after the
-    last table."""
+    last table.  Memoised: the search and the models it returns share the
+    dict, and none of them changes it."""
     bases, end = {}, size
     for d in sig.decls:
         bases[d.name] = end
@@ -615,20 +619,18 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
     which every axiom holds under every valuation.
 
     The constraints are the logic-algebra conditions and one per distinct
-    axiom instance, the same checks is_logic_algebra and check_model make.
-    Each is a ground term and the values it may take.  Each axiom is
-    compiled once per call (`_grounder`), and an instance is ground by one
-    call of it, the first time the search reads it, into the cells it reads
-    and the values its valuation and binders fix.  An instance whose ground
-    term an earlier one already gave adds no check and is left out.
-    Interpretation entries are chosen lazily: a constraint that reads an
-    unassigned cell branches on its value, so the search never materialises
-    the full (often astronomically large) space of operator tables.  It is
-    exhaustive: an empty result means no model exists.
+    axiom instance (see the module docstring and _instances), the same
+    checks is_logic_algebra and check_model make.  Interpretation entries
+    are chosen lazily: a constraint that reads an unassigned cell branches
+    on its value, so the search never materialises the full (often
+    astronomically large) space of operator tables.  It is exhaustive: an
+    empty result means no model exists.
     """
     if not 1 <= size <= MAX_SEARCH_SIZE:
         raise SearchSizeOutOfRange(f"find_models: carrier size {size!r} is not "
                                    f"in 1..{MAX_SEARCH_SIZE}")
+    if limit.__class__ is not int or limit < 1:
+        raise SearchLimitOutOfRange(f"find_models: limit {limit!r} is not an int ≥ 1")
     if not is_logic_signature(sig):
         raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
     # The constraint set is closed under renaming carrier values (axiom
@@ -640,37 +642,30 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
     # smaller axioms first, so that unit propagation fires early
     nodes = sorted((encode(axiom, [], sig) for axiom in axioms), key=_node_size)
     found: list[dict[int, int]] = []
-    conditions = [(bases[name] + row, sum(1 << u for u in allowed), None, None, None)
-                  for (name, row), allowed in _logic_conditions(size, top)]
+    conditions = [(bases[name] + row, mask, None, None, None)
+                  for name, row, mask in _logic_conditions(size, top)]
     _solve(chain(conditions, _instances(nodes, bases, size, top)),
            cells, size, limit, found)
     # cells no constraint read are free; they take value 0
     return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(
-                sig, size, bytes(found_cells.get(c, 0) for c in range(size, end))))
+                sig, size, bases, bytes(found_cells.get(c, 0) for c in range(size, end))))
             for found_cells in found]
 
 
 class _PackedInterp(Mapping):
     """The interpretation of a model that find_models returns: the entries
-    of every table, in signature order, one byte each in one bytes object.
-    A table is built, its entries a tuple, each time it is read, so a kept
-    model holds one bytes object and no dict of tables."""
-    __slots__ = ("_sig", "_size", "_entries")
+    of every table, one byte each, laid out as the search's cells are
+    (_cell_bases).  A table is built, its entries a tuple, each time it is
+    read, so a kept model holds one bytes object and no dict of tables."""
+    __slots__ = ("_sig", "_size", "_bases", "_entries")
 
-    def __init__(self, sig: Signature, size: int, entries: bytes):
-        self._sig, self._size, self._entries = sig, size, entries
+    def __init__(self, sig: Signature, size: int, bases: dict[str, int], entries: bytes):
+        self._sig, self._size, self._bases, self._entries = sig, size, bases, entries
 
     def __getitem__(self, name: str) -> OperationTable:
-        start = 0
-        for d in self._sig.decls:
-            rows = _row_count(self._size, d.shape)
-            if d.name == name:
-                if not d.shape.binder_sets:
-                    return constant_table(self._size, 0, self._entries[start])
-                return OperationTable(self._size, d.shape,
-                                      tuple(self._entries[start:start + rows]))
-            start += rows
-        raise KeyError(name)
+        start, shape = self._bases[name] - self._size, self._sig.get(name).shape
+        return OperationTable(self._size, shape, tuple(
+            self._entries[start:start + _row_count(self._size, shape)]))
 
     def __iter__(self) -> Iterator[str]:
         return (d.name for d in self._sig.decls)
@@ -685,18 +680,19 @@ class _PackedInterp(Mapping):
 # --- model descriptions -------------------------------------------------------
 
 def model_from_spec(model: str, carrier: Sequence[str],
-                    interp: Iterable[tuple[str, object]], sig: Signature,
-                    aliases: Mapping[str, str] | None = None) -> AbstractionAlgebra:
+                    interp: Iterable[tuple[str, object]],
+                    sig: Signature) -> AbstractionAlgebra:
     """Build the algebra that a named model description defines.
 
-    carrier lists the value names.  interp pairs each abstraction (or an
-    alias of it) with a value name if its shape is a value, else with a
-    tuple of (key, value name) rows.  A key has one part per argument
-    position: a value name, or, where the position binds variables, the
-    row-major entry list of the argument operation (a lone value name is a
-    one-entry list).  Every defect raises a ModelError that names the model
-    and the abstraction, with the index in `interp` of the entry at fault,
-    and of the row where a row is at fault, where there is one.
+    carrier lists the value names.  interp pairs each abstraction, named as
+    in a term (its declared name, else an ASCII alias), with a value name if
+    its shape is a value, else with a tuple of (key, value name) rows.  A
+    key has one part per argument position: a value name, or, where the
+    position binds variables, the row-major entry list of the argument
+    operation (a lone value name is a one-entry list).  Every defect raises
+    a ModelError that names the model and the abstraction, with the index in
+    `interp` of the entry at fault, and of the row where a row is at fault,
+    where there is one.
     """
     if not carrier:
         raise EmptyCarrier(f"model {model}: the carrier has no values")
@@ -704,10 +700,9 @@ def model_from_spec(model: str, carrier: Sequence[str],
         raise DuplicateName(f"model {model}: carrier values repeat")
     universe = Universe(tuple(carrier))
     idx = {v: i for i, v in enumerate(carrier)}
-    aliases = aliases or {}
     raw = {}
     for entry, (k, spec) in enumerate(interp):
-        name = aliases.get(k, k)
+        name = ALIAS[k] if k not in sig and k in ALIAS else k
         if name in raw:
             e = DuplicateInterpretation(
                 f"model {model} interprets abstraction {name!r} twice")
@@ -777,8 +772,7 @@ def _show_key(key: tuple, names: Sequence[str]) -> str:
         else names[k] for k in key)
 
 
-def load_model(path: str, sig: Signature,
-               aliases: Mapping[str, str] | None = None) -> AbstractionAlgebra:
+def load_model(path: str, sig: Signature) -> AbstractionAlgebra:
     """Load a model description from a JSON file.
 
     Schema: {"carrier": [names...], "interp": {abstraction: spec}} where a
@@ -807,7 +801,7 @@ def load_model(path: str, sig: Signature,
                                 for p in key.split(";")), out)
                          for key, out in spec)
         specs.append((name, spec))
-    return model_from_spec(path, carrier, specs, sig, aliases)
+    return model_from_spec(path, carrier, specs, sig)
 
 
 def _array_rows(cell, carrier: list[str], where: str,

@@ -23,14 +23,7 @@ from .kernel import All, Ax, Lemma, Mp, Proof, Subst, Theorem, TheoremDB, check_
 from .logics import Logic, all_, builtin_logic, imp, is_extension, v
 from .shape import Signature, extends_signature
 from .subst import Substitution, Template
-from .syntax import (
-    ALIAS,
-    Diagnostic,
-    ModelBlock,
-    ProofStep,
-    TheoremBlock,
-    TheoryFile,
-)
+from .syntax import Diagnostic, ModelBlock, ProofStep, TheoremBlock, TheoryFile
 from .term import Term, check_wellformed, same_class
 from .term import alpha_eq  # noqa: F401  (bench/tracing.py rebinds it here)
 
@@ -159,7 +152,7 @@ def build_model(block: ModelBlock, sig: Signature) -> AbstractionAlgebra:
     error it raises carries the line and column of the row or entry at
     fault, or else of the block."""
     try:
-        return model_from_spec(block.name, block.carrier, block.interp, sig, ALIAS)
+        return model_from_spec(block.name, block.carrier, block.interp, sig)
     except AbslogError as e:
         e.line, e.col = block.position(getattr(e, "entry", None),
                                        getattr(e, "row", None))
@@ -181,4 +174,4 @@ def model_for(tf: TheoryFile, spec: str) -> AbstractionAlgebra:
             raise AbslogError(
                 "the boolean model only interprets the classical connectives")
         return AbstractionAlgebra(base.universe, sig, base.interp)
-    return load_model(spec, sig, ALIAS)
+    return load_model(spec, sig)

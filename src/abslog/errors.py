@@ -103,6 +103,17 @@ class SearchSizeOutOfRange(AlgebraError):
     code = "SearchSizeOutOfRange"
 
 
+class SearchLimitOutOfRange(AlgebraError):
+    """A model search asked for fewer than one model: its empty result would
+    read as a proof that no model exists."""
+    code = "SearchLimitOutOfRange"
+
+
+class LabelCountMismatch(AlgebraError):
+    """Labels for a model check that do not pair one to one with its axioms."""
+    code = "LabelCountMismatch"
+
+
 class TermTooDeep(AlgebraError):
     """A term too deep for the recursion limit of the evaluator or of the
     model search."""

@@ -47,8 +47,7 @@ from abslog import (
     is_extension,
     pure_shape,
 )
-from abslog.algebra import (_eval, _row, _row_count, _valuations,
-                            argument_keys)
+from abslog.algebra import _row, _row_count, _valuations, argument_keys
 from abslog.errors import (
     AllMismatch,
     ArityCapExceeded,
@@ -690,7 +689,7 @@ def eval_oracle(alg, nu, t: Term) -> int:
         frame = _frame(t, i)
         key.append(tabulate_oracle(alg, nu, frame, a) if frame
                    else eval_oracle(alg, nu, a))
-    return alg.lookup(t.name, tuple(key))
+    return alg.interp[t.name].apply(tuple(key))
 
 
 def tabulate_oracle(alg, nu, binders, body: Term) -> tuple:
@@ -707,7 +706,7 @@ def tabulate_oracle(alg, nu, binders, body: Term) -> tuple:
 def check_model_oracle(alg, axioms) -> list[tuple]:
     """(passed, failing valuation, value) per axiom, trying the tables of
     the sorted free variables in row-major order."""
-    top = alg.value_of(TRUE)
+    top = alg.interp[TRUE].entries[0]
     out = []
     for axiom in axioms:
         fvs = sorted(free_vars_oracle(axiom))
@@ -760,6 +759,27 @@ def _logic_conditions_oracle(entry: Callable[[str, int], int], size: int,
     all_top = _row(size, ((top,) * size,))
     return [lambda u=u: not (entry(IMP, top * size + u) == top and u != top)
             for u in range(size)] + [lambda: entry(ALL, all_top) == top]
+
+
+def _eval_oracle(entry: Callable[[str, int], int], size: int, nu: Valuation,
+                 node, env: tuple[int, ...]) -> int:
+    """Value of a nameless term, each table entry read through
+    entry(name, row), which may stop the evaluation at a cell that has no
+    value yet (find_models_oracle's query raises _Need)."""
+    tag = node[0]
+    if tag == "b":
+        return env[-1 - node[1]]
+    row = 0
+    if tag == "v":
+        _, name, args = node
+        for a in args:
+            row = row * size + _eval_oracle(entry, size, nu, a, env)
+        return nu.get(name, len(args)).entries[row]
+    _, name, shape, _, args = node
+    for p, a in zip(shape.binder_sets, args):
+        for us in product(range(size), repeat=len(p)):
+            row = row * size + _eval_oracle(entry, size, nu, a, env + us)
+    return entry(name, row)
 
 
 class _Need(Exception):
@@ -870,7 +890,7 @@ def find_models_oracle(sig: Signature, axioms: Sequence[Term], size: int,
     constraints = _logic_conditions_oracle(query, size, top)
     for _, node, nu in instances:
         constraints.append(
-            lambda node=node, nu=nu: _eval(query, size, nu, node, ()) == top)
+            lambda node=node, nu=nu: _eval_oracle(query, size, nu, node, ()) == top)
 
     found: list[dict] = []
     _solve_oracle(constraints, cells, size, limit, found)

@@ -1,6 +1,8 @@
 import json
 import random
 import re
+from collections import Counter
+from collections.abc import Mapping
 from itertools import product
 from math import prod
 
@@ -24,6 +26,8 @@ from abslog import (
     is_logic_algebra,
     load_model,
     make_shape,
+    parse_term,
+    parse_theory,
     pure_shape,
     signature,
     table_from_rows,
@@ -33,9 +37,11 @@ from abslog import algebra
 from abslog.algebra import all_tables, argument_keys
 from abslog.errors import (
     ArityCapExceeded,
+    LabelCountMismatch,
     MissingRow,
     IllFormedTerm,
     NotLogicSignature,
+    SearchLimitOutOfRange,
     SearchSizeOutOfRange,
     TermTooDeep,
 )
@@ -153,6 +159,47 @@ def test_check_model_arity_cap():
         check_model(BOOL, [v("A", v("x"), v("y"))], arity_cap=1)
 
 
+def test_check_model_refuses_labels_that_do_not_pair_with_the_axioms():
+    # paired by zip, the failing second axiom would go unchecked and the
+    # report would pass
+    axioms = [builtin_logic("K").axiom("D1"), parse_term("A -> B", SIG_K)]
+    assert not check_model(BOOL, axioms, labels=["D1", "AB"]).passed
+    for labels in (["only"], ["D1", "AB", "extra"]):
+        with pytest.raises(LabelCountMismatch):
+            check_model(BOOL, axioms, labels=labels)
+
+
+class _CountingInterp(Mapping):
+    """A dict of tables that counts how often each one is read."""
+
+    def __init__(self, tables):
+        self.tables, self.reads = tables, Counter()
+
+    def __getitem__(self, name):
+        self.reads[name] += 1
+        return self.tables[name]
+
+    def __iter__(self):
+        return iter(self.tables)
+
+    def __len__(self):
+        return len(self.tables)
+
+
+def test_evaluation_reads_each_table_at_most_once_per_call():
+    interp = _CountingInterp(dict(BOOL.interp))
+    alg = AbstractionAlgebra(BOOL.universe, SIG_K, interp)
+    logic = builtin_logic("K")
+    calls = [lambda: check_model(alg, logic.axiom_terms, arity_cap=1),
+             lambda: check_model(alg, [parse_term("A -> B", SIG_K)]),
+             lambda: is_logic_algebra(alg),
+             lambda: eval_term(alg, Valuation(2), parse_term("all x. x /\\ A", SIG_K))]
+    for call in calls:
+        interp.reads.clear()
+        call()
+        assert interp.reads and max(interp.reads.values()) == 1, interp.reads
+
+
 def test_a_term_too_deep_to_evaluate_is_a_named_error():
     chain, bound = const(TRUE), const(TRUE)
     for _ in range(3000):
@@ -226,7 +273,6 @@ def test_all_tables():
 
 
 def test_load_model_json(tmp_path):
-    from abslog.syntax import ALIAS
     # imp as a nested array, then as an object keyed by ";"-joined arguments
     for imp in ([["T", "F"], ["T", "T"]],
                 {"T;T": "T", "T;F": "F", "F;T": "T", "F;F": "T"}):
@@ -240,10 +286,32 @@ def test_load_model_json(tmp_path):
         }
         path = tmp_path / "bool_d.json"
         path.write_text(json.dumps(doc))
-        alg = load_model(str(path), SIG_D, ALIAS)
+        alg = load_model(str(path), SIG_D)
         assert is_logic_algebra(alg)
         report = check_model(alg, builtin_logic("D").axiom_terms, arity_cap=1)
         assert report.passed
+
+
+def test_a_json_model_names_an_abstraction_as_a_term_does(tmp_path):
+    # "and" is the declared abstraction, as it is in a term, not the ∧ its
+    # ASCII alias stands for; "true", "imp" and "all" are not declared, so
+    # they are aliases of ⊤, ⇒ and ∀
+    tf = parse_theory("logic D\nabstraction and (0; {}, {})\naxiom X: and(A, B) -> A\n")
+    doc = {"carrier": ["T", "F"],
+           "interp": {"true": "T", "imp": [["T", "F"], ["T", "T"]],
+                      "all": {"T,T": "T", "T,F": "F", "F,T": "F", "F,F": "F"},
+                      "and": [["T", "F"], ["F", "F"]]}}
+    path = tmp_path / "and.json"
+    path.write_text(json.dumps(doc))
+    alg = load_model(str(path), tf.signature)
+    assert alg.interp["and"].entries == (T, F, F, F)
+    logic = tf.logic()
+    assert check_model(alg, logic.axiom_terms, labels=logic.labels).passed
+    doc["interp"]["and"] = [["T", "F"], ["T", "F"]]  # and(A, B) is B
+    path.write_text(json.dumps(doc))
+    report = check_model(load_model(str(path), tf.signature), logic.axiom_terms,
+                         labels=logic.labels)
+    assert [v.label for v in report.verdicts if not v.passed] == ["X"]
 
 
 def test_find_models_agrees_with_exhaustive_enumeration():
@@ -373,6 +441,19 @@ def test_find_models_refuses_a_size_outside_one_to_256():
     assert model.size == 1
 
 
+def test_find_models_refuses_a_limit_below_one():
+    # D has a model of size 2, so an empty list for limit 0 would misreport
+    # that none exists; the limit is checked before the signature
+    axioms = builtin_logic("D").axiom_terms
+    for limit in (0, -1, 1.0):
+        with pytest.raises(SearchLimitOutOfRange):
+            find_models(SIG_D, axioms, 2, limit=limit)
+    with pytest.raises(SearchLimitOutOfRange):
+        find_models(signature([("f", pure_shape(1))]), [], 2, limit=0)
+    (model,) = find_models(SIG_D, axioms, 2, limit=1)
+    assert check_model(model, axioms, arity_cap=1).passed
+
+
 def _grounding_problems(rnd):
     """(signature, size) pairs at sizes 2 and 3: D's and K's signatures,
     and D's extended by random shapes up to valence 2 (at size 3 only those
@@ -425,6 +506,7 @@ def test_grounding_agrees_with_evaluation():
         bases, _ = algebra._cell_bases(sig, size)
         cells = [{bases[d.name] + row: e for d in sig.decls if d.name != TRUE
                   for row, e in enumerate(a.interp[d.name].entries)} for a in algs]
+        by_name = [algebra._tables(a) for a in algs]
         for _ in range(6):
             t = random_term(rnd, sig, depth=4)
             fvs = sorted(free_vars(t))
@@ -439,9 +521,9 @@ def test_grounding_agrees_with_evaluation():
             for tables in product(*(all_tables(size, n) for _, n in fvs)):
                 g = ground(tuple(tb.entries for tb in tables), ())
                 nu = Valuation(size, dict(zip(fvs, tables)))
-                for alg, entries in zip(algs, cells):
+                for alg_tables, entries in zip(by_name, cells):
                     assert algebra._value(g, entries, size) \
-                        == algebra._eval(alg.entry, size, nu, node, ()), (t, g)
+                        == algebra._eval(alg_tables, size, nu, node, ()), (t, g)
                 grounds.append(g)
                 checked += 1
             distinct = list(dict.fromkeys(grounds))

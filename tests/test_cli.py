@@ -387,6 +387,27 @@ def test_model_for_resolution(tmp_path):
         model_for(tf, str(tmp_path / "missing.json"))
 
 
+AND_THEORY = """logic D
+abstraction and (0; {}, {})
+axiom X: and(A, B) -> A
+model m { carrier a  true := a  imp := { (a, a) -> a }  all := { ([a]) -> a }  and := { (a, a) -> a } }
+"""
+
+
+def test_a_model_block_names_an_abstraction_as_a_term_does(tmp_path, capsys):
+    # the declared `and`, which the parser reads in `and(A, B)`, is the one
+    # the block interprets, not the undeclared ∧ of its ASCII alias
+    tf = parse_theory(AND_THEORY)
+    alg = model_for(tf, "m")
+    assert alg.interp["and"].entries == (0,)
+    path = tmp_path / "and.al"
+    path.write_text(AND_THEORY)
+    assert main(["model-check", str(path), "--model", "m"]) == 0
+    assert "X: holds" in capsys.readouterr().out.splitlines()
+    assert main(["eval", str(path), "--term", "and(true, true)", "--model", "m"]) == 0
+    assert capsys.readouterr().out == "and(true, true) = a\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "{dir}"],
     ["check", "{latin1}"],
