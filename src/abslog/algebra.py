@@ -48,6 +48,7 @@ from .errors import (
     SearchLimitOutOfRange,
     SearchSizeOutOfRange,
     SpecKindMismatch,
+    StrayInterpretation,
     TermError,
     TermTooDeep,
     UnknownValue,
@@ -689,8 +690,9 @@ def model_from_spec(model: str, carrier: Sequence[str],
     its shape is a value, else with a tuple of (key, value name) rows.  A
     key has one part per argument position: a value name, or, where the
     position binds variables, the row-major entry list of the argument
-    operation (a lone value name is a one-entry list).  Every defect raises
-    a ModelError that names the model and the abstraction, with the index in
+    operation (a lone value name is a one-entry list).  Every defect, an
+    entry for a name the signature does not declare among them, raises a
+    ModelError that names the model and the abstraction, with the index in
     `interp` of the entry at fault, and of the row where a row is at fault,
     where there is one.
     """
@@ -703,12 +705,17 @@ def model_from_spec(model: str, carrier: Sequence[str],
     raw = {}
     for entry, (k, spec) in enumerate(interp):
         name = ALIAS[k] if k not in sig and k in ALIAS else k
-        if name in raw:
+        if name not in sig:
+            e = StrayInterpretation(f"model {model} interprets {k!r}, which "
+                                    f"the signature does not declare")
+        elif name in raw:
             e = DuplicateInterpretation(
                 f"model {model} interprets abstraction {name!r} twice")
-            e.entry = entry
-            raise e
-        raw[name] = entry, spec
+        else:
+            raw[name] = entry, spec
+            continue
+        e.entry = entry
+        raise e
 
     def value(name: str, v) -> int:
         if isinstance(v, str) and v in idx:

@@ -158,6 +158,12 @@ class DuplicateRow(ModelError):
     code = "DuplicateRow"
 
 
+class StrayInterpretation(ModelError):
+    """An interpretation of a name that the signature declares neither
+    directly nor through its ASCII alias."""
+    code = "StrayInterpretation"
+
+
 class DuplicateInterpretation(ModelError):
     """An abstraction interpreted twice, under one name or under its glyph
     and its alias."""

@@ -2,23 +2,30 @@
 `Theorem`, and each takes theorems.  `axiom` is AX, `inst` SUBST, `mp` MP
 and `gen` ALL; `lift` carries a theorem into a logic that extends its own.
 
-A theorem is `node`, the nameless form of its statement (term.py), which
-SUBST substitutes into, MP takes apart and ALL binds.  A term, template or
-node (the parser's output) from outside enters through `encode`, checked
-against the logic's signature in one walk: each head declared with its exact
-shape, one distinct hint per binder, one argument per position, each bound
-index below its binder depth, each variable named.  Targets match modulo α
-(`same_class`).  The named `statement` is the term target or axiom the rule
-was given, else the term the node names, built when read.
+A theorem is its logic and `node`, the nameless form of its statement
+(term.py), which SUBST substitutes into, MP takes apart and ALL binds; its
+`statement` is the term the node names (subst._named), built when read.  A
+term, template or node (the parser's output) from outside enters through
+`encode`, checked against the logic's signature in one walk: each head
+declared with its exact shape, one distinct hint per binder, one argument
+per position, each bound index below its binder depth, each variable named.
+A target is checked, never kept: unless equal to what the rule derived, it
+must match it modulo α (`same_class`).  AX by term or node gives the
+logic's own axiom node.
 
-The rules rest on the code above the untrusted line, on `Logic.axioms` and
-`Logic.classes`, and on the walkers it calls: term.encode (whose node check
-skips `_check_abs` only where it must pass: a head declared with that very
-shape, valence 0, no hints, one argument per position), same_class and
-strip_hints, and subst.encode_template, _subst_node (_instantiate, _lift,
-_rebuild), _bind and _settle.  Below the line, `check_proof` folds the rules
-over a proof tree and memoises each node's theorem in the `TheoremDB`: a bug
-there can fail a good proof, or hand back a theorem a rule minted, never more.
+Each input must be exactly of its type, since a subclass could override
+what the rules read: a premise a `Theorem`, a logic a `Logic` whose
+`signature` is a `Signature`, a binder a `str`; a substitution that is not
+a `Substitution` is converted.  The rules rest on the code above the
+untrusted line, on `Logic.axioms`, `Logic.classes` and is_extension, and on
+the walkers they call: term.encode (whose node check skips `_check_abs`
+only where it must pass: a head declared with that very shape, valence 0,
+no hints, one argument per position), same_class and strip_hints, and
+subst.Template and Substitution.__init__ (their key, binder and arity
+checks), encode_template, _subst_node (_instantiate, _lift, _rebuild),
+_bind and _settle.  Below the line, `check_proof` folds the rules over a
+proof tree and memoises each node's theorem in the `TheoremDB`: a bug there
+can fail a good proof, or hand back a theorem a rule minted, never more.
 """
 from __future__ import annotations
 
@@ -39,17 +46,15 @@ Target = Union[Term, DeBruijnTerm, None]  # what a rule must conclude, if given
 
 
 class Theorem:
-    """A statement proved in `logic`, as `node`, its nameless form.  The
-    statement is the term that the minting rule was given for it, or else
-    the term `node` names, built on first read; compare it modulo α."""
+    """A statement proved in `logic`, as `node`, its nameless form; the
+    statement is the term `node` names, built on first read."""
 
     __slots__ = ("_statement", "logic", "node")
 
-    def __init__(self, logic: Logic, node: DeBruijnTerm,
-                 statement: Term | None = None, *, _token=None):
+    def __init__(self, logic: Logic, node: DeBruijnTerm, *, _token=None):
         if _token is not _KERNEL_TOKEN:
             raise KernelPrivilege("theorems can only be minted by the kernel rules")
-        object.__setattr__(self, "_statement", statement)
+        object.__setattr__(self, "_statement", None)
         object.__setattr__(self, "logic", logic)
         object.__setattr__(self, "node", node)
 
@@ -61,6 +66,8 @@ class Theorem:
 
     def __setattr__(self, *_):
         raise KernelPrivilege("theorems are immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
         return f"Theorem({self.statement!r}, logic={self.logic.name})"
@@ -76,61 +83,49 @@ def _encode(logic: Logic, t: Term | DeBruijnTerm | Template) -> DeBruijnTerm:
         raise IllFormed(str(e)) from e
 
 
-def _premise(thm: Theorem) -> Logic:
-    if not isinstance(thm, Theorem):
-        raise KernelPrivilege(
-            f"a rule premise must be a Theorem, not {type(thm).__name__}")
-    return thm.logic
+def _exact(obj, cls: type):
+    if type(obj) is not cls:
+        raise KernelPrivilege(f"a rule takes a {cls.__name__}, not {type(obj).__name__}")
+    return obj
 
 
 def _match(logic: Logic, target: Target, derived: DeBruijnTerm, mismatch: type,
-           message: str) -> tuple[DeBruijnTerm, Term | None]:
-    """The node and statement of what a rule derived, given a target that
-    matches it modulo α: a term target is the statement, its node the
-    theorem's; a node target, checked unless equal, vouches for `derived`."""
-    if target is None or target == derived:
-        return derived, None
-    node = _encode(logic, target)
-    if not same_class(node, derived):
+           message: str) -> DeBruijnTerm:
+    """derived, once a given target that differs from it matches it."""
+    if not (target is None or target == derived
+            or same_class(_encode(logic, target), derived)):
         raise mismatch(message)
-    return (derived, None) if type(target) is tuple else (node, target)
+    return derived
 
 
 def axiom(logic: Logic, label_or_term: Term | DeBruijnTerm | str) -> Theorem:
     """AX, by label or by a term or node that is an axiom modulo α."""
-    t = label_or_term
-    if isinstance(t, str):
-        node = logic.axiom(t)
-        if node is None:
-            raise NotAnAxiom(f"no axiom labelled {t!r}")
-        return Theorem(logic, node, None, _token=_KERNEL_TOKEN)
-    node = _encode(logic, t)
-    match = logic.classes.get(strip_hints(node))
-    if match is None:
-        raise NotAnAxiom("term is not an axiom of this logic")
-    if type(t) is tuple:  # a node vouches for the axiom's own node
-        return Theorem(logic, match, None, _token=_KERNEL_TOKEN)
-    return Theorem(logic, node, t, _token=_KERNEL_TOKEN)
+    t, logic = label_or_term, _exact(logic, Logic)
+    by_label = isinstance(t, str)
+    node = (logic.axiom(t) if by_label
+            else logic.classes.get(strip_hints(_encode(logic, t))))
+    if node is None:
+        raise NotAnAxiom(f"no axiom labelled {t!r}" if by_label
+                         else "term is not an axiom of this logic")
+    return Theorem(logic, node, _token=_KERNEL_TOKEN)
 
 
 def inst(thm: Theorem, sigma: Substitution, target: Target = None) -> Theorem:
     """SUBST: the premise with every variable in `sigma` replaced."""
-    logic = _premise(thm)
-    if not isinstance(sigma, Substitution):
+    logic = _exact(thm, Theorem).logic
+    if type(sigma) is not Substitution:
         sigma = Substitution(sigma)
-    node = _subst_node(thm.node, {
-        key: _encode(logic, tmpl) for key, tmpl in sigma.items()})
-    if target is None or type(target) is tuple:
-        node = _settle(node)
-    return Theorem(logic, *_match(
+    node = _settle(_subst_node(thm.node, {
+        key: _encode(logic, tmpl) for key, tmpl in sigma.mapping.items()}))
+    return Theorem(logic, _match(
         logic, target, node, SubstMismatch,
         "target is not α-equivalent to the substituted premise"), _token=_KERNEL_TOKEN)
 
 
 def mp(h: Theorem, g: Theorem, target: Target = None) -> Theorem:
     """MP: from h and (h → t), t."""
-    logic = _premise(h)
-    if _premise(g) is not logic:
+    logic = _exact(h, Theorem).logic
+    if _exact(g, Theorem).logic is not logic:
         raise MpMismatch("premises come from different logics")
     s = g.node
     if not (s[0] == "A" and s[1] == IMP and s[2] == BINOP_SHAPE):
@@ -138,30 +133,30 @@ def mp(h: Theorem, g: Theorem, target: Target = None) -> Theorem:
     antecedent, consequent = s[4]
     if not same_class(antecedent, h.node):
         raise MpMismatch("antecedent does not match the first premise")
-    return Theorem(logic, *_match(
+    return Theorem(logic, _match(
         logic, target, consequent, MpMismatch,
         "consequent does not match the target"), _token=_KERNEL_TOKEN)
 
 
 def gen(thm: Theorem, binder: str, target: Target = None) -> Theorem:
     """ALL: from t, (∀ binder. t)."""
-    logic = _premise(thm)
-    if not (isinstance(binder, str) and binder):
+    logic = _exact(thm, Theorem).logic
+    if not (type(binder) is str and binder):
         raise IllFormed(f"binder {binder!r} is not a name")
     node = ("A", ALL, BINDER_SHAPE, (binder,), (_bind(thm.node, binder),))
-    return Theorem(logic, *_match(
+    return Theorem(logic, _match(
         logic, target, node, AllMismatch, "target is not (∀ x. premise)"),
         _token=_KERNEL_TOKEN)
 
 
 def lift(thm: Theorem, logic: Logic) -> Theorem:
     """A theorem of a logic that `logic` extends, as a theorem of `logic`."""
-    if _premise(thm) is logic:
+    if _exact(thm, Theorem).logic is _exact(logic, Logic):
         return thm
     if not is_extension(logic, thm.logic):
         raise UnknownLemma(f"the theorem was certified in {thm.logic.name}, "
                            f"which {logic.name} does not extend")
-    return Theorem(logic, thm.node, thm._statement, _token=_KERNEL_TOKEN)
+    return Theorem(logic, thm.node, _token=_KERNEL_TOKEN)
 
 
 # --- untrusted below: proof trees, the theorem store and the fold -------------
@@ -210,7 +205,7 @@ class TheoremDB:
         self._memo: dict[int, tuple] = {}  # id(node) -> (node, logic, theorem)
 
     def add(self, name: str, thm: Theorem) -> None:
-        if not isinstance(thm, Theorem):
+        if type(thm) is not Theorem:
             raise KernelPrivilege("only kernel-minted theorems can be stored")
         if name in self._by_name:
             raise KernelPrivilege(f"theorem {name!r} already stored")

@@ -93,6 +93,9 @@ class Logic:
     axioms: tuple[tuple[str, DeBruijnTerm], ...]
 
     def __post_init__(self):
+        if type(self.signature) is not Signature:  # the kernel checks terms on it
+            raise NotLogicSignature(
+                f"logic {self.name!r}: {self.signature!r} is not a Signature")
         if not is_logic_signature(self.signature):
             # the kernel's ALL builds ∀ nodes on this
             raise NotLogicSignature(

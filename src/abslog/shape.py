@@ -11,13 +11,35 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable
 
-from .errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange
+from .errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange, ShapeError
 
 
 @dataclass(frozen=True)
 class Shape:
     valence: int
     binder_sets: tuple[tuple[int, ...], ...]  # each sorted, duplicate-free
+
+    def __post_init__(self):
+        # only ints and tuples, so that comparing two shapes compares what
+        # the term walkers read; binder sets sorted, in range, covering
+        valence, sets = self.valence, self.binder_sets
+        if not (type(valence) is int and type(sets) is tuple
+                and all(type(p) is tuple and all(type(j) is int for j in p)
+                        for p in sets)):
+            raise ShapeError(f"shape {valence!r}; {sets!r} is not made of ints and tuples")
+        if valence < 0:
+            raise IndexOutOfRange(f"valence must be non-negative, got {valence}")
+        for p in sets:
+            for j in p:
+                if j < 0 or j >= valence:
+                    raise IndexOutOfRange(
+                        f"binder index {j} out of range for valence {valence}")
+            if list(p) != sorted(set(p)):
+                raise ShapeError(f"binder set {p} is not sorted and duplicate-free")
+        covered = {j for p in sets for j in p}
+        if covered != set(range(valence)):
+            missing = sorted(set(range(valence)) - covered)
+            raise DegenerateShape(f"binder indices {missing} not bound by any argument position")
 
     @property
     def arity(self) -> int:
@@ -29,20 +51,9 @@ class Shape:
 
 
 def make_shape(valence: int, binder_sets: Iterable[Iterable[int]]) -> Shape:
-    """Validate and build a shape; binder sets are stored sorted."""
-    if valence < 0:
-        raise IndexOutOfRange(f"valence must be non-negative, got {valence}")
-    sets = tuple(tuple(sorted(set(p))) for p in binder_sets)
-    covered = set()
-    for p in sets:
-        for j in p:
-            if j < 0 or j >= valence:
-                raise IndexOutOfRange(f"binder index {j} out of range for valence {valence}")
-        covered.update(p)
-    if covered != set(range(valence)):
-        missing = sorted(set(range(valence)) - covered)
-        raise DegenerateShape(f"binder indices {missing} not bound by any argument position")
-    return Shape(valence, sets)
+    """Build a shape, which Shape checks; binder sets are stored sorted and
+    without repeats."""
+    return Shape(valence, tuple(tuple(sorted(set(p))) for p in binder_sets))
 
 
 @cache
@@ -72,6 +83,9 @@ class Signature:
     def __post_init__(self):
         by_name = {}
         for d in self.decls:
+            if not (type(d) is AbstractionDecl and type(d.name) is str
+                    and type(d.shape) is Shape):
+                raise ShapeError(f"{d!r} is not a declaration of a name and a shape")
             if d.name in by_name:
                 raise DuplicateAbstraction(f"abstraction {d.name!r} declared twice")
             by_name[d.name] = d

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import is_
 from types import MappingProxyType
 
-from .errors import ArityMismatch, BadSubstitution, DuplicateBinder
+from .errors import ArityMismatch, BadSubstitution, DuplicateBinder, KernelPrivilege
 from .shape import Signature
 from .term import Abs, DeBruijnTerm, Term, Var, encode, free_in
 
@@ -35,11 +35,15 @@ def fresh_var(avoid: Iterable[str], base: str) -> str:
 
 @dataclass(frozen=True)
 class Template:
-    """[x0 ... xn-1. body]; a body node is under one frame of the parameters."""
+    """[x0 ... xn-1. body]; a body node is under one frame of the parameters.
+    The kernel rests on its arity being the number of names in `binders`."""
     binders: tuple[str, ...]
     body: Term | DeBruijnTerm
 
     def __post_init__(self):
+        if not (type(self.binders) is tuple
+                and all(type(b) is str and b for b in self.binders)):
+            raise BadSubstitution(f"template binders {self.binders!r} are not names")
         if len(set(self.binders)) != len(self.binders):
             raise DuplicateBinder(f"template binders {self.binders} are not distinct")
         if not isinstance(self.body, (Var, Abs, tuple)):
@@ -51,25 +55,41 @@ class Template:
 
 
 class Substitution(Mapping):
-    """Finite map from (name, arity) to a template of that arity, read-only
-    once built."""
+    """Finite map from (name, arity) to a template of that arity.  The
+    kernel rests on the checks made here: each key is exactly a (str, int)
+    pair, each template exactly a `Template` (one of a subclass is rebuilt
+    from its binders and body, a bare term becomes a template with no
+    binders), and each template's arity is its key's.  Once built it cannot
+    be changed: `mapping` is a read-only view, and setting or deleting an
+    attribute raises `KernelPrivilege`."""
+
+    __slots__ = ("mapping",)
 
     def __init__(self, mapping: Mapping[tuple[str, int], Template | Term]):
         out: dict[tuple[str, int], Template] = {}
         for key, tmpl in mapping.items():
-            if not (isinstance(key, tuple) and len(key) == 2
-                    and isinstance(key[0], str)
-                    and isinstance(key[1], int) and key[1] >= 0):
+            if not (type(key) is tuple and len(key) == 2 and type(key[0]) is str
+                    and type(key[1]) is int and key[1] >= 0):
                 raise BadSubstitution(f"key {key!r} is not a (name, arity) pair")
             if isinstance(tmpl, (Var, Abs)):
                 tmpl = Template((), tmpl)
             elif not isinstance(tmpl, Template):
                 raise BadSubstitution(f"{key!r} is mapped to {tmpl!r}, not a term")
+            elif type(tmpl) is not Template:
+                tmpl = Template(tmpl.binders, tmpl.body)
             if tmpl.arity != key[1]:
                 raise ArityMismatch(
                     f"template for {key!r} has {tmpl.arity} binders")
             out[key] = tmpl
-        self.mapping = MappingProxyType(out)
+        object.__setattr__(self, "mapping", MappingProxyType(out))
+
+    def __setattr__(self, *_):
+        raise KernelPrivilege("a substitution cannot be changed once checked")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # a copy is built, and so checked, again
+        return Substitution, (dict(self.mapping),)
 
     def __getitem__(self, key):
         return self.mapping[key]

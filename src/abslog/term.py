@@ -28,7 +28,10 @@ signature, it checks in the same walk, by one set of rules (`_check_abs`,
 `_check_var`), that each head is declared with exactly its shape and has
 one distinct binder name (hint) per bound variable and one argument per
 position, that each bound index is below its binder depth and that each
-variable is named; `check_wellformed` is that walk.
+variable is named; `check_wellformed` is that walk.  Names (heads, hints,
+variables) must be exactly `str`, shapes exactly `Shape` and terms exactly
+`Var` or `Abs`: a subclass could compare, or read, one way when checked and
+another when used.
 """
 from __future__ import annotations
 
@@ -91,10 +94,10 @@ def _check_abs(name, shape: Shape, binders: tuple, args: tuple,
     """Raise unless `binders` are distinct names, one per variable `shape`
     binds, `args` has one term per argument position and, given sig, sig
     declares `name` with exactly `shape`."""
-    if not isinstance(shape, Shape):
+    if type(shape) is not Shape:
         raise MalformedTerm(f"{name}: {shape!r} is not a shape")
     for b in binders:
-        if not (isinstance(b, str) and b):
+        if not (type(b) is str and b):
             raise MalformedTerm(f"{name}: binder {b!r} is not a name")
     if len(set(binders)) != len(binders):
         raise DuplicateBinder(f"binders {binders} are not distinct")
@@ -105,7 +108,7 @@ def _check_abs(name, shape: Shape, binders: tuple, args: tuple,
         raise ArityMismatch(f"{name}: {len(args)} arguments for arity {shape.arity}")
     if sig is None:
         return
-    decl = sig.get(name) if isinstance(name, str) else None
+    decl = sig.get(name) if type(name) is str else None
     if decl is None:
         raise UnknownAbstraction(f"abstraction {name!r} is not declared")
     want = decl.shape
@@ -119,7 +122,7 @@ def _check_abs(name, shape: Shape, binders: tuple, args: tuple,
 
 
 def _check_var(name) -> None:
-    if not (isinstance(name, str) and name):
+    if not (type(name) is str and name):
         raise MalformedTerm(f"variable name {name!r} is not a name")
 
 
@@ -157,14 +160,14 @@ def encode(t: Term | DeBruijnTerm, frames: list[tuple[str, ...]],
     first).  Given a signature, first raise the TermError of the first
     node, in pre-order, that is not a term over it.  A t that is already a
     node is checked in place (`_check_node`) and is its own form."""
-    if isinstance(t, Var):
+    if type(t) is Var:
         if sig is not None:
             _check_var(t.name)
         if not t.args:
             k = _lookup(t.name, frames)
             return ("v", t.name, ()) if k is None else ("b", k)
         return ("v", t.name, tuple(encode(a, frames, sig) for a in t.args))
-    if not isinstance(t, Abs):
+    if type(t) is not Abs:
         if type(t) is tuple:
             return _check_node(t, sum(map(len, frames)), sig)
         raise MalformedTerm(f"{t!r} is not a term")

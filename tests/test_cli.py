@@ -20,6 +20,7 @@ from abslog.errors import (
     MissingRow,
     ModelError,
     SpecKindMismatch,
+    StrayInterpretation,
     UnknownValue,
 )
 from abslog.logics import SIG_D
@@ -536,14 +537,19 @@ MALFORMED = {
         _json_with(true={"T": "T"}),
         _GOOD_INTERP.replace("true := T", "true := { (T) -> T }"),
         SpecKindMismatch),
+    "stray-entry": (
+        _json_with(nonsense={"T;T;T": "zz"}),
+        _GOOD_INTERP + "  nonsense := { (T, T, T) -> zz }\n",
+        StrayInterpretation),
 }
 
 
 # where the block form of each case is placed, as (line, col) in the file
 # `logic D`, `model bad {`, `  carrier T, F`, then the block body from line
-# 4: a bad or repeated row at its `(`, a bad value or a second
-# interpretation at the entry's name, a missing row at the table's entry,
-# and a missing interpretation at the `model` keyword
+# 4: a bad or repeated row at its `(`, a bad value, a second
+# interpretation or one of an undeclared name at the entry's name, a
+# missing row at the table's entry, and a missing interpretation at the
+# `model` keyword
 BLOCK_PLACE = {
     "value-outside-carrier": (5, 3),
     "missing-row": (6, 3),
@@ -553,6 +559,7 @@ BLOCK_PLACE = {
     "duplicate-interpretation": (6, 3),
     "alias-and-glyph": (6, 3),
     "table-for-a-value": (5, 3),
+    "stray-entry": (8, 3),
 }
 
 

@@ -11,7 +11,7 @@ from abslog import (
     make_shape,
     signature,
 )
-from abslog.errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange
+from abslog.errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange, ShapeError
 from abslog.logics import SIG_D, SIG_E, SIG_K
 
 from conftest import random_signature
@@ -50,6 +50,20 @@ def test_index_out_of_range():
 def test_binder_sets_sorted_and_deduped():
     s = make_shape(2, [[1, 0, 1], []])
     assert s.binder_sets == ((0, 1), ())
+
+
+@pytest.mark.parametrize("valence, sets, error", [
+    (1, ((5,),), IndexOutOfRange),  # once a theorem whose statement raised IndexError
+    (-1, (), IndexOutOfRange),
+    (2, ((0,), (0,)), DegenerateShape),
+    (2, ((1, 0),), ShapeError),
+    (1, ((0, 0),), ShapeError),
+    (1, [(0,)], ShapeError),
+    (True, ((0,),), ShapeError),
+])
+def test_a_shape_built_directly_is_checked_as_make_shape_checks(valence, sets, error):
+    with pytest.raises(error):
+        Shape(valence, sets)
 
 
 def test_signature_rejects_duplicates():
