@@ -28,10 +28,10 @@ signature, it checks in the same walk, by one set of rules (`_check_abs`,
 `_check_var`), that each head is declared with exactly its shape and has
 one distinct binder name (hint) per bound variable and one argument per
 position, that each bound index is below its binder depth and that each
-variable is named; `check_wellformed` is that walk.  Names (heads, hints,
-variables) must be exactly `str`, shapes exactly `Shape` and terms exactly
-`Var` or `Abs`: a subclass could compare, or read, one way when checked and
-another when used.
+variable is named; `check_wellformed` is that walk.  Node tags and names
+(heads, hints, variables) must be exactly `str`, shapes exactly `Shape` and
+terms exactly `Var` or `Abs`: a subclass could compare, or read, one way
+when checked and another when used.
 """
 from __future__ import annotations
 
@@ -129,7 +129,7 @@ def _check_var(name) -> None:
 def _check_node(node, depth: int, sig: Signature | None) -> DeBruijnTerm:
     """node, if it is a nameless term under `depth` binders, over sig when
     given; else the TermError of its first bad sub-node, in pre-order."""
-    tag = node[0] if type(node) is tuple and node else None
+    tag = node[0] if type(node) is tuple and node and type(node[0]) is str else None
     if tag == "b" and len(node) == 2 and type(node[1]) is int:
         if not 0 <= node[1] < depth:
             raise MalformedTerm(f"bound index {node[1]} under {depth} binders")

@@ -330,6 +330,17 @@ class _Miscounted:
         return iter(("x",))
 
 
+class _AnyStr(str):
+    """A name equal to every object."""
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = str.__hash__
+
+
 class _AnyInt(int):
     """An arity equal to every int, hashed as 0."""
     def __eq__(self, other):
@@ -415,23 +426,14 @@ def test_a_subclass_gets_past_no_rule():
     with pytest.raises(IllFormed):
         kernel.inst(kernel.axiom(D, "D2"), {("A", 0): Template((), body)})
 
-    class AnyName(str):
-        def __eq__(self, other):
-            return True
-
-        def __ne__(self, other):
-            return False
-
-        __hash__ = str.__hash__
-
     # a head ⇒ that is also =: from x ⇒ ⊤ it proved x = ⊤, and so x, in E
     E = builtin_logic("E")
-    for body in (Abs(AnyName(IMP), BINOP_SHAPE, (), (v("x"), TOP)), v(AnyName("x")),
-                 ("A", "∀", BINDER_SHAPE, (AnyName("y"),), (_TOP_NODE,))):
+    for body in (Abs(_AnyStr(IMP), BINOP_SHAPE, (), (v("x"), TOP)), v(_AnyStr("x")),
+                 ("A", "∀", BINDER_SHAPE, (_AnyStr("y"),), (_TOP_NODE,))):
         with pytest.raises(IllFormed):
             kernel.inst(kernel.axiom(E, "D2"), {("A", 0): Template((), body)})
     with pytest.raises(MalformedTerm):
-        all_(AnyName("y"), TOP)
+        all_(_AnyStr("y"), TOP)
 
     class AnyShape(Shape):
         def __eq__(self, other):
@@ -443,7 +445,7 @@ def test_a_subclass_gets_past_no_rule():
     shifty = ("A", IMP, AnyShape(1, ((0,), (0,))), ("x",), (("b", 0), ("b", 0)))
     with pytest.raises(IllFormed):
         kernel.inst(kernel.axiom(D, "D2"), {("A", 0): Template((), shifty)})
-    with pytest.raises(ShapeError):  # the same, as a Shape of a valence equal to 0
+    with pytest.raises(ShapeError):  # the same ⇒, its valence equal to every int
         Shape(_AnyInt(1), ((0,), (0,)))
 
     class Open(Signature):
@@ -620,6 +622,7 @@ _BAD_NODES = {
     "hints not a tuple": ("A", "∀", BINDER_SHAPE, ["y"], (("b", 0),)),
     "too short": ("A", IMP, BINOP_SHAPE, ()),
     "unknown tag": ("B", "x", ()),
+    "tag equal to every tag": (_AnyStr("A"), IMP, BINOP_SHAPE, (), (_X, _X)),
     "empty": (),
 }
 
