@@ -268,6 +268,8 @@ def test_inst_checks_its_substitution_again():
     with pytest.raises(KernelPrivilege):
         del sigma.mapping
     assert sigma.mapping == {}
+    with pytest.raises(BadSubstitution):  # keys are exactly (str, int)
+        Substitution({(_AnyStr("A"), 0): TOP})
     # a copy or a pickled one is built through the same checks
     sigma = Substitution({("A", 1): Template(("p",), v("p"))})
     for again in (copy.copy(sigma), copy.deepcopy(sigma),
@@ -318,6 +320,12 @@ class _YieldsForged(Substitution):
         return [(("A", 0), _FORGED)]
 
 
+class _Arity0(Template):
+    @property
+    def arity(self):
+        return 0
+
+
 class _Miscounted:
     """Binder names that count none and iterate none, yet read x backwards."""
     def __len__(self):
@@ -361,6 +369,8 @@ FORGERIES = {
         BadSubstitution),
     "arity equal to any int": (
         lambda: Substitution({("A", _AnyInt(1)): _FORGED}), BadSubstitution),
+    "template arity overridden": (
+        lambda: Substitution({("A", 0): _Arity0(("x",), ("b", 0))}), ArityMismatch),
 }
 
 
@@ -380,8 +390,9 @@ def test_a_forged_substitution_derives_nothing(forgery):
 def test_a_subclass_gets_past_no_rule():
     """A subclass can override what a rule reads: a Theorem whose node is
     ∀x. x, a Logic whose axiom() answers ∀x. x, a term that reads as x ⇒ x
-    when checked and encodes as b0 ⇒ b0, a name equal to every name, a
-    shape equal to every shape, a signature that declares every name.
+    when checked and encodes as b0 ⇒ b0, a variable named when checked
+    and not when encoded, a name equal to every name, a shape equal to
+    every shape, a signature that declares every name.
     Each once got a rule to mint it, or the store to keep it; each is now
     refused."""
     forall_x = encode(all_("x", v("x")), [], D.signature)
@@ -426,6 +437,19 @@ def test_a_subclass_gets_past_no_rule():
     with pytest.raises(IllFormed):
         kernel.inst(kernel.axiom(D, "D2"), {("A", 0): Template((), body)})
 
+    class Unnamed(Var):
+        reads = 0
+
+        @property
+        def name(self):  # named when checked, 5 when encoded
+            Unnamed.reads += 1
+            return "x" if Unnamed.reads == 1 else 5
+
+    body = object.__new__(Unnamed)
+    object.__setattr__(body, "args", ())
+    with pytest.raises(IllFormed):
+        kernel.inst(kernel.axiom(D, "D2"), {("A", 0): Template((), body)})
+
     # a head ⇒ that is also =: from x ⇒ ⊤ it proved x = ⊤, and so x, in E
     E = builtin_logic("E")
     for body in (Abs(_AnyStr(IMP), BINOP_SHAPE, (), (v("x"), TOP)), v(_AnyStr("x")),
@@ -434,6 +458,8 @@ def test_a_subclass_gets_past_no_rule():
             kernel.inst(kernel.axiom(E, "D2"), {("A", 0): Template((), body)})
     with pytest.raises(MalformedTerm):
         all_(_AnyStr("y"), TOP)
+    with pytest.raises(IllFormed):  # it would bind A and B at once
+        kernel.gen(kernel.axiom(D, "D2"), _AnyStr("A"))
 
     class AnyShape(Shape):
         def __eq__(self, other):

@@ -13,6 +13,7 @@ from abslog import (
 )
 from abslog.errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange, ShapeError
 from abslog.logics import SIG_D, SIG_E, SIG_K
+from abslog.shape import AbstractionDecl, Signature
 
 from conftest import random_signature
 
@@ -69,6 +70,22 @@ def test_a_shape_built_directly_is_checked_as_make_shape_checks(valence, sets, e
 def test_signature_rejects_duplicates():
     with pytest.raises(DuplicateAbstraction):
         signature([("f", VALUE_SHAPE), ("f", BINOP_SHAPE)])
+
+
+def test_signature_takes_only_plain_declarations():
+    """A declaration is exactly an AbstractionDecl of a str and a Shape:
+    the node check reads its name and shape again, and a subclass could
+    answer differently each time."""
+    class Decl(AbstractionDecl):
+        pass
+
+    class Name(str):
+        pass
+
+    for decl in (Decl("f", BINOP_SHAPE), AbstractionDecl(Name("f"), BINOP_SHAPE),
+                 AbstractionDecl("f", "(0; {}, {})"), ("f", BINOP_SHAPE)):
+        with pytest.raises(ShapeError):
+            Signature(SIG_D.decls + (decl,))
 
 
 def test_signature_lookup_and_extend():
