@@ -91,7 +91,7 @@ def _exact(obj, cls: type):
 
 def _match(logic: Logic, target: Target, derived: DeBruijnTerm, mismatch: type,
            message: str) -> DeBruijnTerm:
-    """derived, once a given target that differs from it matches it."""
+    """derived, once a target, if given and not equal to it, matches it modulo α."""
     if not (target is None or target == derived
             or same_class(_encode(logic, target), derived)):
         raise mismatch(message)

@@ -26,7 +26,8 @@ class Shape:
         if not (type(valence) is int and type(sets) is tuple
                 and all(type(p) is tuple and all(type(j) is int for j in p)
                         for p in sets)):
-            raise ShapeError(f"shape {valence!r}; {sets!r} is not made of ints and tuples")
+            raise ShapeError(
+                f"shape {valence!r}; {sets!r} is not made of ints and tuples")
         if valence < 0:
             raise IndexOutOfRange(f"valence must be non-negative, got {valence}")
         for p in sets:
@@ -39,7 +40,8 @@ class Shape:
         covered = {j for p in sets for j in p}
         if covered != set(range(valence)):
             missing = sorted(set(range(valence)) - covered)
-            raise DegenerateShape(f"binder indices {missing} not bound by any argument position")
+            raise DegenerateShape(
+                f"binder indices {missing} not bound by any argument position")
 
     @property
     def arity(self) -> int:

@@ -11,7 +11,8 @@ from abslog import (
     make_shape,
     signature,
 )
-from abslog.errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange, ShapeError
+from abslog.errors import (DegenerateShape, DuplicateAbstraction, IndexOutOfRange,
+                           ShapeError)
 from abslog.logics import SIG_D, SIG_E, SIG_K
 from abslog.shape import AbstractionDecl, Signature
 
