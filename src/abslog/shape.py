@@ -7,8 +7,10 @@ does not cover ``{0..m-1}``, are rejected at construction.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange, ShapeError
@@ -80,7 +82,8 @@ class AbstractionDecl:
 @dataclass(frozen=True)
 class Signature:
     decls: tuple[AbstractionDecl, ...]
-    _by_name: dict = field(init=False, repr=False, compare=False)
+    # read-only, as the kernel checks terms against it
+    _by_name: Mapping[str, AbstractionDecl] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_name = {}
@@ -91,7 +94,10 @@ class Signature:
             if d.name in by_name:
                 raise DuplicateAbstraction(f"abstraction {d.name!r} declared twice")
             by_name[d.name] = d
-        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_name", MappingProxyType(by_name))
+
+    def __reduce__(self):  # the view does not pickle: build it, and check, again
+        return Signature, (self.decls,)
 
     def get(self, name: str) -> AbstractionDecl | None:
         return self._by_name.get(name)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from abslog import (
@@ -71,6 +74,16 @@ def test_a_shape_built_directly_is_checked_as_make_shape_checks(valence, sets, e
 def test_signature_rejects_duplicates():
     with pytest.raises(DuplicateAbstraction):
         signature([("f", VALUE_SHAPE), ("f", BINOP_SHAPE)])
+
+
+def test_signature_table_is_read_only():
+    """Writing into the name table once declared a head in the builtin D
+    for the kernel's node check; a copy or a pickle is built again."""
+    with pytest.raises(TypeError):
+        SIG_D._by_name["nope"] = AbstractionDecl("nope", BINOP_SHAPE)
+    assert "nope" not in SIG_D
+    for again in (copy.copy(SIG_D), pickle.loads(pickle.dumps(SIG_D))):
+        assert again == SIG_D and again.get("⇒") == SIG_D.get("⇒")
 
 
 def test_signature_takes_only_plain_declarations():
