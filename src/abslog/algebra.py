@@ -10,7 +10,9 @@ shape (0; ∅ⁿ).  Everything is checkable by exhaustive enumeration.
 Evaluation reads the nameless form of term.py (binder scope is never
 worked out here) and builds each row digit by digit as it evaluates the
 arguments, reading tables[name][row] from a {name: entries} dict that
-each entry point fills from the algebra once per call.  Model search
+each entry point fills from the algebra once per call: check_model with
+every table, eval_term and valuation_from_subst with each table when
+the evaluation first reaches its head.  Model search
 compiles each axiom once into closures (`_grounder`) and grounds each
 instance with one call: its valuation and binder values are filled in,
 so what remains is the operator cells it reads.  An instance whose
@@ -27,6 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, wraps
 from itertools import chain, product
+from traceback import walk_tb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -47,6 +50,7 @@ from .errors import (
     NotLogicSignature,
     SearchLimitOutOfRange,
     SearchSizeOutOfRange,
+    SearchTooDeep,
     SpecKindMismatch,
     StrayInterpretation,
     TermError,
@@ -217,6 +221,20 @@ def _tables(alg: AbstractionAlgebra) -> dict[str, tuple[int, ...]]:
     return {name: table.entries for name, table in alg.interp.items()}
 
 
+class _TablesRead(dict):
+    """The entries of the tables of `interp` by name, as _eval reads them;
+    each table is read from `interp` when an evaluation first needs it."""
+    __slots__ = ("_interp",)
+
+    def __init__(self, interp: Mapping[str, OperationTable]):
+        super().__init__()
+        self._interp = interp
+
+    def __missing__(self, name: str) -> tuple[int, ...]:
+        entries = self[name] = self._interp[name].entries
+        return entries
+
+
 def _eval(tables: Mapping[str, Sequence[int]], size: int, nu: Valuation,
           node: DeBruijnTerm, env: tuple[int, ...]) -> int:
     """Value of a nameless term; env holds the values of the enclosing
@@ -248,7 +266,7 @@ def eval_term(alg: AbstractionAlgebra, nu: Valuation, t: Term) -> int:
         node = encode(t, [], alg.signature)
     except TermError as e:
         raise IllFormedTerm(str(e)) from e
-    return _eval(_tables(alg), alg.size, nu, node, ())
+    return _eval(_TablesRead(alg.interp), alg.size, nu, node, ())
 
 
 def valuation_from_subst(nu: Valuation, sigma: Substitution,
@@ -257,7 +275,7 @@ def valuation_from_subst(nu: Valuation, sigma: Substitution,
     (resolved) template under ν, unmapped ones fall through to ν."""
     if not isinstance(sigma, Substitution):
         sigma = Substitution(sigma)
-    overrides, tables = dict(nu.overrides), _tables(alg)
+    overrides, tables = dict(nu.overrides), _TablesRead(alg.interp)
     for (name, arity), tmpl in sigma.items():
         try:
             body = encode_template(tmpl, alg.signature)
@@ -645,8 +663,19 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
     found: list[dict[int, int]] = []
     conditions = [(bases[name] + row, mask, None, None, None)
                   for name, row, mask in _logic_conditions(size, top)]
-    _solve(chain(conditions, _instances(nodes, bases, size, top)),
-           cells, size, limit, found)
+    try:
+        _solve(chain(conditions, _instances(nodes, bases, size, top)),
+               cells, size, limit, found)
+    except RecursionError as e:
+        # one _solve frame per branching choice; a term too deep for the
+        # walkers the search calls is the decorator's TermTooDeep
+        codes = [frame.f_code for frame, _ in walk_tb(e.__traceback__)]
+        depth = codes.count(_solve.__code__)
+        if 2 * depth > len(codes):
+            raise SearchTooDeep(
+                f"find_models: the search nests its branching choices too "
+                f"deeply for the recursion limit ({depth} levels)") from None
+        raise
     # cells no constraint read are free; they take value 0
     return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(
                 sig, size, bases, bytes(found_cells.get(c, 0) for c in range(size, end))))

@@ -120,6 +120,12 @@ class TermTooDeep(AlgebraError):
     code = "TooDeep"
 
 
+class SearchTooDeep(AlgebraError):
+    """A model search that branched on more cells, one nested call each,
+    than the recursion limit allows, on terms shallow enough to walk."""
+    code = "SearchTooDeep"
+
+
 class ModelError(AlgebraError):
     """A model description (a model block or a JSON file) that defines no
     algebra over the signature."""

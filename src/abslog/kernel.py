@@ -160,41 +160,48 @@ def lift(thm: Theorem, logic: Logic) -> Theorem:
 
 
 # --- untrusted below: proof trees, the theorem store and the fold -------------
+# (imported here, as the section above rests on nothing it brings in)
+
+from collections import namedtuple
 
 Proof = Union["Ax", "Subst", "Mp", "All", "Lemma"]
 
 
-@dataclass(frozen=True)
-class Ax:
+class _Node:
+    """A proof node is the tuple of its fields (a `namedtuple`), so it is
+    built without a call per field.  It cannot be changed, and it equals
+    only a node of its own class whose fields are equal."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Ax(_Node, namedtuple("Ax", "axiom")):
     """Axiom invocation, by label or by literal term or node (modulo α)."""
-    axiom: Term | DeBruijnTerm | str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Subst:
-    target: Target
-    sigma: Substitution
-    sub: Proof
+class Subst(_Node, namedtuple("Subst", "target sigma sub")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mp:
-    target: Target
-    sub_h: Proof
-    sub_g: Proof
+class Mp(_Node, namedtuple("Mp", "target sub_h sub_g")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class All:
-    target: Target
-    binder: str
-    sub: Proof
+class All(_Node, namedtuple("All", "target binder sub")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lemma:
+class Lemma(_Node, namedtuple("Lemma", "name")):
     """Reference to a stored theorem of this logic or one it extends."""
-    name: str
+    __slots__ = ()
 
 
 class TheoremDB:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from operator import is_
+from itertools import repeat
 from types import MappingProxyType
 
 from .errors import ArityMismatch, BadSubstitution, DuplicateBinder, KernelPrivilege
@@ -41,6 +41,8 @@ class Template:
     body: Term | DeBruijnTerm
 
     def __post_init__(self):
+        if type(self.binders) is tuple and not self.binders and type(self.body) is tuple:
+            return  # no binders and a node body, as a parsed `x := term` has
         if not (type(self.binders) is tuple
                 and all(type(b) is str and b for b in self.binders)):
             raise BadSubstitution(f"template binders {self.binders!r} are not names")
@@ -115,14 +117,18 @@ def _rebuild(node: tuple, leaf: Callable[[tuple, int], tuple],
     old = node[-1]
     if tag == "b" or not old:
         return node if tag == "A" else leaf(node, depth)
+    new = None  # a list of the children once one has changed
+    i = -1
+    for p, a in zip(repeat(()) if tag == "v" else node[2].binder_sets, old):
+        i += 1
+        got = _rebuild(a, leaf, depth + len(p))
+        if got is not a:
+            if new is None:
+                new = list(old)
+            new[i] = got
     if tag == "v":
-        args = tuple([_rebuild(a, leaf, depth) for a in old])
-        return leaf(node if all(map(is_, args, old)) else ("v", node[1], args),
-                    depth)
-    _, name, shape, hints, _ = node
-    args = tuple([_rebuild(a, leaf, depth + len(p))
-                  for p, a in zip(shape.binder_sets, old)])
-    return node if all(map(is_, args, old)) else ("A", name, shape, hints, args)
+        return leaf(node if new is None else ("v", node[1], tuple(new)), depth)
+    return node if new is None else ("A", node[1], node[2], node[3], tuple(new))
 
 
 def _lift(node: tuple, k: int) -> tuple:
@@ -169,22 +175,35 @@ def _settle(node: tuple, path: frozenset = frozenset()) -> tuple:
     old = node[-1]
     if tag == "b" or not old:
         return node
+    hints = None
+    if tag != "v":
+        _, name, shape, hints, _ = node
+        if shape.valence:
+            avoid = {x for x, _ in free_in(node)} | path
+            chosen = []
+            for j in range(shape.valence):
+                nm = fresh_var(avoid, hints[j])
+                avoid.add(nm)
+                chosen.append(nm)
+            hints = hints if chosen == list(hints) else tuple(chosen)
+            path = path | set(chosen)
+    new = None  # a list of the children once one has changed
+    i = -1
+    for a in old:
+        i += 1
+        # a leaf, which the test at the top would hand back, is kept with
+        # no call
+        if a[0] == "b" or not a[-1]:
+            continue
+        got = _settle(a, path)
+        if got is not a:
+            if new is None:
+                new = list(old)
+            new[i] = got
     if tag == "v":
-        args = tuple([_settle(a, path) for a in old])
-        return node if all(map(is_, args, old)) else ("v", node[1], args)
-    _, name, shape, hints, _ = node
-    if shape.valence:
-        avoid = {x for x, _ in free_in(node)} | path
-        chosen = []
-        for j in range(shape.valence):
-            nm = fresh_var(avoid, hints[j])
-            avoid.add(nm)
-            chosen.append(nm)
-        hints = hints if chosen == list(hints) else tuple(chosen)
-        path = path | set(chosen)
-    args = tuple([_settle(a, path) for a in old])
-    return (node if hints is node[3] and all(map(is_, args, old))
-            else ("A", name, shape, hints, args))
+        return node if new is None else ("v", node[1], tuple(new))
+    return (node if new is None and hints is node[3]
+            else ("A", name, shape, hints, old if new is None else tuple(new)))
 
 
 def _named(node: tuple, frames: list) -> Term:

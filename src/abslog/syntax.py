@@ -10,8 +10,9 @@ elsewhere use the parenthesized form `(all x. t)`.  Both ASCII spellings
 and the glyphs are accepted; the printer emits ASCII unless asked.
 
 A written term enters the nameless form of term.py here: the term parser
-builds nodes, resolving each name against the binders in scope.  A file's
-axioms and proof terms stay nodes; `parse_term` names its node.
+builds nodes, resolving each name against the binders in scope and each
+head against the signature's read-only name table.  A file's axioms and
+proof terms stay nodes; `parse_term` names its node.
 
 `tokenize` returns `Tokens`: parallel arrays of kinds and values, from one
 `findall` of one regex, with no offsets.  A proof step, a block, a model
@@ -20,13 +21,19 @@ column are worked out when read: the first `Tokens.position` call scans
 the text again with the same regex for every token's offset, and each
 call bisects the offsets where lines start.  So a file that parses and
 checks cleanly never works out an offset.  Both parsers read the arrays
-through one shared index.
+through one shared index.  A proof step reads its common forms (`name:
+rule`, the premises of `mp` and `subst`, each `NAME := term` binding)
+straight off the arrays, and leaves any other token to the general path,
+which raises each error at its token.  A step and a theorem block are
+tuples of their fields (`_Parsed`), so building one costs no call per
+field.
 """
 from __future__ import annotations
 
 import re
 import string
 from bisect import bisect_right
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -195,6 +202,16 @@ class TermParser:
         self.sig = sig
         self.frames: list[tuple[str, ...]] = []  # binders in scope, outermost first
 
+    @property
+    def sig(self) -> Signature:
+        return self._sig
+
+    @sig.setter
+    def sig(self, sig: Signature) -> None:
+        # `decl` reads the signature's read-only name table, with no
+        # Python frame per lookup
+        self._sig, self.decl = sig, sig._by_name.get
+
     # cold paths: errors and the rare constructs
     def error_at(self, i: int, message: str, code=None) -> ParseError:
         return ParseError(message, *self.tokens.position(i), code)
@@ -215,17 +232,14 @@ class TermParser:
         self.i += 1
 
     def resolve(self, name: str) -> AbstractionDecl | None:
-        d = self.sig.get(name)
+        d = self.decl(name)
         if d is None and name in ALIAS:
-            d = self.sig.get(ALIAS[name])
+            d = self.decl(ALIAS[name])
         return d
 
-    def _op_decl(self, token: str, name: str) -> AbstractionDecl:
-        d = self.sig.get(name)
-        if d is None:
-            raise self.error(f"operator {token!r} ({name}) is not declared",
-                             "UnknownName")
-        return d
+    def _undeclared(self, token: str, name: str) -> ParseError:
+        return self.error(f"operator {token!r} ({name}) is not declared",
+                          "UnknownName")
 
     def term(self) -> DeBruijnTerm:
         i, kinds, values = self.i, self.kinds, self.values
@@ -251,7 +265,9 @@ class TermParser:
         values = self.values
         if level <= _NOT and values[self.i] in ("not", "¬"):
             self.i += 1
-            d = self._op_decl("not", "¬")
+            d = self.decl("¬")
+            if d is None:
+                raise self._undeclared("not", "¬")
             left = ("A", d.name, d.shape, (), (self._level(_NOT),))
             ceiling = _NOT
         else:
@@ -261,7 +277,9 @@ class TermParser:
                and level <= op[1] < ceiling):
             name, op_level, assoc = op
             self.i += 1
-            d = self._op_decl(token, name)
+            d = self.decl(name)
+            if d is None:
+                raise self._undeclared(token, name)
             right = self._level(op_level + (assoc != "right"))
             left = ("A", d.name, d.shape, (), (left, right))
             ceiling = op_level + (assoc == "left")
@@ -274,7 +292,9 @@ class TermParser:
             return self._parens()
         if self.kinds[i] == "ident" and value not in KEYWORDS:
             self.i = i + 1
-            d = self.resolve(value)
+            d = self.decl(value)  # resolve(value), inlined
+            if d is None and value in ALIAS:
+                d = self.decl(ALIAS[value])
             if d is not None:
                 return self._abs_atom(i, d)
             if self.values[i + 1] == "[":
@@ -422,6 +442,7 @@ def _print(t: Term, level: int, uni: bool) -> str:
 class _AtToken:
     """A parsed item that keeps `at`, the index of its first token in
     `tokens`: its line and column are worked out when read."""
+    __slots__ = ()
     tokens: Tokens
     at: int
 
@@ -434,18 +455,39 @@ class _AtToken:
         return self.tokens.position(self.at)[1]
 
 
-@dataclass(frozen=True)
-class ProofStep(_AtToken):
-    name: str
-    rule: str  # "ax" | "subst" | "mp" | "all" | "lemma"
-    tokens: Tokens = field(compare=False, repr=False)
-    at: int = field(compare=False)  # its name
-    label: str | None = None          # ax (label form), lemma name
-    term: DeBruijnTerm | None = None  # ax (literal form), as all terms here
-    sigma: Substitution | None = None  # subst, template bodies as nodes
-    refs: tuple[str, ...] = ()        # premise step names
-    binder: str | None = None         # all
-    claimed: DeBruijnTerm | None = None  # optional ==> annotation
+class _Parsed(_AtToken):
+    """A parsed item held as the tuple of its fields, `tokens` and `at`
+    last: immutable, built without a call per field, and equal only to an
+    item of its own class whose fields other than `tokens` and `at` are
+    equal."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:-2] == other[:-2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-2])
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self)
+            if name != "tokens"))
+
+
+class ProofStep(_Parsed, namedtuple("ProofStep", (
+        "name", "rule", "label", "term", "sigma", "refs", "binder", "claimed",
+        "tokens", "at"))):
+    """One step of a proof, `at` the token of its name.  `rule` is "ax",
+    "subst", "mp", "all" or "lemma"; `label` the axiom label of an `ax`
+    step that cites one, or a lemma's name; `term` the literal of any other
+    `ax` step, a node as all terms here; `sigma` a `subst` step's
+    substitution, its template bodies nodes; `refs` the names of the
+    premise steps; `binder` an `all` step's variable; `claimed` the `==>`
+    annotation.  A field a rule does not use is None, or () for `refs`."""
+    __slots__ = ()
 
 
 # a table spec maps argument keys to a carrier value name; each key part is
@@ -477,13 +519,11 @@ class ModelBlock(_AtToken):
         return self.tokens.position(self.row_at[entry][row])
 
 
-@dataclass(frozen=True)
-class TheoremBlock(_AtToken):
-    name: str
-    node: DeBruijnTerm  # the statement, in nameless form
-    steps: tuple[ProofStep, ...]
-    tokens: Tokens = field(compare=False, repr=False)
-    at: int = field(compare=False)  # its `theorem` keyword
+class TheoremBlock(_Parsed, namedtuple("TheoremBlock", (
+        "name", "node", "steps", "tokens", "at"))):
+    """A theorem, its statement `node` in nameless form, and its proof
+    `steps`; `at` is its `theorem` keyword."""
+    __slots__ = ()
 
     @property
     def statement(self) -> Term:
@@ -613,13 +653,13 @@ class TheoryParser:
         p.i = i + 1
         return int(self.values[i])
 
-    def _list(self, close: str, item) -> list:
-        """Comma-separated items up to and including `close`; a trailing
-        comma is allowed."""
+    def _list(self, close: str, item, *args) -> list:
+        """Comma-separated items `item(*args)` up to and including `close`;
+        a trailing comma is allowed."""
         p, values = self.terms, self.values
         out = []
         while values[p.i] != close:
-            out.append(item())
+            out.append(item(*args))
             if values[p.i] != ",":
                 break
             p.i += 1
@@ -642,7 +682,7 @@ class TheoryParser:
 
     def _binder_set(self) -> list[int]:
         self.terms.expect("{")
-        return self._list("}", lambda: self._num("expected binder index"))
+        return self._list("}", self._num, "expected binder index")
 
     def _theorem(self) -> TheoremBlock:
         p = self.terms
@@ -659,30 +699,47 @@ class TheoryParser:
         return TheoremBlock(name, node, tuple(steps), self.tokens, head)
 
     def _step(self) -> ProofStep:
+        """One proof step.  `name: rule`, the premises of `mp` and `subst`
+        and each `NAME := term` binding are read off the token arrays; where
+        a token is not the one expected, the general path reads it, and
+        raises its error there.  A token after an ident or an operator is
+        never past eof."""
         p, kinds, values = self.terms, self.kinds, self.values
-        at = p.i
-        if kinds[at] != "ident":
-            raise p.error(f"expected step name, found {values[at]!r}")
-        p.i = at + 1
-        p.expect(":")
-        rule = self._ident("proof rule")
+        at = i = p.i
+        if kinds[i] == "ident" and values[i + 1] == ":" and kinds[i + 2] == "ident":
+            rule = values[i + 2]
+            p.i = i = i + 3
+        else:
+            if kinds[at] != "ident":
+                raise p.error(f"expected step name, found {values[at]!r}")
+            p.i = at + 1
+            p.expect(":")
+            rule = self._ident("proof rule")
+            i = p.i
         label = term = sigma = binder = claimed = None
         refs: tuple[str, ...] = ()
         if rule == "ax":
-            i = p.i
             if kinds[i] == "ident" and values[i] in self.labels:
                 label = values[i]
                 p.i = i + 1
             else:
                 term = p.term()
         elif rule == "subst":
-            refs = (self._ident("premise step"),)
-            p.expect("{")
+            if kinds[i] == "ident" and values[i + 1] == "{":
+                refs = (values[i],)
+                p.i = i + 2
+            else:
+                refs = (self._ident("premise step"),)
+                p.expect("{")
             bindings: dict[tuple[str, int], Template] = {}
-            self._list("}", lambda: self._binding(bindings))
+            self._list("}", self._binding, bindings)
             sigma = Substitution(bindings)
         elif rule == "mp":
-            refs = (self._ident("premise step"), self._ident("premise step"))
+            if kinds[i] == "ident" and kinds[i + 1] == "ident":
+                refs = (values[i], values[i + 1])
+                p.i = i + 2
+            else:
+                refs = (self._ident("premise step"), self._ident("premise step"))
         elif rule == "all":
             binder = self._ident("bound variable")
             refs = (self._ident("premise step"),)
@@ -693,8 +750,8 @@ class TheoryParser:
         if values[p.i] == "==>":
             p.i += 1
             claimed = p.term()
-        return ProofStep(values[at], rule, self.tokens, at, label, term,
-                         sigma, refs, binder, claimed)
+        return ProofStep(values[at], rule, label, term, sigma, refs, binder,
+                         claimed, self.tokens, at)
 
     def _model(self) -> ModelBlock:
         p = self.terms
@@ -737,34 +794,42 @@ class TheoryParser:
 
     def _binding(self, out: dict[tuple[str, int], Template]) -> None:
         """One `name[/arity] := template` entry of a substitution literal,
-        added to `out`; a key already there is an error at this entry."""
+        added to `out`; a key already there is an error at this entry.  The
+        common `NAME := term` is read off the token arrays."""
         p, values = self.terms, self.values
         at = p.i
-        name = self._ident("variable name")
-        declared = None
-        if values[p.i] == "/":
-            p.i += 1
-            declared = self._num("expected an arity after /")
-        p.expect(":=")
-        if values[p.i] == "[":
-            p.i += 1
-            binders = []
-            while values[p.i] != ".":
-                binders.append(self._ident("template binder"))
-            p.i += 1
-            p.frames.append(tuple(binders))
-            body = p.term()
-            p.frames.pop()
-            p.expect("]")
-            with _placed(self.tokens, at):
-                tmpl = Template(tuple(binders), body)
-        else:
+        if (self.kinds[at] == "ident" and values[at + 1] == ":="
+                and values[at + 2] != "["):
+            name = values[at]
+            p.i = at + 2
             tmpl = Template((), p.term())
-        if declared is not None and declared != tmpl.arity:
-            raise p.error(
-                f"{name}/{declared} bound to a template of arity {tmpl.arity}",
-                "ArityMismatch")
-        key = name, tmpl.arity
+            key = name, 0
+        else:
+            name = self._ident("variable name")
+            declared = None
+            if values[p.i] == "/":
+                p.i += 1
+                declared = self._num("expected an arity after /")
+            p.expect(":=")
+            if values[p.i] == "[":
+                p.i += 1
+                binders = []
+                while values[p.i] != ".":
+                    binders.append(self._ident("template binder"))
+                p.i += 1
+                p.frames.append(tuple(binders))
+                body = p.term()
+                p.frames.pop()
+                p.expect("]")
+                with _placed(self.tokens, at):
+                    tmpl = Template(tuple(binders), body)
+            else:
+                tmpl = Template((), p.term())
+            if declared is not None and declared != tmpl.arity:
+                raise p.error(
+                    f"{name}/{declared} bound to a template of arity {tmpl.arity}",
+                    "ArityMismatch")
+            key = name, tmpl.arity
         if key in out:
             raise p.error_at(at, f"{name}/{tmpl.arity} is bound twice in one "
                              "substitution", "DuplicateBinding")

@@ -36,6 +36,7 @@ when checked and another when used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 from .errors import (
@@ -133,24 +134,31 @@ def _check_node(node, depth: int, sig: Signature | None) -> DeBruijnTerm:
     if tag == "b" and len(node) == 2 and type(node[1]) is int:
         if not 0 <= node[1] < depth:
             raise MalformedTerm(f"bound index {node[1]} under {depth} binders")
-    elif tag == "v" and len(node) == 3 and type(node[2]) is tuple:
+        return node
+    if tag == "v" and len(node) == 3 and type(node[2]) is tuple:
         if sig is not None:
             _check_var(node[1])
-        for a in node[2]:
-            _check_node(a, depth, sig)
+        kids = zip(repeat(()), node[2])
     elif (tag == "A" and len(node) == 5 and type(node[3]) is tuple
           and type(node[4]) is tuple):
         _, name, shape, hints, args = node
-        decl = sig.get(name) if sig is not None and type(name) is str else None
+        decl = (sig._by_name.get(name) if sig is not None and type(name) is str
+                else None)
         # _check_abs passes a head declared with this very shape, valence 0,
         # no hints and one argument per position: only other heads need it
         if (decl is None or decl.shape is not shape or hints or shape.valence
                 or len(args) != shape.arity):
             _check_abs(name, shape, hints, args, sig)
-        for p, a in zip(shape.binder_sets, args):
-            _check_node(a, depth + len(p), sig)
+        kids = zip(shape.binder_sets, args)
     else:
         raise MalformedTerm(f"{node!r} is not a term")
+    for p, a in kids:
+        # a variable with a name and no arguments passes the call below,
+        # with or without sig: it is checked here, with no frame
+        if not (type(a) is tuple and len(a) == 3 and type(a[0]) is str
+                and a[0] == "v" and type(a[1]) is str and a[1]
+                and type(a[2]) is tuple and not a[2]):
+            _check_node(a, depth + len(p), sig)
     return node
 
 

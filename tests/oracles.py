@@ -18,9 +18,11 @@ again in every propagation round.  The nameless substitution walkers
 (`subst_node_oracle`, `instantiate_oracle`, `lift_oracle`, `bind_oracle`,
 `settle_oracle`) are the package's as they stood before they kept
 unchanged sub-nodes: they build every node of their output again.
-`check_node_oracle` is the node check as it stood before its fast path
-for declared heads: it runs every check of `_check_abs` on every
-abstraction node.
+`check_node_oracle` is the node check as it stood before its fast paths
+for declared heads and for variable leaves: it runs every check of
+`_check_abs` on every abstraction node, and makes one call per sub-node.
+`StepParser` reads proof steps as the theory parser did before it read the
+common step forms off the token arrays.
 """
 from __future__ import annotations
 
@@ -78,10 +80,12 @@ from abslog.syntax import (
     KEYWORDS,
     OP_GLYPHS,
     ParseError,
+    ProofStep,
+    TheoryParser,
     Tokens,
     _placed,
 )
-from abslog.subst import _named, fresh_var
+from abslog.subst import Substitution, Template, _named, fresh_var
 from abslog.term import _check_abs, _check_var, encode, free_in
 
 _fresh = itertools.count()
@@ -502,6 +506,83 @@ class EncodingLevelParser(LevelParser):
         return t if self.depth else encode(t, list(self.frames), self.sig)
 
 
+class StepParser(TheoryParser):
+    """The theory parser with proof steps read as before they had a fast
+    path: every name through `_ident`, every punctuation token through
+    `expect`, and a substitution literal's bindings through `_list`."""
+
+    def _step(self) -> ProofStep:
+        p, kinds, values = self.terms, self.kinds, self.values
+        at = p.i
+        if kinds[at] != "ident":
+            raise p.error(f"expected step name, found {values[at]!r}")
+        p.i = at + 1
+        p.expect(":")
+        rule = self._ident("proof rule")
+        label = term = sigma = binder = claimed = None
+        refs: tuple[str, ...] = ()
+        if rule == "ax":
+            i = p.i
+            if kinds[i] == "ident" and values[i] in self.labels:
+                label = values[i]
+                p.i = i + 1
+            else:
+                term = p.term()
+        elif rule == "subst":
+            refs = (self._ident("premise step"),)
+            p.expect("{")
+            bindings: dict = {}
+            self._list("}", lambda: self._binding(bindings))
+            sigma = Substitution(bindings)
+        elif rule == "mp":
+            refs = (self._ident("premise step"), self._ident("premise step"))
+        elif rule == "all":
+            binder = self._ident("bound variable")
+            refs = (self._ident("premise step"),)
+        elif rule == "lemma":
+            label = self._ident("lemma name")
+        else:
+            raise p.error_at(at, f"unknown proof rule {rule!r}")
+        if values[p.i] == "==>":
+            p.i += 1
+            claimed = p.term()
+        return ProofStep(values[at], rule, label, term, sigma, refs, binder,
+                         claimed, self.tokens, at)
+
+    def _binding(self, out: dict) -> None:
+        p, values = self.terms, self.values
+        at = p.i
+        name = self._ident("variable name")
+        declared = None
+        if values[p.i] == "/":
+            p.i += 1
+            declared = self._num("expected an arity after /")
+        p.expect(":=")
+        if values[p.i] == "[":
+            p.i += 1
+            binders = []
+            while values[p.i] != ".":
+                binders.append(self._ident("template binder"))
+            p.i += 1
+            p.frames.append(tuple(binders))
+            body = p.term()
+            p.frames.pop()
+            p.expect("]")
+            with _placed(self.tokens, at):
+                tmpl = Template(tuple(binders), body)
+        else:
+            tmpl = Template((), p.term())
+        if declared is not None and declared != tmpl.arity:
+            raise p.error(
+                f"{name}/{declared} bound to a template of arity {tmpl.arity}",
+                "ArityMismatch")
+        key = name, tmpl.arity
+        if key in out:
+            raise p.error_at(at, f"{name}/{tmpl.arity} is bound twice in one "
+                             "substitution", "DuplicateBinding")
+        out[key] = tmpl
+
+
 def parse_term_oracle(text: str, sig) -> Term:
     parser = LevelParser(tokenize_oracle(text), sig)
     t = parser.term()
@@ -542,8 +623,9 @@ def check_wellformed_oracle(t: Term, sig) -> None:
 
 def check_node_oracle(node, depth: int, sig) -> tuple:
     """node, if it is a nameless term under `depth` binders, over sig when
-    given; else the TermError of its first bad sub-node, in pre-order."""
-    tag = node[0] if type(node) is tuple and node else None
+    given; else the TermError of its first bad sub-node, in pre-order.  A
+    tag must be exactly a str."""
+    tag = node[0] if type(node) is tuple and node and type(node[0]) is str else None
     if tag == "b" and len(node) == 2 and type(node[1]) is int:
         if not 0 <= node[1] < depth:
             raise MalformedTerm(f"bound index {node[1]} under {depth} binders")

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from itertools import product
@@ -43,6 +44,7 @@ from abslog.errors import (
     NotLogicSignature,
     SearchLimitOutOfRange,
     SearchSizeOutOfRange,
+    SearchTooDeep,
     TermTooDeep,
 )
 from abslog.logics import (
@@ -62,6 +64,7 @@ from abslog.logics import (
     v,
 )
 from abslog.subst import _named
+from abslog.term import encode
 
 from conftest import (BINDER_POOL, random_algebra, random_shape, random_signature,
                       random_term, random_valuation, size_cap)
@@ -216,6 +219,83 @@ def test_a_term_too_deep_to_evaluate_is_a_named_error():
         with pytest.raises(TermTooDeep) as err:
             walk()
         assert err.value.code == "TooDeep"
+
+
+def _with_limit(margin: int, call):
+    """call(), with the recursion limit `margin` frames above this one."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + margin)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_search_too_deep_to_branch_is_its_own_named_error():
+    """With the recursion limit a few dozen frames above the caller, the
+    search on D's shallow axioms at size 3 runs out of depth in its nested
+    branching choices: that is SearchTooDeep.  A deep term under the same
+    kind of limit is still TermTooDeep, and with room to spare the search
+    finds a model."""
+    d = builtin_logic("D")
+    search = lambda: find_models(d.signature, d.axiom_terms, 3)
+    assert len(_with_limit(300, search)) == 1
+    for margin in (20, 25, 30):
+        with pytest.raises(SearchTooDeep) as err:
+            _with_limit(margin, search)
+        assert err.value.code == "SearchTooDeep"
+        assert re.fullmatch(r"find_models: the search nests its branching choices "
+                            r"too deeply for the recursion limit \(\d+ levels\)",
+                            err.value.message)
+    chain = const(TRUE)
+    for _ in range(300):
+        chain = imp(v("A"), chain)
+    for margin in (100, 200):
+        with pytest.raises(TermTooDeep) as err:
+            _with_limit(margin, lambda: find_models(SIG_D, [chain], 2))
+        assert err.value.code == "TooDeep"
+
+
+def test_a_walker_too_deep_inside_the_search_is_a_term_too_deep(monkeypatch):
+    """A walker the search calls (here a stand-in for grounding a term too
+    deep for the recursion limit) that runs out of depth under few
+    branching choices is TermTooDeep, not SearchTooDeep."""
+    def deep(n):
+        return deep(n - 1) if n else 0
+
+    instances = algebra._instances
+
+    def deep_instances(*args):
+        deep(10 ** 6)
+        yield from instances(*args)
+
+    monkeypatch.setattr(algebra, "_instances", deep_instances)
+    d = builtin_logic("D")
+    with pytest.raises(TermTooDeep):
+        find_models(d.signature, d.axiom_terms, 3)
+
+
+def test_evaluation_reads_only_the_tables_its_term_uses(monkeypatch):
+    """eval_term reads no table of the model for a lone variable, and only
+    the tables of the heads a term uses, each once, from a model that
+    find_models returned."""
+    (model,) = find_models(SIG_K, [], 2)
+    reads = Counter()
+    packed = type(model.interp)
+    full = packed.__getitem__
+    monkeypatch.setattr(packed, "__getitem__",
+                        lambda self, name: reads.update([name]) or full(self, name))
+    for text, heads in [("A", {}), ("A -> B -> A", {IMP: 1}),
+                        ("(all x. x) -> A /\\ not B", {IMP: 1, ALL: 1, "∧": 1, "¬": 1}),
+                        ("true = false", {"=": 1, TRUE: 1, FALSE: 1})]:
+        reads.clear()
+        value = eval_term(model, Valuation(2), parse_term(text, SIG_K))
+        assert reads == heads, text
+        assert value == algebra._eval(algebra._tables(model), 2, Valuation(2),
+                                      encode(parse_term(text, SIG_K), []), ())
 
 
 def test_eval_depends_only_on_free_vars(rnd):
@@ -565,7 +645,11 @@ def test_evaluation_agrees_with_named_oracle():
         assert fvs == free_vars_oracle(t)
         shadowed += any(x in BINDER_POOL for x, _ in fvs)
         nu = random_valuation(rnd, size, fvs | {(x, 0) for x in BINDER_POOL})
-        assert eval_term(alg, nu, t) == eval_oracle(alg, nu, t), t
+        value = eval_term(alg, nu, t)
+        assert value == eval_oracle(alg, nu, t), t
+        # eval_term reads a table only once the term reaches its head
+        assert value == algebra._eval(algebra._tables(alg), size, nu,
+                                      encode(t, [], alg.signature), ()), t
         mapping = {}
         for name, arity in sorted(fvs):
             binders = tuple(rnd.sample(BINDER_POOL, arity))

@@ -431,10 +431,13 @@ def test_io_errors_exit_two(tmp_path, capsys, argv):
     files["ok"].write_text("logic D\n")
     files["broken"].write_text('{"carrier": ["T", "F"], ')
     files["deep"].write_text("logic D\naxiom Z: " + " -> ".join(["A"] * 1501) + "\n")
-    # parses, but its instance is too deep for the kernel's term walkers
-    files["tall"].write_text("logic D\naxiom Z: " + " -> ".join(["A"] * 700) + "\n"
+    # parses, but its instance is too deep for the kernel's term walkers:
+    # the template, 600 levels deep, goes in at the bottom of a 600-level
+    # chain, and each walker takes one frame per level, as the parser does
+    files["tall"].write_text("logic D\naxiom Z: " + "A -> " * 600 + "F[A]\n"
                              "theorem t: true\nproof\n  s1: ax Z\n"
-                             "  s2: subst s1 { A := true }\n  s3: ax D1\nqed\n")
+                             "  s2: subst s1 { F := [y. " + "y -> " * 600 + "y] }\n"
+                             "  s3: ax D1\nqed\n")
     assert main([a.format(**files) for a in argv]) == 2
     err = capsys.readouterr().err
     if "deep" in argv[1]:

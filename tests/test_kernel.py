@@ -172,6 +172,30 @@ def test_theorem_db():
         db.add("top", thm)
 
 
+def test_proof_nodes_are_immutable_and_equal_only_within_their_class():
+    """A proof node equals a node of its own class with equal fields, and
+    nothing else, not even a tuple of those fields; no attribute of it can
+    be set or deleted.  Each has the fields the fold and the benchmark's
+    tracer read (`sub`, `sub_h`, `sub_g`), and no other."""
+    ax = Ax("D1")
+    nodes = [ax, Lemma("D1"), Subst(None, Substitution({}), ax),
+             All(None, "x", ax), Mp(None, ax, ax)]
+    for i, node in enumerate(nodes):
+        again = type(node)(*node)
+        assert again == node and not again != node
+        assert type(node) is Subst or hash(again) == hash(node)
+        assert node != tuple(node) and tuple(node) != node
+        assert all(node != other for other in nodes[:i] + nodes[i + 1:])
+        for name in (node._fields[0], "line", "_fields"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert [f for f in ("sub", "sub_h", "sub_g") if hasattr(node, f)] == {
+            Subst: ["sub"], All: ["sub"], Mp: ["sub_h", "sub_g"]}.get(type(node), [])
+    assert Ax("D1") != Ax("D2") and Mp(None, ax, ax) != Mp(None, ax, Ax("D2"))
+
+
 def test_lemma_rule_and_logic_guard():
     db = TheoremDB()
     db.add("top", check_proof(D, Ax("D1")))

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from abslog import kernel
+from abslog import kernel, subst
 from abslog import (
     Abs,
     Substitution,
@@ -19,7 +19,7 @@ from abslog import (
     signature,
 )
 from abslog.errors import ArityMismatch, BadSubstitution, DuplicateBinder
-from abslog.logics import IMP, SIG_K, all_, builtin_logic, eq, imp, v
+from abslog.logics import IMP, SIG_K, TRUE, all_, builtin_logic, const, eq, imp, v
 from abslog.shape import BINOP_SHAPE
 from abslog.subst import (_bind, _instantiate, _lift, _named, _settle, _subst_node,
                           encode_template)
@@ -70,6 +70,30 @@ def test_malformed_substitution_is_a_named_error(mapping):
             use(mapping)
     with pytest.raises(BadSubstitution):
         Template(("x",), 5)
+
+
+class _Binders(tuple):
+    """A tuple of binder names, but not exactly a tuple."""
+
+
+_NODE = ("v", "x", ())
+
+
+@pytest.mark.parametrize("binders, body, error", [
+    ((), 5, BadSubstitution),
+    ((), ["v", "x", ()], BadSubstitution),
+    ([], _NODE, BadSubstitution),
+    (_Binders(), _NODE, BadSubstitution),
+    (("",), _NODE, BadSubstitution),
+    (("x", "x"), _NODE, DuplicateBinder),
+], ids=["int-body", "list-body", "list-binders", "tuple-subclass-binders",
+        "empty-binder", "repeated-binder"])
+def test_template_checks_hold_beside_the_fast_path(binders, body, error):
+    """A template with no binders and a node body, as the parser builds
+    for `x := term`, passes at once; each other template is checked."""
+    assert Template((), _NODE).body is _NODE
+    with pytest.raises(error):
+        Template(binders, body)
 
 
 def test_capture_avoidance_renames_binder():
@@ -252,6 +276,64 @@ def test_walkers_share_every_sub_node_they_leave_unchanged(rnd):
             _assert_shares(body, lifted, lambda n, d: (
                 k and n[0] == "b" and n[1] >= d))
     assert arities == {0, 1, 2} and renamed > 20
+
+
+class _Str(str):
+    """A name or tag that is a str, but not exactly one."""
+
+
+# leaves `_settle` keeps without a call, as the full walk keeps them
+_ODD_LEAVES = (("v", _Str("x"), ()), (_Str("v"), "x", ()), (_Str("b"), 0),
+               ("v", "", ()), ("v", "x", []), ("v", "x", ""), ("b", 10 ** 6))
+
+
+def _paths(node, path=()):
+    yield path, node
+    if node[0] != "b":
+        for i, a in enumerate(node[-1]):
+            yield from _paths(a, path + (i,))
+
+
+def _put(node, path, new):
+    """node with the sub-node at `path` replaced by `new`."""
+    if not path:
+        return new
+    i, args = path[0], node[-1]
+    return node[:-1] + (args[:i] + (_put(args[i], path[1:], new),) + args[i + 1:],)
+
+
+def test_settle_keeps_odd_leaves_as_the_full_walk_does(rnd):
+    """Random nodes with an odd leaf put in at each place below the root
+    (a name or tag that is a str subclass, an empty name, arguments that
+    are not a tuple, a bound index out of range) settle as the oracle
+    settles them, and the leaf comes back as itself."""
+    for _ in range(60):
+        node = encode(random_term(rnd, random_signature(rnd), depth=3), [])
+        for path, _ in _paths(node):
+            for leaf in _ODD_LEAVES if path else ():
+                m = _put(node, path, leaf)
+                got = _settle(m)
+                assert got == settle_oracle(m), m
+                for i in path:
+                    got = got[-1][i]
+                assert got is leaf
+
+
+def test_settle_makes_no_call_for_a_leaf(monkeypatch):
+    """Below the root, `_settle` calls itself on every sub-node but a bound
+    index or a node with no arguments."""
+    calls = []
+    full = subst._settle
+    monkeypatch.setattr(subst, "_settle",
+                        lambda node, *rest: calls.append(node) or full(node, *rest))
+    x, y = v("x"), v("y")
+    node = encode(all_("x", all_("y", imp(imp(x, v("A", v("B"))),
+                                          imp(const(TRUE), y)))), [])
+    assert ("b", 1) in [sub for _, sub in _paths(node)]
+    assert full(node) is node
+    subs = [sub for _, sub in _paths(node)][1:]
+    assert calls == [sub for sub in subs if not (sub[0] == "b" or not sub[-1])]
+    assert 0 < len(calls) < len(subs)
 
 
 def test_unchanged_is_decided_by_identity():

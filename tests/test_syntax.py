@@ -21,6 +21,7 @@ from abslog.syntax import ParseError, tokenize
 from conftest import BINDER_POOL, random_signature, random_term
 from oracles import (
     EncodingLevelParser,
+    StepParser,
     parse_term_oracle,
     token_positions_oracle,
     tokenize_oracle,
@@ -323,6 +324,98 @@ def test_front_end_matches_oracle(rnd, monkeypatch):
         m.setattr(syntax, "tokenize", tokenize_oracle)
         m.setattr(syntax, "TermParser", EncodingLevelParser)
         assert [_theory_outcome(text) for text in texts + edited] == ours
+
+
+_RULES = ("ax", "subst", "mp", "all", "lemma")
+
+
+def _step_edits(line):
+    """Edits of one proof step line, `name: rule ...`, by the mistakes a
+    writer makes: a premise, `:`, `:=`, `{` or `}` left out, a bare or a
+    misplaced `==>`, a rule unknown or swapped for another, a number for
+    a name, an `/arity` added, a binding repeated."""
+    name, _, rest = line.partition(":")
+    words = rest.split()
+    edits = [name + rest, f"{name}: frob {' '.join(words[1:])}",
+             line.replace(name.strip(), "12", 1),
+             line + " ==>", line.split("==>")[0] + "==>", f"{name}: ==> {rest}",
+             f"{name}:{rest.replace(words[0], '', 1)}"]
+    edits += [f"{name}: {other} {' '.join(words[1:])}"
+              for other in _RULES if other != words[0]]
+    if len(words) > 1:
+        edits.append(f"{name}: {words[0]} {' '.join(words[2:])}")
+        edits.append(f"{name}: {words[0]} 12 {' '.join(words[2:])}")
+    if len(words) > 2:
+        edits.append(f"{name}: {words[0]} {words[1]} {' '.join(words[3:])}")
+        edits.append(f"{name}: {words[0]} {words[1]} 12 {' '.join(words[3:])}")
+    for token in (":=", "{", "}", ","):
+        if token in line:
+            i = line.index(token) if token != "}" else line.rindex(token)
+            edits.append(line[:i] + line[i + len(token):])
+    if ":=" in line:
+        edits += [line.replace(" :=", arity + " :=", 1)
+                  for arity in ("/0", "/1", "/", "/x")]
+        edits.append(re.sub(r"[\w′]+ :=", "12 :=", line, count=1))
+        start = line.index("{") + 1
+        end = min(i for i in (line.find(",", start), line.find("}", start)) if i > 0)
+        edits.append(line[:start] + line[start:end] + "," + line[start:])
+        edits.append(line[:start] + " X := [y. y]," + line[start:])
+    return edits
+
+
+def test_step_edits_match_oracle(rnd, monkeypatch):
+    """Proof steps read off the token arrays equal the steps the general
+    path reads, through the oracle tokenizer and term parser: on the
+    corpus, and on seeded edits of its step lines, every result and every
+    error (type, code, message, line and column) agree."""
+    from pathlib import Path
+    corpus = Path(__file__).parent.parent / "src" / "abslog" / "corpus"
+    texts = [path.read_text() for path in sorted(corpus.glob("*.al"))]
+    edited = []
+    for rule in _RULES:  # every edit of up to two step lines of each rule
+        steps = [(lines, i) for lines in (text.split("\n") for text in texts)
+                 for i, line in enumerate(lines) if re.match(rf"\s+\w+: {rule}\b", line)]
+        for lines, at in rnd.sample(steps, min(2, len(steps))):
+            for line in _step_edits(lines[at]) + [_mangle(rnd, lines[at])
+                                                  for _ in range(4)]:
+                edited.append("\n".join(lines[:at] + [line] + lines[at + 1:]))
+    ours = [_theory_outcome(text) for text in texts + edited]
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "tokenize", tokenize_oracle)
+        m.setattr(syntax, "TermParser", EncodingLevelParser)
+        m.setattr(syntax, "TheoryParser", StepParser)
+        assert [_theory_outcome(text) for text in texts + edited] == ours
+    failed = [outcome for outcome in ours if type(outcome[0]) is str]
+    assert len(ours) - len(failed) > 5 and len({o[:3] for o in failed}) > 40
+    assert {o[1] for o in failed} >= {"SyntaxError", "ArityMismatch", "DuplicateBinding"}
+
+
+def test_parsed_steps_and_blocks_are_immutable_values():
+    """A proof step and a theorem block cannot be changed, equal only an
+    item of their own class, and compare without `tokens` and `at`: the
+    same theorem written at another place in another file is equal.  Their
+    line and column are worked out when read, not when parsed or compared."""
+    text = ("theorem t: A -> B -> A\nproof\n"
+            "  s1: ax D2\n  s2: subst s1 { B := A }\nqed\n")
+    files = [parse_theory("logic D\n" + text),
+             parse_theory("logic D # moved\ntheorem u: true proof s1: ax D1 qed\n\n"
+                          + text.replace("  s", "\ts"))]
+    (block, step), (other, other_step) = [(f.theorems[-1], f.theorems[-1].steps[0])
+                                          for f in files]
+    assert block == other and step == other_step and hash(step) == hash(other_step)
+    assert block.at != other.at and step.at != other_step.at
+    assert block.tokens is files[0].tokens and other.tokens is files[1].tokens
+    assert all(f.tokens._starts is None for f in files)
+    assert (step.line, step.col, other_step.line, other_step.col) == (4, 3, 6, 2)
+    assert all(f.tokens._starts is not None for f in files)
+    assert block.steps[1] != block.steps[0] and step != tuple(step) != step
+    assert step._replace(tokens=None, at=0) == step != step._replace(label="D1")
+    for item in (block, step):
+        for name in ("name", "tokens", "at", "line", "other"):
+            with pytest.raises(AttributeError):
+                setattr(item, name, None)
+            with pytest.raises(AttributeError):
+                delattr(item, name)
 
 
 # pieces of texts that tokenize: tokens with a glyph or a prime, every

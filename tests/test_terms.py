@@ -242,21 +242,35 @@ def _head_mutants(node):
     yield ("A", "nope", shape, hints, args)
 
 
+class _Str(str):
+    """A name or tag that is a str, but not exactly one."""
+
+
+# sub-nodes that look like a variable with no arguments, each wrong in one
+# way: the node check takes such a leaf without a call only when it is one
+_ODD_LEAVES = (("v", _Str("x"), ()), (_Str("v"), "x", ()), ("v", "", ()),
+               ("v", 5, ()), ("v", "x", []), ("v", "x", ""), ("v", "x", (), ()),
+               ["v", "x", ()], ("b", "x", ()), ("A", "x", ()),
+               ("v", "x", (("b", 10 ** 6),)))
+
+
 def test_node_check_fast_path_agrees_with_the_full_walk(rnd):
     """`_check_node` skips `_check_abs` only at a head its signature
     declares with that very shape, of valence 0, with no hints and one
-    argument per position.  On random nodes, and on mutants of each of
-    their sub-nodes (a shape equal to the declared one but another
-    object, hints added or dropped, an argument too many or too few,
-    another declared name's kind of shape, a head that is not a string or
-    not declared, a bound index out of range), with the signature and
-    without one, it gives the full walk's node or its error class, code
-    and message."""
+    argument per position, and checks a named variable with no arguments
+    without a call.  On random nodes, and on mutants of each of their
+    sub-nodes (a shape equal to the declared one but another object,
+    hints added or dropped, an argument too many or too few, another
+    declared name's kind of shape, a head that is not a string or not
+    declared, a bound index out of range, a leaf with a name or tag that
+    is a str subclass, an empty name or arguments that are not a tuple),
+    with the signature and without one, it gives the full walk's node or
+    its error class, code and message."""
     for _ in range(100):
         sig = rnd.choice([SIG_D, AB_SIG, random_signature(rnd)])
         node = encode(random_term(rnd, sig), [])
         for path, sub in _node_paths(node):
-            mutants = [sub, ("b", 10 ** 6)]
+            mutants = [sub, ("b", 10 ** 6), *_ODD_LEAVES]
             if sub[0] == "A":
                 mutants += _head_mutants(sub)
             for new in mutants:
@@ -264,6 +278,23 @@ def test_node_check_fast_path_agrees_with_the_full_walk(rnd):
                 for s in (sig, None):
                     want = _outcome(lambda: check_node_oracle(m, 0, s))
                     assert _outcome(lambda: _check_node(m, 0, s)) == want, m
+
+
+def test_node_check_makes_no_call_for_a_variable_leaf(monkeypatch):
+    """Below the root, `_check_node` calls itself on every sub-node but a
+    variable with a name and no arguments."""
+    calls = []
+    full = term._check_node
+    monkeypatch.setattr(term, "_check_node",
+                        lambda node, *rest: calls.append(node) or full(node, *rest))
+    x = v("x")
+    node = encode(all_("x", imp(imp(x, v("A", v("B"))), imp(v("C"), x))), [])
+    for sig in (SIG_D, None):
+        calls.clear()
+        assert full(node, 0, sig) is node
+        subs = [sub for _, sub in _node_paths(node)][1:]
+        assert calls == [sub for sub in subs if not (sub[0] == "v" and not sub[2])]
+        assert 0 < len(calls) < len(subs)
 
 
 def test_node_check_skips_the_full_check_at_declared_heads(monkeypatch):
