@@ -457,7 +457,9 @@ def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int],
         p = pos[name, len(args)]
         if not args:
             return lambda tables, env: tables[p][0]
-        kids = [_grounder(a, pos, bases, size, top) for a in args]
+        kids = []
+        for a in args:  # no comprehension: one frame per level, as _node_size
+            kids.append(_grounder(a, pos, bases, size, top))
 
         def ground_var(tables, env):
             ground, row = [], 0  # row is None once a kid is not a value
@@ -667,15 +669,16 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
         _solve(chain(conditions, _instances(nodes, bases, size, top)),
                cells, size, limit, found)
     except RecursionError as e:
-        # one _solve frame per branching choice; a term too deep for the
-        # walkers the search calls is the decorator's TermTooDeep
-        codes = [frame.f_code for frame, _ in walk_tb(e.__traceback__)]
-        depth = codes.count(_solve.__code__)
-        if 2 * depth > len(codes):
-            raise SearchTooDeep(
-                f"find_models: the search nests its branching choices too "
-                f"deeply for the recursion limit ({depth} levels)") from None
-        raise
+        # _node_size has walked every axiom from this frame, and the walkers
+        # the search calls (free_in, _grounder and its closures, _value)
+        # take no more frames per level of a term than it does.  So past
+        # the first _solve call and _instances, the frames that run the
+        # search out of depth are its own, one per branching choice
+        depth = sum(frame.f_code is _solve.__code__
+                    for frame, _ in walk_tb(e.__traceback__))
+        raise SearchTooDeep(
+            f"find_models: the search, {depth} branching choices deep, nests "
+            f"too deeply for the recursion limit") from None
     # cells no constraint read are free; they take value 0
     return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(
                 sig, size, bases, bytes(found_cells.get(c, 0) for c in range(size, end))))

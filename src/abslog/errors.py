@@ -121,8 +121,9 @@ class TermTooDeep(AlgebraError):
 
 
 class SearchTooDeep(AlgebraError):
-    """A model search that branched on more cells, one nested call each,
-    than the recursion limit allows, on terms shallow enough to walk."""
+    """A model search that ran out of depth after its axioms were walked:
+    its branching choices, one nested call each, with the walks of terms
+    it makes under them, reach past the recursion limit."""
     code = "SearchTooDeep"
 
 

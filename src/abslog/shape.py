@@ -94,7 +94,11 @@ class Signature:
             if d.name in by_name:
                 raise DuplicateAbstraction(f"abstraction {d.name!r} declared twice")
             by_name[d.name] = d
-        object.__setattr__(self, "_by_name", MappingProxyType(by_name))
+        table = MappingProxyType(by_name)
+        object.__setattr__(self, "_by_name", table)
+        if type(self).get is Signature.get:
+            # the table's own lookup: no Python frame per name looked up
+            object.__setattr__(self, "get", table.get)
 
     def __reduce__(self):  # the view does not pickle: build it, and check, again
         return Signature, (self.decls,)

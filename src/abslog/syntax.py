@@ -10,9 +10,8 @@ elsewhere use the parenthesized form `(all x. t)`.  Both ASCII spellings
 and the glyphs are accepted; the printer emits ASCII unless asked.
 
 A written term enters the nameless form of term.py here: the term parser
-builds nodes, resolving each name against the binders in scope and each
-head against the signature's read-only name table.  A file's axioms and
-proof terms stay nodes; `parse_term` names its node.
+builds nodes, resolving each name against the binders in scope.  A file's
+axioms and proof terms stay nodes; `parse_term` names its node.
 
 `tokenize` returns `Tokens`: parallel arrays of kinds and values, from one
 `findall` of one regex, with no offsets.  A proof step, a block, a model
@@ -21,12 +20,11 @@ column are worked out when read: the first `Tokens.position` call scans
 the text again with the same regex for every token's offset, and each
 call bisects the offsets where lines start.  So a file that parses and
 checks cleanly never works out an offset.  Both parsers read the arrays
-through one shared index.  A proof step reads its common forms (`name:
-rule`, the premises of `mp` and `subst`, each `NAME := term` binding)
-straight off the arrays, and leaves any other token to the general path,
-which raises each error at its token.  A step and a theorem block are
-tuples of their fields (`_Parsed`), so building one costs no call per
-field.
+through one shared index.  A proof step checks its names and punctuation
+(`name: rule`, the premises of `mp` and `subst`, each `NAME := term`
+binding) on the arrays themselves, and raises each error at its token as
+`_ident` and `expect` would.  A step and a theorem block are tuples of
+their fields (`_Parsed`), so building one costs no call per field.
 """
 from __future__ import annotations
 
@@ -202,16 +200,6 @@ class TermParser:
         self.sig = sig
         self.frames: list[tuple[str, ...]] = []  # binders in scope, outermost first
 
-    @property
-    def sig(self) -> Signature:
-        return self._sig
-
-    @sig.setter
-    def sig(self, sig: Signature) -> None:
-        # `decl` reads the signature's read-only name table, with no
-        # Python frame per lookup
-        self._sig, self.decl = sig, sig._by_name.get
-
     # cold paths: errors and the rare constructs
     def error_at(self, i: int, message: str, code=None) -> ParseError:
         return ParseError(message, *self.tokens.position(i), code)
@@ -232,9 +220,9 @@ class TermParser:
         self.i += 1
 
     def resolve(self, name: str) -> AbstractionDecl | None:
-        d = self.decl(name)
+        d = self.sig.get(name)
         if d is None and name in ALIAS:
-            d = self.decl(ALIAS[name])
+            d = self.sig.get(ALIAS[name])
         return d
 
     def _undeclared(self, token: str, name: str) -> ParseError:
@@ -265,7 +253,7 @@ class TermParser:
         values = self.values
         if level <= _NOT and values[self.i] in ("not", "¬"):
             self.i += 1
-            d = self.decl("¬")
+            d = self.sig.get("¬")
             if d is None:
                 raise self._undeclared("not", "¬")
             left = ("A", d.name, d.shape, (), (self._level(_NOT),))
@@ -277,7 +265,7 @@ class TermParser:
                and level <= op[1] < ceiling):
             name, op_level, assoc = op
             self.i += 1
-            d = self.decl(name)
+            d = self.sig.get(name)
             if d is None:
                 raise self._undeclared(token, name)
             right = self._level(op_level + (assoc != "right"))
@@ -292,9 +280,9 @@ class TermParser:
             return self._parens()
         if self.kinds[i] == "ident" and value not in KEYWORDS:
             self.i = i + 1
-            d = self.decl(value)  # resolve(value), inlined
+            d = self.sig.get(value)  # resolve(value), inlined
             if d is None and value in ALIAS:
-                d = self.decl(ALIAS[value])
+                d = self.sig.get(ALIAS[value])
             if d is not None:
                 return self._abs_atom(i, d)
             if self.values[i + 1] == "[":
@@ -456,20 +444,24 @@ class _AtToken:
 
 
 class _Parsed(_AtToken):
-    """A parsed item held as the tuple of its fields, `tokens` and `at`
-    last: immutable, built without a call per field, and equal only to an
-    item of its own class whose fields other than `tokens` and `at` are
-    equal."""
+    """A parsed item held as the tuple of its fields: immutable, built
+    without a call per field, and equal only to an item of its own class
+    whose fields other than `tokens` and `at` are equal."""
     __slots__ = ()
 
+    def _value(self) -> tuple:
+        """The fields other than `tokens` and `at`, which come in a row."""
+        i = self._fields.index("tokens")
+        return self[:i] + self[i + 2:]
+
     def __eq__(self, other):
-        return type(other) is type(self) and self[:-2] == other[:-2]
+        return type(other) is type(self) and self._value() == other._value()
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        return hash(self[:-2])
+        return hash(self._value())
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
@@ -478,8 +470,8 @@ class _Parsed(_AtToken):
 
 
 class ProofStep(_Parsed, namedtuple("ProofStep", (
-        "name", "rule", "label", "term", "sigma", "refs", "binder", "claimed",
-        "tokens", "at"))):
+        "name", "rule", "tokens", "at", "label", "term", "sigma", "refs",
+        "binder", "claimed"), defaults=(None, None, None, (), None, None))):
     """One step of a proof, `at` the token of its name.  `rule` is "ax",
     "subst", "mp", "all" or "lemma"; `label` the axiom label of an `ax`
     step that cites one, or a lemma's name; `term` the literal of any other
@@ -637,11 +629,15 @@ class TheoryParser:
                           tuple(self.theorems), tuple(self.models),
                           self.tokens, self.labels)
 
+    def _expected(self, i: int, what: str) -> ParseError:
+        """The error at token `i`, where `what` was expected."""
+        return self.terms.error_at(i, f"expected {what}, found {self.values[i]!r}")
+
     def _ident(self, what: str) -> str:
         p = self.terms
         i = p.i
         if self.kinds[i] != "ident":
-            raise p.error(f"expected {what}, found {self.values[i]!r}")
+            raise self._expected(i, what)
         p.i = i + 1
         return self.values[i]
 
@@ -699,23 +695,21 @@ class TheoryParser:
         return TheoremBlock(name, node, tuple(steps), self.tokens, head)
 
     def _step(self) -> ProofStep:
-        """One proof step.  `name: rule`, the premises of `mp` and `subst`
-        and each `NAME := term` binding are read off the token arrays; where
-        a token is not the one expected, the general path reads it, and
-        raises its error there.  A token after an ident or an operator is
-        never past eof."""
+        """One proof step.  Its tokens up to the first term are read off the
+        token arrays, each checked where `_ident` or `expect` would check it
+        and raising the error they would raise at that token.  A token after
+        an ident or a literal is never past eof."""
         p, kinds, values = self.terms, self.kinds, self.values
-        at = i = p.i
-        if kinds[i] == "ident" and values[i + 1] == ":" and kinds[i + 2] == "ident":
-            rule = values[i + 2]
-            p.i = i = i + 3
-        else:
-            if kinds[at] != "ident":
-                raise p.error(f"expected step name, found {values[at]!r}")
-            p.i = at + 1
-            p.expect(":")
-            rule = self._ident("proof rule")
-            i = p.i
+        at = p.i
+        if kinds[at] != "ident":
+            raise self._expected(at, "step name")
+        if values[at + 1] != ":":
+            raise self._expected(at + 1, "':'")
+        i = at + 2
+        if kinds[i] != "ident":
+            raise self._expected(i, "proof rule")
+        rule = values[i]
+        p.i = i = i + 1
         label = term = sigma = binder = claimed = None
         refs: tuple[str, ...] = ()
         if rule == "ax":
@@ -725,21 +719,22 @@ class TheoryParser:
             else:
                 term = p.term()
         elif rule == "subst":
-            if kinds[i] == "ident" and values[i + 1] == "{":
-                refs = (values[i],)
-                p.i = i + 2
-            else:
-                refs = (self._ident("premise step"),)
-                p.expect("{")
+            if kinds[i] != "ident":
+                raise self._expected(i, "premise step")
+            if values[i + 1] != "{":
+                raise self._expected(i + 1, "'{'")
+            refs = (values[i],)
+            p.i = i + 2
             bindings: dict[tuple[str, int], Template] = {}
             self._list("}", self._binding, bindings)
             sigma = Substitution(bindings)
         elif rule == "mp":
-            if kinds[i] == "ident" and kinds[i + 1] == "ident":
-                refs = (values[i], values[i + 1])
-                p.i = i + 2
-            else:
-                refs = (self._ident("premise step"), self._ident("premise step"))
+            if kinds[i] != "ident":
+                raise self._expected(i, "premise step")
+            if kinds[i + 1] != "ident":
+                raise self._expected(i + 1, "premise step")
+            refs = (values[i], values[i + 1])
+            p.i = i + 2
         elif rule == "all":
             binder = self._ident("bound variable")
             refs = (self._ident("premise step"),)
@@ -750,8 +745,8 @@ class TheoryParser:
         if values[p.i] == "==>":
             p.i += 1
             claimed = p.term()
-        return ProofStep(values[at], rule, label, term, sigma, refs, binder,
-                         claimed, self.tokens, at)
+        return ProofStep(values[at], rule, self.tokens, at, label, term,
+                         sigma, refs, binder, claimed)
 
     def _model(self) -> ModelBlock:
         p = self.terms
@@ -795,41 +790,40 @@ class TheoryParser:
     def _binding(self, out: dict[tuple[str, int], Template]) -> None:
         """One `name[/arity] := template` entry of a substitution literal,
         added to `out`; a key already there is an error at this entry.  The
-        common `NAME := term` is read off the token arrays."""
+        name and `:=` are checked on the token arrays, as `_step` checks."""
         p, values = self.terms, self.values
         at = p.i
-        if (self.kinds[at] == "ident" and values[at + 1] == ":="
-                and values[at + 2] != "["):
-            name = values[at]
-            p.i = at + 2
-            tmpl = Template((), p.term())
-            key = name, 0
+        if self.kinds[at] != "ident":
+            raise self._expected(at, "variable name")
+        name = values[at]
+        p.i = i = at + 1
+        declared = None
+        if values[i] == "/":
+            p.i += 1
+            declared = self._num("expected an arity after /")
+            i = p.i
+        if values[i] != ":=":
+            raise self._expected(i, "':='")
+        p.i = i = i + 1
+        if values[i] == "[":
+            p.i += 1
+            binders = []
+            while values[p.i] != ".":
+                binders.append(self._ident("template binder"))
+            p.i += 1
+            p.frames.append(tuple(binders))
+            body = p.term()
+            p.frames.pop()
+            p.expect("]")
+            with _placed(self.tokens, at):
+                tmpl = Template(tuple(binders), body)
         else:
-            name = self._ident("variable name")
-            declared = None
-            if values[p.i] == "/":
-                p.i += 1
-                declared = self._num("expected an arity after /")
-            p.expect(":=")
-            if values[p.i] == "[":
-                p.i += 1
-                binders = []
-                while values[p.i] != ".":
-                    binders.append(self._ident("template binder"))
-                p.i += 1
-                p.frames.append(tuple(binders))
-                body = p.term()
-                p.frames.pop()
-                p.expect("]")
-                with _placed(self.tokens, at):
-                    tmpl = Template(tuple(binders), body)
-            else:
-                tmpl = Template((), p.term())
-            if declared is not None and declared != tmpl.arity:
-                raise p.error(
-                    f"{name}/{declared} bound to a template of arity {tmpl.arity}",
-                    "ArityMismatch")
-            key = name, tmpl.arity
+            tmpl = Template((), p.term())
+        if declared is not None and declared != tmpl.arity:
+            raise p.error(
+                f"{name}/{declared} bound to a template of arity {tmpl.arity}",
+                "ArityMismatch")
+        key = name, tmpl.arity
         if key in out:
             raise p.error_at(at, f"{name}/{tmpl.arity} is bound twice in one "
                              "substitution", "DuplicateBinding")

@@ -142,8 +142,7 @@ def _check_node(node, depth: int, sig: Signature | None) -> DeBruijnTerm:
     elif (tag == "A" and len(node) == 5 and type(node[3]) is tuple
           and type(node[4]) is tuple):
         _, name, shape, hints, args = node
-        decl = (sig._by_name.get(name) if sig is not None and type(name) is str
-                else None)
+        decl = sig.get(name) if sig is not None and type(name) is str else None
         # _check_abs passes a head declared with this very shape, valence 0,
         # no hints and one argument per position: only other heads need it
         if (decl is None or decl.shape is not shape or hints or shape.valence

@@ -507,9 +507,9 @@ class EncodingLevelParser(LevelParser):
 
 
 class StepParser(TheoryParser):
-    """The theory parser with proof steps read as before they had a fast
-    path: every name through `_ident`, every punctuation token through
-    `expect`, and a substitution literal's bindings through `_list`."""
+    """The theory parser with proof steps read through its helpers: every
+    name through `_ident`, every punctuation token through `expect`, and a
+    substitution literal's bindings through `_list` and a lambda."""
 
     def _step(self) -> ProofStep:
         p, kinds, values = self.terms, self.kinds, self.values
@@ -546,8 +546,8 @@ class StepParser(TheoryParser):
         if values[p.i] == "==>":
             p.i += 1
             claimed = p.term()
-        return ProofStep(values[at], rule, label, term, sigma, refs, binder,
-                         claimed, self.tokens, at)
+        return ProofStep(values[at], rule, self.tokens, at, label, term,
+                         sigma, refs, binder, claimed)
 
     def _binding(self, out: dict) -> None:
         p, values = self.terms, self.values

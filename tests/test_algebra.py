@@ -234,6 +234,10 @@ def _with_limit(margin: int, call):
         sys.setrecursionlimit(limit)
 
 
+_SEARCH_TOO_DEEP = (r"find_models: the search, (\d+) branching choices deep, "
+                    r"nests too deeply for the recursion limit")
+
+
 def test_a_search_too_deep_to_branch_is_its_own_named_error():
     """With the recursion limit a few dozen frames above the caller, the
     search on D's shallow axioms at size 3 runs out of depth in its nested
@@ -247,9 +251,7 @@ def test_a_search_too_deep_to_branch_is_its_own_named_error():
         with pytest.raises(SearchTooDeep) as err:
             _with_limit(margin, search)
         assert err.value.code == "SearchTooDeep"
-        assert re.fullmatch(r"find_models: the search nests its branching choices "
-                            r"too deeply for the recursion limit \(\d+ levels\)",
-                            err.value.message)
+        assert re.fullmatch(_SEARCH_TOO_DEEP, err.value.message)
     chain = const(TRUE)
     for _ in range(300):
         chain = imp(v("A"), chain)
@@ -259,23 +261,47 @@ def test_a_search_too_deep_to_branch_is_its_own_named_error():
         assert err.value.code == "TooDeep"
 
 
-def test_a_walker_too_deep_inside_the_search_is_a_term_too_deep(monkeypatch):
-    """A walker the search calls (here a stand-in for grounding a term too
-    deep for the recursion limit) that runs out of depth under few
-    branching choices is TermTooDeep, not SearchTooDeep."""
-    def deep(n):
-        return deep(n - 1) if n else 0
-
-    instances = algebra._instances
-
-    def deep_instances(*args):
-        deep(10 ** 6)
-        yield from instances(*args)
-
-    monkeypatch.setattr(algebra, "_instances", deep_instances)
+def test_a_search_and_a_term_each_within_the_limit_are_search_too_deep():
+    """D's axioms at size 3 and a 25-level ⇒ chain ending in a ∀: under
+    these limits the search on either alone finds a model, but the search
+    on both walks the chain under many branching choices and runs out of
+    depth, which is SearchTooDeep, not a term too deep."""
     d = builtin_logic("D")
-    with pytest.raises(TermTooDeep):
-        find_models(d.signature, d.axiom_terms, 3)
+    chain = parse_term("all x. A", d.signature)
+    for _ in range(25):
+        chain = imp(v("A"), chain)
+    for margin in (46, 52):
+        for axioms in (d.axiom_terms, [chain]):
+            assert len(_with_limit(margin, lambda: find_models(
+                d.signature, axioms, 3))) == 1
+        with pytest.raises(SearchTooDeep) as err:
+            _with_limit(margin, lambda: find_models(
+                d.signature, d.axiom_terms + (chain,), 3))
+        assert int(re.fullmatch(_SEARCH_TOO_DEEP, err.value.message)[1]) > 10
+    assert len(_with_limit(80, lambda: find_models(
+        d.signature, d.axiom_terms + (chain,), 3))) == 1
+
+
+@pytest.mark.parametrize("head", ["⇒", "F"])
+def test_the_search_walks_a_term_in_the_frames_find_models_checks(head):
+    """find_models blames a RecursionError in the search on its branching
+    because the walkers the search calls take no more frames per level of
+    a term than _node_size took on it: a 150-level node that gets past
+    find_models' own walks is searched within a few more frames.  A walker
+    with a frame per comprehension (two per level) would need 150 more."""
+    node = ("v", "A", ())
+    for _ in range(150):
+        node = (("A", IMP, SIG_D.get(IMP).shape, (), (("v", "A", ()), node))
+                if head == IMP else ("v", "F", (node,)))
+    outcomes = {}
+    for margin in range(140, 180):
+        try:
+            _with_limit(margin, lambda: find_models(SIG_D, [node], 2))
+            outcomes.setdefault("ok", margin)
+        except (TermTooDeep, SearchTooDeep) as e:
+            outcomes.setdefault(type(e).__name__, margin)
+    past_checks = min(outcomes.get("SearchTooDeep", 999), outcomes["ok"])
+    assert outcomes["TermTooDeep"] == 140 and outcomes["ok"] - past_checks <= 3
 
 
 def test_evaluation_reads_only_the_tables_its_term_uses(monkeypatch):

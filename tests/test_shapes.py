@@ -84,6 +84,19 @@ def test_signature_table_is_read_only():
     assert "nope" not in SIG_D
     for again in (copy.copy(SIG_D), pickle.loads(pickle.dumps(SIG_D))):
         assert again == SIG_D and again.get("⇒") == SIG_D.get("⇒")
+    with pytest.raises(AttributeError):  # `get` is the table's own lookup
+        SIG_D.get = lambda name: None
+
+
+def test_a_signature_subclass_keeps_its_own_lookup():
+    """A Signature answers `get` with its name table's own lookup, unless
+    a subclass defines `get`: then that is what answers."""
+    class Open(Signature):
+        def get(self, name):
+            return super().get(name) or super().get("⇒")
+
+    assert SIG_D.get("nope") is None and "nope" not in SIG_D
+    assert Open(SIG_D.decls).get("nope") == SIG_D.get("⇒") and "nope" in Open(SIG_D.decls)
 
 
 def test_signature_takes_only_plain_declarations():

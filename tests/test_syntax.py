@@ -16,7 +16,7 @@ from abslog import (
 from abslog.logics import AND, SIG_D, SIG_K, all_, imp, neg, op2, v
 from abslog import syntax
 from abslog.errors import AbslogError
-from abslog.syntax import ParseError, tokenize
+from abslog.syntax import ParseError, ProofStep, tokenize
 
 from conftest import BINDER_POOL, random_signature, random_term
 from oracles import (
@@ -410,6 +410,12 @@ def test_parsed_steps_and_blocks_are_immutable_values():
     assert all(f.tokens._starts is not None for f in files)
     assert block.steps[1] != block.steps[0] and step != tuple(step) != step
     assert step._replace(tokens=None, at=0) == step != step._replace(label="D1")
+    # built as ever: name, rule, tokens, at, then the fields a rule uses
+    assert ProofStep("s1", "ax", None, 0, "D2") == step == ProofStep(
+        "s1", "ax", tokens=None, at=0, label="D2")
+    assert (ProofStep("s", "mp", None, 0, refs=("a", "b"))[4:]
+            == (None, None, None, ("a", "b"), None, None))
+    assert repr(step).startswith("ProofStep(name='s1', rule='ax', at=")
     for item in (block, step):
         for name in ("name", "tokens", "at", "line", "other"):
             with pytest.raises(AttributeError):
