@@ -29,7 +29,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, wraps
 from itertools import chain, product
-from traceback import walk_tb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -50,7 +49,6 @@ from .errors import (
     NotLogicSignature,
     SearchLimitOutOfRange,
     SearchSizeOutOfRange,
-    SearchTooDeep,
     SpecKindMismatch,
     StrayInterpretation,
     TermError,
@@ -458,7 +456,7 @@ def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int],
         if not args:
             return lambda tables, env: tables[p][0]
         kids = []
-        for a in args:  # no comprehension: one frame per level, as _node_size
+        for a in args:
             kids.append(_grounder(a, pos, bases, size, top))
 
         def ground_var(tables, env):
@@ -539,13 +537,13 @@ def _instances(nodes: Iterable[DeBruijnTerm], bases: Mapping[str, int],
                 yield g, must_hold, None, None, None
 
 
-def _solve(cs: Iterable, cells: dict[int, int], size: int, limit: int,
-           found: list[dict[int, int]]) -> None:
-    """Propagate: drop satisfied constraints, intersect the viable values
-    of every read-but-unassigned cell, assign forced cells; then branch on
-    a cell with the fewest viable values, trying them in ascending order.
-    The cells this call assigns are on the trail, and are unassigned when
-    it returns.  A set of values is a bitmask: value u is bit 1 << u.
+def _propagate(cs: Iterable, cells: dict[int, int], size: int,
+               trail: list[int]) -> tuple[list, dict[int, int]] | None:
+    """One search node: drop satisfied constraints, intersect the viable
+    values of every read-but-unassigned cell, assign forced cells (each
+    appended to trail), and repeat until a round forces none.  None on a
+    conflict, else the constraints left and the viable values of the cells
+    they wait on.  A set of values is a bitmask: value u is bit 1 << u.
 
     A constraint is (ground term, allowed values, k, ok, blockers), its
     status the last three.  After a read, k is the first cell it reads
@@ -556,73 +554,88 @@ def _solve(cs: Iterable, cells: dict[int, int], size: int, limit: int,
     over ok alone (a value that made the constraint false still does), and
     only once a blocker has a value.  Until then ok, cut to the values of
     k still viable this round, is what the look-ahead would find.  Each
-    round passes the statuses on in the list it builds, which the children
-    start from, so returning drops a subtree's statuses with its cells.
-    cs is read once per round, so it may be an iterator that grounds
-    constraints, with no status yet (k, ok and blockers None), as the
-    first round reaches them."""
-    if len(found) >= limit:
-        return
-    trail: list[int] = []
+    round passes the statuses on in the list it builds.  cs is read once
+    per round, so it may be an iterator that grounds constraints, with no
+    status yet (k, ok and blockers None), as the first round reaches them."""
     assigned = cells.keys()  # a live view: the cells with a value now
     every = (1 << size) - 1
-    try:
-        while True:
-            remaining, viable, progress = [], {}, False
-            for c in cs:
-                g, allowed, k, ok_vals, blockers = c
-                if k is None or k in cells:
-                    k = _value(g, cells, size)  # its value, or the cell it waits on
-                    if k < size:
-                        if not allowed >> k & 1:
-                            return
-                        continue
-                    ok_vals, blockers = every, None
-                if k in viable:
-                    ok_vals &= viable[k]  # from size 4 on, the two may be disjoint
-                if ok_vals and (blockers is None or not assigned.isdisjoint(blockers)):
-                    trials, ok_vals, blockers = ok_vals, 0, set()
-                    while trials:
-                        bit = trials & -trials
-                        trials ^= bit
-                        cells[k] = bit.bit_length() - 1
-                        v = _value(g, cells, size)
-                        if v >= size:
-                            ok_vals |= bit
-                            blockers.add(v)
-                        elif allowed >> v & 1:
-                            ok_vals |= bit
-                    del cells[k]
-                    c = g, allowed, k, ok_vals, blockers
-                if not ok_vals:
-                    return
-                if ok_vals & (ok_vals - 1) == 0:  # one value left
-                    cells[k] = ok_vals.bit_length() - 1
-                    trail.append(k)
-                    viable.pop(k, None)
-                    progress = True
-                else:
-                    viable[k] = ok_vals
-                remaining.append(c)
-            cs = remaining
+    while True:
+        remaining, viable, progress = [], {}, False
+        for c in cs:
+            g, allowed, k, ok_vals, blockers = c
+            if k is None or k in cells:
+                k = _value(g, cells, size)  # its value, or the cell it waits on
+                if k < size:
+                    if not allowed >> k & 1:
+                        return None
+                    continue
+                ok_vals, blockers = every, None
+            if k in viable:
+                ok_vals &= viable[k]  # from size 4 on, the two may be disjoint
+            if ok_vals and (blockers is None or not assigned.isdisjoint(blockers)):
+                trials, ok_vals, blockers = ok_vals, 0, set()
+                while trials:
+                    bit = trials & -trials
+                    trials ^= bit
+                    cells[k] = bit.bit_length() - 1
+                    v = _value(g, cells, size)
+                    if v >= size:
+                        ok_vals |= bit
+                        blockers.add(v)
+                    elif allowed >> v & 1:
+                        ok_vals |= bit
+                del cells[k]
+                c = g, allowed, k, ok_vals, blockers
+            if not ok_vals:
+                return None
+            if ok_vals & (ok_vals - 1) == 0:  # one value left
+                cells[k] = ok_vals.bit_length() - 1
+                trail.append(k)
+                viable.pop(k, None)
+                progress = True
+            else:
+                viable[k] = ok_vals
+            remaining.append(c)
+        cs = remaining
+        if not cs or not progress:
+            return cs, viable
+
+
+def _solve(cs: Iterable, cells: dict[int, int], size: int, limit: int,
+           found: list[dict[int, int]]) -> None:
+    """Depth-first search, one _propagate per node, in one loop: append a
+    copy of cells to found at each node that leaves no constraint, until
+    found holds limit.  A node that leaves some opens a decision level on
+    a cell with the fewest viable values, tried in ascending order.  A
+    level is [the constraints, with their statuses, that the node left;
+    its cell; the values still to try; the trail's length before the
+    cell]: the next value first pops the trail down to that length,
+    unassigning every cell the last value led to, and a level with no
+    values left gives way to the one below."""
+    trail: list[int] = []
+    levels: list[list] = []
+    while True:
+        node = _propagate(cs, cells, size, trail)
+        if node is not None:
+            cs, viable = node
             if not cs:
                 found.append(dict(cells))
-                return
-            if not progress:
-                break
-        k = min(viable, key=lambda k: viable[k].bit_count())
+                if len(found) >= limit:
+                    return
+            else:
+                k = min(viable, key=lambda k: viable[k].bit_count())
+                levels.append([cs, k, viable[k], len(trail)])
+        while levels and not levels[-1][2]:
+            levels.pop()
+        if not levels:
+            return
+        cs, k, values, mark = level = levels[-1]
+        while len(trail) > mark:
+            del cells[trail.pop()]
+        bit = values & -values
+        level[2] = values ^ bit
+        cells[k] = bit.bit_length() - 1
         trail.append(k)
-        values = viable[k]
-        while values:
-            bit = values & -values
-            values ^= bit
-            cells[k] = bit.bit_length() - 1
-            _solve(cs, cells, size, limit, found)
-            if len(found) >= limit:
-                break
-    finally:
-        for k in trail:
-            del cells[k]
 
 
 @cache
@@ -645,7 +658,9 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
     are chosen lazily: a constraint that reads an unassigned cell branches
     on its value, so the search never materialises the full (often
     astronomically large) space of operator tables.  It is exhaustive: an
-    empty result means no model exists.
+    empty result means no model exists.  The search runs in one loop,
+    with no Python frame per branching choice, so its depth is bounded by
+    time and memory alone; only a term too deep to walk is TermTooDeep.
     """
     if not 1 <= size <= MAX_SEARCH_SIZE:
         raise SearchSizeOutOfRange(f"find_models: carrier size {size!r} is not "
@@ -665,20 +680,8 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
     found: list[dict[int, int]] = []
     conditions = [(bases[name] + row, mask, None, None, None)
                   for name, row, mask in _logic_conditions(size, top)]
-    try:
-        _solve(chain(conditions, _instances(nodes, bases, size, top)),
-               cells, size, limit, found)
-    except RecursionError as e:
-        # _node_size has walked every axiom from this frame, and the walkers
-        # the search calls (free_in, _grounder and its closures, _value)
-        # take no more frames per level of a term than it does.  So past
-        # the first _solve call and _instances, the frames that run the
-        # search out of depth are its own, one per branching choice
-        depth = sum(frame.f_code is _solve.__code__
-                    for frame, _ in walk_tb(e.__traceback__))
-        raise SearchTooDeep(
-            f"find_models: the search, {depth} branching choices deep, nests "
-            f"too deeply for the recursion limit") from None
+    _solve(chain(conditions, _instances(nodes, bases, size, top)),
+           cells, size, limit, found)
     # cells no constraint read are free; they take value 0
     return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(
                 sig, size, bases, bytes(found_cells.get(c, 0) for c in range(size, end))))

@@ -120,13 +120,6 @@ class TermTooDeep(AlgebraError):
     code = "TooDeep"
 
 
-class SearchTooDeep(AlgebraError):
-    """A model search that ran out of depth after its axioms were walked:
-    its branching choices, one nested call each, with the walks of terms
-    it makes under them, reach past the recursion limit."""
-    code = "SearchTooDeep"
-
-
 class ModelError(AlgebraError):
     """A model description (a model block or a JSON file) that defines no
     algebra over the signature."""

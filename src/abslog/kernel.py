@@ -29,7 +29,6 @@ can fail a good proof, or hand back a theorem a rule minted, never more.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import (AllMismatch, IllFormed, KernelPrivilege, MpMismatch,

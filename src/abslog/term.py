@@ -173,7 +173,8 @@ def encode(t: Term | DeBruijnTerm, frames: list[tuple[str, ...]],
         if not t.args:
             k = _lookup(t.name, frames)
             return ("v", t.name, ()) if k is None else ("b", k)
-        return ("v", t.name, tuple(encode(a, frames, sig) for a in t.args))
+        # map, not a generator, calls encode: one frame per level
+        return ("v", t.name, tuple(map(encode, t.args, repeat(frames), repeat(sig))))
     if type(t) is not Abs:
         if type(t) is tuple:
             return _check_node(t, sum(map(len, frames)), sig)

@@ -44,7 +44,6 @@ from abslog.errors import (
     NotLogicSignature,
     SearchLimitOutOfRange,
     SearchSizeOutOfRange,
-    SearchTooDeep,
     TermTooDeep,
 )
 from abslog.logics import (
@@ -234,83 +233,63 @@ def _with_limit(margin: int, call):
         sys.setrecursionlimit(limit)
 
 
-_SEARCH_TOO_DEEP = (r"find_models: the search, (\d+) branching choices deep, "
-                    r"nests too deeply for the recursion limit")
-
-
-def test_a_search_too_deep_to_branch_is_its_own_named_error():
-    """With the recursion limit a few dozen frames above the caller, the
-    search on D's shallow axioms at size 3 runs out of depth in its nested
-    branching choices: that is SearchTooDeep.  A deep term under the same
-    kind of limit is still TermTooDeep, and with room to spare the search
-    finds a model."""
-    d = builtin_logic("D")
-    search = lambda: find_models(d.signature, d.axiom_terms, 3)
-    assert len(_with_limit(300, search)) == 1
-    for margin in (20, 25, 30):
-        with pytest.raises(SearchTooDeep) as err:
-            _with_limit(margin, search)
-        assert err.value.code == "SearchTooDeep"
-        assert re.fullmatch(_SEARCH_TOO_DEEP, err.value.message)
-    chain = const(TRUE)
-    for _ in range(300):
-        chain = imp(v("A"), chain)
-    for margin in (100, 200):
-        with pytest.raises(TermTooDeep) as err:
-            _with_limit(margin, lambda: find_models(SIG_D, [chain], 2))
-        assert err.value.code == "TooDeep"
-
-
-def test_a_search_and_a_term_each_within_the_limit_are_search_too_deep():
-    """D's axioms at size 3 and a 16-level ⇒ chain ending in a ∀: under
-    the first limit at which the search on either alone finds a model,
-    the search on both walks the chain under many branching choices and
-    runs out of depth, which is SearchTooDeep, not a term too deep.  The
-    limit is found, not fixed, as frames per level differ across Python
-    versions."""
-    d = builtin_logic("D")
-    chain = parse_term("all x. A", d.signature)
-    for _ in range(16):
-        chain = imp(v("A"), chain)
-
-    def finds(margin, axioms):
+def _first_margin(call, margins, failures=TermTooDeep) -> int:
+    """The first of margins at which call() returns, from under
+    _with_limit, where each lower one raised one of failures."""
+    for margin in margins:
         try:
-            return len(_with_limit(margin, lambda: find_models(
-                d.signature, axioms, 3))) == 1
-        except (SearchTooDeep, TermTooDeep):
-            return False
+            _with_limit(margin, call)
+            return margin
+        except failures:
+            pass
+    raise AssertionError(f"no margin in {margins} is enough")
 
-    margin = next(m for m in range(20, 200)
-                  if finds(m, d.axiom_terms) and finds(m, [chain]))
-    with pytest.raises(SearchTooDeep) as err:
-        _with_limit(margin, lambda: find_models(
-            d.signature, d.axiom_terms + (chain,), 3))
-    assert int(re.fullmatch(_SEARCH_TOO_DEEP, err.value.message)[1]) > 10
-    assert finds(margin + 40, d.axiom_terms + (chain,))
+
+def test_a_search_takes_no_frame_per_branching_choice(monkeypatch):
+    """Under the smallest recursion limit at which find_models finds D's
+    model of size 2, it finds D's model of size 4 as well, after 265
+    search nodes: the search runs in one loop, however many branching
+    choices deep it goes.  The limit is found, not fixed, as frames per
+    call differ across Python versions."""
+    d = builtin_logic("D")
+    search = lambda size: lambda: find_models(d.signature, d.axiom_terms, size)
+    nodes = _count_calls(monkeypatch, algebra, "_propagate")
+    # a bare RecursionError where the limit leaves no room to raise at all
+    margin = _first_margin(search(2), range(1, 300), (TermTooDeep, RecursionError))
+    nodes[0] = 0
+    assert len(_with_limit(margin, search(4))) == 1
+    assert nodes == [265]
 
 
 @pytest.mark.parametrize("head", ["⇒", "F"])
 def test_the_search_walks_a_term_in_the_frames_find_models_checks(head):
-    """find_models blames a RecursionError in the search on its branching
-    because the walkers the search calls take no more frames per level of
-    a term than _node_size took on it: a 150-level node that gets past
-    find_models' own walks is searched within a few more frames.  A walker
-    with a frame per comprehension (two per level in Python 3.11) would
-    need 150 more."""
+    """The walkers the search calls (_grounder and its closures, _value)
+    take no more frames per level of a term than _node_size does: under a
+    limit a few frames above the one at which _node_size walks a 150-level
+    node, find_models searches it, and under each lower limit it raises
+    TermTooDeep.  A walker with a frame per comprehension (two per level
+    in Python 3.11) would need 150 more."""
     node = ("v", "A", ())
     for _ in range(150):
         node = (("A", IMP, SIG_D.get(IMP).shape, (), (("v", "A", ()), node))
                 if head == IMP else ("v", "F", (node,)))
-    checked = 0  # the first margin at which find_models' own walks pass
-    for margin in range(140, 400):
-        try:
-            _with_limit(margin, lambda: find_models(SIG_D, [node], 2))
-            break
-        except TermTooDeep:
-            checked = margin + 1
-        except SearchTooDeep:
-            pass
-    assert 140 < checked <= margin <= checked + 3
+    walked = _first_margin(lambda: algebra._node_size(node), range(140, 400),
+                           RecursionError)
+    margin = _first_margin(lambda: find_models(SIG_D, [node], 2), range(140, 400))
+    assert 140 < walked < margin <= walked + 15
+
+
+def test_a_named_term_is_as_deep_to_find_models_as_its_node():
+    """find_models searches a 100-level F(F(…A)) under the same recursion
+    limit, within a few frames, whether it comes as a named term or as a
+    node: encode takes one frame per level of a variable's arguments, as
+    _check_node does."""
+    named, node = v("A"), ("v", "A", ())
+    for _ in range(100):
+        named, node = v("F", named), ("v", "F", (node,))
+    margins = [_first_margin(lambda: find_models(SIG_D, [axiom], 2), range(50, 400))
+               for axiom in (named, node)]
+    assert abs(margins[0] - margins[1]) <= 3, margins
 
 
 def test_evaluation_reads_only_the_tables_its_term_uses(monkeypatch):
@@ -519,7 +498,7 @@ def test_find_models_matches_the_search_before_ground_instances(monkeypatch):
                  (SIG_D, [v("f", all_("x", all_("y", v("x"))))], 3, 1),
                  (SIG_K, [*builtin_logic("K").axiom_terms, eq(v("x"), v("y"))], 3, 1),
                  (SIG_D, [*d.axiom_terms, all_("x", v("x"))], 3, 1)]
-    nodes = _count_calls(monkeypatch, algebra, "_solve")
+    nodes = _count_calls(monkeypatch, algebra, "_propagate")
     oracle_nodes = _count_calls(monkeypatch, oracles, "_solve_oracle")
     counts = []
     for sig, axioms, size, limit in problems:

@@ -598,7 +598,7 @@ def test_deep_term_in_a_shallow_proof_is_not_a_proof_error():
 
 
 # lines above the untrusted line of kernel.py; lower it when the section shrinks
-TRUSTED_LINES = 161
+TRUSTED_LINES = 160
 
 
 def test_only_the_rules_mint_theorems():
@@ -630,7 +630,7 @@ def test_only_the_rules_mint_theorems():
     walkers = {"Logic", "is_extension", "Substitution", "Template", "encode_template",
                "_subst_node", "_bind", "_settle", "_named", "encode", "same_class",
                "strip_hints"}
-    others = {"annotations", "dataclass", "Union", "ALL", "IMP", "BINDER_SHAPE",
+    others = {"annotations", "Union", "ALL", "IMP", "BINDER_SHAPE",
               "BINOP_SHAPE", "DeBruijnTerm", "Term", "alpha_eq"}
     assert {name for module, name in imported if module != "errors"} == walkers | others
     doc = ast.get_docstring(tree)
