@@ -261,6 +261,28 @@ def test_a_search_takes_no_frame_per_branching_choice(monkeypatch):
     assert nodes == [265]
 
 
+def test_a_search_and_a_term_each_within_the_limit_are_searched_together():
+    """D's axioms at size 3 and a 16-level ⇒ chain ending in a ∀: under
+    the first limit at which the search on either alone finds a model, the
+    search on both finds the same model as with room to spare, as it walks
+    the chain at the same depth however many branching choices it has
+    made.  The limit is found, not fixed, as frames per level differ
+    across Python versions."""
+    d = builtin_logic("D")
+    chain = parse_term("all x. A", d.signature)
+    for _ in range(16):
+        chain = imp(v("A"), chain)
+    search = lambda axioms: lambda: find_models(d.signature, axioms, 3)
+    # a bare RecursionError where the limit leaves no room to raise at all
+    margin = max(_first_margin(search(axioms), range(1, 300),
+                               (TermTooDeep, RecursionError))
+                 for axioms in (d.axiom_terms, [chain]))
+    both = d.axiom_terms + (chain,)
+    models = _with_limit(margin, search(both))
+    assert len(models) == 1
+    assert models == find_models(d.signature, both, 3)
+
+
 @pytest.mark.parametrize("head", ["⇒", "F"])
 def test_the_search_walks_a_term_in_the_frames_find_models_checks(head):
     """The walkers the search calls (_grounder and its closures, _value)
