@@ -24,9 +24,7 @@ byte per entry.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cache, wraps
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -73,17 +71,18 @@ from .shape import Shape, Signature, is_logic_signature, pure_shape
 from .subst import Substitution, encode_template
 from .syntax import ALIAS
 from .term import DeBruijnTerm, Term, encode, free_in
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class Universe:
-    value_names: tuple[str, ...]
+class Universe(Value):
+    __slots__ = _fields = ("value_names",)
 
-    def __post_init__(self):
-        if not self.value_names:
+    def __init__(self, value_names: tuple[str, ...]):
+        if not value_names:
             raise ValueError("universe must contain at least one value")
-        if len(set(self.value_names)) != len(self.value_names):
+        if len(set(value_names)) != len(value_names):
             raise DuplicateName("universe value names must be distinct")
+        _set(self, "value_names", value_names)
 
     @property
     def size(self) -> int:
@@ -103,20 +102,20 @@ def _row(size: int, key: Sequence) -> int:
     return row
 
 
-@dataclass(frozen=True, slots=True)
-class OperationTable:
+class OperationTable(Value):
     """Total operation of a shape over a carrier of the given size; entries
     are listed row-major over argument_keys(size, shape)."""
-    size: int
-    shape: Shape
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("size", "shape", "entries")
 
-    def __post_init__(self):
-        rows = _row_count(self.size, self.shape)
-        if len(self.entries) != rows:
+    def __init__(self, size: int, shape: Shape, entries: tuple[int, ...]):
+        rows = _row_count(size, shape)
+        if len(entries) != rows:
             raise ArityMismatch(
-                f"table of shape {self.shape} over {self.size} values needs "
-                f"{rows} entries, got {len(self.entries)}")
+                f"table of shape {shape} over {size} values needs "
+                f"{rows} entries, got {len(entries)}")
+        _set(self, "size", size)
+        _set(self, "shape", shape)
+        _set(self, "entries", entries)
 
     def apply(self, key: Sequence) -> int:
         return self.entries[_row(self.size, key)]
@@ -171,30 +170,36 @@ def table_from_rows(name: str, universe: Universe, shape: Shape,
     return OperationTable(universe.size, shape, tuple(entries))
 
 
-@dataclass(frozen=True, slots=True)
-class AbstractionAlgebra:
-    universe: Universe
-    signature: Signature
-    interp: Mapping[str, OperationTable]
+class AbstractionAlgebra(Value):
+    __slots__ = _fields = ("universe", "signature", "interp")
 
-    def __post_init__(self):
-        for d in self.signature.decls:
-            table = self.interp.get(d.name)
-            if table is None or (table.size, table.shape) != (self.size, d.shape):
+    def __init__(self, universe: Universe, signature: Signature,
+                 interp: Mapping[str, OperationTable]):
+        size = universe.size
+        for d in signature.decls:
+            table = interp.get(d.name)
+            if table is None or (table.size, table.shape) != (size, d.shape):
                 raise IllFormedTerm(f"abstraction {d.name!r} needs a table of "
-                                    f"shape {d.shape} over {self.size} values")
+                                    f"shape {d.shape} over {size} values")
+        _set(self, "universe", universe)
+        _set(self, "signature", signature)
+        _set(self, "interp", interp)
 
     @property
     def size(self) -> int:
         return self.universe.size
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Value):
     """Finite overrides over the default valuation that assigns the
-    constant value-0 operation at every (name, arity)."""
-    size: int
-    overrides: Mapping[tuple[str, int], OperationTable] = field(default_factory=dict)
+    constant value-0 operation at every (name, arity); `overrides` is a
+    fresh dict unless given."""
+    __slots__ = _fields = ("size", "overrides")
+
+    def __init__(self, size: int,
+                 overrides: Mapping[tuple[str, int], OperationTable] | None = None):
+        _set(self, "size", size)
+        _set(self, "overrides", {} if overrides is None else overrides)
 
     def get(self, name: str, arity: int) -> OperationTable:
         return (self.overrides.get((name, arity))
@@ -310,20 +315,23 @@ def is_logic_algebra(alg: AbstractionAlgebra) -> bool:
     return _logic_tables(alg) is not None
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
-    label: str
-    axiom: Term | DeBruijnTerm  # as check_model was given it
-    passed: bool
-    # on failure: the valuation restricted to the axiom's free variables,
-    # and the value the axiom evaluated to
-    failing_valuation: tuple[tuple[tuple[str, int], tuple[int, ...]], ...] | None = None
-    value: int | None = None
+class AxiomVerdict(Value):
+    """An axiom's verdict, the axiom as check_model was given it; on
+    failure, the valuation restricted to the axiom's free variables and
+    the value the axiom evaluated to."""
+    __slots__ = _fields = ("label", "axiom", "passed", "failing_valuation", "value")
+
+    def __init__(self, label: str, axiom: Term | DeBruijnTerm, passed: bool,
+                 failing_valuation: tuple[tuple[tuple[str, int], tuple[int, ...]], ...]
+                 | None = None, value: int | None = None):
+        self._init(label, axiom, passed, failing_valuation, value)
 
 
-@dataclass(frozen=True)
-class ModelReport:
-    verdicts: tuple[AxiomVerdict, ...]
+class ModelReport(Value):
+    __slots__ = _fields = ("verdicts",)
+
+    def __init__(self, verdicts: tuple[AxiomVerdict, ...]):
+        self._init(verdicts)
 
     @property
     def passed(self) -> bool:
@@ -529,7 +537,8 @@ def _instances(nodes: Iterable[DeBruijnTerm], bases: Mapping[str, int],
     for node in nodes:
         fvs = sorted(free_in(node))
         ground = _grounder(node, {v: i for i, v in enumerate(fvs)}, bases, size, top)
-        for tables in product(*([t.entries for t in all_tables(size, n)]
+        # each free variable ranges over every table's entries, in all_tables order
+        for tables in product(*(product(range(size), repeat=size ** n)
                                 for _, n in fvs)):
             g = ground(tables, ())
             if g not in seen:
@@ -823,6 +832,8 @@ def load_model(path: str, sig: Signature) -> AbstractionAlgebra:
     arguments are ","-joined entry lists) for general operators.  Objects
     are read as their (key, value) pairs, so a repeated key is not lost.
     """
+    import json  # here, not at the top: only a model file needs it
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=tuple)

@@ -10,7 +10,6 @@ decoding error, or a malformed model.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from functools import cache
@@ -43,6 +42,12 @@ def _phase(stats: dict | None, name: str, fn, arg):
     return result
 
 
+def _print_json(doc) -> None:
+    import json  # only --json needs it: not loaded at start-up
+
+    print(json.dumps(doc, ensure_ascii=False, indent=2))
+
+
 def _cmd_check(args) -> int:
     stats = {} if args.stats else None
     text = _phase(stats, "read_s", _read_text, args.file)
@@ -63,7 +68,7 @@ def _cmd_check(args) -> int:
                "blocks": [r.to_json() for r in report.results]}
         if stats is not None:
             doc["stats"] = stats
-        print(json.dumps(doc, ensure_ascii=False, indent=2))
+        _print_json(doc)
     else:
         for r in report.results:
             print(f"{r.name}: {r.verdict}")
@@ -89,8 +94,7 @@ def _cmd_model_check(args) -> int:
             blocks.append({"name": v.label, "kind": "axiom",
                            "verdict": "holds" if v.passed else "fails",
                            "diagnostics": diags})
-        print(json.dumps({"file": args.file, "blocks": blocks},
-                         ensure_ascii=False, indent=2))
+        _print_json({"file": args.file, "blocks": blocks})
     else:
         for v in report.verdicts:
             print(f"{v.label}: {'holds' if v.passed else 'fails'}")

@@ -9,8 +9,6 @@ only produce a spurious failure, never a bogus theorem.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     AbstractionAlgebra,
     boolean_model,
@@ -26,15 +24,15 @@ from .subst import Substitution, Template
 from .syntax import Diagnostic, ModelBlock, ProofStep, TheoremBlock, TheoryFile
 from .term import Term, check_wellformed, same_class
 from .term import alpha_eq  # noqa: F401  (bench/tracing.py rebinds it here)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class BlockResult:
-    name: str
-    kind: str
-    verdict: str  # "proved" | "failed"
-    theorem: Theorem | None
-    diagnostics: tuple[Diagnostic, ...]
+class BlockResult(Value):
+    __slots__ = _fields = ("name", "kind", "verdict", "theorem", "diagnostics")
+
+    def __init__(self, name: str, kind: str, verdict: str,  # "proved" | "failed"
+                 theorem: Theorem | None, diagnostics: tuple[Diagnostic, ...]):
+        self._init(name, kind, verdict, theorem, diagnostics)
 
     @property
     def passed(self) -> bool:
@@ -49,9 +47,11 @@ class BlockResult:
                 "diagnostics": [d.to_json() for d in self.diagnostics]}
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    results: tuple[BlockResult, ...]
+class CheckReport(Value):
+    __slots__ = _fields = ("results",)
+
+    def __init__(self, results: tuple[BlockResult, ...]):
+        self._init(results)
 
     @property
     def passed(self) -> bool:

@@ -116,8 +116,12 @@ class LabelCountMismatch(AlgebraError):
 
 class TermTooDeep(AlgebraError):
     """A term too deep for the recursion limit of the evaluator or of the
-    model search."""
+    model search.  It is raised where that limit is spent, so it is built
+    by the C constructor, with no Python frame, and reads its message from
+    its args."""
     code = "TooDeep"
+    __init__ = Exception.__init__
+    message = property(lambda self: self.args[0])
 
 
 class ModelError(AlgebraError):

@@ -6,7 +6,6 @@ accepts ASCII aliases (see the syntax module).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
 
@@ -23,6 +22,7 @@ from .shape import (
 )
 from .term import Abs, DeBruijnTerm, Term, Var, check_wellformed, strip_hints
 from .term import alpha_eq  # noqa: F401  (bench/tracing.py rebinds it here)
+from .value import Value, _set
 
 TRUE, IMP, ALL = "⊤", "⇒", "∀"
 EQ, FALSE, NOT, NEQ = "=", "⊥", "¬", "≠"
@@ -84,23 +84,23 @@ def all_(x: str, body: Term) -> Abs:
     return binder(ALL, x, body)
 
 
-@dataclass(frozen=True)
-class Logic:
-    name: str
-    signature: Signature
-    # (label, node), order fixed: a term given here or to `extend` is
-    # checked against the signature and kept as its nameless form
-    axioms: tuple[tuple[str, DeBruijnTerm], ...]
+class Logic(Value):
+    _fields = ("name", "signature", "axioms")
 
-    def __post_init__(self):
-        if type(self.signature) is not Signature:  # the kernel checks terms on it
+    def __init__(self, name: str, signature: Signature,
+                 axioms: tuple[tuple[str, Term | DeBruijnTerm], ...]):
+        if type(signature) is not Signature:  # the kernel checks terms on it
             raise NotLogicSignature(
-                f"logic {self.name!r}: {self.signature!r} is not a Signature")
-        if not is_logic_signature(self.signature):
+                f"logic {name!r}: {signature!r} is not a Signature")
+        if not is_logic_signature(signature):
             # the kernel's ALL builds ∀ nodes on this
             raise NotLogicSignature(
-                f"logic {self.name!r}: signature lacks ⊤/⇒/∀ with their required shapes")
-        object.__setattr__(self, "axioms", _checked(self.axioms, self.signature))
+                f"logic {name!r}: signature lacks ⊤/⇒/∀ with their required shapes")
+        _set(self, "name", name)
+        _set(self, "signature", signature)
+        # (label, node), order fixed: a term given here or to `extend` is
+        # checked against the signature and kept as its nameless form
+        _set(self, "axioms", _checked(axioms, signature))
 
     def axiom(self, label: str) -> DeBruijnTerm | None:
         """The node of the axiom labelled `label`, or None."""
@@ -123,17 +123,12 @@ class Logic:
             classes.setdefault(strip_hints(a), a)
         return MappingProxyType(classes)
 
-    def __getstate__(self):
-        """Pickle without the classes, a read-only view that pickle cannot
-        take; they are built again when next read."""
-        return {k: v for k, v in vars(self).items() if k != "classes"}
-
     def extend(self, name, decls=(), axioms=()) -> "Logic":
         """This logic with decls and axioms added.  Only the added axioms
         are checked: an extended signature keeps every declaration it had,
         so this logic's axioms stay well-formed in it."""
         child = Logic(name, self.signature.extend(decls), ())
-        object.__setattr__(child, "axioms", self.axioms + _checked(
+        _set(child, "axioms", self.axioms + _checked(
             axioms, child.signature, self.labels))
         return child
 

@@ -7,24 +7,21 @@ does not cover ``{0..m-1}``, are rejected at construction.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
 from typing import Iterable
 
 from .errors import DegenerateShape, DuplicateAbstraction, IndexOutOfRange, ShapeError
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class Shape:
-    valence: int
-    binder_sets: tuple[tuple[int, ...], ...]  # each sorted, duplicate-free
+class Shape(Value):
+    __slots__ = _fields = ("valence", "binder_sets")
 
-    def __post_init__(self):
+    def __init__(self, valence: int, binder_sets: tuple[tuple[int, ...], ...]):
         # only ints and tuples, so that comparing two shapes compares what
         # the term walkers read; binder sets sorted, in range, covering
-        valence, sets = self.valence, self.binder_sets
+        sets = binder_sets
         if not (type(valence) is int and type(sets) is tuple
                 and all(type(p) is tuple and all(type(j) is int for j in p)
                         for p in sets)):
@@ -44,6 +41,8 @@ class Shape:
             missing = sorted(set(range(valence)) - covered)
             raise DegenerateShape(
                 f"binder indices {missing} not bound by any argument position")
+        _set(self, "valence", valence)
+        _set(self, "binder_sets", binder_sets)  # each sorted, duplicate-free
 
     @property
     def arity(self) -> int:
@@ -73,35 +72,32 @@ UNOP_SHAPE = pure_shape(1)
 BINDER_SHAPE = make_shape(1, [(0,)])
 
 
-@dataclass(frozen=True)
-class AbstractionDecl:
-    name: str
-    shape: Shape
+class AbstractionDecl(Value):
+    __slots__ = _fields = ("name", "shape")
+
+    def __init__(self, name: str, shape: Shape):
+        self._init(name, shape)
 
 
-@dataclass(frozen=True)
-class Signature:
-    decls: tuple[AbstractionDecl, ...]
-    # read-only, as the kernel checks terms against it
-    _by_name: Mapping[str, AbstractionDecl] = field(init=False, repr=False, compare=False)
+class Signature(Value):
+    _fields = ("decls",)
 
-    def __post_init__(self):
+    def __init__(self, decls: tuple[AbstractionDecl, ...]):
         by_name = {}
-        for d in self.decls:
+        for d in decls:
             if not (type(d) is AbstractionDecl and type(d.name) is str
                     and type(d.shape) is Shape):
                 raise ShapeError(f"{d!r} is not a declaration of a name and a shape")
             if d.name in by_name:
                 raise DuplicateAbstraction(f"abstraction {d.name!r} declared twice")
             by_name[d.name] = d
+        _set(self, "decls", decls)
+        # read-only, as the kernel checks terms against it
         table = MappingProxyType(by_name)
-        object.__setattr__(self, "_by_name", table)
+        _set(self, "_by_name", table)
         if type(self).get is Signature.get:
             # the table's own lookup: no Python frame per name looked up
-            object.__setattr__(self, "get", table.get)
-
-    def __reduce__(self):  # the view does not pickle: build it, and check, again
-        return Signature, (self.decls,)
+            _set(self, "get", table.get)
 
     def get(self, name: str) -> AbstractionDecl | None:
         return self._by_name.get(name)

@@ -15,13 +15,13 @@ kernel keeps settled nodes and builds a term only when a statement is read.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from itertools import repeat
 from types import MappingProxyType
 
 from .errors import ArityMismatch, BadSubstitution, DuplicateBinder, KernelPrivilege
 from .shape import Signature
 from .term import Abs, DeBruijnTerm, Term, Var, encode, free_in
+from .value import Value, _set
 
 
 def fresh_var(avoid: Iterable[str], base: str) -> str:
@@ -33,23 +33,22 @@ def fresh_var(avoid: Iterable[str], base: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(Value):
     """[x0 ... xn-1. body]; a body node is under one frame of the parameters.
     The kernel rests on its arity being the number of names in `binders`."""
-    binders: tuple[str, ...]
-    body: Term | DeBruijnTerm
+    __slots__ = _fields = ("binders", "body")
 
-    def __post_init__(self):
-        if type(self.binders) is tuple and not self.binders and type(self.body) is tuple:
+    def __init__(self, binders: tuple[str, ...], body: Term | DeBruijnTerm):
+        _set(self, "binders", binders)
+        _set(self, "body", body)
+        if type(binders) is tuple and not binders and type(body) is tuple:
             return  # no binders and a node body, as a parsed `x := term` has
-        if not (type(self.binders) is tuple
-                and all(type(b) is str and b for b in self.binders)):
-            raise BadSubstitution(f"template binders {self.binders!r} are not names")
-        if len(set(self.binders)) != len(self.binders):
-            raise DuplicateBinder(f"template binders {self.binders} are not distinct")
-        if not isinstance(self.body, (Var, Abs, tuple)):
-            raise BadSubstitution(f"template body {self.body!r} is not a term")
+        if not (type(binders) is tuple and all(type(b) is str and b for b in binders)):
+            raise BadSubstitution(f"template binders {binders!r} are not names")
+        if len(set(binders)) != len(binders):
+            raise DuplicateBinder(f"template binders {binders} are not distinct")
+        if not isinstance(body, (Var, Abs, tuple)):
+            raise BadSubstitution(f"template body {body!r} is not a term")
 
     @property
     def arity(self) -> int:

@@ -29,11 +29,9 @@ their fields (`_Parsed`), so building one costs no call per field.
 from __future__ import annotations
 
 import re
-import string
 from bisect import bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import AbslogError
@@ -48,6 +46,7 @@ from .shape import (
 )
 from .subst import Substitution, Template, _named
 from .term import Abs, DeBruijnTerm, Term, Var, _check_abs, _lookup
+from .value import Value
 
 ALIAS = {
     "true": "⊤", "imp": "⇒", "all": "∀", "eq": "=", "false": "⊥",
@@ -92,8 +91,9 @@ _TOKEN_RE = re.compile(r"""(?:[ \t\r\n]|\#[^\n]*)*(
 # decimal digit other than 0-9, which `\d` matches
 _KIND = {"": "eof", **dict.fromkeys([*_OP_TOKENS, *_PUNCTUATION], "op"),
          **dict.fromkeys(OP_GLYPHS, "glyph")}
-_FIRST = {**dict.fromkeys("⊤⊥⅄∀∃_" + string.ascii_letters, "ident"),
-          **dict.fromkeys(string.digits, "num")}
+_FIRST = {**dict.fromkeys("⊤⊥⅄∀∃_abcdefghijklmnopqrstuvwxyz"
+                          "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident"),
+          **dict.fromkeys("0123456789", "num")}
 
 
 class Tokens:
@@ -138,13 +138,11 @@ class Tokens:
         return line, offset - self._line_starts[line - 1] + 1
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str
-    line: int
-    col: int
-    message: str
-    code: str
+class Diagnostic(Value):
+    __slots__ = _fields = ("severity", "line", "col", "message", "code")
+
+    def __init__(self, severity: str, line: int, col: int, message: str, code: str):
+        self._init(severity, line, col, message, code)
 
     def __str__(self):
         return f"{self.line}:{self.col}: {self.severity}: [{self.code}] {self.message}"
@@ -487,17 +485,21 @@ class ProofStep(_Parsed, namedtuple("ProofStep", (
 TableKey = tuple  # of str | tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ModelBlock(_AtToken):
-    name: str
-    carrier: tuple[str, ...]
-    interp: tuple[tuple[str, str | tuple[tuple[TableKey, str], ...]], ...]
-    tokens: Tokens = field(compare=False, repr=False)
-    at: int = field(compare=False)  # its `model` keyword
-    # the token index of each entry's abstraction name, and of the `(` of
-    # each of its rows (none for a value)
-    entry_at: tuple[int, ...] = field(compare=False, repr=False)
-    row_at: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+class ModelBlock(_AtToken, Value):
+    """A model block; `at` is its `model` keyword, `entry_at` the token of
+    each entry's abstraction name and `row_at` that of the `(` of each of
+    its rows (none for a value).  Tokens and token indices are not
+    compared, and only `at` is shown."""
+    __slots__ = _fields = ("name", "carrier", "interp", "tokens", "at",
+                           "entry_at", "row_at")
+    _uncompared = ("tokens", "at", "entry_at", "row_at")
+    _unshown = ("tokens", "entry_at", "row_at")
+
+    def __init__(self, name: str, carrier: tuple[str, ...],
+                 interp: tuple[tuple[str, str | tuple[tuple[TableKey, str], ...]], ...],
+                 tokens: Tokens, at: int, entry_at: tuple[int, ...],
+                 row_at: tuple[tuple[int, ...], ...]):
+        self._init(name, carrier, interp, tokens, at, entry_at, row_at)
 
     def position(self, entry: int | None = None,
                  row: int | None = None) -> tuple[int, int]:
@@ -522,19 +524,23 @@ class TheoremBlock(_Parsed, namedtuple("TheoremBlock", (
         return _named(self.node, [])
 
 
-@dataclass
-class TheoryFile:
-    base: str | None = None
-    decls: tuple[AbstractionDecl, ...] = ()
-    axioms: tuple[tuple[str, DeBruijnTerm], ...] = ()  # (label, parsed node)
-    theorems: tuple[TheoremBlock, ...] = ()
-    models: tuple[ModelBlock, ...] = ()
-    # the tokens the file was parsed from, and the index of the `axiom`
-    # keyword of each axiom label, or of the `logic` keyword for an axiom
-    # of the base logic
-    tokens: Tokens | None = field(default=None, compare=False, repr=False)
-    axiom_at: dict[str, int] = field(default_factory=dict, compare=False,
-                                     repr=False)
+class TheoryFile(Value):
+    """A parsed file: its axioms are (label, parsed node) pairs.  `tokens`
+    are the tokens it was parsed from, and `axiom_at` maps each axiom label
+    to the index of its `axiom` keyword, or of the `logic` keyword for an
+    axiom of the base logic (a fresh dict unless given); neither is
+    compared or shown."""
+    __slots__ = _fields = ("base", "decls", "axioms", "theorems", "models",
+                           "tokens", "axiom_at")
+    _uncompared = _unshown = ("tokens", "axiom_at")
+
+    def __init__(self, base: str | None = None, decls: tuple[AbstractionDecl, ...] = (),
+                 axioms: tuple[tuple[str, DeBruijnTerm], ...] = (),
+                 theorems: tuple[TheoremBlock, ...] = (),
+                 models: tuple[ModelBlock, ...] = (), tokens: Tokens | None = None,
+                 axiom_at: dict[str, int] | None = None):
+        self._init(base, decls, axioms, theorems, models, tokens,
+                   {} if axiom_at is None else axiom_at)
 
     @property
     def axiom_positions(self) -> dict[str, tuple[int, int]]:

@@ -35,7 +35,6 @@ when checked and another when used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Union
 
@@ -47,29 +46,33 @@ from .errors import (
     ValenceMismatch,
 )
 from .shape import Shape, Signature
+from .value import Value, _set
 
 Term = Union["Var", "Abs"]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    args: tuple[Term, ...] = ()
+class Var(Value):
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Term, ...] = ()):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
 
-@dataclass(frozen=True)
-class Abs:
-    name: str
-    shape: Shape
-    binders: tuple[str, ...] = ()
-    args: tuple[Term, ...] = ()
+class Abs(Value):
+    __slots__ = _fields = ("name", "shape", "binders", "args")
 
-    def __post_init__(self):
-        _check_abs(self.name, self.shape, self.binders, self.args)
+    def __init__(self, name: str, shape: Shape, binders: tuple[str, ...] = (),
+                 args: tuple[Term, ...] = ()):
+        _check_abs(name, shape, binders, args)
+        _set(self, "name", name)
+        _set(self, "shape", shape)
+        _set(self, "binders", binders)
+        _set(self, "args", args)
 
 
 def check_wellformed(t: Term | DeBruijnTerm, sig: Signature) -> DeBruijnTerm:

@@ -4,6 +4,7 @@ import re
 import sys
 from collections import Counter
 from collections.abc import Mapping
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -243,6 +244,27 @@ def _first_margin(call, margins, failures=TermTooDeep) -> int:
         except failures:
             pass
     raise AssertionError(f"no margin in {margins} is enough")
+
+
+def test_every_failure_at_the_recursion_limit_is_term_too_deep():
+    """From the lowest recursion limit that can be set to the first at
+    which each succeeds, find_models, check_model and eval_term fail only
+    with TermTooDeep, also where too few frames are left to call a Python
+    function: building it takes none.  Each call is a partial, so the
+    first frame above _with_limit is the entry point's own."""
+    def settable(margin):
+        try:
+            _with_limit(margin, int)
+            return True
+        except (RecursionError, ValueError):
+            return False
+
+    lowest = next(m for m in range(-5, 100) if settable(m))
+    K = builtin_logic("K")
+    for call in (partial(find_models, SIG_D, builtin_logic("D").axiom_terms, 2),
+                 partial(check_model, boolean_model(), K.axiom_terms, 1),
+                 partial(eval_term, boolean_model(), Valuation(2), K.axiom_terms[-1])):
+        assert _first_margin(call, range(lowest, lowest + 100)) > lowest
 
 
 def test_a_search_takes_no_frame_per_branching_choice(monkeypatch):

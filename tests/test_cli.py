@@ -231,9 +231,9 @@ def test_check_never_leaves_the_nameless_form(capsys, monkeypatch):
         assert main(["check", path, *flags]) == 0
         before[tuple(flags)] = capsys.readouterr().out
 
-    def unbuildable(self):
+    def unbuildable(self, *args, **kwargs):
         raise AssertionError("an Abs was built")
-    monkeypatch.setattr(term.Abs, "__post_init__", unbuildable)
+    monkeypatch.setattr(term.Abs, "__init__", unbuildable)
     for flags in ([], ["--json"]):
         assert main(["check", path, *flags]) == 0
         out = capsys.readouterr()
