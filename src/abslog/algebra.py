@@ -431,7 +431,8 @@ def degenerate_model(sig: Signature) -> AbstractionAlgebra:
 # else (head, kids), where head is an abstraction's first cell or a
 # variable's entries and kids are ground terms whose values give the row.
 # Evaluating it reads cells in exactly the order _eval reads the entries of
-# the term it came from.
+# the term it came from.  A two-argument head binding nothing (⇒, =, ∧) and
+# a unary variable have grounders of their own, and _value a two-kid path.
 
 @cache
 def _cell_bases(sig: Signature, size: int) -> tuple[dict[str, int], int]:
@@ -463,6 +464,14 @@ def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int],
         p = pos[name, len(args)]
         if not args:
             return lambda tables, env: tables[p][0]
+        if len(args) == 1:  # F(a): no list, no loop
+            kid = _grounder(args[0], pos, bases, size, top)
+
+            def ground_var1(tables, env):
+                g = kid(tables, env)
+                return (tables[p][g] if g.__class__ is int and g < size
+                        else (tables[p], (g,)))
+            return ground_var1
         kids = []
         for a in args:
             kids.append(_grounder(a, pos, bases, size, top))
@@ -482,6 +491,16 @@ def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int],
     if not args:
         cell = top if name == TRUE else head
         return lambda tables, env: cell
+    if shape.binder_sets == ((), ()):  # a ⇒ b, a = b, …: no list, no loop
+        kid_a = _grounder(args[0], pos, bases, size, top)
+        kid_b = _grounder(args[1], pos, bases, size, top)
+
+        def ground_abs2(tables, env):
+            a, b = kid_a(tables, env), kid_b(tables, env)
+            if a.__class__ is int and a < size and b.__class__ is int and b < size:
+                return head + a * size + b
+            return head, (a, b)
+        return ground_abs2
     # one (grounder, binder values) per kid: a position has a kid per tuple
     # of values of the variables it binds, and one, with (), if it binds none
     calls = []
@@ -506,15 +525,25 @@ def _value(g, cells: dict[int, int], size: int) -> int:
     if g.__class__ is int:
         return cells.get(g, g)  # a value is no key of cells
     head, kids = g
-    row = 0
-    for kid in kids:
-        if kid.__class__ is int:  # read here to save a call
-            value = cells.get(kid, kid)
-        else:
-            value = _value(kid, cells, size)
-        if value >= size:
-            return value
-        row = row * size + value
+    if len(kids) == 2:  # a ⇒ b, a = b, …: read a, then b, then the head
+        a, b = kids
+        a = cells.get(a, a) if a.__class__ is int else _value(a, cells, size)
+        if a >= size:
+            return a
+        b = cells.get(b, b) if b.__class__ is int else _value(b, cells, size)
+        if b >= size:
+            return b
+        row = a * size + b
+    else:
+        row = 0
+        for kid in kids:
+            if kid.__class__ is int:  # read here to save a call
+                value = cells.get(kid, kid)
+            else:
+                value = _value(kid, cells, size)
+            if value >= size:
+                return value
+            row = row * size + value
     if head.__class__ is int:
         head += row
         return cells.get(head, head)

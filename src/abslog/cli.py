@@ -88,7 +88,8 @@ def _cmd_model_check(args) -> int:
         for v in report.verdicts:
             diags = []
             if not v.passed:
-                line, col = tf.axiom_positions.get(v.label, (0, 0))
+                i = tf.axiom_at.get(v.label)  # one position, not every axiom's
+                line, col = tf.tokens.position(i) if i is not None else (0, 0)
                 diags.append({"severity": "error", "line": line, "col": col,
                               "message": _fail_message(v, names), "code": "AxiomFails"})
             blocks.append({"name": v.label, "kind": "axiom",

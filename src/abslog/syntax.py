@@ -16,10 +16,10 @@ axioms and proof terms stay nodes; `parse_term` names its node.
 `tokenize` returns `Tokens`: parallel arrays of kinds and values, from one
 `findall` of one regex, with no offsets.  A proof step, a block, a model
 row and an axiom label keep the index of their token, and their line and
-column are worked out when read: the first `Tokens.position` call scans
-the text again with the same regex for every token's offset, and each
-call bisects the offsets where lines start.  So a file that parses and
-checks cleanly never works out an offset.  Both parsers read the arrays
+column are worked out when read: `Tokens.position` scans the text again
+with the same regex, a long text only from the end nearer the token, and
+counts the line breaks before the token's offset.  So a file that parses
+and checks cleanly never works out an offset.  Both parsers read the arrays
 through one shared index.  A proof step checks its names and punctuation
 (`name: rule`, the premises of `mp` and `subst`, each `NAME := term`
 binding) on the arrays themselves, and raises each error at its token as
@@ -29,10 +29,9 @@ their fields (`_Parsed`), so building one costs no call per field.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import accumulate
+from itertools import islice
 
 from .errors import AbslogError
 from .logics import Logic, builtin_logic
@@ -94,20 +93,21 @@ _KIND = {"": "eof", **dict.fromkeys([*_OP_TOKENS, *_PUNCTUATION], "op"),
 _FIRST = {**dict.fromkeys("⊤⊥⅄∀∃_abcdefghijklmnopqrstuvwxyz"
                           "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident"),
           **dict.fromkeys("0123456789", "num")}
+_SPAN = 1024  # Tokens.position scans a text longer than this in part
 
 
 class Tokens:
     """The tokens of `text` as parallel arrays, the eof token last: each
     token's kind ("op", "num", "ident" or "eof") and its value (an operator
     in its ASCII spelling, "" at eof).  No token knows where it starts:
-    the first `position` call scans the text once more for every token's
-    offset, unless `starts` were given, and bisects the line starts."""
-    __slots__ = ("kinds", "values", "text", "_starts", "_line_starts")
+    `position` scans the text once more for the offsets, unless `starts`
+    were given, and counts the line breaks before the offset it needs."""
+    __slots__ = ("kinds", "values", "text", "_starts", "_first")
 
     def __init__(self, kinds: list[str], values: list[str], text: str,
                  starts: list[int] | None = None):
         self.kinds, self.values, self.text = kinds, values, text
-        self._starts, self._line_starts = starts, None
+        self._starts, self._first = starts, None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -127,15 +127,35 @@ class Tokens:
             self._starts = found[:len(self.kinds)]
         return self._starts
 
+    def _offset(self, i: int) -> int:
+        """Where token `i` starts.  The first token asked for in a text over
+        _SPAN long is found from the text's nearer end (no token or comment
+        crosses a line break, so a scan may start at any line start); any
+        other is read from one scan of the whole text."""
+        text, n, first = self.text, len(self.kinds), self._first
+        if first is None and self._starts is None and len(text) > _SPAN:
+            if 2 * i < n:
+                offset = next(islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+            else:
+                span = _SPAN
+                while True:  # ever longer tails, each from a line start
+                    tail = [m.start(1) for m in _TOKEN_RE.finditer(
+                        text, text.rfind("\n", 0, max(len(text) - span, 0)) + 1)]
+                    if len(tail) > 1 and tail[-2] == len(text):  # blanks ended the text
+                        del tail[-1]
+                    if i >= n - len(tail):
+                        break
+                    span *= 4
+                offset = tail[i - n + len(tail)]
+            self._first = first = i, offset
+        return first[1] if first is not None and first[0] == i else self.starts()[i]
+
     def position(self, i: int) -> tuple[int, int]:
         """The line and column, both from 1, of token `i`; the column
         counts code points."""
-        if self._line_starts is None:
-            lines = self.text.split("\n")[:-1]
-            self._line_starts = [0, *accumulate(len(line) + 1 for line in lines)]
-        offset = self.starts()[i]
-        line = bisect_right(self._line_starts, offset)
-        return line, offset - self._line_starts[line - 1] + 1
+        offset = self._offset(i)
+        start = self.text.rfind("\n", 0, offset) + 1
+        return self.text.count("\n", 0, start) + 1, offset - start + 1
 
 
 class Diagnostic(Value):

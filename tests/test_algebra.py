@@ -593,12 +593,12 @@ def test_find_models_refuses_a_limit_below_one():
 
 
 def _grounding_problems(rnd):
-    """(signature, size) pairs at sizes 2 and 3: D's and K's signatures,
+    """(signature, size) pairs at sizes 1, 2 and 3: D's and K's signatures,
     and D's extended by random shapes up to valence 2 (at size 3 only those
-    whose tables are small) and by w, whose one position binds two
-    variables."""
-    wide = ("w", make_shape(2, [(0, 1)]))
-    for size in (2, 3):
+    whose tables are small), by w, whose one position binds two variables,
+    and by t, whose three positions bind none."""
+    extra = [("w", make_shape(2, [(0, 1)])), ("t", make_shape(0, [(), (), ()]))]
+    for size in (1, 2, 3):
         yield SIG_D, size
         yield SIG_K, size
         for _ in range(15):
@@ -606,7 +606,7 @@ def _grounding_problems(rnd):
             if size == 3:
                 shapes = [s for s in shapes if algebra._row_count(3, s) <= 729]
             decls = [(f"f{i}", s) for i, s in enumerate(shapes)]
-            yield SIG_D.extend(signature(decls + [wide]).decls), size
+            yield SIG_D.extend(signature(decls + extra).decls), size
 
 
 def _binding_facts(t, bound=frozenset()) -> set[str]:
@@ -624,16 +624,51 @@ def _binding_facts(t, bound=frozenset()) -> set[str]:
     return facts
 
 
-def test_grounding_agrees_with_evaluation():
+def _grounding_paths(monkeypatch, seen: set) -> None:
+    """Make _grounder note in seen, as (size, path), each grounding path
+    a ground term comes out of: the two-argument head that binds nothing
+    and the variable applied to one argument, each only where a kid is not
+    a value, and the generic paths of a head of three or more arguments,
+    of a position that binds two variables and of a variable of arity 2."""
+    grounder = algebra._grounder
+
+    def noting(node, pos, bases, size, top):
+        ground = grounder(node, pos, bases, size, top)
+        tag, args = node[0], node[-1]
+        sets = node[2].binder_sets if tag == "A" else ()
+        if tag == "A" and sets == ((), ()):
+            path, kid_not_value = "two-argument head, a kid not a value", True
+        elif tag == "v" and len(args) == 1:
+            path, kid_not_value = "unary variable, its kid not a value", True
+        elif tag == "A" and len(args) >= 3:
+            path, kid_not_value = "head of arity ≥ 3", False
+        elif any(len(p) == 2 for p in sets):
+            path, kid_not_value = "two-variable position", False
+        elif tag == "v" and len(args) == 2:
+            path, kid_not_value = "binary variable", False
+        else:
+            return ground
+
+        def noted(tables, env):
+            g = ground(tables, env)
+            if g.__class__ is tuple or not kid_not_value:
+                seen.add((size, path))
+            return g
+        return noted
+    monkeypatch.setattr(algebra, "_grounder", noting)
+
+
+def test_grounding_agrees_with_evaluation(monkeypatch):
     # each instance's ground term, read with every cell (an entry's number
     # in the search's layout) of a random algebra with ⊤ = 0 except ⊤'s own
     # (the search fixes ⊤, so no ground term may read it; read, it would
     # give its cell, not a value), has the value _eval gives the node under
     # the instance's valuation; and _instances yields each distinct ground
     # term once, in the order the instances first give it, across nodes as
-    # well
+    # well.  Every grounding path is taken at every size.
     rnd = random.Random(19)
     seen, checked = set(), 0
+    _grounding_paths(monkeypatch, seen)
     for sig, size in _grounding_problems(rnd):
         algs = []
         for _ in range(2):
@@ -670,7 +705,83 @@ def test_grounding_agrees_with_evaluation():
                     == distinct
     assert seen >= {(size, f) for size in (2, 3) for f in (
         "nested", "shadowed", "two", "arity 0", "arity 1")} | {(2, "arity 2")}
+    assert seen >= {(size, f) for size in (1, 2, 3) for f in (
+        "two-argument head, a kid not a value", "unary variable, its kid not a value",
+        "head of arity ≥ 3", "two-variable position")} | {
+            (1, "binary variable"), (2, "binary variable")}
     assert checked > 2000
+
+
+def _first_read(g, cells, size):
+    """A reference reader of ground term g: (its value, "value") or (the
+    first cell it reads that cells leaves unassigned, where it was read:
+    "kid i" or "head").  Kids are read left to right, the head last."""
+    if isinstance(g, int):
+        value = cells.get(g, g)
+        return value, "value" if value < size else "head"
+    head, kids = g
+    values = []
+    for i, kid in enumerate(kids):
+        value, _ = _first_read(kid, cells, size)
+        if value >= size:
+            return value, f"kid {i}"
+        values.append(value)
+    row = sum(value * size ** k for k, value in enumerate(reversed(values)))
+    if isinstance(head, tuple):  # a variable's entries
+        return head[row], "value"
+    return _first_read(head + row, cells, size)
+
+
+def _random_ground(rnd, size, depth):
+    """A random ground term over size: leaves are values and the cells
+    size..size + 5, heads a variable's entries or the first cell of a
+    table from size + 6 on, with one, two or three kids."""
+    if depth == 0 or rnd.random() < 0.3:
+        return rnd.randrange(size + 6)
+    n = rnd.choice((1, 2, 2, 3))
+    kids = tuple(_random_ground(rnd, size, depth - 1) for _ in range(n))
+    if rnd.random() < 0.5:
+        return tuple(rnd.randrange(size) for _ in range(size ** n)), kids
+    return size + 6 + rnd.randrange(4) * size ** 3, kids
+
+
+def test_value_returns_the_first_unassigned_cell_in_evaluation_order():
+    """Under a partial assignment _value gives the first cell that the
+    evaluation reads unassigned, kids left to right and the head last, or
+    the value once every cell it reads is assigned: for one, two and three
+    kids, under a variable's entries and under a cell head, and at each
+    place such a cell can be read."""
+    # the two-kid path, step by step: kid a, kid b, the head's cell, a value
+    g = (20, (10, 11))
+    for cells, want in [({}, 10), ({11: 0}, 10), ({10: 1}, 11),
+                        ({10: 1, 11: 0}, 22), ({10: 1, 11: 0, 22: 1}, 1)]:
+        assert algebra._value(g, cells, 2) == want, cells
+    # a nested kid a: a unary variable's entries over a cell head's term
+    nested = ((0, 1, 1, 0), (((0, 1), ((30, (12,)),)), 11))
+    for cells, want in [({}, 12), ({12: 0}, 30), ({12: 0, 30: 1}, 11),
+                        ({12: 0, 30: 1, 11: 1}, 0), ({12: 1, 31: 0, 11: 1}, 1)]:
+        assert algebra._value(nested, cells, 2) == want, cells
+    rnd = random.Random(28)
+    seen = set()
+    for size in (1, 2, 3):
+        for _ in range(3000):
+            g = _random_ground(rnd, size, rnd.randint(1, 3))
+            cells = {c: rnd.randrange(size)
+                     for c in range(size, size + 6 + 4 * size ** 3)
+                     if rnd.random() < 0.6}
+            want, where = _first_read(g, cells, size)
+            assert algebra._value(g, cells, size) == want, (g, cells)
+            if not isinstance(g, int):
+                head, kids = g
+                kind = "entries" if isinstance(head, tuple) else "cell"
+                seen.add((size, min(len(kids), 3), kind, where))
+    for size in (1, 2, 3):
+        for n in (1, 2, 3):
+            for kind in ("entries", "cell"):
+                wheres = [f"kid {i}" for i in range(n)] + ["value"]
+                wheres += ["head"] if kind == "cell" else []
+                for where in wheres:
+                    assert (size, n, kind, where) in seen, (size, n, kind, where)
 
 
 def _random_logic_algebra(rnd, sig, size):

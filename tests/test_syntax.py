@@ -448,6 +448,69 @@ def test_positions_on_demand_match_eager_ones(rnd):
                 == token_positions_oracle(text)), text
 
 
+def _long_texts(rnd) -> dict[str, str]:
+    """Texts longer than the span Tokens.position scans whole: both corpus
+    files, peano.al with CRLF line breaks and with lone \r in place of
+    every line break, lines of comments holding glyphs, tabs and blank
+    lines, texts that end in a token, in a comment and in blanks, none with
+    a final line break, and random runs of _LEXICAL."""
+    from pathlib import Path
+    corpus = Path(__file__).parent.parent / "src" / "abslog" / "corpus"
+    texts = {path.name: path.read_text() for path in sorted(corpus.glob("*.al"))}
+    texts["crlf"] = texts["peano.al"].replace("\n", "\r\n")
+    texts["lone cr"] = texts["peano.al"].replace("\n", "\r")
+    texts["glyph comments, tabs, blank lines"] = "".join(
+        f"# ⇒ ∃₁ ∀ ⊤ x′ # {k}\n\tA\t-> B′ /\\ ∃₁ x. x\n\n\n" for k in range(40))
+    for end in ("A -> B", "A # ∀ no break", "A ->  \t "):
+        texts[f"ends in {end!r}"] = "logic D\n" * 150 + end
+    for k in range(6):
+        pieces = []
+        while sum(map(len, pieces)) <= 2 * syntax._SPAN:
+            pieces.append(rnd.choice(_LEXICAL))
+        texts[f"random {k}"] = "".join(pieces)
+    return texts
+
+
+def test_a_position_reads_only_the_text_its_token_needs(rnd):
+    """On a text longer than the span it scans whole, Tokens.position finds
+    every token's offset, each on a fresh Tokens that no earlier scan
+    serves, as the scan of the whole text does (`starts`), and its line
+    and column as the oracle counts them."""
+    for name, text in _long_texts(rnd).items():
+        assert len(text) > syntax._SPAN, name
+        tokens = tokenize(text)
+        starts, oracle = tokens.starts(), token_positions_oracle(text)
+        for i in range(len(tokens)):
+            fresh = syntax.Tokens(tokens.kinds, tokens.values, text)
+            assert fresh._offset(i) == starts[i], (name, i)
+            assert fresh.position(i) == oracle[i], (name, i)
+
+
+def test_a_failing_check_places_its_diagnostic_without_a_whole_scan(monkeypatch):
+    """The prelude with its last step broken fails at that step's line and
+    column, and working them out scans only the end of the file: the
+    matches the token regex makes cover under a quarter of the text."""
+    from pathlib import Path
+    from abslog import check_theory
+    text = (Path(__file__).parent.parent / "src" / "abslog" / "corpus"
+            / "prelude_k.al").read_text()
+    last = "  k6: mp n30 k5 ==> (A = true) \\/ (A <-> false)\n"
+    assert text.count(last) == 1
+    tf = parse_theory(text.replace(last, last.replace("false)", "true)")))
+    scanned, regex = [0], syntax._TOKEN_RE
+
+    class Counting:
+        def finditer(self, text, pos=0):
+            for m in regex.finditer(text, pos):
+                scanned[0] += m.end() - m.start()
+                yield m
+    monkeypatch.setattr(syntax, "_TOKEN_RE", Counting())
+    (d,) = check_theory(tf).results[-1].diagnostics
+    assert (d.line, d.col) == (text[:text.index(last)].count("\n") + 1, 3)
+    assert tf.tokens._starts is None
+    assert 0 < scanned[0] < len(text) / 4
+
+
 # text -> the token values before eof, or the bad character and its place
 _EDGES = {
     "": [],
