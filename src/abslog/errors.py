@@ -6,9 +6,16 @@ diagnostic without string matching.
 
 
 class AbslogError(Exception):
+    """The base of every abslog error.  Its `code` is the class name unless
+    the class sets its own."""
     code = "Error"
     line = col = None  # where in a theory file, when known
     source = None  # what the line and column count in, if not that file
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "code" not in vars(cls):
+            cls.code = cls.__name__
 
     def __init__(self, message=""):
         super().__init__(message or self.code)
@@ -18,100 +25,95 @@ class AbslogError(Exception):
 # --- shapes / signatures ---
 
 class ShapeError(AbslogError):
-    code = "ShapeError"
+    pass
 
 
 class DegenerateShape(ShapeError):
-    code = "DegenerateShape"
+    pass
 
 
 class IndexOutOfRange(ShapeError):
-    code = "IndexOutOfRange"
+    pass
 
 
 class DuplicateAbstraction(AbslogError):
-    code = "DuplicateAbstraction"
+    pass
 
 
 # --- terms ---
 
 class TermError(AbslogError):
-    code = "TermError"
+    pass
 
 
 class UnknownAbstraction(TermError):
-    code = "UnknownAbstraction"
+    pass
 
 
 class ValenceMismatch(TermError):
-    code = "ValenceMismatch"
+    pass
 
 
 class ArityMismatch(TermError):
-    code = "ArityMismatch"
+    pass
 
 
 class DuplicateBinder(TermError):
-    code = "DuplicateBinder"
+    pass
 
 
 class MalformedTerm(TermError):
     """A variable name or binder that is not a non-empty string, or an
     argument that is not a term."""
-    code = "MalformedTerm"
 
 
 class BadSubstitution(TermError):
     """A substitution key that is not a (name, arity) pair, or a template
     body that is not a term."""
-    code = "BadSubstitution"
 
 
 # --- algebras ---
 
 class AlgebraError(AbslogError):
-    code = "AlgebraError"
+    pass
 
 
 class IllFormedTerm(AlgebraError):
-    code = "IllFormedTerm"
+    pass
 
 
 class IllFormedTemplate(AlgebraError):
-    code = "IllFormedTemplate"
+    pass
 
 
 class DuplicateName(AlgebraError):
-    code = "DuplicateName"
+    pass
 
 
 class NotLogicSignature(AlgebraError):
-    code = "NotLogicSignature"
+    pass
 
 
 class NotLogicAlgebra(AlgebraError):
-    code = "NotLogicAlgebra"
+    pass
 
 
 class ArityCapExceeded(AlgebraError):
-    code = "ArityCapExceeded"
+    pass
 
 
 class SearchSizeOutOfRange(AlgebraError):
     """A model search asked for a carrier size outside 1..256, the values
     one byte per table entry holds."""
-    code = "SearchSizeOutOfRange"
 
 
 class SearchLimitOutOfRange(AlgebraError):
     """A model search asked for fewer than one model: its empty result would
     read as a proof that no model exists."""
-    code = "SearchLimitOutOfRange"
 
 
 class LabelCountMismatch(AlgebraError):
     """Labels for a model check that do not pair one to one with its axioms."""
-    code = "LabelCountMismatch"
 
 
 class TermTooDeep(AlgebraError):
@@ -127,61 +129,57 @@ class TermTooDeep(AlgebraError):
 class ModelError(AlgebraError):
     """A model description (a model block or a JSON file) that defines no
     algebra over the signature."""
-    code = "ModelError"
     # the index of the interpretation at fault, and of its row, when known
     entry = row = None
 
 
 class EmptyCarrier(ModelError):
-    code = "EmptyCarrier"
+    pass
 
 
 class UnknownValue(ModelError):
-    code = "UnknownValue"
+    pass
 
 
 class MissingInterpretation(ModelError):
-    code = "MissingInterpretation"
+    pass
 
 
 class SpecKindMismatch(ModelError):
     """A table given for a value-shaped abstraction, or a single value for
     an operator."""
-    code = "SpecKindMismatch"
 
 
 class BadTableKey(ModelError):
-    code = "BadTableKey"
+    pass
 
 
 class MissingRow(ModelError):
-    code = "MissingRow"
+    pass
 
 
 class DuplicateRow(ModelError):
-    code = "DuplicateRow"
+    pass
 
 
 class StrayInterpretation(ModelError):
     """An interpretation of a name that the signature declares neither
     directly nor through its ASCII alias."""
-    code = "StrayInterpretation"
 
 
 class DuplicateInterpretation(ModelError):
     """An abstraction interpreted twice, under one name or under its glyph
     and its alias."""
-    code = "DuplicateInterpretation"
 
 
 # --- logics ---
 
 class UnknownLogic(AbslogError):
-    code = "UnknownLogic"
+    pass
 
 
 class DuplicateAxiom(AbslogError):
-    code = "DuplicateAxiom"
+    pass
 
 
 # --- kernel ---
@@ -190,39 +188,37 @@ class ProofError(AbslogError):
     """Raised by the trusted checker; ``path`` locates the offending node
     in the proof tree (tuple of child indices from the root)."""
 
-    code = "ProofError"
-
     def __init__(self, message="", path=()):
         super().__init__(message)
         self.path = tuple(path)
 
 
 class NotAnAxiom(ProofError):
-    code = "NotAnAxiom"
+    pass
 
 
 class SubstMismatch(ProofError):
-    code = "SubstMismatch"
+    pass
 
 
 class NotAnImplication(ProofError):
-    code = "NotAnImplication"
+    pass
 
 
 class MpMismatch(ProofError):
-    code = "MpMismatch"
+    pass
 
 
 class AllMismatch(ProofError):
-    code = "AllMismatch"
+    pass
 
 
 class IllFormed(ProofError):
-    code = "IllFormed"
+    pass
 
 
 class UnknownLemma(ProofError):
-    code = "UnknownLemma"
+    pass
 
 
 class ProofTooDeep(ProofError):
@@ -231,8 +227,8 @@ class ProofTooDeep(ProofError):
 
 
 class KernelPrivilege(AbslogError):
-    code = "KernelPrivilege"
+    pass
 
 
 class PreconditionFailed(AbslogError):
-    code = "PreconditionFailed"
+    pass

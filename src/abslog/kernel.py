@@ -2,30 +2,19 @@
 `Theorem`, and each takes theorems.  `axiom` is AX, `inst` SUBST, `mp` MP
 and `gen` ALL; `lift` carries a theorem into a logic that extends its own.
 
-A theorem is its logic and `node`, the nameless form of its statement
-(term.py), which SUBST substitutes into, MP takes apart and ALL binds; its
-`statement` is the term the node names (subst._named), built when read.  A
-term, template or node (the parser's output) from outside enters through
-`encode`, checked against the logic's signature in one walk: each head
-declared with its exact shape, one distinct hint per binder, one argument
-per position, each bound index below its binder depth, each variable named.
-A target is checked, never kept: unless equal to what the rule derived, it
-must match it modulo α (`same_class`).  AX by term or node gives the
-logic's own axiom node.
-
-Each input must be exactly of its type, since a subclass could override
-what the rules read: a premise a `Theorem`, a logic a `Logic` whose
-`signature` is a `Signature`, a binder a `str`; a substitution that is not
-a `Substitution` is converted.  The rules rest on the code above the
-untrusted line, on `Logic.axioms`, `Logic.classes` and is_extension, and on
-the walkers they call: term.encode (whose node check skips `_check_abs`
-only where it must pass: a head declared with that very shape, valence 0,
-no hints, one argument per position), same_class and strip_hints, and
-subst.Template and Substitution.__init__ (their key, binder and arity
-checks), encode_template, _subst_node (_instantiate, _lift, _rebuild),
-_bind and _settle.  Below the line, `check_proof` folds the rules over a
-proof tree and memoises each node's theorem in the `TheoremDB`: a bug there
-can fail a good proof, or hand back a theorem a rule minted, never more.
+The trusted base is the code above the untrusted line and nameless.py,
+the one module it takes its walkers from; beyond it the rules read only a
+logic's checked axioms (`Logic.axioms`, `Logic.classes`) and
+is_extension.  A theorem is its logic and the nameless form of its
+statement (`node`).  A term, template or node from outside is converted
+by term._convert, which is not trusted: what it makes must pass the node
+check against the logic's signature.  A target is checked, never kept:
+unless equal to what the rule derived, it must match it modulo α.  Each
+input must be exactly of its type, since a subclass could override what
+the rules read.  Below the line, `check_proof` folds the rules over a
+proof tree and memoises each node's theorem in the `TheoremDB`: a bug
+there can fail a good proof, or hand back a theorem a rule minted, never
+more.
 """
 from __future__ import annotations
 
@@ -35,9 +24,11 @@ from .errors import (AllMismatch, IllFormed, KernelPrivilege, MpMismatch,
                      NotAnAxiom, NotAnImplication, ProofError, ProofTooDeep,
                      SubstMismatch, TermError, UnknownLemma)
 from .logics import ALL, IMP, Logic, is_extension
+from .nameless import (DeBruijnTerm, Substitution, Template, Term, _bind, _check_node,
+                       _settle, _subst_node, same_class, strip_hints)
 from .shape import BINDER_SHAPE, BINOP_SHAPE
-from .subst import Substitution, Template, _bind, _named, _settle, _subst_node, encode_template
-from .term import DeBruijnTerm, Term, encode, same_class, strip_hints
+from .subst import _named  # display only: the statement a node names
+from .term import _convert  # untrusted: the node check takes or refuses what it makes
 from .term import alpha_eq  # noqa: F401  (bench/tracing.py rebinds it here)
 
 _KERNEL_TOKEN = object()
@@ -74,10 +65,9 @@ class Theorem:
 
 def _encode(logic: Logic, t: Term | DeBruijnTerm | Template) -> DeBruijnTerm:
     """The nameless form of a term, node or template well-formed in logic."""
+    body, frame = (t.body, t.binders) if isinstance(t, Template) else (t, ())
     try:
-        if isinstance(t, Template):
-            return encode_template(t, logic.signature)
-        return encode(t, [], logic.signature)
+        return _check_node(_convert(body, [frame]), len(frame), logic.signature)
     except TermError as e:
         raise IllFormed(str(e)) from e
 

@@ -35,6 +35,7 @@ from itertools import islice
 
 from .errors import AbslogError
 from .logics import Logic, builtin_logic
+from .nameless import _check_abs
 from .shape import (
     AbstractionDecl,
     BINDER_SHAPE,
@@ -44,7 +45,7 @@ from .shape import (
     make_shape,
 )
 from .subst import Substitution, Template, _named
-from .term import Abs, DeBruijnTerm, Term, Var, _check_abs, _lookup
+from .term import Abs, DeBruijnTerm, Term, Var, _lookup
 from .value import Value
 
 ALIAS = {

@@ -85,8 +85,9 @@ from abslog.syntax import (
     Tokens,
     _placed,
 )
+from abslog.nameless import _check_abs, free_in
 from abslog.subst import Substitution, Template, _named, fresh_var
-from abslog.term import _check_abs, _check_var, encode, free_in
+from abslog.term import encode
 
 _fresh = itertools.count()
 
@@ -184,7 +185,7 @@ def _plug(t, env):
 # --- the nameless walkers as they stood before they shared sub-nodes ---------
 
 def _rebuild_copying(node: tuple, leaf, depth: int = 0) -> tuple:
-    """subst._rebuild that builds every node again, changed or not."""
+    """nameless._rebuild that builds every node again, changed or not."""
     tag = node[0]
     if tag == "b":
         return leaf(node, depth)
@@ -630,8 +631,8 @@ def check_node_oracle(node, depth: int, sig) -> tuple:
         if not 0 <= node[1] < depth:
             raise MalformedTerm(f"bound index {node[1]} under {depth} binders")
     elif tag == "v" and len(node) == 3 and type(node[2]) is tuple:
-        if sig is not None:
-            _check_var(node[1])
+        if sig is not None and not (type(node[1]) is str and node[1]):
+            raise MalformedTerm(f"variable name {node[1]!r} is not a name")
         for a in node[2]:
             check_node_oracle(a, depth, sig)
     elif (tag == "A" and len(node) == 5 and type(node[3]) is tuple

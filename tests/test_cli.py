@@ -10,6 +10,7 @@ from abslog import check_theory, parse_theory
 from abslog import cli
 from abslog.cli import main
 from abslog.driver import build_model, model_for
+from abslog import errors
 from abslog.errors import (
     AbslogError,
     BadTableKey,
@@ -24,7 +25,7 @@ from abslog.errors import (
     UnknownValue,
 )
 from abslog.logics import SIG_D
-from abslog.syntax import tokenize
+from abslog.syntax import ParseError, tokenize
 
 CORPUS = Path(__file__).parent.parent / "src" / "abslog" / "corpus"
 DATA = Path(__file__).parent / "data"
@@ -607,3 +608,19 @@ def test_missing_row_in_a_wide_table_is_found_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "[MissingRow]" in err and "table for ∀" in err
+
+
+def test_each_error_code_is_its_class_name():
+    """The code a diagnostic shows is the error's class name, set once by
+    AbslogError, but for the four classes that set their own."""
+    own = {AbslogError: "Error", ParseError: "SyntaxError",
+           errors.TermTooDeep: "TooDeep", errors.ProofTooDeep: "TooDeep"}
+    found, todo = [], [AbslogError]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("abslog."):
+            found.append(cls)
+        todo += cls.__subclasses__()
+    assert len(found) >= 47 and set(own) <= set(found)
+    assert [(cls.__name__, cls.code) for cls in found
+            if cls.code != own.get(cls, cls.__name__)] == []

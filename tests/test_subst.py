@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from abslog import kernel, subst
+from abslog import kernel, nameless
 from abslog import (
     Abs,
     Substitution,
@@ -21,8 +21,8 @@ from abslog import (
 from abslog.errors import ArityMismatch, BadSubstitution, DuplicateBinder
 from abslog.logics import IMP, SIG_K, TRUE, all_, builtin_logic, const, eq, imp, v
 from abslog.shape import BINOP_SHAPE
-from abslog.subst import (_bind, _instantiate, _lift, _named, _settle, _subst_node,
-                          encode_template)
+from abslog.nameless import _bind, _instantiate, _lift, _settle, _subst_node
+from abslog.subst import _named, encode_template
 from abslog.term import encode
 
 from conftest import (FREE_POOL, random_signature, random_substitution,
@@ -323,8 +323,8 @@ def test_settle_makes_no_call_for_a_leaf(monkeypatch):
     """Below the root, `_settle` calls itself on every sub-node but a bound
     index or a node with no arguments."""
     calls = []
-    full = subst._settle
-    monkeypatch.setattr(subst, "_settle",
+    full = nameless._settle
+    monkeypatch.setattr(nameless, "_settle",
                         lambda node, *rest: calls.append(node) or full(node, *rest))
     x, y = v("x"), v("y")
     node = encode(all_("x", all_("y", imp(imp(x, v("A", v("B"))),

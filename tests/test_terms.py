@@ -4,6 +4,8 @@ import pytest
 
 from abslog import (
     Abs,
+    Substitution,
+    Template,
     Var,
     alpha_eq,
     check_wellformed,
@@ -19,10 +21,11 @@ from abslog.errors import (
     UnknownAbstraction,
     ValenceMismatch,
 )
-from abslog.logics import SIG_D, SIG_K, all_, imp, v
-from abslog import term
-from abslog.shape import Shape, pure_shape
-from abslog.term import _check_node, encode
+from abslog.logics import SIG_D, SIG_K, all_, eq, imp, v
+from abslog import nameless
+from abslog.shape import AbstractionDecl, Shape, pure_shape
+from abslog.nameless import _check_node
+from abslog.term import encode
 
 from conftest import random_signature, random_term
 from oracles import (alpha_oracle, check_node_oracle, check_wellformed_oracle,
@@ -81,6 +84,23 @@ def test_duplicate_binders_rejected():
         Abs("q", shape, ("x", "x"), (v("x"),))
 
 
+def test_counts_above_256_are_compared_by_value():
+    """CPython keeps one object for each int up to 256 only: a term,
+    template and substitution of 300 binders and arguments pass every
+    check, and a head with 300 of each but other binder sets is refused
+    for its binder sets."""
+    names = tuple(f"x{i}" for i in range(300))
+    wide = make_shape(300, [range(300)] + [()] * 299)
+    sig = SIG_D.extend([AbstractionDecl("w", wide)])
+    args = tuple(v("y") for _ in names)
+    assert check_wellformed(Abs("w", wide, names, args), sig)[1] == "w"
+    tmpl = Template(names, v("x0"))
+    assert Substitution({("F", 300): tmpl})[("F", 300)] is tmpl
+    other = make_shape(len(names), [()] * 299 + [range(300)])
+    with pytest.raises(ValenceMismatch, match="binder sets"):
+        check_wellformed(Abs("w", other, names, args), sig)
+
+
 def test_alpha_binder_rename():
     s = _ab("y", v("x"), v("y"))
     t = _ab("z", v("x"), v("z"))
@@ -91,6 +111,8 @@ def test_alpha_binder_rename():
 def test_alpha_distinguishes_free_names():
     assert to_debruijn(v("x")) != to_debruijn(v("y"))
     assert not alpha_eq(all_("x", v("x")), all_("x", v("y")))
+    # and the heads of two abstractions of one shape
+    assert not alpha_eq(imp(v("x"), v("y")), eq(v("x"), v("y")))
 
 
 def test_alpha_shadowing():
@@ -284,8 +306,8 @@ def test_node_check_makes_no_call_for_a_variable_leaf(monkeypatch):
     """Below the root, `_check_node` calls itself on every sub-node but a
     variable with a name and no arguments."""
     calls = []
-    full = term._check_node
-    monkeypatch.setattr(term, "_check_node",
+    full = nameless._check_node
+    monkeypatch.setattr(nameless, "_check_node",
                         lambda node, *rest: calls.append(node) or full(node, *rest))
     x = v("x")
     node = encode(all_("x", imp(imp(x, v("A", v("B"))), imp(v("C"), x))), [])
@@ -301,8 +323,8 @@ def test_node_check_skips_the_full_check_at_declared_heads(monkeypatch):
     """A node of D's operators that binds nothing calls `_check_abs` only
     at its binding heads."""
     calls = []
-    full = term._check_abs
-    monkeypatch.setattr(term, "_check_abs",
+    full = nameless._check_abs
+    monkeypatch.setattr(nameless, "_check_abs",
                         lambda name, *rest: calls.append(name) or full(name, *rest))
     x = v("x")
     t = all_("x", imp(imp(x, v("A", x)), imp(v("B"), v("A", x))))
