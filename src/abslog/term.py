@@ -19,7 +19,7 @@ from itertools import repeat
 
 from .nameless import (Abs, DeBruijnTerm, Term, Var, _check_node, free_in, same_class,
                        strip_hints)
-from .shape import Signature
+from .shape import Shape, Signature
 
 
 def check_wellformed(t: Term | DeBruijnTerm, sig: Signature) -> DeBruijnTerm:
@@ -41,7 +41,8 @@ def _convert(t, frames: list[tuple[str, ...]]) -> DeBruijnTerm:
     """The nameless form of a named term under the binder frames in scope
     (outermost first), unchecked: a node, or anything else that is neither
     a `Var` nor an `Abs`, is left in place for the node check to take or
-    refuse, and a name that is not exactly a str binds nothing."""
+    refuse, as are the fields of an `Abs` that no longer fit its shape, and
+    a name that is not exactly a str binds nothing."""
     if type(t) is Var:
         if not t.args:
             k = _lookup(t.name, frames) if type(t.name) is str else None
@@ -50,15 +51,20 @@ def _convert(t, frames: list[tuple[str, ...]]) -> DeBruijnTerm:
         return ("v", t.name, tuple(map(_convert, t.args, repeat(frames))))
     if type(t) is not Abs:
         return t
+    shape, binders, old = t.shape, t.binders, t.args
+    if not (type(shape) is Shape and type(binders) is tuple and type(old) is tuple
+            and len(binders) == shape.valence and len(old) == len(shape.binder_sets)):
+        # fields changed past the constructor
+        return ("A", t.name, shape, binders, old)
     args = []
-    for p, a in zip(t.shape.binder_sets, t.args):
+    for p, a in zip(shape.binder_sets, old):
         if p:
-            frames.append(tuple(t.binders[j] for j in p))
+            frames.append(tuple(binders[j] for j in p))
             args.append(_convert(a, frames))
             frames.pop()
         else:
             args.append(_convert(a, frames))
-    return ("A", t.name, t.shape, t.binders, tuple(args))
+    return ("A", t.name, shape, binders, tuple(args))
 
 
 def encode(t: Term | DeBruijnTerm, frames: list[tuple[str, ...]],

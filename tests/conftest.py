@@ -1,4 +1,5 @@
-"""Shared random generators for property tests.
+"""Shared random generators for property tests, and values whose class
+claims to be another.
 
 Everything is driven by explicit random.Random instances so failures are
 reproducible from the printed seed.
@@ -127,3 +128,28 @@ def random_substitution(rnd, sig, term, depth=3):
         body = random_term(rnd, sig, depth, binders)
         mapping[(name, arity)] = Template(binders, body)
     return Substitution(mapping)
+
+
+class ClaimsEveryClass(type):
+    """A metaclass whose classes claim to equal every class: for an instance
+    x of `ClaimStr`, `type(x) == str` holds and `type(x) is str` does not."""
+
+    def __eq__(cls, other):
+        return True
+
+    def __ne__(cls, other):
+        return False
+
+    __hash__ = type.__hash__
+
+
+class ClaimStr(str, metaclass=ClaimsEveryClass):
+    pass
+
+
+class ClaimInt(int, metaclass=ClaimsEveryClass):
+    pass
+
+
+class ClaimTuple(tuple, metaclass=ClaimsEveryClass):
+    pass

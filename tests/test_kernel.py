@@ -56,6 +56,7 @@ from abslog.shape import (BINDER_SHAPE, BINOP_SHAPE, AbstractionDecl, Shape, Sig
 from abslog.subst import _named
 from abslog.term import Abs, encode, same_class
 
+from conftest import ClaimInt, ClaimsEveryClass, ClaimStr, ClaimTuple
 from oracles import check_proof_oracle, rename_binders
 
 D = builtin_logic("D")
@@ -404,6 +405,18 @@ class _AnyInt(int):
         return 0
 
 
+class _ClaimsArity0(_Arity0, metaclass=ClaimsEveryClass):
+    """A template of arity 0 whose class claims to be Template."""
+
+
+class _ClaimsSubstitution(metaclass=ClaimsEveryClass):
+    """Claims to be a Substitution, and maps A/0 to _FORGED."""
+    mapping = {("A", 0): _FORGED}
+
+    def items(self):
+        return self.mapping.items()
+
+
 FORGERIES = {
     "mapping rebound": (_rebound, KernelPrivilege),
     "items overridden": (lambda: _YieldsForged({}), ArityMismatch),
@@ -414,6 +427,9 @@ FORGERIES = {
         lambda: Substitution({("A", _AnyInt(1)): _FORGED}), BadSubstitution),
     "template arity overridden": (
         lambda: Substitution({("A", 0): _Arity0(("x",), ("b", 0))}), ArityMismatch),
+    "template claims to be a Template": (
+        lambda: Substitution({("A", 0): _ClaimsArity0(("x",), ("b", 0))}), ArityMismatch),
+    "claims to be a Substitution": (_ClaimsSubstitution, ArityMismatch),
 }
 
 
@@ -435,9 +451,10 @@ def test_a_subclass_gets_past_no_rule():
     ∀x. x, a Logic whose axiom() answers ∀x. x, a term that reads as x ⇒ x
     when checked and encodes as b0 ⇒ b0, a variable named when checked
     and not when encoded, a name equal to every name, a shape equal to
-    every shape, a signature that declares every name.
-    Each once got a rule to mint it, or the store to keep it; each is now
-    refused."""
+    every shape, a signature that declares every name, an object whose
+    class claims to equal Theorem and Logic.  Each once got a rule to mint
+    it, or the store to keep it, or would with `==` for `is` in a type
+    check; each is refused."""
     forall_x = encode(all_("x", v("x")), [], D.signature)
 
     class Fake(Theorem):
@@ -446,9 +463,13 @@ def test_a_subclass_gets_past_no_rule():
         def __init__(self):
             pass
 
+    class Claims(metaclass=ClaimsEveryClass):  # to be a Theorem, and a Logic
+        node, logic = forall_x, D
+
     fake = Fake()
     for probe in (lambda: kernel.lift(fake, K), lambda: kernel.gen(fake, "y"),
-                  lambda: TheoremDB().add("fake", fake)):
+                  lambda: TheoremDB().add("fake", fake), lambda: kernel.gen(Claims(), "y"),
+                  lambda: kernel.lift(kernel.axiom(D, "D1"), Claims())):
         with pytest.raises(KernelPrivilege):
             probe()
 
@@ -552,7 +573,7 @@ def test_malformed_target_and_binder_are_ill_formed():
                    _NoneLike()):
         with pytest.raises(IllFormed):
             kernel.gen(d1, "x", target)
-    for binder in (5, "", None):
+    for binder in (5, "", None, ClaimStr("x")):
         with pytest.raises(IllFormed):
             kernel.gen(d1, binder)
         with pytest.raises(IllFormed):
@@ -581,6 +602,54 @@ def test_targets_match_modulo_alpha():
     assert thm.statement == imp(v("B"), all_("w", TOP))
     with pytest.raises(MpMismatch):
         kernel.mp(kernel.axiom(D, "D1"), g)
+
+
+def test_a_target_equal_to_what_the_rule_derived_needs_no_node_check(monkeypatch):
+    """A target equal to the derived node, even as another object, is taken
+    without a node check, and the theorem keeps the derived node."""
+    calls = []
+    check = kernel._check_node
+    monkeypatch.setattr(kernel, "_check_node", lambda *a: calls.append(a) or check(*a))
+    d1 = kernel.axiom(D, "D1")
+    target = encode(all_("y", TOP), [])
+    derived = kernel.gen(d1, "y").node
+    assert target == derived and target is not derived
+    thm = kernel.gen(d1, "y", target)
+    assert calls == [] and thm.node == derived and thm.node is not target
+
+
+class _Str(str):
+    pass
+
+
+def _other(x):
+    """x with each str in it, through tuples, replaced by an equal str that
+    is another object: not the one a literal in the source gives, even for
+    one character."""
+    if type(x) is str:
+        return str(_Str(x))
+    return tuple(map(_other, x)) if type(x) is tuple else x
+
+
+def test_rules_compare_tags_and_names_by_value():
+    """Tags and names are compared by value, never by identity: the same
+    derivation in a logic and in a copy whose axioms, and the derivation's
+    inputs, hold other but equal strs gives equal nodes."""
+    DT = D.extend("DT", axioms=[("T", imp(TOP, TOP))])
+    copy = Logic("DT", DT.signature, [(label, _other(a)) for label, a in DT.axioms])
+
+    def derive(logic, fresh):
+        d2, d4 = kernel.axiom(logic, "D2"), kernel.axiom(logic, "D4")
+        # A[x] := [y. ∀x. y ⇒ x]: lifted under ∀x, where its x is renamed
+        body = fresh(encode(all_("x", imp(v("y"), v("x"))), [("y",)]))
+        return [kernel.inst(d4, {("A", 1): Template(fresh(("y",)), body)}).node,
+                kernel.inst(d4, {("B", 0): TOP}).node,
+                kernel.gen(d2, "A").node,
+                kernel.mp(kernel.axiom(logic, "D1"), kernel.axiom(logic, "T")).node,
+                kernel.axiom(logic, fresh(d4.node)).node,
+                nameless.free_in(d4.node)]
+
+    assert derive(copy, _other) == derive(DT, lambda x: x)
 
 
 def test_statement_is_built_when_read(monkeypatch):
@@ -711,7 +780,28 @@ def test_only_the_rules_mint_theorems():
 _Q = make_shape(2, [{0, 1}])
 DQ = Logic("DQ", D.signature.extend([AbstractionDecl("q", _Q)]), D.axioms)
 _X, _TOP_NODE = ("v", "x", ()), ("A", TRUE, TOP.shape, (), ())
-# nodes that are not nameless terms over DQ, each named by its fault
+
+
+class _ClaimsShape(Shape, metaclass=ClaimsEveryClass):
+    """A shape equal to every shape, whose class claims to be Shape."""
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = Shape.__hash__
+
+
+def _tampered(term, **fields):
+    """term with fields set past its constructor's check."""
+    for name, value in fields.items():
+        object.__setattr__(term, name, value)
+    return term
+
+
+# nodes, and two terms, that are not nameless terms over DQ, each named by
+# its fault
 _BAD_NODES = {
     "undeclared head": ("A", "nope", BINOP_SHAPE, (), (_X, _X)),
     "head not a name": ("A", 5, BINOP_SHAPE, (), (_X, _X)),
@@ -740,6 +830,22 @@ _BAD_NODES = {
     "too short": ("A", IMP, BINOP_SHAPE, ()),
     "unknown tag": ("B", "x", ()),
     "tag equal to every tag": (_AnyStr("A"), IMP, BINOP_SHAPE, (), (_X, _X)),
+    "node claims a tuple": ClaimTuple(_X),
+    "tag claims a str": (ClaimStr("v"), "x", ()),
+    "index claims an int": ("A", "∀", BINDER_SHAPE, ("y",), (("b", ClaimInt(0)),)),
+    "variable arguments claim a tuple": ("v", "f", ClaimTuple((_X,))),
+    "head claims a str": ("A", ClaimStr(IMP), BINOP_SHAPE, (), (_X, _X)),
+    "shape claims a Shape": ("A", IMP, _ClaimsShape(0, ((), ())), (), (_X, _X)),
+    "hints claim a tuple": ("A", "∀", BINDER_SHAPE, ClaimTuple(("y",)), (("b", 0),)),
+    "hint claims a str": ("A", "∀", BINDER_SHAPE, (ClaimStr("y"),), (("b", 0),)),
+    "arguments claim a tuple": ("A", IMP, BINOP_SHAPE, (), ClaimTuple((_X, _X))),
+    "sub-node claims a tuple": ("A", IMP, BINOP_SHAPE, (), (ClaimTuple(_X), _X)),
+    "sub-node tag claims a str": ("A", IMP, BINOP_SHAPE, (), ((ClaimStr("v"), "x", ()), _X)),
+    "sub-node name claims a str": ("A", IMP, BINOP_SHAPE, (), (("v", ClaimStr("x"), ()), _X)),
+    "sub-node arguments claim a tuple": (
+        "A", IMP, BINOP_SHAPE, (), (("v", "x", ClaimTuple()), _X)),
+    "term with its shape changed": _tampered(imp(v("x"), v("x")), shape="nope"),
+    "term with its binders changed": _tampered(all_("x", v("x")), binders=()),
     "empty": (),
 }
 

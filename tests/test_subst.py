@@ -25,8 +25,8 @@ from abslog.nameless import _bind, _instantiate, _lift, _settle, _subst_node
 from abslog.subst import _named, encode_template
 from abslog.term import encode
 
-from conftest import (FREE_POOL, random_signature, random_substitution,
-                      random_term)
+from conftest import (FREE_POOL, ClaimInt, ClaimsEveryClass, ClaimStr, ClaimTuple,
+                      random_signature, random_substitution, random_term)
 from oracles import (alpha_oracle, bind_oracle, instantiate_oracle, lift_oracle,
                      rename_binders, settle_oracle, subst_node_oracle, subst_oracle)
 
@@ -58,8 +58,11 @@ def test_template_invariants():
     {(1, 0): v("x")},
     {("A", -1): v("x")},
     {("A", 0, 0): v("x")},
+    {ClaimTuple(("A", 0)): v("x")},
+    {(ClaimStr("A"), 0): v("x")},
+    {("A", ClaimInt(0)): v("x")},
 ], ids=["int-body", "bare-name-key", "str-body", "int-name", "negative-arity",
-        "triple-key"])
+        "triple-key", "key-claims-a-tuple", "name-claims-a-str", "arity-claims-an-int"])
 def test_malformed_substitution_is_a_named_error(mapping):
     (key,) = mapping
     d2 = kernel.axiom(builtin_logic("D"), "D2")
@@ -76,6 +79,10 @@ class _Binders(tuple):
     """A tuple of binder names, but not exactly a tuple."""
 
 
+class _NotATerm(metaclass=ClaimsEveryClass):
+    """Claims to be a tuple, and is neither a node nor a term."""
+
+
 _NODE = ("v", "x", ())
 
 
@@ -86,8 +93,13 @@ _NODE = ("v", "x", ())
     (_Binders(), _NODE, BadSubstitution),
     (("",), _NODE, BadSubstitution),
     (("x", "x"), _NODE, DuplicateBinder),
+    ((), _NotATerm(), BadSubstitution),
+    (ClaimTuple(), _NODE, BadSubstitution),
+    (ClaimTuple(("x",)), _NODE, BadSubstitution),
+    ((ClaimStr("x"),), _NODE, BadSubstitution),
 ], ids=["int-body", "list-body", "list-binders", "tuple-subclass-binders",
-        "empty-binder", "repeated-binder"])
+        "empty-binder", "repeated-binder", "body-claims-a-tuple",
+        "no-binders-claim-a-tuple", "binders-claim-a-tuple", "binder-claims-a-str"])
 def test_template_checks_hold_beside_the_fast_path(binders, body, error):
     """A template with no binders and a node body, as the parser builds
     for `x := term`, passes at once; each other template is checked."""

@@ -321,7 +321,7 @@ def test_node_check_makes_no_call_for_a_variable_leaf(monkeypatch):
 
 def test_node_check_skips_the_full_check_at_declared_heads(monkeypatch):
     """A node of D's operators that binds nothing calls `_check_abs` only
-    at its binding heads."""
+    at its binding heads; so does a node of a head with 300 arguments."""
     calls = []
     full = nameless._check_abs
     monkeypatch.setattr(nameless, "_check_abs",
@@ -331,4 +331,8 @@ def test_node_check_skips_the_full_check_at_declared_heads(monkeypatch):
     node = encode(t, [])
     calls.clear()  # building the term checked each head
     assert _check_node(node, 0, SIG_D) is node
+    assert calls == ["∀"]
+    wide = make_shape(0, [()] * 300)
+    node = ("A", "w", wide, (), (("v", "x", ()),) * 300)
+    assert _check_node(node, 0, SIG_D.extend([AbstractionDecl("w", wide)])) is node
     assert calls == ["∀"]
