@@ -19,8 +19,8 @@ so what remains is the operator cells it reads.  An instance whose
 ground term repeats an earlier one is dropped.  Propagation reads an
 instance again only once a cell that its last read stopped at has been
 assigned.  The search works on plain ints: each table entry is a
-numbered cell, a set of values is a bitmask, and a model found keeps one
-byte per entry.
+numbered cell, the assignment is one list indexed by cell, a set of values
+is a bitmask, and a model found keeps one byte per entry.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from .errors import (
     NotLogicSignature,
     SearchLimitOutOfRange,
     SearchSizeOutOfRange,
+    SearchTooLarge,
     SpecKindMismatch,
     StrayInterpretation,
     TermError,
@@ -433,6 +434,14 @@ def degenerate_model(sig: Signature) -> AbstractionAlgebra:
 # Evaluating it reads cells in exactly the order _eval reads the entries of
 # the term it came from.  A two-argument head binding nothing (⇒, =, ∧) and
 # a unary variable have grounders of their own, and _value a two-kid path.
+#
+# The assignment is the store val, one list of length end over every int a
+# ground term holds: val[u] = u for a value u, and val[c] is cell c's value,
+# or c itself while c has none.  So val[g] is what a read of g gives, the
+# value or the cell to wait on, assigning c is val[c] = u and unassigning it
+# val[c] = c.  At about 40 bytes an int the store is bounded: find_models
+# refuses a search with more than MAX_SEARCH_CELLS cells (SearchTooLarge)
+# before it grounds an instance or builds the store.
 
 @cache
 def _cell_bases(sig: Signature, size: int) -> tuple[dict[str, int], int]:
@@ -519,34 +528,32 @@ def _grounder(node: DeBruijnTerm, pos: Mapping[tuple[str, int], int],
     return ground_abs
 
 
-def _value(g, cells: dict[int, int], size: int) -> int:
+def _value(g, val: list[int], size: int) -> int:
     """The value of ground term g (an int below size), or the first cell
-    it reads that cells does not assign (an int at or above it)."""
+    it reads that has no value (an int at or above it).  val is the store:
+    val[c] is cell c's value, or c itself while c has none, and val[u] is u
+    for each value u, so val[g] answers for any int g."""
     if g.__class__ is int:
-        return cells.get(g, g)  # a value is no key of cells
+        return val[g]
     head, kids = g
     if len(kids) == 2:  # a ⇒ b, a = b, …: read a, then b, then the head
         a, b = kids
-        a = cells.get(a, a) if a.__class__ is int else _value(a, cells, size)
+        a = val[a] if a.__class__ is int else _value(a, val, size)
         if a >= size:
             return a
-        b = cells.get(b, b) if b.__class__ is int else _value(b, cells, size)
+        b = val[b] if b.__class__ is int else _value(b, val, size)
         if b >= size:
             return b
         row = a * size + b
     else:
         row = 0
         for kid in kids:
-            if kid.__class__ is int:  # read here to save a call
-                value = cells.get(kid, kid)
-            else:
-                value = _value(kid, cells, size)
+            value = val[kid] if kid.__class__ is int else _value(kid, val, size)
             if value >= size:
                 return value
             row = row * size + value
     if head.__class__ is int:
-        head += row
-        return cells.get(head, head)
+        return val[head + row]
     return head[row]
 
 
@@ -570,18 +577,21 @@ def _instances(nodes: Iterable[DeBruijnTerm], bases: Mapping[str, int],
         for tables in product(*(product(range(size), repeat=size ** n)
                                 for _, n in fvs)):
             g = ground(tables, ())
-            if g not in seen:
-                seen.add(g)
+            n = len(seen)
+            seen.add(g)  # one hash: the set grows only if g is new
+            if len(seen) != n:
                 yield g, must_hold, None, None, None
 
 
-def _propagate(cs: Iterable, cells: dict[int, int], size: int,
+def _propagate(cs: Iterable, val: list[int], size: int,
                trail: list[int]) -> tuple[list, dict[int, int]] | None:
     """One search node: drop satisfied constraints, intersect the viable
     values of every read-but-unassigned cell, assign forced cells (each
-    appended to trail), and repeat until a round forces none.  None on a
-    conflict, else the constraints left and the viable values of the cells
-    they wait on.  A set of values is a bitmask: value u is bit 1 << u.
+    written to val and appended to trail), and repeat until a round forces
+    none.  None on a conflict, else the constraints left and the viable
+    values of the cells they wait on.  A set of values is a bitmask: value
+    u is bit 1 << u.  val is the store _value reads: cell k has a value
+    exactly when val[k] != k.
 
     A constraint is (ground term, allowed values, k, ok, blockers), its
     status the last three.  After a read, k is the first cell it reads
@@ -595,14 +605,13 @@ def _propagate(cs: Iterable, cells: dict[int, int], size: int,
     round passes the statuses on in the list it builds.  cs is read once
     per round, so it may be an iterator that grounds constraints, with no
     status yet (k, ok and blockers None), as the first round reaches them."""
-    assigned = cells.keys()  # a live view: the cells with a value now
     every = (1 << size) - 1
     while True:
         remaining, viable, progress = [], {}, False
         for c in cs:
             g, allowed, k, ok_vals, blockers = c
-            if k is None or k in cells:
-                k = _value(g, cells, size)  # its value, or the cell it waits on
+            if k is None or val[k] != k:
+                k = _value(g, val, size)  # its value, or the cell it waits on
                 if k < size:
                     if not allowed >> k & 1:
                         return None
@@ -610,24 +619,29 @@ def _propagate(cs: Iterable, cells: dict[int, int], size: int,
                 ok_vals, blockers = every, None
             if k in viable:
                 ok_vals &= viable[k]  # from size 4 on, the two may be disjoint
-            if ok_vals and (blockers is None or not assigned.isdisjoint(blockers)):
+            if ok_vals and blockers is not None:
+                for b in blockers:
+                    if val[b] != b:  # a blocker has a value: look ahead again
+                        blockers = None
+                        break
+            if ok_vals and blockers is None:
                 trials, ok_vals, blockers = ok_vals, 0, set()
                 while trials:
                     bit = trials & -trials
                     trials ^= bit
-                    cells[k] = bit.bit_length() - 1
-                    v = _value(g, cells, size)
+                    val[k] = bit.bit_length() - 1
+                    v = _value(g, val, size)
                     if v >= size:
                         ok_vals |= bit
                         blockers.add(v)
                     elif allowed >> v & 1:
                         ok_vals |= bit
-                del cells[k]
+                val[k] = k
                 c = g, allowed, k, ok_vals, blockers
             if not ok_vals:
                 return None
             if ok_vals & (ok_vals - 1) == 0:  # one value left
-                cells[k] = ok_vals.bit_length() - 1
+                val[k] = ok_vals.bit_length() - 1
                 trail.append(k)
                 viable.pop(k, None)
                 progress = True
@@ -639,29 +653,38 @@ def _propagate(cs: Iterable, cells: dict[int, int], size: int,
             return cs, viable
 
 
-def _solve(cs: Iterable, cells: dict[int, int], size: int, limit: int,
-           found: list[dict[int, int]]) -> None:
-    """Depth-first search, one _propagate per node, in one loop: append a
-    copy of cells to found at each node that leaves no constraint, until
-    found holds limit.  A node that leaves some opens a decision level on
-    a cell with the fewest viable values, tried in ascending order.  A
-    level is [the constraints, with their statuses, that the node left;
-    its cell; the values still to try; the trail's length before the
-    cell]: the next value first pops the trail down to that length,
-    unassigning every cell the last value led to, and a level with no
-    values left gives way to the one below."""
+def _solve(cs: Iterable, val: list[int], size: int, limit: int,
+           found: list[bytes]) -> None:
+    """Depth-first search, one _propagate per node, in one loop: at each
+    node that leaves no constraint, append the model, the values of the
+    cells val[size:] one byte each, to found, until found holds limit; a
+    cell no constraint read has no value and takes 0.  A node that leaves
+    some opens a decision level on the first cell of viable with the
+    fewest values (each has at least two there, so the first with two ends
+    the choice), and tries its values in ascending order.  A level is [the
+    constraints, with their statuses, that the node left; its cell; the
+    values still to try; the trail's length before the cell]: the next
+    value first pops the trail down to that length, writing each cell the
+    last value led to back to its own number, and a level with no values
+    left gives way to the one below."""
     trail: list[int] = []
     levels: list[list] = []
     while True:
-        node = _propagate(cs, cells, size, trail)
+        node = _propagate(cs, val, size, trail)
         if node is not None:
             cs, viable = node
             if not cs:
-                found.append(dict(cells))
+                found.append(bytes([u if u < size else 0 for u in val[size:]]))
                 if len(found) >= limit:
                     return
             else:
-                k = min(viable, key=lambda k: viable[k].bit_count())
+                fewest = size + 1
+                for c, values in viable.items():
+                    n = values.bit_count()
+                    if n < fewest:
+                        k, fewest = c, n
+                        if n == 2:
+                            break
                 levels.append([cs, k, viable[k], len(trail)])
         while levels and not levels[-1][2]:
             levels.pop()
@@ -669,10 +692,11 @@ def _solve(cs: Iterable, cells: dict[int, int], size: int, limit: int,
             return
         cs, k, values, mark = level = levels[-1]
         while len(trail) > mark:
-            del cells[trail.pop()]
+            c = trail.pop()
+            val[c] = c
         bit = values & -values
         level[2] = values ^ bit
-        cells[k] = bit.bit_length() - 1
+        val[k] = bit.bit_length() - 1
         trail.append(k)
 
 
@@ -682,6 +706,9 @@ def _universe(size: int) -> Universe:
 
 
 MAX_SEARCH_SIZE = 256  # the values one byte per table entry holds
+# the cells the search's store may hold: a list of 2**20 ints takes about
+# 40 MB; D's tables pass it at size 8, K's at size 7
+MAX_SEARCH_CELLS = 2 ** 20
 
 
 @_depth_checked
@@ -699,31 +726,40 @@ def find_models(sig: Signature, axioms: Sequence[Term | DeBruijnTerm], size: int
     empty result means no model exists.  The search runs in one loop,
     with no Python frame per branching choice, so its depth is bounded by
     time and memory alone; only a term too deep to walk is TermTooDeep.
+    Its assignment is one list with an int per value and per table entry,
+    so a search with more than MAX_SEARCH_CELLS of them is refused, before
+    any work, as SearchTooLarge.
     """
-    if not 1 <= size <= MAX_SEARCH_SIZE:
+    if size.__class__ is not int or not 1 <= size <= MAX_SEARCH_SIZE:
         raise SearchSizeOutOfRange(f"find_models: carrier size {size!r} is not "
-                                   f"in 1..{MAX_SEARCH_SIZE}")
+                                   f"an int in 1..{MAX_SEARCH_SIZE}")
     if limit.__class__ is not int or limit < 1:
         raise SearchLimitOutOfRange(f"find_models: limit {limit!r} is not an int ≥ 1")
     if not is_logic_signature(sig):
         raise NotLogicSignature("signature lacks ⊤/⇒/∀ with their required shapes")
+    bases, end = _cell_bases(sig, size)
+    if end > MAX_SEARCH_CELLS:
+        # a table of a position binding several variables can have more
+        # entries than an int may have digits in a str
+        cells = f"{end:,}" if end < 10 ** 18 else f"over 2^{end.bit_length() - 1}"
+        raise SearchTooLarge(f"find_models: the tables at size {size} need a store "
+                             f"of {cells} cells, more than {MAX_SEARCH_CELLS:,}")
     # The constraint set is closed under renaming carrier values (axiom
     # instances range over all argument tables), so every model is isomorphic
     # to one interpreting ⊤ as value 0; fixing that cuts the search threefold.
     top = 0
-    bases, end = _cell_bases(sig, size)
-    cells = {bases[TRUE]: top}
+    val = list(range(end))  # every cell without a value
+    val[bases[TRUE]] = top
     # smaller axioms first, so that unit propagation fires early
     nodes = sorted((encode(axiom, [], sig) for axiom in axioms), key=_node_size)
-    found: list[dict[int, int]] = []
+    found: list[bytes] = []
     conditions = [(bases[name] + row, mask, None, None, None)
                   for name, row, mask in _logic_conditions(size, top)]
     _solve(chain(conditions, _instances(nodes, bases, size, top)),
-           cells, size, limit, found)
-    # cells no constraint read are free; they take value 0
-    return [AbstractionAlgebra(_universe(size), sig, _PackedInterp(
-                sig, size, bases, bytes(found_cells.get(c, 0) for c in range(size, end))))
-            for found_cells in found]
+           val, size, limit, found)
+    return [AbstractionAlgebra(_universe(size), sig,
+                               _PackedInterp(sig, size, bases, entries))
+            for entries in found]
 
 
 class _PackedInterp(Mapping):

@@ -16,7 +16,7 @@ from functools import cache
 
 from .algebra import Valuation, check_model, constant_table, eval_term
 from .driver import check_theory, model_for
-from .errors import AbslogError
+from .errors import AbslogError, BadAssignment
 from .syntax import parse_term, parse_theory, print_term
 from .term import free_vars
 
@@ -113,19 +113,24 @@ def _fail_message(v, names) -> str:
 
 
 def _parse_assignment(spec: str, alg) -> Valuation:
-    overrides = {}
+    """The valuation an --assign list gives: comma-separated name=value
+    items, each name given once."""
+    overrides, names = {}, alg.universe.value_names
     if spec:
         for item in spec.split(","):
-            if "=" not in item:
-                raise AbslogError(f"bad assignment {item!r}, expected name=value")
-            name, value = item.split("=", 1)
+            name, eq, value = item.partition("=")
             name, value = name.strip(), value.strip()
-            if value not in alg.universe.value_names:
-                raise AbslogError(
+            if not eq:
+                raise BadAssignment(f"bad assignment {item!r}, expected name=value")
+            if not name:
+                raise BadAssignment(f"bad assignment {item!r}: the name is empty")
+            if (name, 0) in overrides:
+                raise BadAssignment(f"{name!r} is assigned more than once")
+            if value not in names:
+                raise BadAssignment(
                     f"{value!r} is not a value of the model "
-                    f"(carrier: {', '.join(alg.universe.value_names)})")
-            overrides[(name, 0)] = constant_table(
-                alg.size, 0, alg.universe.value_names.index(value))
+                    f"(carrier: {', '.join(names)})")
+            overrides[(name, 0)] = constant_table(alg.size, 0, names.index(value))
     return Valuation(alg.size, overrides)
 
 

@@ -107,6 +107,11 @@ class SearchSizeOutOfRange(AlgebraError):
     one byte per table entry holds."""
 
 
+class SearchTooLarge(AlgebraError):
+    """A model search whose tables have more cells than its store holds
+    (algebra.MAX_SEARCH_CELLS), refused before any work."""
+
+
 class SearchLimitOutOfRange(AlgebraError):
     """A model search asked for fewer than one model: its empty result would
     read as a proof that no model exists."""
@@ -232,3 +237,10 @@ class KernelPrivilege(AbslogError):
 
 class PreconditionFailed(AbslogError):
     pass
+
+
+# --- command line ---
+
+class BadAssignment(AbslogError):
+    """An `eval --assign` item that is not name=value, names no variable,
+    repeats a name or gives a value the model's carrier lacks."""

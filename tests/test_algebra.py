@@ -45,6 +45,7 @@ from abslog.errors import (
     NotLogicSignature,
     SearchLimitOutOfRange,
     SearchSizeOutOfRange,
+    SearchTooLarge,
     TermTooDeep,
 )
 from abslog.logics import (
@@ -568,15 +569,45 @@ def test_find_models_at_size_four():
 
 
 def test_find_models_refuses_a_size_outside_one_to_256():
-    # a found model keeps one byte per table entry; the size is checked
-    # before any work, so 256 gets as far as the signature check
-    for size in (0, -1, 257):
+    # a found model keeps one byte per table entry; the size is checked, by
+    # exact type as the limit is, before any work, so 256 gets as far as the
+    # signature check and True is not taken for 1
+    for size in (0, -1, 257, 2.0, "2", True):
         with pytest.raises(SearchSizeOutOfRange):
             find_models(SIG_D, [], size)
     with pytest.raises(NotLogicSignature):
         find_models(signature([("f", pure_shape(1))]), [], 256)
     (model,) = find_models(SIG_D, builtin_logic("D").axiom_terms, 1)
     assert model.size == 1
+
+
+def test_find_models_refuses_a_store_above_max_search_cells(monkeypatch):
+    # the search keeps one int per value and per table entry, a number the
+    # signature and the size give, so a search whose store would hold more
+    # than MAX_SEARCH_CELLS is refused before it grounds an instance or
+    # builds the store: U at size 7 needs 3,294,483 cells, and D at size 6,
+    # with 46,699, is searched (here up to the store, with _solve stubbed)
+    grounded = _count_calls(monkeypatch, algebra, "_instances")
+    stores = []
+    monkeypatch.setattr(algebra, "_solve",
+                        lambda cs, val, size, limit, found: stores.append(len(val)))
+    u, d = builtin_logic("U"), builtin_logic("D")
+    with pytest.raises(SearchTooLarge, match="3,294,483 cells"):
+        find_models(u.signature, u.axiom_terms, 7)
+    # w's table at size 16 has 16^4096 entries, more digits than str() gives
+    w = SIG_D.extend(signature([("w", make_shape(3, [(0, 1, 2)]))]).decls)
+    with pytest.raises(SearchTooLarge, match=r"store of over 2\^16384 cells"):
+        find_models(w, [], 16)
+    assert grounded == [0] and stores == []
+    assert find_models(d.signature, d.axiom_terms, 6) == [] and stores == [46_699]
+    assert algebra.MAX_SEARCH_CELLS == 2 ** 20
+    # the bound admits a store of exactly MAX_SEARCH_CELLS: D's at size 2 has 11
+    monkeypatch.setattr(algebra, "MAX_SEARCH_CELLS", 11)
+    assert find_models(d.signature, d.axiom_terms, 2) == [] and stores[-1] == 11
+    monkeypatch.setattr(algebra, "MAX_SEARCH_CELLS", 10)
+    with pytest.raises(SearchTooLarge):
+        find_models(d.signature, d.axiom_terms, 2)
+    assert len(stores) == 2
 
 
 def test_find_models_refuses_a_limit_below_one():
@@ -676,9 +707,10 @@ def test_grounding_agrees_with_evaluation(monkeypatch):
             interp = dict(alg.interp)
             interp[TRUE] = OperationTable(size, interp[TRUE].shape, (0,))
             algs.append(AbstractionAlgebra(alg.universe, sig, interp))
-        bases, _ = algebra._cell_bases(sig, size)
-        cells = [{bases[d.name] + row: e for d in sig.decls if d.name != TRUE
-                  for row, e in enumerate(a.interp[d.name].entries)} for a in algs]
+        bases, end = algebra._cell_bases(sig, size)
+        stores = [_store({bases[d.name] + row: e for d in sig.decls if d.name != TRUE
+                          for row, e in enumerate(a.interp[d.name].entries)}, end)
+                  for a in algs]
         by_name = [algebra._tables(a) for a in algs]
         for _ in range(6):
             t = random_term(rnd, sig, depth=4)
@@ -694,8 +726,8 @@ def test_grounding_agrees_with_evaluation(monkeypatch):
             for tables in product(*(all_tables(size, n) for _, n in fvs)):
                 g = ground(tuple(tb.entries for tb in tables), ())
                 nu = Valuation(size, dict(zip(fvs, tables)))
-                for alg_tables, entries in zip(by_name, cells):
-                    assert algebra._value(g, entries, size) \
+                for alg_tables, val in zip(by_name, stores):
+                    assert algebra._value(g, val, size) \
                         == algebra._eval(alg_tables, size, nu, node, ()), (t, g)
                 grounds.append(g)
                 checked += 1
@@ -710,6 +742,16 @@ def test_grounding_agrees_with_evaluation(monkeypatch):
         "head of arity ≥ 3", "two-variable position")} | {
             (1, "binary variable"), (2, "binary variable")}
     assert checked > 2000
+
+
+def _store(cells: dict[int, int], end: int) -> list[int]:
+    """The search's store of the ints below end under the partial
+    assignment cells: an assigned cell's value, and every other int
+    itself."""
+    val = list(range(end))
+    for c, u in cells.items():
+        val[c] = u
+    return val
 
 
 def _first_read(g, cells, size):
@@ -755,22 +797,22 @@ def test_value_returns_the_first_unassigned_cell_in_evaluation_order():
     g = (20, (10, 11))
     for cells, want in [({}, 10), ({11: 0}, 10), ({10: 1}, 11),
                         ({10: 1, 11: 0}, 22), ({10: 1, 11: 0, 22: 1}, 1)]:
-        assert algebra._value(g, cells, 2) == want, cells
+        assert algebra._value(g, _store(cells, 32), 2) == want, cells
     # a nested kid a: a unary variable's entries over a cell head's term
     nested = ((0, 1, 1, 0), (((0, 1), ((30, (12,)),)), 11))
     for cells, want in [({}, 12), ({12: 0}, 30), ({12: 0, 30: 1}, 11),
                         ({12: 0, 30: 1, 11: 1}, 0), ({12: 1, 31: 0, 11: 1}, 1)]:
-        assert algebra._value(nested, cells, 2) == want, cells
+        assert algebra._value(nested, _store(cells, 32), 2) == want, cells
     rnd = random.Random(28)
     seen = set()
     for size in (1, 2, 3):
         for _ in range(3000):
             g = _random_ground(rnd, size, rnd.randint(1, 3))
-            cells = {c: rnd.randrange(size)
-                     for c in range(size, size + 6 + 4 * size ** 3)
+            end = size + 6 + 4 * size ** 3
+            cells = {c: rnd.randrange(size) for c in range(size, end)
                      if rnd.random() < 0.6}
             want, where = _first_read(g, cells, size)
-            assert algebra._value(g, cells, size) == want, (g, cells)
+            assert algebra._value(g, _store(cells, end), size) == want, (g, cells)
             if not isinstance(g, int):
                 head, kids = g
                 kind = "entries" if isinstance(head, tuple) else "cell"

@@ -242,9 +242,26 @@ def test_check_never_leaves_the_nameless_form(capsys, monkeypatch):
 
 
 def test_eval_bad_assignment(capsys):
-    assert main(["eval", str(CORPUS / "prelude_k.al"),
-                 "--term", "A", "--model", "boolean",
-                 "--assign", "A=Maybe"]) == 2
+    """An --assign item that is not name=value, has an empty name, repeats
+    a name or gives no carrier value exits 2 with a BadAssignment
+    diagnostic and prints no value."""
+    path = str(CORPUS / "prelude_k.al")
+    for assign, message in [
+            ("A=Maybe", "'Maybe' is not a value of the model (carrier: T, F)"),
+            ("A", "bad assignment 'A', expected name=value"),
+            ("A=T,", "bad assignment '', expected name=value"),
+            ("=*", "bad assignment '=*': the name is empty"),
+            ("A=T, =F", "bad assignment ' =F': the name is empty"),
+            ("A=T,A=F", "'A' is assigned more than once"),
+            ("A=T,B=F, A =T", "'A' is assigned more than once")]:
+        assert main(["eval", path, "--term", "A -> B", "--model", "boolean",
+                     "--assign", assign]) == 2, assign
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: [BadAssignment] {message}\n")
+    # distinct names, spaces around them, are still one assignment each
+    assert main(["eval", path, "--term", "A -> B", "--model", "boolean",
+                 "--assign", " A = T , B=F"]) == 0
+    assert capsys.readouterr().out == "A -> B = F\n"
 
 
 def test_one_process_answers_alike_every_time(capsys):
